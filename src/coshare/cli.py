@@ -752,8 +752,9 @@ def run_problem(path, args=None):
         return _task_oracle(problem, args)
     if kind == "check-solidity":
         return _task_check_solidity(problem, args)
-    case = problem["task"].get("case")
-    report, _ = reproduce(case, out_dir=getattr(args, "out", None) or ".")
+    # a reproduce task writes its CSV artifacts to the working directory;
+    # run's --out names the report file, not an artifact directory
+    report, _ = reproduce(problem["task"].get("case"))
     return report
 
 

@@ -2,10 +2,16 @@
 
 Machinery: the unconstrained proportional rule, the capped optimum via a
 statewise shadow price (exact piecewise-linear inversion of the clipped
-aggregate response) together with a damped fixed point on the intercepts,
-zero-intercept saturation curves in exact rational arithmetic, the two-agent
-intercept fixed-point interval, and the two-agent value-at-risk ceiling
-scenario on a Gamma(2,1) aggregate with closed-form piecewise moments.
+aggregate response, every state in one batched pass) together with a damped
+fixed point on the intercepts, zero-intercept saturation curves in exact
+rational arithmetic, the two-agent intercept fixed-point interval, and the
+two-agent value-at-risk ceiling scenario on a Gamma(2,1) aggregate with
+closed-form piecewise moments.
+
+The intercept fixed point can be non-unique when caps bind (the two-agent
+interval above is the simplest case).  solve_capped_mv reports the point its
+damped iteration reaches from c = a E[S]; a faster iteration must reach the
+same point, or declare that the reported optimum changes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .allocation import Allocation
 from .errors import (
@@ -81,6 +86,72 @@ def _extended_sum(values):
     return math.fsum(values)
 
 
+def _kink_responses(c, deltas, inv, lower, upper):
+    """Sorted distinct kinks delta_i (L_i - c_i), delta_i (U_i - c_i) of the
+    clipped response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i), and
+    the clipped responses at each kink, one row per kink; H at the kinks is
+    their row sum.  Arguments are float arrays with one entry per agent."""
+    kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
+    # an infinite cap puts its kink at infinity: no kink
+    kinks = np.array(sorted(set(kinks[np.isfinite(kinks)].tolist())))
+    return kinks, np.clip(c + kinks[:, None] * inv, lower, upper)
+
+
+def _project_states(c, deltas, inv, lower, upper, s):
+    """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
+    sum x[k] = s[k], for every state value in s at once.
+
+    H is nondecreasing and piecewise linear, so one sort of its kinks and
+    two searchsorted calls over H at the kinks locate every state.
+    Strictly between two kinks eta is interpolated; past either end the
+    agents with an infinite cap on that side drive H, and eta stops at the
+    end kink when there are none; exactly on kink levels eta is the
+    midpoint of the flat kink run.  Returns eta with shape (m,) and x with
+    shape (m, n).
+    """
+    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    if kinks.size == 0:
+        eta = (s - c.sum()) / inv.sum()
+    else:
+        levels = responses.sum(axis=1)
+        # piece j holds the states above j kink levels; on it eta =
+        # kinks[a] + (s - levels[a]) * rise / run with a = max(j - 1, 0).
+        # The tails rise 1 over the slope of the agents uncapped on that
+        # side, or 0 over 1 when H is flat there.
+        below = inv[lower == -math.inf].sum()
+        above = inv[upper == math.inf].sum()
+        rise = np.concatenate(
+            ([float(below > 0.0)], kinks[1:] - kinks[:-1], [float(above > 0.0)]))
+        run = np.concatenate(([below or 1.0], levels[1:] - levels[:-1], [above or 1.0]))
+        piece = levels.searchsorted(s)
+        a = np.maximum(piece - 1, 0)
+        eta = kinks[a] + (s - levels[a]) * rise[piece] / run[piece]
+        end = levels.searchsorted(s, "right")
+        flat = piece < end
+        if flat.any():
+            eta[flat] = 0.5 * (kinks[piece[flat]] + kinks[end[flat] - 1])
+
+    x = np.clip(c + eta[:, None] * inv, lower, upper)
+    residual = s - x.sum(axis=1)
+    rows = np.flatnonzero(residual)
+    if rows.size:
+        # exact clearing: hand the float dust to the first agent strictly
+        # inside its box
+        dust = residual[rows]
+        margin = np.maximum(2.0 * np.abs(dust), 1e-12)[:, None]
+        inside = (x[rows] - margin > lower) & (x[rows] + margin < upper)
+        agent = inside.argmax(axis=1)
+        fixed = inside[np.arange(rows.size), agent]
+        x[rows[fixed], agent[fixed]] += dust[fixed]
+        if not fixed.all():
+            lost = dust[~fixed]
+            lost = lost[np.abs(lost) > PROJECTION_CLEAR_TOL]
+            if lost.size:
+                raise ContractError(
+                    f"projection residual {lost[0]:g} with every agent at a cap")
+    return eta, x
+
+
 def statewise_projection(c, delta, lower, upper, s):
     """Shadow price eta and shares x_i = clip(c_i + eta/delta_i, L_i, U_i)
     with sum x_i = s.
@@ -105,69 +176,10 @@ def statewise_projection(c, delta, lower, upper, s):
     if s < total_lower - 1e-12 or s > total_upper + 1e-12:
         raise InfeasibleError(
             f"s = {s:g} outside the feasible cap range [{total_lower:g}, {total_upper:g}]")
-
-    inv = np.array([1.0 / d for d in deltas])
-    c_arr = np.array(c)
-    lo_arr = np.array(lower)
-    up_arr = np.array(upper)
-
-    def H(eta):
-        return float(np.clip(c_arr + eta * inv, lo_arr, up_arr).sum())
-
-    kinks = []
-    for i in range(n):
-        if math.isfinite(lower[i]):
-            kinks.append(deltas[i] * (lower[i] - c[i]))
-        if math.isfinite(upper[i]):
-            kinks.append(deltas[i] * (upper[i] - c[i]))
-    kinks = sorted(set(kinks))
-
-    if not kinks:
-        eta = (s - c_arr.sum()) / inv.sum()
-    else:
-        h_vals = [H(k) for k in kinks]
-        idx_lo = bisect.bisect_left(h_vals, s)
-        idx_hi = bisect.bisect_right(h_vals, s)
-        if idx_lo < idx_hi:
-            # s sits exactly on kink levels: midpoint of the flat kink run
-            eta = 0.5 * (kinks[idx_lo] + kinks[idx_hi - 1])
-        elif idx_lo == 0:
-            # below the first kink: agents with infinite lower caps drive H
-            slope = float(inv[lo_arr == -math.inf].sum())
-            if slope <= 0.0:
-                eta = kinks[0]  # flat tail; finite endpoint of the interval
-            else:
-                eta = kinks[0] - (h_vals[0] - s) / slope
-        elif idx_lo == len(kinks):
-            slope = float(inv[up_arr == math.inf].sum())
-            if slope <= 0.0:
-                eta = kinks[-1]
-            else:
-                eta = kinks[-1] + (s - h_vals[-1]) / slope
-        else:
-            k_a, k_b = kinks[idx_lo - 1], kinks[idx_lo]
-            h_a, h_b = h_vals[idx_lo - 1], h_vals[idx_lo]
-            if h_b > h_a:
-                eta = k_a + (s - h_a) * (k_b - k_a) / (h_b - h_a)
-            else:
-                eta = 0.5 * (k_a + k_b)
-
-    shares = np.clip(c_arr + eta * inv, lo_arr, up_arr)
-    residual = s - float(shares.sum())
-    if residual != 0.0:
-        # exact clearing: hand the float dust to an agent strictly inside
-        # its box
-        margin = max(2.0 * abs(residual), 1e-12)
-        fixed = False
-        for i in range(n):
-            if shares[i] - margin > lower[i] and shares[i] + margin < upper[i]:
-                shares[i] += residual
-                fixed = True
-                break
-        if not fixed and abs(residual) > PROJECTION_CLEAR_TOL:
-            raise ContractError(
-                f"projection residual {residual:g} with every agent at a cap")
-    return float(eta), shares
+    deltas = np.array(deltas)
+    eta, x = _project_states(np.array(c), deltas, 1.0 / deltas, np.array(lower),
+                             np.array(upper), np.array([s]))
+    return float(eta[0]), x[0]
 
 
 @dataclass(frozen=True)
@@ -225,7 +237,8 @@ class MVProblem:
 class RegimeReport:
     """Piecewise-affine share curves: breakpoints in s, the active set and
     per-agent slope in each regime, anchor share vectors at the breakpoints,
-    the intercepts, and the intercept fixed-point residual.
+    the intercepts, the intercept fixed-point residual, and the number of
+    fixed-point iterations that produced them (0 where none ran).
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -239,6 +252,7 @@ class RegimeReport:
     residual: float = 0.0
     anchors: tuple = ()
     terminal_s: object = None
+    iterations: int = 0
 
     def __post_init__(self):
         k = len(self.breakpoints)
@@ -265,54 +279,37 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-def _regimes_from_intercepts(c, deltas, lower, upper, residual):
+def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations):
     n = len(deltas)
-    kinks = []
-    for i in range(n):
-        if math.isfinite(lower[i]):
-            kinks.append(deltas[i] * (lower[i] - c[i]))
-        if math.isfinite(upper[i]):
-            kinks.append(deltas[i] * (upper[i] - c[i]))
-    kinks = sorted(set(kinks))
-
-    def H(eta):
-        return float(sum(min(upper[i], max(lower[i], c[i] + eta / deltas[i]))
-                         for i in range(n)))
-
-    def active_at(eta):
-        return tuple(i for i in range(n)
-                     if lower[i] < c[i] + eta / deltas[i] < upper[i])
+    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    intercepts = tuple(c.tolist())
+    weights = inv.tolist()
 
     def slopes_for(active):
-        total = sum(1.0 / deltas[i] for i in active)
+        total = sum(weights[i] for i in active)
         if total <= 0.0:
             return tuple(0.0 for _ in range(n))
-        return tuple((1.0 / deltas[i]) / total if i in active else 0.0
-                     for i in range(n))
+        return tuple(weights[i] / total if i in active else 0.0 for i in range(n))
 
-    if not kinks:
+    if kinks.size == 0:
         active = tuple(range(n))
-        anchor_s = float(sum(c))
-        anchor_shares = tuple(c)
         return RegimeReport(
             breakpoints=(), active_sets=(active,), slopes=(slopes_for(active),),
-            intercepts=tuple(c), residual=residual,
-            anchors=((anchor_s, anchor_shares),))
+            intercepts=intercepts, residual=residual,
+            anchors=((float(sum(intercepts)), intercepts),), iterations=iterations)
 
-    probes = [kinks[0] - 1.0]
-    for a, b in zip(kinks, kinks[1:]):
-        probes.append(0.5 * (a + b))
-    probes.append(kinks[-1] + 1.0)
-    active_sets = tuple(active_at(eta) for eta in probes)
-    slopes = tuple(slopes_for(a) for a in active_sets)
-    breakpoints = tuple(H(k) for k in kinks)
-    anchors = tuple(
-        (H(k), tuple(min(upper[i], max(lower[i], c[i] + k / deltas[i]))
-                     for i in range(n)))
-        for k in kinks)
+    probes = np.concatenate(
+        ([kinks[0] - 1.0], 0.5 * (kinks[:-1] + kinks[1:]), [kinks[-1] + 1.0]))
+    free = c + probes[:, None] * inv
+    active_sets = tuple(tuple(i for i, inside in enumerate(row) if inside)
+                        for row in ((lower < free) & (free < upper)).tolist())
+    breakpoints = tuple(responses.sum(axis=1).tolist())
     return RegimeReport(
-        breakpoints=breakpoints, active_sets=active_sets, slopes=slopes,
-        intercepts=tuple(c), residual=residual, anchors=anchors)
+        breakpoints=breakpoints, active_sets=active_sets,
+        slopes=tuple(slopes_for(a) for a in active_sets),
+        intercepts=intercepts, residual=residual,
+        anchors=tuple(zip(breakpoints, (tuple(row) for row in responses.tolist()))),
+        iterations=iterations)
 
 
 def solve_capped_mv(problem):
@@ -320,8 +317,15 @@ def solve_capped_mv(problem):
 
     Shares take the truncated-affine form X_i = clip(c_i + eta(S)/delta_i,
     L_i, U_i) where eta(s) is the statewise shadow price; the intercepts
-    satisfy c_i = E[X_i] and are found by damped fixed-point iteration.
-    Returns (Allocation, RegimeReport).
+    satisfy c_i = E[X_i] and are found by damped fixed-point iteration from
+    c = a E[S], a the proportional slopes.  Every iteration projects all
+    states at once.  Returns (Allocation, RegimeReport); the report counts
+    the iterations.
+
+    The intercept fixed point need not be unique: with caps binding, a
+    continuum of intercepts can reach the same objective.  The damped path
+    from that start selects the optimum reported, so a faster iteration that
+    reaches a different fixed point changes the result, not just its cost.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
@@ -329,21 +333,25 @@ def solve_capped_mv(problem):
         raise ValidationError("solve_capped_mv needs a finite aggregate; "
                               "the gamma scenario has its own entry point")
     space, S = problem.aggregate
-    deltas = problem.delta
-    n = problem.n_agents
+    deltas = np.array(problem.delta)
+    inv = 1.0 / deltas
+    lower = np.array(problem.lower)
+    upper = np.array(problem.upper)
     probs = space.probs
     support = S.values
     mean_s = float(support @ probs)
-    slopes = unconstrained_shares(deltas)
+    slopes = unconstrained_shares(problem.delta)
     c = np.array([float(a) * mean_s for a in slopes])
 
+    def shares_at(c):
+        # agents by states in C order: BLAS sums the product below in an
+        # order that depends on the layout
+        return np.ascontiguousarray(
+            _project_states(c, deltas, inv, lower, upper, support)[1].T)
+
     residual = math.inf
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        shares = np.empty((n, space.size))
-        for k, s in enumerate(support):
-            _, x = statewise_projection(c, deltas, problem.lower, problem.upper, s)
-            shares[:, k] = x
-        target = shares @ probs
+    for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
+        target = shares_at(c) @ probs
         residual = float(np.max(np.abs(target - c)))
         if residual < FIXED_POINT_TOL:
             c = target
@@ -354,14 +362,11 @@ def solve_capped_mv(problem):
             "intercept fixed point did not converge",
             last_iterate=tuple(c), residual=residual)
 
-    shares = np.empty((n, space.size))
-    for k, s in enumerate(support):
-        _, x = statewise_projection(c, deltas, problem.lower, problem.upper, s)
-        shares[:, k] = x
+    shares = shares_at(c)
     allocation = Allocation(
-        space, tuple(RandomVariable(space, shares[i].copy()) for i in range(n)), S)
+        space, tuple(RandomVariable(space, row.copy()) for row in shares), S)
     report = _regimes_from_intercepts(
-        tuple(float(v) for v in c), deltas, problem.lower, problem.upper, residual)
+        c, deltas, inv, lower, upper, residual, iterations)
     return allocation, report
 
 
@@ -652,6 +657,8 @@ def var_scenario(delta=(0.01, 1.0), var_level=0.95, ceiling=3.0):
     discontinuous at q, the 0.95 quantile of the aggregate, so the optimum
     is not comonotonic; the comonotone-restricted value is strictly worse.
     """
+    from scipy.optimize import minimize_scalar  # lazily, as in gamma_quantile
+
     deltas = _positive_deltas(delta)
     if len(deltas) != 2:
         raise ValidationError("the scenario has exactly two agents")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, RefinementError, ValidationError
 
@@ -216,6 +215,10 @@ def moments(X):
 
 def gamma_quantile(g, u):
     """Root of cdf(q) = u by bracketed root finding, absolute tolerance 1e-10."""
+    # scipy.optimize costs tens of MB and much of the import time; only the
+    # gamma paths need it
+    from scipy.optimize import brentq
+
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {u!r}")
     hi = 1.0

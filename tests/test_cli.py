@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -234,6 +236,27 @@ class TestMain:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out_file.read_text())["task"] == "oracle"
+
+    def test_run_reproduce_out_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = {"schema_version": 1, "space": {"gamma": {}},
+               "task": {"kind": "reproduce", "case": "ex-3.1"}}
+        write(tmp_path, "p.json", doc)
+        assert main(["run", "p.json", "--out", "report.json"]) == 0
+        out = capsys.readouterr().out
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == out
+        artifacts = json.loads(out)["artifacts"]
+        assert artifacts and all(
+            os.path.dirname(p) == "." and (tmp_path / p).is_file() for p in artifacts)
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import coshare, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_schema_error_exit_one(self, tmp_path, capsys):
         doc = improve_doc()

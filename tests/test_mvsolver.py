@@ -1,5 +1,6 @@
 """Capped mean-variance solver, saturation curves, and the VaR scenario."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -33,6 +34,68 @@ def finite_aggregate(values, probs=None):
     probs = probs if probs is not None else (1.0 / n,) * n
     sp = FiniteSpace((f"w{k}", p) for k, p in enumerate(probs))
     return sp, RandomVariable(sp, values)
+
+
+def reference_projection(c, delta, lower, upper, s):
+    """Reference for the batched projection: one state at a time, by
+    bisection over the sorted kink set."""
+    n = len(delta)
+    inv = np.array([1.0 / d for d in delta])
+    c_arr, lo_arr, up_arr = np.array(c), np.array(lower), np.array(upper)
+
+    def H(eta):
+        return float(np.clip(c_arr + eta * inv, lo_arr, up_arr).sum())
+
+    kinks = sorted({delta[i] * (b - c[i]) for i in range(n)
+                    for b in (lower[i], upper[i]) if math.isfinite(b)})
+    if not kinks:
+        eta = (s - c_arr.sum()) / inv.sum()
+    else:
+        h_vals = [H(k) for k in kinks]
+        lo, hi = bisect.bisect_left(h_vals, s), bisect.bisect_right(h_vals, s)
+        if lo < hi:
+            eta = 0.5 * (kinks[lo] + kinks[hi - 1])
+        elif lo == 0:
+            slope = float(inv[lo_arr == NEG_INF].sum())
+            eta = kinks[0] - (h_vals[0] - s) / slope if slope > 0.0 else kinks[0]
+        elif lo == len(kinks):
+            slope = float(inv[up_arr == INF].sum())
+            eta = kinks[-1] + (s - h_vals[-1]) / slope if slope > 0.0 else kinks[-1]
+        else:
+            k_a, k_b, h_a, h_b = kinks[lo - 1], kinks[lo], h_vals[lo - 1], h_vals[lo]
+            eta = k_a + (s - h_a) * (k_b - k_a) / (h_b - h_a)
+    shares = np.clip(c_arr + eta * inv, lo_arr, up_arr)
+    residual = s - float(shares.sum())
+    if residual != 0.0:
+        margin = max(2.0 * abs(residual), 1e-12)
+        for i in range(n):
+            if shares[i] - margin > lower[i] and shares[i] + margin < upper[i]:
+                shares[i] += residual
+                break
+    return float(eta), shares
+
+
+def reference_solve(problem):
+    """The damped intercept iteration with one projection per state;
+    returns (shares by agent, intercepts, iterations)."""
+    space, S = problem.aggregate
+    probs = space.probs
+    c = np.array([float(a) * float(S.values @ probs)
+                  for a in unconstrained_shares(problem.delta)])
+
+    def shares_at(c):
+        shares = np.empty((problem.n_agents, space.size))
+        for k, s in enumerate(S.values):
+            shares[:, k] = reference_projection(
+                c, problem.delta, problem.lower, problem.upper, s)[1]
+        return shares
+
+    for iterations in range(1, 10 ** 4 + 1):
+        target = shares_at(c) @ probs
+        if np.max(np.abs(target - c)) < 1e-10:
+            return shares_at(target), target, iterations
+        c = 0.5 * c + 0.5 * target
+    raise AssertionError("reference iteration did not converge")
 
 
 class TestMVProblem:
@@ -90,6 +153,7 @@ class TestStatewiseProjection:
         assert x == pytest.approx((1.0, 3.0), abs=1e-12)
 
     def test_clearing_and_kkt(self, rng):
+        cases = []
         for _ in range(200):
             n = int(rng.integers(2, 5))
             c = rng.normal(size=n)
@@ -97,13 +161,41 @@ class TestStatewiseProjection:
             lower = rng.uniform(-2.0, 0.0, size=n)
             upper = rng.uniform(1.0, 3.0, size=n)
             s = float(rng.uniform(lower.sum(), upper.sum()))
+            cases.append((c, delta, lower, upper, s))
+        # s exactly on a kink level: H is flat at 4 for eta in [1, 3]
+        flat = ((0.0, 0.0), (1.0, 1.0), (0.0, 3.0), (1.0, 4.0), 4.0)
+        cases.append(flat)
+        # below the first kink and above the last, where the agents with an
+        # infinite cap on that side carry H
+        tails = ((0.0, 0.0, 0.0), (1.0, 2.0, 4.0), (NEG_INF, -1.0, NEG_INF),
+                 (INF, 1.0, 2.0))
+        cases += [tails + (-10.0,), tails + (20.0,)]
+        # clipped shares miss s by float dust, which goes to agent 0
+        dust = ((0.1, 0.1), (1.0, 3.0), (NEG_INF, 0.0), (INF, 1.0), 0.3)
+        cases.append(dust)
+
+        for c, delta, lower, upper, s in cases:
+            c, delta, lower, upper = map(np.asarray, (c, delta, lower, upper))
             eta, x = statewise_projection(c, delta, lower, upper, s)
             assert np.sum(x) == pytest.approx(s, abs=1e-9)
             assert np.all(x >= lower - 1e-9) and np.all(x <= upper + 1e-9)
-            for i in range(n):
+            for i in range(len(c)):
                 if lower[i] + 1e-7 < x[i] < upper[i] - 1e-7:
                     want = c[i] + eta / delta[i]
                     assert x[i] == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
+            ref_eta, ref_x = reference_projection(c, delta, lower, upper, s)
+            assert eta == pytest.approx(ref_eta, abs=1e-12)
+            assert x == pytest.approx(ref_x, abs=1e-12)
+
+        assert statewise_projection(*flat)[0] == 2.0
+        assert statewise_projection(*tails, -10.0)[0] == pytest.approx(
+            -2.0 - 6.5 / 1.25, abs=1e-12)
+        assert statewise_projection(*tails, 20.0)[0] == pytest.approx(
+            8.0 + 9.0, abs=1e-12)
+        c, delta, lower, upper, s = dust
+        eta, x = statewise_projection(*dust)
+        clipped = np.clip(np.array(c) + eta * (1.0 / np.array(delta)), lower, upper)
+        assert clipped.sum() != s and x.sum() == s
 
 
 class TestSolveCappedMV:
@@ -142,6 +234,23 @@ class TestSolveCappedMV:
             a_capped, _ = solve_capped_mv(capped)
             assert (mv_objective(delta, a_capped)
                     >= mv_objective(delta, a_free) - 1e-9)
+
+
+    @pytest.mark.parametrize("m", (4, 16))
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_matches_per_state_iteration(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        for _ in range(3):
+            agg = finite_aggregate(rng.gamma(2.0, 1.0, size=m),
+                                   rng.dirichlet(np.ones(m)))
+            problem = MVProblem(tuple(rng.uniform(0.5, 2.0, size=n)), (0.0,) * n,
+                                (INF,) + (3.0 / n,) * (n - 1), agg)
+            best, report = solve_capped_mv(problem)
+            ref_shares, ref_c, ref_iterations = reference_solve(problem)
+            shares = np.array([x.values for x in best.shares])
+            assert shares == pytest.approx(ref_shares, abs=1e-12)
+            assert report.intercepts == pytest.approx(ref_c, abs=1e-12)
+            assert report.iterations == ref_iterations
 
 
 class TestSaturationCurve:
