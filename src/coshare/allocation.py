@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NonterminationError, ValidationError
-from .probspace import RandomVariable, VALUE_MERGE_TOL, moments
+from .probspace import RandomVariable, level_sets
 from .riskmeasures import evaluate
 from .stochorder import convex_order_leq
 
@@ -111,41 +111,35 @@ def _require_clearing(A):
         raise ContractError(f"allocation does not clear its aggregate (residual {residual:g})")
 
 
-def _level_partition(A):
-    """Atoms grouped into S-level sets: (ordered atom-index lists, level S values)."""
-    s = A.aggregate.values
-    order = np.argsort(s, kind="stable")
-    groups = []
-    level_values = []
-    for idx in order:
-        if groups and s[idx] - level_values[-1] <= VALUE_MERGE_TOL:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-            level_values.append(float(s[idx]))
-    return groups, level_values
+def comonotone_mask(tensors, s_values, probs, tol=COMONOTONE_TOL):
+    """Rows of the share tensors (one rows x atoms array per agent) in which
+    every share is a nondecreasing function of the aggregate values.
+
+    Two requirements per share: (a) it is constant on every level set of the
+    aggregate within tol, and (b) across levels sorted by value, its
+    probability-weighted level mean is nondecreasing within tol.
+    """
+    levels = [(g, probs[g], probs[g].sum()) for g in level_sets(s_values)]
+    mask = np.ones(tensors[0].shape[0], dtype=bool)
+    for V in tensors:
+        prev = None
+        for group, p, mass in levels:
+            block = V[:, group]
+            if len(group) > 1:
+                mask &= (block.max(axis=1) - block.min(axis=1)) <= tol
+            rep = block @ p / mass
+            if prev is not None:
+                mask &= rep >= prev - tol
+            prev = rep
+    return mask
 
 
 def is_comonotonic(A, tol=COMONOTONE_TOL):
-    """True iff every share is a nondecreasing function of the aggregate.
-
-    Two requirements: (a) each share is constant on every level set of S
-    within tol, and (b) across levels sorted by S, each share's level value
-    is nondecreasing within tol.
-    """
+    """True iff every share is a nondecreasing function of the aggregate,
+    in the sense of comonotone_mask."""
     _require_clearing(A)
-    groups, _ = _level_partition(A)
-    for share in A.shares:
-        prev = None
-        for group in groups:
-            block = share.values[group]
-            if block.max() - block.min() > tol:
-                return False
-            rep = float(block.mean())
-            if prev is not None and rep < prev - tol:
-                return False
-            prev = rep
-    return True
+    rows = [share.values[None, :] for share in A.shares]
+    return bool(comonotone_mask(rows, A.aggregate.values, A.space.probs, tol)[0])
 
 
 def condition_on_aggregate(A):
@@ -155,7 +149,7 @@ def condition_on_aggregate(A):
     output share is a convex-order reduction of its input share.
     """
     _require_clearing(A)
-    groups, _ = _level_partition(A)
+    groups = level_sets(A.aggregate.values)
     probs = A.space.probs
     new_values = [share.values.copy() for share in A.shares]
     for group in groups:
@@ -183,7 +177,7 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
         raise ContractError("need one measure per agent")
 
     conditioned = condition_on_aggregate(A)
-    groups, _ = _level_partition(conditioned)
+    groups = level_sets(conditioned.aggregate.values)
     n = A.n_agents
     m = len(groups)
     masses = np.array([A.space.probs[g].sum() for g in groups])

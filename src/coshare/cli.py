@@ -59,16 +59,6 @@ class ReproduceMismatch(CoshareError):
         super().__init__("reproduction mismatch:\n" + "\n".join(self.diffs))
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("COSHARE_THREADS")
-    if not cap:
-        return
-    # best effort: BLAS backends read these at thread-pool creation
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = cap
-
-
 # ---------------------------------------------------------------------------
 # number and schema parsing
 
@@ -1031,13 +1021,10 @@ def _build_parser():
     rep.add_argument("case", choices=_REPRODUCE_CASES)
     rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
     rep.add_argument("--out", default=".", help="directory for CSV artifacts")
-    rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--tol", type=float, default=None)
     return parser
 
 
 def main(argv=None):
-    _apply_thread_cap()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)

@@ -25,14 +25,14 @@ import numpy as np
 
 from .allocation import Allocation, check_clearing, comonotonic_improvement, condition_on_aggregate
 from .errors import ContractError, ValidationError
-from .probspace import RandomVariable, moments
+from .probspace import RandomVariable
 from .riskmeasures import (
     Consistency,
     RiskMeasureSpec,
+    _ladder_mean,
     _validate_ladder,
     cx_consistency_flag,
-    evaluate,
-    expected_convex_loss,
+    measure_values,
 )
 from .stochorder import convex_order_leq
 
@@ -238,6 +238,82 @@ def _check_envelope_coverage(kind, s_values):
             )
 
 
+def _kind_of(constraint):
+    if not isinstance(constraint, Constraint):
+        raise ValidationError("constraints must be Constraint instances")
+    return constraint.kind
+
+
+_STATEWISE = (PathwiseBounds, IdiosyncraticRetention, AggregateEnvelope)
+
+
+def _band(kind, V, s_values, probs, tol):
+    """(value, lower, upper) of one constraint kind on the rows of V (rows x
+    atoms): a row is feasible where lower - tol <= value <= upper + tol in
+    every column.
+
+    Statewise kinds (pathwise bounds, retention, envelopes) give the rows x
+    atoms values with scalar or per-atom bounds; the others give a rows x 1
+    column of per-row values with scalar bounds.
+    """
+    if isinstance(kind, PathwiseBounds):
+        return V, kind.lower, kind.upper
+    if isinstance(kind, IdiosyncraticRetention):
+        # below the deductible the band pins the share to the endowment
+        z = kind.endowment.values
+        low = z < kind.deductible - tol
+        return V, np.where(low, z, kind.deductible), np.where(low, z, math.inf)
+    if isinstance(kind, AggregateEnvelope):
+        _check_envelope_coverage(kind, s_values)
+        return V, _pl_eval(kind.lower, s_values), _pl_eval(kind.upper, s_values)
+    if isinstance(kind, ExpectationConstraint):
+        lower = -math.inf if kind.relation == "<=" else kind.bound
+        upper = math.inf if kind.relation == ">=" else kind.bound
+        return (V @ probs)[:, None], lower, upper
+    if isinstance(kind, OrliczBound):
+        return _ladder_mean(V, probs, kind.ladder)[:, None], -math.inf, kind.bound
+    value = measure_values(kind.measure, V, probs)[:, None]
+    if isinstance(kind, RiskCeiling):
+        return value, -math.inf, kind.bound
+    return value, kind.bound, math.inf
+
+
+def feasible_mask(tensors, s_values, probs, constraints, tol=FEASIBILITY_TOL):
+    """Rows of the share tensors (one rows x atoms array per agent, over an
+    aggregate with values s_values) that satisfy every constraint."""
+    mask = np.ones(tensors[0].shape[0], dtype=bool)
+    for constraint in constraints:
+        kind = _kind_of(constraint)
+        for i in constraint.agents(len(tensors)):
+            value, lower, upper = _band(kind, tensors[i], s_values, probs, tol)
+            mask &= ((value >= lower - tol) & (value <= upper + tol)).all(axis=1)
+    return mask
+
+
+def _message(kind, agent, value, bound, below, s):
+    if isinstance(kind, PathwiseBounds):
+        side = "below lower" if below else "above upper"
+        return f"agent {agent} share {value:g} {side} bound {bound:g}"
+    if isinstance(kind, AggregateEnvelope):
+        side = "below" if below else "above"
+        return f"agent {agent} share {value:g} {side} envelope {bound:g} at S = {s:g}"
+    if isinstance(kind, IdiosyncraticRetention):
+        # on a retained state the band's only edge is the deductible
+        if bound == kind.deductible:
+            return (f"agent {agent} share {value:g} below deductible "
+                    f"{kind.deductible:g} on a retained state")
+        return (f"agent {agent} share {value:g} must equal endowment {bound:g} "
+                f"below deductible {kind.deductible:g}")
+    if isinstance(kind, ExpectationConstraint):
+        return f"agent {agent} mean {value:g} fails E[X] {kind.relation} {kind.bound:g}"
+    if isinstance(kind, OrliczBound):
+        return f"agent {agent} convex penalty {value:g} exceeds {bound:g}"
+    if isinstance(kind, RiskCeiling):
+        return (f"agent {agent} {kind.measure.describe()} = {value:g} exceeds "
+                f"ceiling {bound:g}")
+    return f"agent {agent} {kind.measure.describe()} = {value:g} below floor {bound:g}"
+
+
 def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
     """Evaluate every constraint against the allocation.
 
@@ -248,91 +324,30 @@ def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
     if not ok:
         raise ContractError(f"allocation does not clear the aggregate (residual {residual:g})")
     labels = A.space.labels
+    s_values = A.aggregate.values
     violations = []
     for ci, constraint in enumerate(constraints):
-        if not isinstance(constraint, Constraint):
-            raise ValidationError("check_feasible expects Constraint instances")
-        kind = constraint.kind
+        kind = _kind_of(constraint)
+        if isinstance(kind, IdiosyncraticRetention) and kind.endowment.space != A.space:
+            raise ValidationError("retention endowment lives on a different space")
         for i in constraint.agents(A.n_agents):
-            share = A.shares[i]
-            if isinstance(kind, PathwiseBounds):
-                for a, v in enumerate(share.values):
-                    if v < kind.lower - tol:
-                        violations.append(Violation(
-                            ci, i, labels[a], kind.lower - float(v),
-                            f"agent {i} share {v:g} below lower bound {kind.lower:g}"))
-                    elif v > kind.upper + tol:
-                        violations.append(Violation(
-                            ci, i, labels[a], float(v) - kind.upper,
-                            f"agent {i} share {v:g} above upper bound {kind.upper:g}"))
-            elif isinstance(kind, ExpectationConstraint):
-                mean, _ = moments(share)
-                gap = 0.0
-                if kind.relation == "<=":
-                    gap = mean - kind.bound
-                elif kind.relation == ">=":
-                    gap = kind.bound - mean
-                else:
-                    gap = abs(mean - kind.bound)
-                if gap > tol:
-                    violations.append(Violation(
-                        ci, i, None, gap,
-                        f"agent {i} mean {mean:g} fails E[X] {kind.relation} {kind.bound:g}"))
-            elif isinstance(kind, OrliczBound):
-                value = expected_convex_loss(share, kind.ladder)
-                if value > kind.bound + tol:
-                    violations.append(Violation(
-                        ci, i, None, value - kind.bound,
-                        f"agent {i} convex penalty {value:g} exceeds {kind.bound:g}"))
-            elif isinstance(kind, RiskCeiling):
-                value = evaluate(kind.measure, share)
-                if value > kind.bound + tol:
-                    violations.append(Violation(
-                        ci, i, None, value - kind.bound,
-                        f"agent {i} {kind.measure.describe()} = {value:g} exceeds "
-                        f"ceiling {kind.bound:g}"))
-            elif isinstance(kind, RiskFloor):
-                value = evaluate(kind.measure, share)
-                if value < kind.bound - tol:
-                    violations.append(Violation(
-                        ci, i, None, kind.bound - value,
-                        f"agent {i} {kind.measure.describe()} = {value:g} below "
-                        f"floor {kind.bound:g}"))
-            elif isinstance(kind, IdiosyncraticRetention):
-                zeta = kind.endowment
-                if zeta.space != A.space:
-                    raise ValidationError("retention endowment lives on a different space")
-                for a in range(A.space.size):
-                    z = float(zeta.values[a])
-                    x = float(share.values[a])
-                    if z < kind.deductible - tol:
-                        dev = abs(x - z)
-                        if dev > tol:
-                            violations.append(Violation(
-                                ci, i, labels[a], dev,
-                                f"agent {i} share {x:g} must equal endowment {z:g} "
-                                f"below deductible {kind.deductible:g}"))
-                    elif x < kind.deductible - tol:
-                        violations.append(Violation(
-                            ci, i, labels[a], kind.deductible - x,
-                            f"agent {i} share {x:g} below deductible "
-                            f"{kind.deductible:g} on a retained state"))
-            else:
-                s_values = A.aggregate.values
-                _check_envelope_coverage(kind, s_values)
-                lo = _pl_eval(kind.lower, s_values)
-                hi = _pl_eval(kind.upper, s_values)
-                for a, v in enumerate(share.values):
-                    if v < lo[a] - tol:
-                        violations.append(Violation(
-                            ci, i, labels[a], float(lo[a] - v),
-                            f"agent {i} share {v:g} below envelope {lo[a]:g} "
-                            f"at S = {s_values[a]:g}"))
-                    elif v > hi[a] + tol:
-                        violations.append(Violation(
-                            ci, i, labels[a], float(v - hi[a]),
-                            f"agent {i} share {v:g} above envelope {hi[a]:g} "
-                            f"at S = {s_values[a]:g}"))
+            value, lower, upper = _band(
+                kind, A.shares[i].values[None, :], s_values, A.space.probs, tol)
+            row = value[0]
+            below = row < lower - tol
+            outside = np.flatnonzero(below | (row > upper + tol))
+            if outside.size == 0:
+                continue
+            lower = np.broadcast_to(lower, row.shape)
+            upper = np.broadcast_to(upper, row.shape)
+            statewise = isinstance(kind, _STATEWISE)
+            for a in outside:
+                v = float(row[a])
+                bound = float(lower[a] if below[a] else upper[a])
+                violations.append(Violation(
+                    ci, i, labels[a] if statewise else None,
+                    bound - v if below[a] else v - bound,
+                    _message(kind, i, v, bound, below[a], s_values[a] if statewise else None)))
     return len(violations) == 0, violations
 
 
@@ -455,8 +470,8 @@ def _verify_witness(X, Y, constraints, tol):
     ok, _ = check_clearing(Y)
     if not ok:
         return False
-    feasible, _ = check_feasible(Y, constraints, tol)
-    if feasible:
+    rows = [share.values[None, :] for share in Y.shares]
+    if feasible_mask(rows, Y.aggregate.values, Y.space.probs, constraints, tol)[0]:
         return False
     for orig, red in zip(X.shares, Y.shares):
         if not convex_order_leq(red, orig):

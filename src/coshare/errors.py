@@ -25,10 +25,6 @@ class InfeasibleError(CoshareError):
         self.details = details
 
 
-class RefinementError(CoshareError):
-    """Atom probabilities cannot be refined to equal weights within the cap."""
-
-
 class NonterminationError(CoshareError):
     """Iterative procedure exceeded its iteration cap.
 

@@ -38,8 +38,8 @@ from .probspace import (
     RandomVariable,
     distribution_of,
     gamma_quantile,
-    moments,
 )
+from .riskmeasures import mean_variance
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITERS = 10 ** 4
@@ -377,8 +377,7 @@ def mv_objective(delta, allocation):
         raise ValidationError("one variance weight per agent")
     total = 0.0
     for d, share in zip(deltas, allocation.shares):
-        mean, variance = moments(share)
-        total += mean + d * variance
+        total += mean_variance(share, d)
     return total
 
 

@@ -14,30 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import COMONOTONE_TOL, Allocation
-from .constraints import (
-    AggregateEnvelope,
-    Constraint,
-    ExpectationConstraint,
-    FEASIBILITY_TOL,
-    IdiosyncraticRetention,
-    OrliczBound,
-    PathwiseBounds,
-    RiskCeiling,
-    RiskFloor,
-    _check_envelope_coverage,
-    _pl_eval,
-)
+from .allocation import Allocation, comonotone_mask
+from .constraints import FEASIBILITY_TOL, feasible_mask
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import CUM_PROB_TOL, RandomVariable, VALUE_MERGE_TOL
-from .riskmeasures import (
-    ES,
-    EXPECTED_CONVEX_LOSS,
-    MEAN_VARIANCE,
-    RiskMeasureSpec,
-    VAR,
-    convex_ladder,
-)
+from .probspace import RandomVariable
+from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
 GRID_CELL_LIMIT = 6 * 10 ** 7
@@ -156,96 +137,6 @@ def _free_tensor(grid):
     return flat.reshape(points, grid.n_free_agents, grid.n_atoms)
 
 
-def _measure_values(spec, V, probs):
-    """spec evaluated on every row of V (points x atoms); matches the scalar
-    evaluator up to cumulative-probability tolerance."""
-    if spec.kind == MEAN_VARIANCE:
-        mean = V @ probs
-        second = (V * V) @ probs
-        return mean + spec.delta * np.maximum(second - mean * mean, 0.0)
-    if spec.kind == EXPECTED_CONVEX_LOSS:
-        return convex_ladder(V, spec.ladder) @ probs
-    order = np.argsort(V, axis=1, kind="stable")
-    sv = np.take_along_axis(V, order, axis=1)
-    sp = probs[order]
-    cum = np.cumsum(sp, axis=1)
-    if spec.kind == VAR:
-        hit = cum >= spec.level - CUM_PROB_TOL
-        hit[:, -1] = True
-        idx = np.argmax(hit, axis=1)
-        return np.take_along_axis(sv, idx[:, None], axis=1)[:, 0]
-    weights = np.clip(cum - spec.level, 0.0, sp)
-    return (weights * sv).sum(axis=1) / (1.0 - spec.level)
-
-
-def _feasible_mask(tensors, s_values, probs, constraints, tol):
-    n = len(tensors)
-    mask = np.ones(tensors[0].shape[0], dtype=bool)
-    for constraint in constraints:
-        if not isinstance(constraint, Constraint):
-            raise ValidationError("oracle expects Constraint instances")
-        kind = constraint.kind
-        for i in constraint.agents(n):
-            V = tensors[i]
-            if isinstance(kind, PathwiseBounds):
-                mask &= (V >= kind.lower - tol).all(axis=1)
-                mask &= (V <= kind.upper + tol).all(axis=1)
-            elif isinstance(kind, ExpectationConstraint):
-                mean = V @ probs
-                if kind.relation == "<=":
-                    mask &= mean <= kind.bound + tol
-                elif kind.relation == ">=":
-                    mask &= mean >= kind.bound - tol
-                else:
-                    mask &= np.abs(mean - kind.bound) <= tol
-            elif isinstance(kind, OrliczBound):
-                mask &= convex_ladder(V, kind.ladder) @ probs <= kind.bound + tol
-            elif isinstance(kind, RiskCeiling):
-                mask &= _measure_values(kind.measure, V, probs) <= kind.bound + tol
-            elif isinstance(kind, RiskFloor):
-                mask &= _measure_values(kind.measure, V, probs) >= kind.bound - tol
-            elif isinstance(kind, IdiosyncraticRetention):
-                z = kind.endowment.values
-                low = z < kind.deductible - tol
-                if low.any():
-                    mask &= (np.abs(V[:, low] - z[low]) <= tol).all(axis=1)
-                if (~low).any():
-                    mask &= (V[:, ~low] >= kind.deductible - tol).all(axis=1)
-            else:
-                _check_envelope_coverage(kind, s_values)
-                lo = _pl_eval(kind.lower, s_values)
-                hi = _pl_eval(kind.upper, s_values)
-                mask &= (V >= lo[None, :] - tol).all(axis=1)
-                mask &= (V <= hi[None, :] + tol).all(axis=1)
-    return mask
-
-
-def _levels(s_values):
-    order = np.argsort(s_values, kind="stable")
-    groups = []
-    for idx in order:
-        if groups and s_values[idx] - s_values[groups[-1][0]] <= VALUE_MERGE_TOL:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
-
-
-def _comonotone_mask(tensors, s_values, probs, tol=COMONOTONE_TOL):
-    groups = _levels(s_values)
-    mask = np.ones(tensors[0].shape[0], dtype=bool)
-    for V in tensors:
-        reps = []
-        for g in groups:
-            block = V[:, g]
-            if len(g) > 1:
-                mask &= (block.max(axis=1) - block.min(axis=1)) <= tol
-            reps.append(block @ probs[g] / probs[g].sum())
-        for k in range(len(reps) - 1):
-            mask &= reps[k + 1] >= reps[k] - tol
-    return mask
-
-
 def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
@@ -261,9 +152,9 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     tensors = [free[:, i, :] for i in range(n - 1)]
     tensors.append(S.values[None, :] - free.sum(axis=1))
     probs = space.probs
-    mask = _feasible_mask(tensors, S.values, probs, constraints, tol)
+    mask = feasible_mask(tensors, S.values, probs, constraints, tol)
     if comonotone:
-        mask &= _comonotone_mask(tensors, S.values, probs)
+        mask &= comonotone_mask(tensors, S.values, probs)
     if not mask.any():
         raise InfeasibleError(
             "no feasible grid point",
@@ -271,7 +162,7 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
         )
     values = np.zeros(free.shape[0])
     for i, spec in enumerate(objectives):
-        values[mask] += _measure_values(spec, tensors[i][mask], probs)
+        values[mask] += measure_values(spec, tensors[i][mask], probs)
     values[~mask] = np.inf
     vmin = float(values.min())
     # first grid point within float dust of the minimum: lexicographic

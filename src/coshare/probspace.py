@@ -11,22 +11,22 @@ Conventions fixed here and used throughout:
 * quantiles are *lower* quantiles, ``inf{x : P(X <= x) >= u}``;
 * cumulative-probability comparisons tolerate ``1e-12`` of float drift, so
   atom probabilities like ``0.9925 + 0.0025`` still reach a ``0.995`` level;
-* values closer than ``1e-12`` are merged when a distribution is extracted.
+* values within ``1e-12`` of a level's first value belong to that level
+  (:func:`level_sets`), both for extracted distributions and for the level
+  sets of an aggregate.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RefinementError, ValidationError
+from .errors import DomainError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 VALUE_MERGE_TOL = 1e-12
 CUM_PROB_TOL = 1e-12
 GAMMA_ROOT_TOL = 1e-10
-REFINEMENT_DENOMINATOR_CAP = 10 ** 6
 
 
 class FiniteSpace:
@@ -160,11 +160,6 @@ class GammaAggregate:
             return 0.0
         return 1.0 - (1.0 + q) * math.exp(-q)
 
-    def pdf(self, s):
-        if s < 0.0:
-            return 0.0
-        return s * math.exp(-s)
-
     @property
     def mean(self):
         return 2.0
@@ -174,35 +169,36 @@ class GammaAggregate:
         return 2.0
 
 
+def level_sets(values):
+    """Atom indices grouped by value: atoms in stable sorted order, each group
+    holding the atoms within VALUE_MERGE_TOL of the group's first value."""
+    order = np.argsort(values, kind="stable").tolist()
+    groups = []
+    first = None
+    for idx, v in zip(order, values[order].tolist()):
+        if groups and v - first <= VALUE_MERGE_TOL:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+            first = v
+    return groups
+
+
 def distribution_of(X):
     """Law of X as an ordered list of (value, prob) pairs.
 
     Values are strictly increasing; probabilities of values within 1e-12 of
     each other are merged.  Probabilities sum to one up to 1e-12.
     """
-    order = np.argsort(X.values, kind="stable")
-    vals = X.values[order]
-    probs = X.space.probs[order]
-    out = []
-    for v, p in zip(vals, probs):
-        if out and v - out[-1][0] <= VALUE_MERGE_TOL:
-            out[-1][1] += p
-        else:
-            out.append([float(v), float(p)])
-    return [(v, p) for v, p in out]
-
-
-def quantile(X, u):
-    """Lower u-quantile of X: inf{x : P(X <= x) >= u}."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile level must lie in (0,1), got {u!r}")
-    cum = 0.0
-    dist = distribution_of(X)
-    for v, p in dist:
-        cum += p
-        if cum >= u - CUM_PROB_TOL:
-            return v
-    return dist[-1][0]
+    values = X.values.tolist()
+    probs = X.space.probs.tolist()
+    dist = []
+    for group in level_sets(X.values):
+        mass = 0.0
+        for idx in group:
+            mass += probs[idx]
+        dist.append((values[group[0]], mass))
+    return dist
 
 
 def moments(X):
@@ -238,48 +234,3 @@ def discretize_gamma(g, n):
     space = FiniteSpace.uniform(n, prefix="g")
     values = [gamma_quantile(g, (k - 0.5) / n) for k in range(1, n + 1)]
     return space, RandomVariable(space, values)
-
-
-def equal_weight_refinement(space):
-    """Refine a space into equal-probability atoms.
-
-    Returns ``(refined_space, mapping)`` where ``mapping[j]`` is the index of
-    the original atom that refined atom ``j`` came from.  Requires every
-    probability to be a rational with denominator at most 10^6 (after exact
-    recovery from its float representation); otherwise raises
-    :class:`RefinementError` and callers fall back to mass-weighted transfers.
-    """
-    fracs = []
-    for p in space.probs:
-        f = Fraction(float(p)).limit_denominator(REFINEMENT_DENOMINATOR_CAP)
-        if abs(float(f) - float(p)) > PROB_SUM_TOL:
-            raise RefinementError(
-                f"probability {float(p)!r} is not a rational with denominator <= 10^6"
-            )
-        fracs.append(f)
-    if sum(fracs) != 1:
-        raise RefinementError("rationalized probabilities do not sum to exactly 1")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    if denom > REFINEMENT_DENOMINATOR_CAP:
-        raise RefinementError(
-            f"common denominator {denom} exceeds the 10^6 refinement cap"
-        )
-    counts = [int(f * denom) for f in fracs]
-    mapping = np.repeat(np.arange(space.size), counts)
-    atoms = []
-    for old_idx, count in enumerate(counts):
-        for j in range(count):
-            atoms.append((f"{space.labels[old_idx]}#{j}", 1.0 / denom))
-    return FiniteSpace(atoms), mapping
-
-
-def push_forward(X, refined_space, mapping):
-    """Carry a RandomVariable through an equal-weight refinement map.
-
-    The pushed variable has exactly the same distribution as ``X``.
-    """
-    if X.space.size != int(mapping.max()) + 1:
-        raise ValidationError("mapping does not cover the variable's space")
-    return RandomVariable(refined_space, X.values[mapping])

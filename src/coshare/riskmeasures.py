@@ -6,8 +6,9 @@ Expected shortfall uses the tail-average form
 
 the average of the worst (1-a) fraction of the loss distribution, with the
 boundary atom split exactly rather than interpolated.  Value-at-risk is the
-lower quantile.  Mean-variance and convex-ladder loads are evaluated from
-exact weighted sums.
+lower quantile.  Every measure is evaluated by one batch kernel,
+``measure_values``, over the rows of a (rows x atoms) array; the scalar
+functions are its one-row calls.
 """
 
 import enum
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .probspace import CUM_PROB_TOL, distribution_of, moments, quantile
+from .probspace import CUM_PROB_TOL
 
 
 class Consistency(enum.Enum):
@@ -98,33 +99,63 @@ class RiskMeasureSpec:
         return f"ExpectedConvexLoss{self.ladder}"
 
 
+def measure_values(spec, V, probs):
+    """spec evaluated on every row of V (rows x atoms) under the atom
+    probabilities probs.  Mean-variance uses the centred variance."""
+    if spec.kind == MEAN_VARIANCE:
+        mean = V @ probs
+        return mean + spec.delta * (((V - mean[:, None]) ** 2) @ probs)
+    if spec.kind == EXPECTED_CONVEX_LOSS:
+        return _ladder_mean(V, probs, spec.ladder)
+    sv, sp = _sort_rows(V, probs)
+    cum = np.cumsum(sp, axis=1)
+    if spec.kind == VAR:
+        hit = cum >= spec.level - CUM_PROB_TOL
+        hit[:, -1] = True
+        return sv[np.arange(len(sv)), np.argmax(hit, axis=1)]
+    weights = np.minimum(np.maximum(cum - spec.level, 0.0), sp)
+    return (weights * sv).sum(axis=1) / (1.0 - spec.level)
+
+
+def _sort_rows(V, probs):
+    """Each row of V in ascending order, with its atom probabilities; the
+    sort order is dropped on return, which lowers the oracle's peak memory."""
+    order = np.argsort(V, axis=1, kind="stable")
+    return V[np.arange(len(V))[:, None], order], probs[order]
+
+
+def _ladder_mean(V, probs, ladder):
+    return convex_ladder(V, ladder) @ probs
+
+
+def _one_row(spec, X):
+    return float(measure_values(spec, X.values[None, :], X.space.probs)[0])
+
+
 def var(X, alpha):
-    """Lower alpha-quantile of the loss X."""
-    return quantile(X, alpha)
+    """Lower alpha-quantile of the loss X: inf{x : P(X <= x) >= alpha}.
+
+    Cumulative probabilities reaching alpha within CUM_PROB_TOL count.  Atoms
+    within VALUE_MERGE_TOL of each other are not merged, so on near ties the
+    result may be the larger value of the pair, off by at most VALUE_MERGE_TOL.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"quantile level must lie in (0,1), got {alpha!r}")
+    return _one_row(RiskMeasureSpec.var(alpha), X)
 
 
 def es(X, alpha):
     """Average of the worst (1 - alpha) tail mass, boundary atom split exactly."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"es level must lie in (0,1), got {alpha!r}")
-    tail = 1.0 - alpha
-    need = tail
-    acc = 0.0
-    for value, prob in reversed(distribution_of(X)):
-        take = prob if prob < need else need
-        acc += value * take
-        need -= take
-        if need <= CUM_PROB_TOL:
-            break
-    return acc / tail
+    return _one_row(RiskMeasureSpec.es(alpha), X)
 
 
 def mean_variance(X, delta):
     """E[X] + delta * Var(X)."""
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta!r}")
-    mean, variance = moments(X)
-    return mean + delta * variance
+    return _one_row(RiskMeasureSpec.mean_variance(delta), X)
 
 
 def convex_ladder(x, ladder):
@@ -140,19 +171,12 @@ def convex_ladder(x, ladder):
 
 def expected_convex_loss(X, ladder):
     """E[phi(X)] for the convex piecewise-linear ladder phi."""
-    ladder = _validate_ladder(ladder)
-    return float(sum(p * convex_ladder(v, ladder) for v, p in zip(X.values, X.space.probs)))
+    return _one_row(RiskMeasureSpec(EXPECTED_CONVEX_LOSS, ladder=ladder), X)
 
 
 def evaluate(spec, X):
     """Apply a RiskMeasureSpec to a RandomVariable."""
-    if spec.kind == VAR:
-        return var(X, spec.level)
-    if spec.kind == ES:
-        return es(X, spec.level)
-    if spec.kind == MEAN_VARIANCE:
-        return mean_variance(X, spec.delta)
-    return expected_convex_loss(X, spec.ladder)
+    return _one_row(spec, X)
 
 
 def cx_consistency_flag(spec):

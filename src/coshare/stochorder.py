@@ -30,33 +30,6 @@ def _dist_mean(dist):
     return sum(p * v for v, p in dist)
 
 
-class StopLossCurve:
-    """Stop-loss function of a variable, tabulated at its support points.
-
-    ``values[k]`` is E[(X - breakpoints[k])^+].  The curve is nonincreasing
-    and convex in t; between breakpoints it is linear, with slopes rising
-    from -1 toward 0.
-    """
-
-    __slots__ = ("breakpoints", "values")
-
-    def __init__(self, breakpoints, values):
-        breakpoints = tuple(float(t) for t in breakpoints)
-        values = tuple(float(v) for v in values)
-        if len(breakpoints) != len(values):
-            raise ContractError("breakpoints and values must have equal length")
-        if any(b <= a for a, b in zip(breakpoints[:-1], breakpoints[1:])):
-            raise ContractError("breakpoints must be strictly increasing")
-        self.breakpoints = breakpoints
-        self.values = values
-
-    @classmethod
-    def of(cls, X):
-        dist = distribution_of(X)
-        points = [v for v, _ in dist]
-        return cls(points, [_dist_stop_loss(dist, t) for t in points])
-
-
 def convex_order_leq(Y, X, tol=CX_DEFAULT_TOL):
     """True iff Y precedes X in convex order, within tol.
 

@@ -7,12 +7,14 @@ example, the Gamma(2,1) scenario) run once per session here.
 """
 
 import time
+import types
 
 import numpy as np
 import pytest
 
 from coshare import (
     Constraint,
+    convex_ladder,
     FiniteSpace,
     GridSpec,
     PathwiseBounds,
@@ -23,6 +25,7 @@ from coshare import (
     grid_minimize,
     var_scenario,
 )
+from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL
 
 CRITERION_TITLES = {
     1: "three-state ES pair: 19/8 vs 29/12, gap 1/24",
@@ -134,3 +137,68 @@ def gamma_scenario():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+# Scalar reference evaluators: the per-atom loops that the batch kernels
+# (riskmeasures.measure_values, probspace.level_sets) replaced.  The kernels
+# are checked against these on seeded inputs.
+
+def reference_distribution(X):
+    order = np.argsort(X.values, kind="stable")
+    vals = X.values[order]
+    probs = X.space.probs[order]
+    out = []
+    for v, p in zip(vals, probs):
+        if out and v - out[-1][0] <= VALUE_MERGE_TOL:
+            out[-1][1] += p
+        else:
+            out.append([float(v), float(p)])
+    return [(v, p) for v, p in out]
+
+
+def reference_measure(spec, X):
+    dist = reference_distribution(X)
+    if spec.kind == "var":
+        cum = 0.0
+        for v, p in dist:
+            cum += p
+            if cum >= spec.level - CUM_PROB_TOL:
+                return v
+        return dist[-1][0]
+    if spec.kind == "es":
+        tail = 1.0 - spec.level
+        need = tail
+        acc = 0.0
+        for value, prob in reversed(dist):
+            take = prob if prob < need else need
+            acc += value * take
+            need -= take
+            if need <= CUM_PROB_TOL:
+                break
+        return acc / tail
+    if spec.kind == "mean_variance":
+        p = X.space.probs
+        mean = float(p @ X.values)
+        variance = float(p @ (X.values - mean) ** 2)
+        return mean + spec.delta * max(variance, 0.0)
+    return float(sum(p * convex_ladder(v, spec.ladder)
+                     for v, p in zip(X.values, X.space.probs)))
+
+
+def draw_variable(rng, m):
+    """Seeded random variable on m atoms: Dirichlet probabilities, values on
+    a coarse grid (exact ties) with some nudged by 1e-13 (near ties)."""
+    space = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+    values = rng.integers(-4, 5, size=m) * 0.5
+    near = rng.random(m) < 0.3
+    values[near] += 1e-13 * rng.choice((-1.0, 1.0), size=int(near.sum()))
+    if rng.random() < 0.3:
+        values = rng.normal(scale=3.0, size=m)
+    return RandomVariable(space, values)
+
+
+@pytest.fixture
+def reference():
+    """Namespace of the scalar reference evaluators and the input generator."""
+    return types.SimpleNamespace(distribution=reference_distribution,
+                                 measure=reference_measure, draw=draw_variable)

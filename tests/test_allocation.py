@@ -88,6 +88,54 @@ class TestComonotonicity:
         with pytest.raises(ContractError):
             is_comonotonic(A)
 
+    def test_matches_scalar_loop(self, rng, reference):
+        # the per-level loop is_comonotonic had before it became a one-row
+        # call of the oracle's comonotone mask
+        def reference_is_comonotonic(A, tol=1e-9):
+            order = np.argsort(A.aggregate.values, kind="stable")
+            groups, first = [], None
+            for idx in order:
+                v = A.aggregate.values[idx]
+                if groups and v - first <= 1e-12:
+                    groups[-1].append(int(idx))
+                else:
+                    groups.append([int(idx)])
+                    first = v
+            for share in A.shares:
+                prev = None
+                for group in groups:
+                    block = share.values[group]
+                    if block.max() - block.min() > tol:
+                        return False
+                    rep = float(block.mean())
+                    if prev is not None and rep < prev - tol:
+                        return False
+                    prev = rep
+            return True
+
+        verdicts = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 12))
+            S = reference.draw(rng, m)
+            n = int(rng.integers(1, 4))
+            if rng.random() < 0.5:
+                # comonotone by construction: nondecreasing functions of S
+                # through the S-ranks, perturbed on some atoms
+                ranks = np.searchsorted(np.unique(S.values), S.values)
+                steps = rng.dirichlet(np.ones(n))
+                rows = [steps[i] * S.values for i in range(n - 1)]
+                rows = [r + (0.25 * ranks if i == 0 else 0.0) for i, r in enumerate(rows)]
+                if rng.random() < 0.5:
+                    rows = [r + rng.choice((0.0, 1e-10, -0.5), size=m) for r in rows]
+            else:
+                rows = [reference.draw(rng, m).values for _ in range(n - 1)]
+            rows.append(S.values - sum(rows) if rows else S.values)
+            A = Allocation(S.space, tuple(RandomVariable(S.space, r) for r in rows), S)
+            got = is_comonotonic(A)
+            assert got == reference_is_comonotonic(A)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
 
 class TestConditioning:
     def test_hand_case(self):

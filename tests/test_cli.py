@@ -289,14 +289,11 @@ class TestMain:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
-    def test_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("COSHARE_THREADS", "2")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        cli._apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["NUMEXPR_NUM_THREADS"] == "2"
+    def test_reproduce_takes_no_seed_or_tol(self, tmp_path, capsys):
+        # reproduce cases are fixed computations; the flags belong to run
+        for flag in (["--tol", "1"], ["--seed", "7"]):
+            assert main(["reproduce", "ex-3.1", "--out", str(tmp_path)] + flag) == 1
+        capsys.readouterr()
 
 
 class TestReproduce:

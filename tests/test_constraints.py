@@ -21,13 +21,19 @@ from coshare import (
     RiskMeasureSpec,
     Solidity,
     ValidationError,
+    Violation,
+    check_clearing,
     check_feasible,
     classify_constraint,
     classify_solidity,
     convex_order_leq,
     es,
+    evaluate,
+    expected_convex_loss,
     falsify_solidity,
+    moments,
 )
+from coshare.constraints import _check_envelope_coverage, _pl_eval, feasible_mask
 
 
 def alloc(probs, *share_rows, aggregate=None):
@@ -184,6 +190,156 @@ class TestCheckFeasible:
         B = alloc((0.5, 0.5), (1.0, 2.0))
         with pytest.raises(ValidationError):
             check_feasible(B, (PathwiseBounds(),))  # missing Constraint wrapper
+
+
+def reference_check_feasible(A, constraints, tol=1e-9):
+    """The per-kind scalar ladder that check_feasible replaced."""
+    ok, residual = check_clearing(A)
+    if not ok:
+        raise ContractError(f"allocation does not clear the aggregate (residual {residual:g})")
+    labels = A.space.labels
+    violations = []
+    for ci, constraint in enumerate(constraints):
+        kind = constraint.kind
+        for i in constraint.agents(A.n_agents):
+            share = A.shares[i]
+            if isinstance(kind, PathwiseBounds):
+                for a, v in enumerate(share.values):
+                    if v < kind.lower - tol:
+                        violations.append(Violation(
+                            ci, i, labels[a], kind.lower - float(v),
+                            f"agent {i} share {v:g} below lower bound {kind.lower:g}"))
+                    elif v > kind.upper + tol:
+                        violations.append(Violation(
+                            ci, i, labels[a], float(v) - kind.upper,
+                            f"agent {i} share {v:g} above upper bound {kind.upper:g}"))
+            elif isinstance(kind, ExpectationConstraint):
+                mean, _ = moments(share)
+                if kind.relation == "<=":
+                    gap = mean - kind.bound
+                elif kind.relation == ">=":
+                    gap = kind.bound - mean
+                else:
+                    gap = abs(mean - kind.bound)
+                if gap > tol:
+                    violations.append(Violation(
+                        ci, i, None, gap,
+                        f"agent {i} mean {mean:g} fails E[X] {kind.relation} {kind.bound:g}"))
+            elif isinstance(kind, OrliczBound):
+                value = expected_convex_loss(share, kind.ladder)
+                if value > kind.bound + tol:
+                    violations.append(Violation(
+                        ci, i, None, value - kind.bound,
+                        f"agent {i} convex penalty {value:g} exceeds {kind.bound:g}"))
+            elif isinstance(kind, RiskCeiling):
+                value = evaluate(kind.measure, share)
+                if value > kind.bound + tol:
+                    violations.append(Violation(
+                        ci, i, None, value - kind.bound,
+                        f"agent {i} {kind.measure.describe()} = {value:g} exceeds "
+                        f"ceiling {kind.bound:g}"))
+            elif isinstance(kind, RiskFloor):
+                value = evaluate(kind.measure, share)
+                if value < kind.bound - tol:
+                    violations.append(Violation(
+                        ci, i, None, kind.bound - value,
+                        f"agent {i} {kind.measure.describe()} = {value:g} below "
+                        f"floor {kind.bound:g}"))
+            elif isinstance(kind, IdiosyncraticRetention):
+                zeta = kind.endowment
+                for a in range(A.space.size):
+                    z = float(zeta.values[a])
+                    x = float(share.values[a])
+                    if z < kind.deductible - tol:
+                        dev = abs(x - z)
+                        if dev > tol:
+                            violations.append(Violation(
+                                ci, i, labels[a], dev,
+                                f"agent {i} share {x:g} must equal endowment {z:g} "
+                                f"below deductible {kind.deductible:g}"))
+                    elif x < kind.deductible - tol:
+                        violations.append(Violation(
+                            ci, i, labels[a], kind.deductible - x,
+                            f"agent {i} share {x:g} below deductible "
+                            f"{kind.deductible:g} on a retained state"))
+            else:
+                s_values = A.aggregate.values
+                _check_envelope_coverage(kind, s_values)
+                lo = _pl_eval(kind.lower, s_values)
+                hi = _pl_eval(kind.upper, s_values)
+                for a, v in enumerate(share.values):
+                    if v < lo[a] - tol:
+                        violations.append(Violation(
+                            ci, i, labels[a], float(lo[a] - v),
+                            f"agent {i} share {v:g} below envelope {lo[a]:g} "
+                            f"at S = {s_values[a]:g}"))
+                    elif v > hi[a] + tol:
+                        violations.append(Violation(
+                            ci, i, labels[a], float(v - hi[a]),
+                            f"agent {i} share {v:g} above envelope {hi[a]:g} "
+                            f"at S = {s_values[a]:g}"))
+    return len(violations) == 0, violations
+
+
+def random_constraint(rng, A):
+    """One constraint of a random kind; bounds are often taken exactly from
+    the allocation, so values land on a bound."""
+    i = int(rng.integers(A.n_agents))
+    share = A.shares[i]
+    exact = rng.random() < 0.5
+
+    def pick(value):
+        return value if exact else value + float(rng.choice((-0.5, -0.25, 0.25, 0.5)))
+
+    spec = (RiskMeasureSpec.var(0.7), RiskMeasureSpec.es(0.6),
+            RiskMeasureSpec.mean_variance(1.5),
+            RiskMeasureSpec.expected_convex_loss(0.5, 2.0, 0.0, 0.5))[int(rng.integers(4))]
+    ladder = (0.5, 2.0, 0.0, 0.5)
+    kind = int(rng.integers(7))
+    if kind == 0:
+        lower, upper = sorted(pick(float(v)) for v in rng.choice(share.values, size=2))
+        kind = PathwiseBounds(lower=lower, upper=upper if rng.random() < 0.7 else math.inf)
+    elif kind == 1:
+        kind = ExpectationConstraint(str(rng.choice(("<=", "==", ">="))),
+                                     pick(moments(share)[0]))
+    elif kind == 2:
+        kind = OrliczBound(ladder, pick(expected_convex_loss(share, ladder)))
+    elif kind == 3:
+        kind = RiskCeiling(spec, pick(evaluate(spec, share)))
+    elif kind == 4:
+        kind = RiskFloor(spec, pick(evaluate(spec, share)))
+    elif kind == 5:
+        z = share.values + rng.choice((0.0, 0.0, 0.5), size=share.values.size)
+        kind = IdiosyncraticRetention(RandomVariable(A.space, z),
+                                      pick(float(rng.choice(share.values))))
+    else:
+        s = A.aggregate.values
+        xs = np.unique(s)
+        at = [int(np.flatnonzero(s == x)[0]) for x in xs]
+        lower = [pick(float(share.values[a])) for a in at]
+        upper = [lo + float(rng.choice((0.0, 0.25, 1.0))) for lo in lower]
+        kind = AggregateEnvelope(tuple(zip(xs, lower)), tuple(zip(xs, upper)))
+    return Constraint(kind, scope=i if rng.random() < 0.6 else None)
+
+
+class TestAgainstReference:
+    def test_check_feasible_matches_scalar_ladder(self, rng, reference):
+        kinds_violated = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 9))
+            X = reference.draw(rng, m)
+            rows = [X.values] + [reference.draw(rng, m).values
+                                 for _ in range(int(rng.integers(0, 3)))]
+            A = Allocation(X.space, tuple(RandomVariable(X.space, r) for r in rows))
+            constraints = tuple(random_constraint(rng, A)
+                                for _ in range(int(rng.integers(1, 4))))
+            got = check_feasible(A, constraints)
+            assert got == reference_check_feasible(A, constraints)
+            mask = feasible_mask([s.values[None, :] for s in A.shares],
+                                 A.aggregate.values, A.space.probs, constraints)
+            assert bool(mask[0]) == got[0]
+            kinds_violated |= {type(constraints[v.constraint_index].kind) for v in got[1]}
+        assert len(kinds_violated) == 7
 
 
 class TestClassify:

@@ -15,11 +15,10 @@ from coshare import (
     ScalarFamily,
     ValidationError,
     comonotone_minimize,
-    evaluate,
     grid_minimize,
     is_comonotonic,
 )
-from coshare.oracle import _measure_values
+from coshare.riskmeasures import measure_values
 
 
 def two_state():
@@ -139,9 +138,8 @@ class TestComonotone:
 
 
 class TestVectorizedMeasures:
-    def test_matches_scalar_evaluator(self, rng):
-        space = FiniteSpace((f"w{k}", p) for k, p in
-                            enumerate(np.array((0.2, 0.3, 0.1, 0.4))))
+    def test_matches_scalar_evaluator(self, rng, reference):
+        # the batch kernel, row by row, against the scalar reference loops
         specs = (
             RiskMeasureSpec.var(0.7),
             RiskMeasureSpec.es(0.7),
@@ -149,9 +147,11 @@ class TestVectorizedMeasures:
             RiskMeasureSpec.mean_variance(1.5),
             RiskMeasureSpec.expected_convex_loss(0.5, 2.0, 0.5, 1.0),
         )
-        V = rng.normal(scale=2.0, size=(200, 4))
-        for spec in specs:
-            got = _measure_values(spec, V, space.probs)
-            for row, g in zip(V, got):
-                want = evaluate(spec, RandomVariable(space, row))
-                assert g == pytest.approx(want, abs=1e-9), spec.describe()
+        for m in (1, 4, 9):
+            space = reference.draw(rng, m).space
+            V = np.vstack([reference.draw(rng, m).values for _ in range(200)])
+            for spec in specs:
+                got = measure_values(spec, V, space.probs)
+                for row, g in zip(V, got):
+                    want = reference.measure(spec, RandomVariable(space, row))
+                    assert g == pytest.approx(want, rel=1e-12, abs=1e-12), spec.describe()

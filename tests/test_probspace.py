@@ -12,16 +12,14 @@ from coshare import (
     FiniteSpace,
     GammaAggregate,
     RandomVariable,
-    RefinementError,
     ValidationError,
     discretize_gamma,
     distribution_of,
-    equal_weight_refinement,
     gamma_quantile,
     moments,
-    push_forward,
-    quantile,
+    var,
 )
+from coshare.probspace import level_sets
 
 
 def make_space(probs, prefix="w"):
@@ -127,25 +125,37 @@ class TestDistribution:
             vals = [v for v, _ in dist]
             assert vals == sorted(vals)
 
+    def test_level_sets_measure_from_first_value(self):
+        # 0.6e-12 joins the level of 0; 1.2e-12 is too far from 0 and starts
+        # a new level even though it is within 1e-12 of its neighbour
+        values = np.array([1.2e-12, 0.0, 5.0, 0.6e-12, 0.0])
+        assert level_sets(values) == [[1, 4, 3], [0], [2]]
+
+    def test_matches_reference_loop(self, rng, reference):
+        for _ in range(300):
+            X = reference.draw(rng, int(rng.integers(1, 41)))
+            assert distribution_of(X) == reference.distribution(X)
+
 
 class TestQuantile:
-    # lower quantile inf{x : P(X <= x) >= u} on (1,2,3) w.p. (0.2,0.3,0.5)
+    # VaR is the lower quantile inf{x : P(X <= x) >= u}; here on (1,2,3)
+    # w.p. (0.2,0.3,0.5)
     def setup_method(self):
         self.X = RandomVariable(make_space((0.2, 0.3, 0.5)), (1.0, 2.0, 3.0))
 
     def test_boundary_levels(self):
-        assert quantile(self.X, 0.1) == 1.0
-        assert quantile(self.X, 0.2) == 1.0  # cum hits the level exactly
-        assert quantile(self.X, 0.2 + 1e-13) == 1.0  # within 1e-12 slack
-        assert quantile(self.X, 0.21) == 2.0
-        assert quantile(self.X, 0.5) == 2.0
-        assert quantile(self.X, 0.500001) == 3.0
-        assert quantile(self.X, 0.999) == 3.0
+        assert var(self.X, 0.1) == 1.0
+        assert var(self.X, 0.2) == 1.0  # cum hits the level exactly
+        assert var(self.X, 0.2 + 1e-13) == 1.0  # within 1e-12 slack
+        assert var(self.X, 0.21) == 2.0
+        assert var(self.X, 0.5) == 2.0
+        assert var(self.X, 0.500001) == 3.0
+        assert var(self.X, 0.999) == 3.0
 
     def test_domain(self):
         for u in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
-                quantile(self.X, u)
+                var(self.X, u)
 
 
 def test_moments_hand_case():
@@ -162,8 +172,6 @@ class TestGamma:
         g = GammaAggregate()
         assert g.cdf(0.0) == 0.0 and g.cdf(-1.0) == 0.0
         assert g.cdf(50.0) == pytest.approx(1.0, abs=1e-12)
-        assert g.pdf(-0.5) == 0.0
-        assert g.pdf(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert g.mean == 2.0 and g.variance == 2.0
         with pytest.raises(ValidationError):
             GammaAggregate(shape=3)
@@ -193,45 +201,3 @@ class TestGamma:
         assert var == pytest.approx(2.0, abs=0.1)
         with pytest.raises(DomainError):
             discretize_gamma(g, 1)
-
-
-class TestRefinement:
-    def test_quarters(self):
-        sp = make_space((0.25, 0.75))
-        refined, mapping = equal_weight_refinement(sp)
-        assert refined.size == 4
-        assert np.allclose(refined.probs, 0.25)
-        assert list(mapping) == [0, 1, 1, 1]
-
-    def test_thirds_recovered_from_floats(self):
-        sp = make_space((Fraction(1, 3),) * 3)
-        refined, mapping = equal_weight_refinement(sp)
-        assert refined.size == 3
-        assert list(mapping) == [0, 1, 2]
-
-    def test_push_forward_preserves_law(self, rng):
-        for _ in range(20):
-            weights = rng.choice([1, 1, 2, 3, 4], size=3)
-            probs = weights / weights.sum()
-            sp = make_space(probs)
-            X = RandomVariable(sp, rng.normal(size=3))
-            refined, mapping = equal_weight_refinement(sp)
-            pushed = push_forward(X, refined, mapping)
-            got, want = distribution_of(pushed), distribution_of(X)
-            assert len(got) == len(want)
-            for (gv, gp), (wv, wp) in zip(got, want):
-                assert gv == pytest.approx(wv, abs=1e-12)
-                assert gp == pytest.approx(wp, abs=1e-12)
-
-    def test_dyadic_denominator_past_cap(self):
-        p = 2.0 ** -21  # denominator 2^21 > 10^6
-        sp = make_space((p, 1.0 - p))
-        with pytest.raises(RefinementError):
-            equal_weight_refinement(sp)
-
-    def test_push_forward_mapping_mismatch(self):
-        sp = make_space((0.25, 0.75))
-        refined, mapping = equal_weight_refinement(sp)
-        Y = RandomVariable(make_space((0.5, 0.25, 0.25)), (1.0, 2.0, 3.0))
-        with pytest.raises(ValidationError):
-            push_forward(Y, refined, mapping)

@@ -19,6 +19,8 @@ from coshare import (
     moments,
     var,
 )
+from coshare.probspace import VALUE_MERGE_TOL
+from coshare.riskmeasures import measure_values
 
 
 def rv(probs, values):
@@ -155,3 +157,42 @@ def test_evaluate_dispatch(skewed):
     assert evaluate(
         RiskMeasureSpec.expected_convex_loss(*ladder), skewed
     ) == expected_convex_loss(skewed, ladder)
+
+
+class TestAgainstReference:
+    """One-row kernel calls against the scalar loops they replaced, on seeded
+    inputs with m = 1..40 atoms, exact ties and near ties 1e-13 apart."""
+
+    def test_measures_match_scalar_loops(self, rng, reference):
+        ladder = (0.5, 2.0, 0.5, 1.0)
+        for _ in range(600):
+            X = reference.draw(rng, int(rng.integers(1, 41)))
+            level = float(rng.choice((0.25, 0.5, 0.9, 0.995, rng.uniform(0.01, 0.99))))
+            delta = float(rng.uniform(0.1, 3.0))
+            # the kernel does not merge near-tied atoms, so VaR may pick the
+            # later atom of a pair closer than VALUE_MERGE_TOL
+            assert abs(var(X, level) - reference.measure(RiskMeasureSpec.var(level), X)) \
+                <= VALUE_MERGE_TOL
+            want = reference.measure(RiskMeasureSpec.es(level), X)
+            assert es(X, level) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert mean_variance(X, delta) == reference.measure(
+                RiskMeasureSpec.mean_variance(delta), X)
+            # dot product against the loop's left-to-right sum: a few ulps
+            want = reference.measure(RiskMeasureSpec.expected_convex_loss(*ladder), X)
+            assert expected_convex_loss(X, ladder) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_scalar_entry_points_are_one_row_calls(self, rng, reference):
+        for _ in range(50):
+            X = reference.draw(rng, int(rng.integers(1, 12)))
+            for spec in (RiskMeasureSpec.var(0.7), RiskMeasureSpec.es(0.7),
+                         RiskMeasureSpec.mean_variance(1.5),
+                         RiskMeasureSpec.expected_convex_loss(0.5, 2.0, 0.5, 1.0)):
+                got = evaluate(spec, X)
+                assert type(got) is float
+                assert got == measure_values(spec, X.values[None, :], X.space.probs)[0]
+
+    def test_ladder_validation(self, skewed):
+        with pytest.raises(ValidationError):
+            expected_convex_loss(skewed, (2.0, 0.5, 0.0, 1.0))
+        with pytest.raises(ValidationError):
+            expected_convex_loss(skewed, (1.0, 2.0))

@@ -7,7 +7,6 @@ from coshare import (
     ContractError,
     FiniteSpace,
     RandomVariable,
-    StopLossCurve,
     convex_order_leq,
     moments,
     pigou_dalton_transfer,
@@ -44,18 +43,6 @@ class TestStopLoss:
             assert np.all(np.diff(slopes) >= -1e-9)
             assert np.all(slopes <= 1e-12) and np.all(slopes >= -1.0 - 1e-12)
 
-    def test_curve_of(self):
-        curve = StopLossCurve.of(self.X)
-        assert curve.breakpoints == (1.0, 2.0, 3.0)
-        assert curve.values == pytest.approx((1.3, 0.5, 0.0), abs=1e-12)
-
-    def test_curve_validation(self):
-        with pytest.raises(ContractError):
-            StopLossCurve((1.0, 2.0), (0.5,))
-        with pytest.raises(ContractError):
-            StopLossCurve((2.0, 2.0), (1.0, 1.0))
-        with pytest.raises(ContractError):
-            StopLossCurve((3.0, 1.0), (1.0, 2.0))
 
 
 class TestConvexOrder:
