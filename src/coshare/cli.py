@@ -34,7 +34,13 @@ from .constraints import (
     classify_solidity,
     falsify_solidity,
 )
-from .errors import CoshareError, InfeasibleError, SchemaError
+from .errors import (
+    CoshareError,
+    ConvergenceError,
+    InfeasibleError,
+    NonterminationError,
+    SchemaError,
+)
 from .mvsolver import (
     MVProblem,
     mv_objective,
@@ -62,34 +68,38 @@ class ReproduceMismatch(CoshareError):
 # ---------------------------------------------------------------------------
 # number and schema parsing
 
+_INFINITIES = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _read_number(value):
+    """A JSON number, or a string "inf", "-inf", decimal or "p/q", as a float.
+
+    Raises ValueError, saying why, for any other value and for numbers
+    beyond the float range."""
+    try:
+        if isinstance(value, str):
+            text = value.strip()
+            return _INFINITIES[text] if text in _INFINITIES else float(Fraction(text))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        raise ValueError("number beyond the float range") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse number {value!r}") from None
+    raise ValueError(f"expected a number, got {type(value).__name__}")
+
+
 def _parse_number(value, path, failures, allow_inf=False):
-    if isinstance(value, bool):
-        failures.append(f"{path}: expected a number, got a boolean")
+    try:
+        out = _read_number(value)
+    except ValueError as exc:
+        failures.append(f"{path}: {exc}")
         return 0.0
-    if isinstance(value, (int, float)):
-        out = float(value)
-        if math.isnan(out):
-            failures.append(f"{path}: NaN is not a valid number")
-        if math.isinf(out) and not allow_inf:
-            failures.append(f"{path}: infinity not allowed here")
-        return out
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("inf", "+inf"):
-            if not allow_inf:
-                failures.append(f"{path}: infinity not allowed here")
-            return math.inf
-        if text == "-inf":
-            if not allow_inf:
-                failures.append(f"{path}: infinity not allowed here")
-            return -math.inf
-        try:
-            return float(Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            failures.append(f"{path}: cannot parse number {value!r}")
-            return 0.0
-    failures.append(f"{path}: expected a number, got {type(value).__name__}")
-    return 0.0
+    if math.isnan(out):
+        failures.append(f"{path}: NaN is not a valid number")
+    elif math.isinf(out) and not allow_inf:
+        failures.append(f"{path}: infinity not allowed here")
+    return out
 
 
 def _parse_number_list(value, path, failures, allow_inf=False):
@@ -98,6 +108,24 @@ def _parse_number_list(value, path, failures, allow_inf=False):
         return []
     return [_parse_number(v, f"{path}[{k}]", failures, allow_inf)
             for k, v in enumerate(value)]
+
+
+def _parse_rows(value, path, failures):
+    """A nonempty list of nonempty number lists, such as one share per agent."""
+    if not isinstance(value, list) or not value:
+        failures.append(f"{path}: expected a nonempty list of number lists")
+        return []
+    return [_parse_number_list(row, f"{path}[{k}]", failures)
+            for k, row in enumerate(value)]
+
+
+def _parse_count(value, path, failures):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        failures.append(f"{path}: expected a nonnegative integer")
+        return 0
+    return value
 
 
 def _parse_measure(obj, path, failures):
@@ -131,9 +159,8 @@ def _parse_constraint(obj, path, failures, space):
         return None
     kind = obj["kind"]
     scope = obj.get("scope")
-    if scope is not None and (not isinstance(scope, int) or scope < 0):
-        failures.append(f"{path}.scope: must be null or a nonnegative agent index")
-        scope = None
+    if scope is not None:
+        scope = _parse_count(scope, f"{path}.scope", failures)
     try:
         if kind == "pathwise_bounds":
             body = PathwiseBounds(
@@ -168,21 +195,9 @@ def _parse_constraint(obj, path, failures, space):
                 RandomVariable(space, values),
                 _parse_number(obj.get("deductible"), f"{path}.deductible", failures))
         elif kind == "envelope":
-            def points(key):
-                raw = obj.get(key)
-                if not isinstance(raw, list) or not raw:
-                    failures.append(f"{path}.{key}: need [s, value] breakpoint pairs")
-                    return ((0.0, 0.0),)
-                out = []
-                for k, pair in enumerate(raw):
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        failures.append(f"{path}.{key}[{k}]: need an [s, value] pair")
-                        continue
-                    out.append((
-                        _parse_number(pair[0], f"{path}.{key}[{k}][0]", failures),
-                        _parse_number(pair[1], f"{path}.{key}[{k}][1]", failures)))
-                return tuple(out) or ((0.0, 0.0),)
-            body = AggregateEnvelope(points("lower"), points("upper"))
+            body = AggregateEnvelope(
+                _parse_rows(obj.get("lower"), f"{path}.lower", failures),
+                _parse_rows(obj.get("upper"), f"{path}.upper", failures))
         else:
             failures.append(f"{path}.kind: unknown constraint kind {kind!r}")
             return None
@@ -200,13 +215,15 @@ def load_problem(path):
             raw = json.load(fh)
     except OSError as exc:
         raise SchemaError([f"cannot read {path}: {exc}"])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integers past the digit limit
         raise SchemaError([f"{path}: invalid JSON: {exc}"])
 
     failures = []
     if not isinstance(raw, dict):
         raise SchemaError([f"{path}: top level must be an object"])
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         failures.append(f"schema_version: expected {SCHEMA_VERSION}")
 
     task = raw.get("task")
@@ -247,12 +264,7 @@ def load_problem(path):
     if "aggregate" in raw:
         aggregate = _parse_number_list(raw["aggregate"], "aggregate", failures)
     elif "endowments" in raw:
-        if not isinstance(raw["endowments"], list) or not raw["endowments"]:
-            failures.append("endowments: need one list per agent")
-        else:
-            endowments = [
-                _parse_number_list(row, f"endowments[{k}]", failures)
-                for k, row in enumerate(raw["endowments"])]
+        endowments = _parse_rows(raw["endowments"], "endowments", failures)
     elif not gamma:
         failures.append("need 'aggregate' values or 'endowments' for a finite space")
 
@@ -276,7 +288,11 @@ def load_problem(path):
             deltas.append(None)
 
     constraints = []
-    for k, obj in enumerate(raw.get("constraints", [])):
+    raw_constraints = raw.get("constraints", [])
+    if not isinstance(raw_constraints, list):
+        failures.append("constraints: expected a list")
+        raw_constraints = []
+    for k, obj in enumerate(raw_constraints):
         parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space)
         if parsed is not None:
             constraints.append(parsed)
@@ -303,27 +319,16 @@ def load_problem(path):
     return {
         "space": space, "gamma": gamma, "S": S,
         "endowments": endowments, "measures": measures, "deltas": deltas,
-        "constraints": constraints, "task": _canonical_value(task), "raw": raw,
+        "constraints": constraints, "task": _canonical_value(task),
     }
 
 
 def _canonical_value(v):
-    """Numbers (including "p/q" and "inf" strings) to floats; structure kept."""
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
+    """Number strings ("p/q", "inf", "-inf") to floats; structure kept."""
     if isinstance(v, str):
-        text = v.strip()
-        if text in ("inf", "+inf"):
-            return math.inf
-        if text == "-inf":
-            return -math.inf
         try:
-            return float(Fraction(text))
-        except (ValueError, ZeroDivisionError):
+            return _read_number(v)
+        except ValueError:
             return v
     if isinstance(v, dict):
         return {k: _canonical_value(x) for k, x in v.items()}
@@ -426,28 +431,13 @@ def emit_problem(problem, path=None):
 # deterministic emission
 
 def _scalar_token(v):
+    """A scalar as a JSON token: its CSV cell, bare for integers, booleans
+    and finite floats, quoted for fractions, non-finite floats and text."""
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, Fraction):
-        return json.dumps(_frac_text(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isinf(f):
-            return json.dumps("inf" if f > 0 else "-inf")
-        if math.isnan(f):
-            return json.dumps("nan")
-        return format(f, ".12g")
-    return json.dumps(str(v))
-
-
-def _frac_text(v):
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    bare = isinstance(v, (int, np.integer)) or (
+        isinstance(v, (float, np.floating)) and math.isfinite(v))
+    return _csv_cell(v) if bare else json.dumps(_csv_cell(v))
 
 
 def _emit_json(obj, indent=0):
@@ -470,17 +460,12 @@ def _emit_json(obj, indent=0):
 
 
 def _csv_cell(v):
+    """Floats to 12 significant digits ("inf", "-inf", "nan" included),
+    booleans in lower case, fractions as "p/q"; anything else by str."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return format(f, ".12g")
-    if isinstance(v, Fraction):
-        return _frac_text(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return format(float(v), ".12g")
     return str(v)
 
 
@@ -601,11 +586,8 @@ def _task_improve(problem, args):
     space, S = problem["space"], problem["S"]
     _require(space is not None and S is not None,
              "improve: needs a finite space with an aggregate")
-    shares = task.get("shares")
     failures = []
-    _require(isinstance(shares, list) and shares, "improve: task.shares required")
-    values = [_parse_number_list(row, f"task.shares[{k}]", failures)
-              for k, row in enumerate(shares)]
+    values = _parse_rows(task.get("shares"), "task.shares", failures)
     if failures:
         raise SchemaError(failures)
     _require(all(len(v) == space.size for v in values),
@@ -640,10 +622,9 @@ def _parse_grid(task):
         fam = grid["family"]
         if not isinstance(fam, dict):
             raise SchemaError(["task.grid.family: expected an object"])
-        base = [_parse_number_list(r, f"task.grid.family.base[{k}]", failures)
-                for k, r in enumerate(fam.get("base", []))]
-        direction = [_parse_number_list(r, f"task.grid.family.direction[{k}]", failures)
-                     for k, r in enumerate(fam.get("direction", []))]
+        base = _parse_rows(fam.get("base"), "task.grid.family.base", failures)
+        direction = _parse_rows(fam.get("direction"), "task.grid.family.direction",
+                                failures)
         lo = _parse_number(fam.get("lo"), "task.grid.family.lo", failures)
         hi = _parse_number(fam.get("hi"), "task.grid.family.hi", failures)
         step = _parse_number(fam.get("step"), "task.grid.family.step", failures)
@@ -707,17 +688,18 @@ def _task_check_solidity(problem, args):
     }
     space, S = problem["space"], problem["S"]
     if space is not None and S is not None:
-        seed = args.seed if args.seed is not None else int(task.get("seed", 0))
-        budget = int(task.get("budget", 10 ** 4))
+        failures = []
+        if args.seed is None:
+            seed = _parse_count(task.get("seed", 0), "task.seed", failures)
+        else:
+            seed = _parse_count(args.seed, "--seed", failures)
+        budget = _parse_count(task.get("budget", 10 ** 4), "task.budget", failures)
+        rows = _parse_rows(task["start"], "task.start", failures) if "start" in task else []
+        if failures:
+            raise SchemaError(failures)
         start = None
-        if "start" in task:
-            failures = []
-            rows = [_parse_number_list(r, f"task.start[{k}]", failures)
-                    for k, r in enumerate(task["start"])]
-            if failures:
-                raise SchemaError(failures)
-            start = Allocation(
-                space, tuple(RandomVariable(space, r) for r in rows), S)
+        if rows:
+            start = Allocation(space, tuple(RandomVariable(space, r) for r in rows), S)
         witness = falsify_solidity(constraints, space, S, budget=budget,
                                    seed=seed, start=start)
         report["witness_found"] = witness is not None
@@ -742,9 +724,11 @@ def run_problem(path, args=None):
         return _task_oracle(problem, args)
     if kind == "check-solidity":
         return _task_check_solidity(problem, args)
+    case = problem["task"].get("case")
+    _require(case in _REPRODUCE_CASES, f"task.case: expected one of {_REPRODUCE_CASES}")
     # a reproduce task writes its CSV artifacts to the working directory;
     # run's --out names the report file, not an artifact directory
-    report, _ = reproduce(problem["task"].get("case"))
+    report, _ = reproduce(case)
     return report
 
 
@@ -790,7 +774,7 @@ def _example_43_space():
     return space, S, measures, constraints
 
 
-def _reproduce_ex31(out_dir):
+def _reproduce_ex31():
     space = FiniteSpace((label, 0.25) for label in
                         ("(0,0)", "(0,1)", "(1,0)", "(1,1)"))
     zeta1 = RandomVariable(space, (0.0, 0.0, 1.0, 1.0))
@@ -823,7 +807,7 @@ def _reproduce_ex31(out_dir):
     }, checks
 
 
-def _reproduce_ex42(out_dir):
+def _reproduce_ex42():
     space, S, measures, constraints, grid = _example_42()
     best, value = grid_minimize(space, S, measures, constraints, grid)
     com_best, com_value = comonotone_minimize(space, S, measures, constraints, grid)
@@ -854,7 +838,7 @@ def _reproduce_ex42(out_dir):
     }, checks
 
 
-def _reproduce_ex43(out_dir):
+def _reproduce_ex43():
     space, S, measures, constraints = _example_43_space()
     grid = GridSpec.uniform(1, 4, 0.0, 4.0, 0.125)
     free, free_value = grid_minimize(space, S, measures, (), grid)
@@ -882,7 +866,7 @@ def _reproduce_ex43(out_dir):
     }, checks
 
 
-def _reproduce_fig63(out_dir):
+def _reproduce_fig63():
     report = saturation_curve((2, 3, 5, 6), (5, 8, 3, math.inf))
     checks = []
     bps = report.breakpoints
@@ -912,7 +896,7 @@ def _reproduce_fig63(out_dir):
     }, checks
 
 
-def _reproduce_sec64(out_dir):
+def _reproduce_sec64():
     report = var_scenario()
     checks = []
     _expect(checks, "q", 4.7439, report.q, 1e-3)
@@ -975,10 +959,10 @@ def reproduce(case, out_dir="."):
     """Run one canonical case, assert its published numbers, and write the
     figure-data CSV artifacts.  Raises ReproduceMismatch when any assertion
     fails."""
-    if case not in _REPRODUCERS:
+    if case not in _REPRODUCE_CASES:  # a tuple: unhashable cases compare unequal
         raise SchemaError([f"unknown reproduce case {case!r}; "
                            f"choose from {_REPRODUCE_CASES}"])
-    body, checks = _REPRODUCERS[case](out_dir)
+    body, checks = _REPRODUCERS[case]()
     report = {
         "schema_version": SCHEMA_VERSION,
         "task": "reproduce",
@@ -1024,6 +1008,15 @@ def _build_parser():
     return parser
 
 
+def _error_text(exc):
+    """The message, followed by the state an iteration error carries."""
+    if isinstance(exc, ConvergenceError) and exc.residual is not None:
+        return f"{exc} (residual {exc.residual:g})"
+    if isinstance(exc, NonterminationError) and exc.state is not None:
+        return f"{exc} (transfers {exc.state['transfers']})"
+    return str(exc)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -1063,7 +1056,7 @@ def main(argv=None):
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except CoshareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Integral
 
@@ -66,14 +67,10 @@ def unconstrained_shares(delta):
         raise ValidationError("need at least one agent")
     exact = all(isinstance(d, (Integral, Fraction)) and not isinstance(d, bool)
                 for d in delta)
-    if exact:
-        weights = [Fraction(1, 1) / Fraction(d) for d in delta]
-        if any(Fraction(d) <= 0 for d in delta):
-            raise DomainError("every variance weight must be positive")
-        total = sum(weights)
-        return tuple(w / total for w in weights)
-    deltas = _positive_deltas(delta)
-    weights = [1.0 / d for d in deltas]
+    deltas = [Fraction(d) if exact else float(d) for d in delta]
+    if not all(0 < d < math.inf for d in deltas):
+        raise DomainError("every variance weight must be positive and finite")
+    weights = [1 / d for d in deltas]
     total = sum(weights)
     return tuple(w / total for w in weights)
 
@@ -90,10 +87,15 @@ def _kink_responses(c, deltas, inv, lower, upper):
     """Sorted distinct kinks delta_i (L_i - c_i), delta_i (U_i - c_i) of the
     clipped response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i), and
     the clipped responses at each kink, one row per kink; H at the kinks is
-    their row sum.  Arguments are float arrays with one entry per agent."""
+    their row sum.  Arguments have one entry per agent and are either float
+    arrays or object arrays of Fractions (infinite caps as float infinities),
+    and the results keep that arithmetic."""
     kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
-    # an infinite cap puts its kink at infinity: no kink
-    kinks = np.array(sorted(set(kinks[np.isfinite(kinks)].tolist())))
+    # an infinite cap puts its kink at infinity: no kink.  So does the nan
+    # of a Fraction weight that rounds to float 0 times an infinite cap.
+    # np.isfinite rejects object arrays, so filter in Python.
+    kinks = np.array(sorted({k for k in kinks.tolist() if -math.inf < k < math.inf}),
+                     dtype=c.dtype)
     return kinks, np.clip(c + kinks[:, None] * inv, lower, upper)
 
 
@@ -280,6 +282,8 @@ class RegimeReport:
 
 
 def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations):
+    """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
+    in the arithmetic of the arguments (see _kink_responses)."""
     n = len(deltas)
     kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
     intercepts = tuple(c.tolist())
@@ -287,19 +291,17 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations)
 
     def slopes_for(active):
         total = sum(weights[i] for i in active)
-        if total <= 0.0:
-            return tuple(0.0 for _ in range(n))
-        return tuple(weights[i] / total if i in active else 0.0 for i in range(n))
+        return tuple(w / total if i in active else 0 * w for i, w in enumerate(weights))
 
     if kinks.size == 0:
         active = tuple(range(n))
         return RegimeReport(
             breakpoints=(), active_sets=(active,), slopes=(slopes_for(active),),
             intercepts=intercepts, residual=residual,
-            anchors=((float(sum(intercepts)), intercepts),), iterations=iterations)
+            anchors=((sum(intercepts), intercepts),), iterations=iterations)
 
     probes = np.concatenate(
-        ([kinks[0] - 1.0], 0.5 * (kinks[:-1] + kinks[1:]), [kinks[-1] + 1.0]))
+        ([kinks[0] - 1], (kinks[:-1] + kinks[1:]) / 2, [kinks[-1] + 1]))
     free = c + probes[:, None] * inv
     active_sets = tuple(tuple(i for i, inside in enumerate(row) if inside)
                         for row in ((lower < free) & (free < upper)).tolist())
@@ -448,13 +450,13 @@ def two_agent_fixed_point(a, C, S):
 
 
 def _as_fraction(x, name):
-    if isinstance(x, (Integral, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValidationError(f"{name} must be finite")
-        return Fraction(x)
-    raise ValidationError(f"{name} must be a real number")
+    if isinstance(x, bool) or not isinstance(x, (Integral, Fraction, float)):
+        raise ValidationError(f"{name} must be a real number")
+    # the kinks meet infinite caps in float arithmetic, so every value must
+    # convert to a finite float
+    if not abs(x) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite")
+    return Fraction(x)
 
 
 def saturation_curve(delta, upper, intercepts=None):
@@ -474,68 +476,26 @@ def saturation_curve(delta, upper, intercepts=None):
         raise DomainError("every variance weight must be positive")
     if len(upper) != n:
         raise ValidationError("one upper cap per agent")
-    caps = []
-    for u in upper:
-        if u == math.inf:
-            caps.append(None)
-        else:
-            caps.append(_as_fraction(u, "upper cap"))
+    caps = [math.inf if u == math.inf else _as_fraction(u, "upper cap")
+            for u in upper]
     if intercepts is None:
         c = [Fraction(0)] * n
     else:
         if len(intercepts) != n:
             raise ValidationError("one intercept per agent")
         c = [_as_fraction(v, "intercept") for v in intercepts]
-    if any(cap is not None and cap <= ci for cap, ci in zip(caps, c)):
+    if any(cap <= ci for cap, ci in zip(caps, c)):
         raise ValidationError("every finite cap must exceed its intercept")
 
-    inv = [Fraction(1, 1) / d for d in deltas]
-    kink_pairs = sorted(
-        (deltas[i] * (caps[i] - c[i]), i) for i in range(n) if caps[i] is not None)
-
-    def value_at(eta):
-        out = []
-        for i in range(n):
-            x = c[i] + eta * inv[i]
-            if caps[i] is not None and x > caps[i]:
-                x = caps[i]
-            out.append(x)
-        return tuple(out)
-
-    def slopes_for(active):
-        total = sum(inv[i] for i in active)
-        if total == 0:
-            return tuple(Fraction(0) for _ in range(n))
-        return tuple(inv[i] / total if i in active else Fraction(0) for i in range(n))
-
-    active = set(range(n))
-    active_sets = [tuple(sorted(active))]
-    slopes = [slopes_for(active)]
-    breakpoints = []
-    anchors = []
-    for eta_k, agent in kink_pairs:
-        shares = value_at(eta_k)
-        s_k = sum(shares)
-        if breakpoints and s_k == breakpoints[-1]:
-            # simultaneous saturation: extend the previous breakpoint
-            active.discard(agent)
-            active_sets[-1] = tuple(sorted(active))
-            slopes[-1] = slopes_for(active)
-            continue
-        breakpoints.append(s_k)
-        anchors.append((s_k, shares))
-        active.discard(agent)
-        active_sets.append(tuple(sorted(active)))
-        slopes.append(slopes_for(active))
-    terminal = None
-    if all(cap is not None for cap in caps):
-        terminal = sum(caps)
-    if not breakpoints:
-        anchors = [(sum(c), tuple(c))]
-    return RegimeReport(
-        breakpoints=tuple(breakpoints), active_sets=tuple(active_sets),
-        slopes=tuple(slopes), intercepts=tuple(c), residual=0.0,
-        anchors=tuple(anchors), terminal_s=terminal)
+    deltas = np.array(deltas, dtype=object)
+    with np.errstate(invalid="ignore"):  # the nan kinks of tiny weights
+        report = _regimes_from_intercepts(
+            np.array(c, dtype=object), deltas, 1 / deltas,
+            np.full(n, -math.inf, dtype=object),
+            np.array(caps, dtype=object), residual=0.0, iterations=0)
+    if math.inf not in caps:
+        report = replace(report, terminal_s=sum(caps))
+    return report
 
 
 # Gamma(2,1) partial moments: G_m(x) = integral_0^x t^m e^(-t) dt for the

@@ -1,14 +1,20 @@
 """Problem-file schema, report emission, exit codes, and reproduction cases."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coshare import ReproduceMismatch, SchemaError
+from coshare import ConvergenceError, NonterminationError, ReproduceMismatch, SchemaError
 from coshare import cli
 from coshare.cli import (
     canonical_problem,
@@ -79,10 +85,78 @@ def solidity_doc():
     }
 
 
+def family_doc():
+    doc = oracle_doc()
+    doc["task"]["grid"] = {"family": {"base": [[0, 0]], "direction": [[0, 1]],
+                                      "lo": 0, "hi": 1, "step": "1/2"}}
+    return doc
+
+
+def reproduce_doc():
+    return {"schema_version": 1, "space": {"gamma": {}},
+            "task": {"kind": "reproduce", "case": "ex-3.1"}}
+
+
+def kinds_doc():
+    """Every constraint kind and every measure kind, with "p/q" and "inf"."""
+    return {
+        "schema_version": 1,
+        "space": {"atoms": list(THIRDS)},
+        "aggregate": [1, 2, 3],
+        "agents": [{"measure": {"kind": "var", "level": "9/10"}, "delta": "1/2"},
+                   {"measure": {"kind": "mean_variance", "delta": 2}}],
+        "constraints": [
+            {"kind": "pathwise_bounds", "lower": "-inf", "upper": "inf"},
+            {"kind": "expectation", "relation": ">=", "bound": "-1/3"},
+            {"kind": "orlicz", "ladder": [0.5, 2, "1/2", 1], "bound": 4},
+            {"kind": "risk_ceiling", "measure": {"kind": "es", "level": "1/5"},
+             "bound": 10, "scope": 0},
+            {"kind": "risk_floor",
+             "measure": {"kind": "expected_convex_loss", "ladder": [0.5, 2, 0.5, 1]},
+             "bound": "-7/2"},
+            {"kind": "retention", "endowment": [0, "1/2", 1], "deductible": "3/2",
+             "scope": 1},
+            {"kind": "envelope", "lower": [[1, "-1/4"], [3, 0]],
+             "upper": [[1, 2], [3, "7/2"]], "scope": 0},
+        ],
+        "task": {"kind": "improve",
+                 "shares": [["1/4", "1/4", "7/4"], ["3/4", "7/4", "5/4"]]},
+    }
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def mutated(doc_fn, path, value):
+    """doc_fn()'s document with the node at path (a key sequence) replaced."""
+    doc = copy.deepcopy(doc_fn())
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc)
+FUZZ_VALUES = (None, True, False, 0, -1, 3, 10 ** 400, "1e400", [], [1, "x"], {},
+               {"kind": "es"})
 
 
 class TestLoadProblem:
@@ -132,7 +206,7 @@ class TestLoadProblem:
             load_problem(str(path))
 
     @pytest.mark.parametrize("doc_fn", (improve_doc, solve_doc, oracle_doc,
-                                        solidity_doc))
+                                        solidity_doc, kinds_doc))
     def test_round_trip(self, tmp_path, doc_fn):
         first = load_problem(write(tmp_path, "a.json", doc_fn()))
         text = emit_problem(first)
@@ -239,9 +313,7 @@ class TestMain:
 
     def test_run_reproduce_out_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        doc = {"schema_version": 1, "space": {"gamma": {}},
-               "task": {"kind": "reproduce", "case": "ex-3.1"}}
-        write(tmp_path, "p.json", doc)
+        write(tmp_path, "p.json", reproduce_doc())
         assert main(["run", "p.json", "--out", "report.json"]) == 0
         out = capsys.readouterr().out
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == out
@@ -272,7 +344,7 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible: ")
 
     def test_reproduce_mismatch_exit_three(self, tmp_path, capsys, monkeypatch):
-        def broken(out_dir):
+        def broken():
             return {"case": "fig-6.3", "tables": {}}, [
                 {"name": "breakpoint count", "expected": 3, "computed": 2,
                  "ok": False}]
@@ -280,6 +352,69 @@ class TestMain:
         assert main(["reproduce", "fig-6.3", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "mismatch: breakpoint count: expected 3, got 2" in err
+
+    @pytest.mark.parametrize("doc_fn, node, value, where", (
+        (improve_doc, ("constraints",), 5, "constraints"),
+        (solidity_doc, ("task", "budget"), "x", "task.budget"),
+        (solidity_doc, ("task", "budget"), -1, "task.budget"),
+        (solidity_doc, ("task", "seed"), "x", "task.seed"),
+        (solidity_doc, ("task", "start"), 3, "task.start"),
+        (family_doc, ("task", "grid", "family", "base"), 5, "task.grid.family.base"),
+        (reproduce_doc, ("task", "case"), ["x"], "task.case"),
+        (solve_doc, ("aggregate", 1), "1e400", "aggregate[1]"),
+        (solve_doc, ("aggregate", 1), 10 ** 400, "aggregate[1]"),
+        (solidity_doc, ("constraints", 0, "scope"), True, "constraints[0].scope"),
+    ), ids=("constraints-int", "budget-text", "budget-negative", "seed-text",
+            "start-int", "family-base-int", "case-list", "number-text-1e400",
+            "number-int-1e400", "scope-bool"))
+    def test_malformed_document_exit_one(self, tmp_path, capsys, doc_fn, node,
+                                         value, where):
+        assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: ")
+
+    def test_convergence_error_reports_residual(self, tmp_path, capsys, monkeypatch):
+        def stalled(problem):
+            raise ConvergenceError("intercept fixed point did not converge",
+                                   last_iterate=(0.0, 1.0), residual=4.1e-06)
+        monkeypatch.setattr(cli, "solve_capped_mv", stalled)
+        assert main([write(tmp_path, "p.json", solve_doc())]) == 1
+        assert capsys.readouterr().err == (
+            "error: intercept fixed point did not converge (residual 4.1e-06)\n")
+
+    def test_nontermination_error_reports_transfers(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def capped(allocation, measures=None):
+            raise NonterminationError("transfer cap 10 exceeded",
+                                      state={"level_values": None, "transfers": 11})
+        monkeypatch.setattr(cli, "comonotonic_improvement", capped)
+        assert main([write(tmp_path, "p.json", improve_doc())]) == 1
+        assert capsys.readouterr().err == (
+            "error: transfer cap 10 exceeded (transfers 11)\n")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.data())
+    def test_mutated_documents_exit_cleanly(self, data):
+        # one node of a valid document replaced by a value of another shape:
+        # the CLI answers with a documented exit code, never a traceback
+        doc_fn = data.draw(st.sampled_from(FUZZ_DOCS))
+        path = data.draw(st.sampled_from(list(node_paths(doc_fn()))))
+        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # reproduce tasks write their CSV files here
+            try:
+                with open("p.json", "w", encoding="utf-8") as fh:
+                    json.dump(mutated(doc_fn, path, value), fh)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["p.json", "--out", "report.json"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue() == "" or err.getvalue().startswith(
+            ("error:", "infeasible:", "mismatch:"))
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["reproduce", "no-such-case"]) == 1
@@ -320,7 +455,7 @@ class TestReproduce:
             reproduce("ex-9.9", str(tmp_path))
 
     def test_mismatch_carries_diffs(self, tmp_path, monkeypatch):
-        def broken(out_dir):
+        def broken():
             return {"case": "ex-3.1", "tables": {}}, [
                 {"name": "n", "expected": 1, "computed": 0, "ok": False}]
         monkeypatch.setitem(cli._REPRODUCERS, "ex-3.1", broken)

@@ -103,6 +103,9 @@ class TestMVProblem:
         agg = finite_aggregate((0.0, 2.0))
         with pytest.raises(DomainError):
             MVProblem((0.0, 1.0), (NEG_INF,) * 2, (INF,) * 2, agg)
+        for delta in ((0, 1), (0.0, 1.0), (F(-1), 1), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                unconstrained_shares(delta)
         with pytest.raises(ValidationError):
             MVProblem((1.0, 1.0), (NEG_INF,), (INF,) * 2, agg)
         with pytest.raises(ValidationError):
@@ -295,9 +298,27 @@ class TestSaturationCurve:
         assert report.share_at(0, F(2)) == F(1)
         assert report.share_at(0, F(3)) == F(1)  # saturated curve stays flat
 
+    def test_no_kink_anchor_is_exact(self):
+        report = saturation_curve((1, 2), (INF, INF), intercepts=(F(-1, 3), 0))
+        assert report.breakpoints == () and report.terminal_s is None
+        ((s0, shares0),) = report.anchors
+        assert type(s0) is F and s0 == F(-1, 3)
+        assert shares0 == (F(-1, 3), F(0))
+        assert report.slopes == ((F(2, 3), F(1, 3)),)
+        assert report.share_at(1, F(2)) == F(7, 9)
+
+    def test_rational_below_float_range(self):
+        # a weight that rounds to float 0 still has its one finite kink
+        tiny = F(1, 10 ** 400)
+        report = saturation_curve((tiny, 1), (1, INF))
+        assert report.breakpoints == (1 + tiny,)
+        assert report.active_sets == ((0, 1), (1,))
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="must be finite"):
             saturation_curve((1.0, math.nan), (1, 1))
+        with pytest.raises(ValidationError, match="must be finite"):
+            saturation_curve((1, 1), (1, 10 ** 400))
         with pytest.raises(ValidationError,
                            match="every finite cap must exceed its intercept"):
             saturation_curve((1, 1), (1, 2), intercepts=(2, 0))
