@@ -153,7 +153,7 @@ def _parse_measure(obj, path, failures):
     return None
 
 
-def _parse_constraint(obj, path, failures, space):
+def _parse_constraint(obj, path, failures, space, n_agents):
     if not isinstance(obj, dict) or "kind" not in obj:
         failures.append(f"{path}: constraint needs a 'kind'")
         return None
@@ -161,6 +161,8 @@ def _parse_constraint(obj, path, failures, space):
     scope = obj.get("scope")
     if scope is not None:
         scope = _parse_count(scope, f"{path}.scope", failures)
+        if n_agents and scope >= n_agents:
+            failures.append(f"{path}.scope: expected an agent index below {n_agents}")
     try:
         if kind == "pathwise_bounds":
             body = PathwiseBounds(
@@ -292,8 +294,10 @@ def load_problem(path):
     if not isinstance(raw_constraints, list):
         failures.append("constraints: expected a list")
         raw_constraints = []
+    # a scope must name a listed agent; the falsifier sizes its search by it
+    n_agents = len(agents) or len(endowments or ())
     for k, obj in enumerate(raw_constraints):
-        parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space)
+        parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, n_agents)
         if parsed is not None:
             constraints.append(parsed)
 
@@ -317,8 +321,7 @@ def load_problem(path):
     if failures:
         raise SchemaError(failures)
     return {
-        "space": space, "gamma": gamma, "S": S,
-        "endowments": endowments, "measures": measures, "deltas": deltas,
+        "space": space, "S": S, "measures": measures, "deltas": deltas,
         "constraints": constraints, "task": _canonical_value(task),
     }
 
@@ -335,96 +338,6 @@ def _canonical_value(v):
     if isinstance(v, list):
         return [_canonical_value(x) for x in v]
     return v
-
-
-def _measure_doc(spec):
-    doc = {"kind": spec.kind}
-    if spec.level is not None:
-        doc["level"] = float(spec.level)
-    if spec.delta is not None:
-        doc["delta"] = float(spec.delta)
-    if spec.ladder is not None:
-        doc["ladder"] = [float(x) for x in spec.ladder]
-    return doc
-
-
-def _constraint_doc(constraint):
-    kind = constraint.kind
-    if isinstance(kind, PathwiseBounds):
-        doc = {"kind": "pathwise_bounds", "lower": kind.lower, "upper": kind.upper}
-    elif isinstance(kind, ExpectationConstraint):
-        doc = {"kind": "expectation", "relation": kind.relation, "bound": kind.bound}
-    elif isinstance(kind, OrliczBound):
-        doc = {"kind": "orlicz", "ladder": [float(x) for x in kind.ladder],
-               "bound": kind.bound}
-    elif isinstance(kind, RiskCeiling):
-        doc = {"kind": "risk_ceiling", "measure": _measure_doc(kind.measure),
-               "bound": kind.bound}
-    elif isinstance(kind, RiskFloor):
-        doc = {"kind": "risk_floor", "measure": _measure_doc(kind.measure),
-               "bound": kind.bound}
-    elif isinstance(kind, IdiosyncraticRetention):
-        doc = {"kind": "retention",
-               "endowment": [float(v) for v in kind.endowment.values],
-               "deductible": kind.deductible}
-    else:
-        doc = {"kind": "envelope",
-               "lower": [[float(s), float(v)] for s, v in kind.lower],
-               "upper": [[float(s), float(v)] for s, v in kind.upper]}
-    if constraint.scope is not None:
-        doc["scope"] = constraint.scope
-    return doc
-
-
-def canonical_problem(problem):
-    """Rebuild the canonical document for a parsed problem: every number a
-    plain float, structure and key order fixed."""
-    doc = {"schema_version": SCHEMA_VERSION}
-    if problem["gamma"]:
-        doc["space"] = {"gamma": {}}
-    else:
-        space = problem["space"]
-        doc["space"] = {"atoms": [
-            {"label": label, "prob": float(p)}
-            for label, p in zip(space.labels, space.probs)]}
-    if problem["endowments"] is not None:
-        doc["endowments"] = [[float(v) for v in row]
-                             for row in problem["endowments"]]
-    elif problem["S"] is not None:
-        doc["aggregate"] = [float(v) for v in problem["S"].values]
-    agents = []
-    for measure, delta in zip(problem["measures"], problem["deltas"]):
-        entry = {}
-        if measure is not None:
-            entry["measure"] = _measure_doc(measure)
-        if delta is not None:
-            entry["delta"] = float(delta)
-        agents.append(entry)
-    if agents:
-        doc["agents"] = agents
-    if problem["constraints"]:
-        doc["constraints"] = [_constraint_doc(c) for c in problem["constraints"]]
-    doc["task"] = problem["task"]
-    return doc
-
-
-def emit_problem(problem, path=None):
-    """Serialize a parsed problem back to schema-valid JSON (round-trips:
-    reparsing yields the same canonical document)."""
-    def encode(v):
-        if isinstance(v, float) and math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if isinstance(v, dict):
-            return {k: encode(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [encode(x) for x in v]
-        return v
-
-    text = json.dumps(encode(canonical_problem(problem)), indent=2) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +573,10 @@ def _task_oracle(problem, args):
     measures = problem["measures"]
     _require(measures and all(m is not None for m in measures),
              "oracle: every agent needs a measure")
+    tol = 1e-9 if args.tol is None else args.tol
+    _require(math.isfinite(tol) and tol >= 0, "--tol: expected a nonnegative finite number")
     grid = _parse_grid(task)
     minimize = comonotone_minimize if task.get("comonotone") else grid_minimize
-    tol = args.tol if args.tol is not None else 1e-9
     allocation, value = minimize(space, S, tuple(measures),
                                  tuple(problem["constraints"]), grid, tol=tol)
     return {

@@ -42,12 +42,62 @@ FALSIFY_CHAIN_LIMIT = 16
 FALSIFY_GAP_EPS = 1e-9
 
 
+class Solidity(enum.Enum):
+    SOLID = "Solid"
+    NOT_SOLID = "NotSolid"
+    UNKNOWN = "Unknown"
+
+
+_MEET_RANK = {Solidity.NOT_SOLID: 0, Solidity.UNKNOWN: 1, Solidity.SOLID: 2}
+
+
 @dataclass(frozen=True)
-class PathwiseBounds:
+class SolidityVerdict:
+    status: Solidity
+    reason: str
+    witness: object = None
+
+
+def _format_slope(slope):
+    frac = Fraction(slope).limit_denominator(10 ** 6)
+    if abs(float(frac) - slope) <= 1e-9:
+        if frac.denominator == 1:
+            return str(frac.numerator)
+        return f"{frac.numerator}/{frac.denominator}"
+    return f"{slope:.6g}"
+
+
+class _Kind:
+    """Base of the constraint kinds; each kind defines, in one place:
+
+    - band(V, s_values, probs, tol) -> (value, lower, upper) on the rows of
+      V (rows x atoms): a row is feasible where lower - tol <= value <=
+      upper + tol in every column.  Statewise kinds give rows x atoms values
+      with scalar or per-atom bounds; the others give a rows x 1 column of
+      per-row values with scalar bounds;
+    - message(agent, value, bound, below, s): the text of a breach past
+      bound, where s is the aggregate at the atom (None unless statewise);
+    - solidity(): the kind's SolidityVerdict.
+    """
+
+    statewise = False
+
+
+def _require_finite(kind, field, message):
+    """Store kind.field as a float; raise ValidationError(message) unless finite."""
+    value = float(getattr(kind, field))
+    object.__setattr__(kind, field, value)
+    if not math.isfinite(value):
+        raise ValidationError(message)
+
+
+@dataclass(frozen=True)
+class PathwiseBounds(_Kind):
     """Statewise box lower <= X(w) <= upper; either side may be infinite."""
 
     lower: float = -math.inf
     upper: float = math.inf
+    statewise = True
 
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
@@ -57,12 +107,25 @@ class PathwiseBounds:
         if self.lower > self.upper:
             raise ValidationError("pathwise bounds need lower <= upper")
 
+    def band(self, V, s_values, probs, tol):
+        return V, self.lower, self.upper
+
+    def message(self, agent, value, bound, below, s):
+        side = "below lower" if below else "above upper"
+        return f"agent {agent} share {value:g} {side} bound {bound:g}"
+
+    def solidity(self):
+        return SolidityVerdict(
+            Solidity.SOLID,
+            "convex-order reductions never leave the closed interval spanned "
+            "by the original support")
+
 
 _RELATIONS = ("<=", "==", ">=")
 
 
 @dataclass(frozen=True)
-class ExpectationConstraint:
+class ExpectationConstraint(_Kind):
     """E[X] relation bound, with relation one of <=, ==, >=."""
 
     relation: str
@@ -71,13 +134,23 @@ class ExpectationConstraint:
     def __post_init__(self):
         if self.relation not in _RELATIONS:
             raise ValidationError(f"relation must be one of {_RELATIONS}")
-        object.__setattr__(self, "bound", float(self.bound))
-        if not math.isfinite(self.bound):
-            raise ValidationError("expectation bound must be finite")
+        _require_finite(self, "bound", "expectation bound must be finite")
+
+    def band(self, V, s_values, probs, tol):
+        lower = -math.inf if self.relation == "<=" else self.bound
+        upper = math.inf if self.relation == ">=" else self.bound
+        return (V @ probs)[:, None], lower, upper
+
+    def message(self, agent, value, bound, below, s):
+        return f"agent {agent} mean {value:g} fails E[X] {self.relation} {self.bound:g}"
+
+    def solidity(self):
+        return SolidityVerdict(
+            Solidity.SOLID, "convex-order reductions preserve the mean exactly")
 
 
 @dataclass(frozen=True)
-class OrliczBound:
+class OrliczBound(_Kind):
     """E[phi(X)] <= bound for the convex ladder phi with parameters
     (alpha, beta, R, B)."""
 
@@ -86,55 +159,115 @@ class OrliczBound:
 
     def __post_init__(self):
         object.__setattr__(self, "ladder", _validate_ladder(self.ladder))
-        object.__setattr__(self, "bound", float(self.bound))
-        if not math.isfinite(self.bound):
-            raise ValidationError("penalty bound must be finite")
+        _require_finite(self, "bound", "penalty bound must be finite")
+
+    def band(self, V, s_values, probs, tol):
+        return _ladder_mean(V, probs, self.ladder)[:, None], -math.inf, self.bound
+
+    def message(self, agent, value, bound, below, s):
+        return f"agent {agent} convex penalty {value:g} exceeds {bound:g}"
+
+    def solidity(self):
+        return SolidityVerdict(
+            Solidity.SOLID,
+            "expected convex penalties never increase under convex-order reduction")
+
+
+class _MeasureBound(_Kind):
+    """Validation shared by RiskCeiling and RiskFloor; _side names the kind
+    in its error texts."""
+
+    def __post_init__(self):
+        if not isinstance(self.measure, RiskMeasureSpec):
+            raise ValidationError(f"{self._side} needs a RiskMeasureSpec")
+        _require_finite(self, "bound", f"{self._side} bound must be finite")
 
 
 @dataclass(frozen=True)
-class RiskCeiling:
+class RiskCeiling(_MeasureBound):
     """measure(X) <= bound."""
 
     measure: RiskMeasureSpec
     bound: float
+    _side = "ceiling"
 
-    def __post_init__(self):
-        if not isinstance(self.measure, RiskMeasureSpec):
-            raise ValidationError("ceiling needs a RiskMeasureSpec")
-        object.__setattr__(self, "bound", float(self.bound))
-        if not math.isfinite(self.bound):
-            raise ValidationError("ceiling bound must be finite")
+    def band(self, V, s_values, probs, tol):
+        return measure_values(self.measure, V, probs)[:, None], -math.inf, self.bound
+
+    def message(self, agent, value, bound, below, s):
+        return (f"agent {agent} {self.measure.describe()} = {value:g} exceeds "
+                f"ceiling {bound:g}")
+
+    def solidity(self):
+        if cx_consistency_flag(self.measure) is Consistency.CONSISTENT:
+            return SolidityVerdict(
+                Solidity.SOLID,
+                f"ceiling on {self.measure.describe()}, which never increases "
+                "under convex-order reduction")
+        return SolidityVerdict(
+            Solidity.NOT_SOLID,
+            f"ceiling on {self.measure.describe()}, which is not convex-order "
+            "consistent; a reduction can raise the quantile")
 
 
 @dataclass(frozen=True)
-class RiskFloor:
+class RiskFloor(_MeasureBound):
     """measure(X) >= bound."""
 
     measure: RiskMeasureSpec
     bound: float
+    _side = "floor"
 
-    def __post_init__(self):
-        if not isinstance(self.measure, RiskMeasureSpec):
-            raise ValidationError("floor needs a RiskMeasureSpec")
-        object.__setattr__(self, "bound", float(self.bound))
-        if not math.isfinite(self.bound):
-            raise ValidationError("floor bound must be finite")
+    def band(self, V, s_values, probs, tol):
+        return measure_values(self.measure, V, probs)[:, None], self.bound, math.inf
+
+    def message(self, agent, value, bound, below, s):
+        return f"agent {agent} {self.measure.describe()} = {value:g} below floor {bound:g}"
+
+    def solidity(self):
+        if cx_consistency_flag(self.measure) is Consistency.CONSISTENT:
+            return SolidityVerdict(
+                Solidity.NOT_SOLID,
+                f"floor on {self.measure.describe()}; convex-order reductions "
+                "can push a consistent measure below any floor above the mean")
+        return SolidityVerdict(
+            Solidity.UNKNOWN,
+            f"floor on {self.measure.describe()} is outside the certified grammar")
 
 
 @dataclass(frozen=True)
-class IdiosyncraticRetention:
+class IdiosyncraticRetention(_Kind):
     """Below the deductible the share must equal the endowment exactly;
     at or above it the share must stay at or above the deductible."""
 
     endowment: RandomVariable
     deductible: float
+    statewise = True
 
     def __post_init__(self):
         if not isinstance(self.endowment, RandomVariable):
             raise ValidationError("retention endowment must be a RandomVariable")
-        object.__setattr__(self, "deductible", float(self.deductible))
-        if not math.isfinite(self.deductible):
-            raise ValidationError("deductible must be finite")
+        _require_finite(self, "deductible", "deductible must be finite")
+
+    def band(self, V, s_values, probs, tol):
+        # below the deductible the band pins the share to the endowment
+        z = self.endowment.values
+        low = z < self.deductible - tol
+        return V, np.where(low, z, self.deductible), np.where(low, z, math.inf)
+
+    def message(self, agent, value, bound, below, s):
+        # on a retained state the band's only edge is the deductible
+        if bound == self.deductible:
+            return (f"agent {agent} share {value:g} below deductible "
+                    f"{self.deductible:g} on a retained state")
+        return (f"agent {agent} share {value:g} must equal endowment {bound:g} "
+                f"below deductible {self.deductible:g}")
+
+    def solidity(self):
+        return SolidityVerdict(
+            Solidity.NOT_SOLID,
+            "couples a share to a variable that is not a function of the "
+            "aggregate; conditioning on the aggregate breaks the tie")
 
 
 def _normalize_breakpoints(points, label):
@@ -159,13 +292,25 @@ def _pl_eval(points, s):
     return np.interp(s, xs, ys)
 
 
+def _check_envelope_coverage(kind, s_values):
+    lo_xs = (kind.lower[0][0], kind.lower[-1][0])
+    hi_xs = (kind.upper[0][0], kind.upper[-1][0])
+    smin, smax = float(np.min(s_values)), float(np.max(s_values))
+    for name, (left, right) in (("lower", lo_xs), ("upper", hi_xs)):
+        if smin < left - 1e-9 or smax > right + 1e-9:
+            raise ValidationError(
+                f"{name} envelope breakpoints do not cover the aggregate support"
+            )
+
+
 @dataclass(frozen=True)
-class AggregateEnvelope:
+class AggregateEnvelope(_Kind):
     """Statewise band lower(S(w)) <= X(w) <= upper(S(w)) given by
     piecewise-linear breakpoint lists covering the aggregate support."""
 
     lower: tuple
     upper: tuple
+    statewise = True
 
     def __post_init__(self):
         object.__setattr__(self, "lower", _normalize_breakpoints(self.lower, "lower"))
@@ -176,16 +321,29 @@ class AggregateEnvelope:
         if np.any(lo > hi + 1e-12):
             raise ValidationError("lower envelope exceeds upper envelope")
 
+    def band(self, V, s_values, probs, tol):
+        _check_envelope_coverage(self, s_values)
+        return V, _pl_eval(self.lower, s_values), _pl_eval(self.upper, s_values)
 
-_KIND_TYPES = (
-    PathwiseBounds,
-    ExpectationConstraint,
-    OrliczBound,
-    RiskCeiling,
-    RiskFloor,
-    IdiosyncraticRetention,
-    AggregateEnvelope,
-)
+    def message(self, agent, value, bound, below, s):
+        side = "below" if below else "above"
+        return f"agent {agent} share {value:g} {side} envelope {bound:g} at S = {s:g}"
+
+    def solidity(self):
+        # certified breakable when the upper envelope rises faster than the
+        # aggregate between adjacent breakpoints
+        worst = max(((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1)
+                     in zip(self.upper, self.upper[1:])), default=None)
+        if worst is not None and worst > 1.0 + ENVELOPE_SLOPE_TOL:
+            return SolidityVerdict(
+                Solidity.NOT_SOLID,
+                f"upper envelope rises with slope {_format_slope(worst)} > 1 between "
+                "adjacent aggregate states, so rearranging mass across states can "
+                "breach it")
+        return SolidityVerdict(
+            Solidity.UNKNOWN,
+            "aggregate envelopes are not certified solid; no upper segment has "
+            "slope above one")
 
 
 @dataclass(frozen=True)
@@ -197,7 +355,7 @@ class Constraint:
     scope: int = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, _KIND_TYPES):
+        if not isinstance(self.kind, _Kind):
             raise ValidationError(f"unsupported constraint kind {type(self.kind).__name__}")
         if self.scope is not None:
             scope = int(self.scope)
@@ -227,55 +385,10 @@ class Violation:
     message: str
 
 
-def _check_envelope_coverage(kind, s_values):
-    lo_xs = (kind.lower[0][0], kind.lower[-1][0])
-    hi_xs = (kind.upper[0][0], kind.upper[-1][0])
-    smin, smax = float(np.min(s_values)), float(np.max(s_values))
-    for name, (left, right) in (("lower", lo_xs), ("upper", hi_xs)):
-        if smin < left - 1e-9 or smax > right + 1e-9:
-            raise ValidationError(
-                f"{name} envelope breakpoints do not cover the aggregate support"
-            )
-
-
 def _kind_of(constraint):
     if not isinstance(constraint, Constraint):
         raise ValidationError("constraints must be Constraint instances")
     return constraint.kind
-
-
-_STATEWISE = (PathwiseBounds, IdiosyncraticRetention, AggregateEnvelope)
-
-
-def _band(kind, V, s_values, probs, tol):
-    """(value, lower, upper) of one constraint kind on the rows of V (rows x
-    atoms): a row is feasible where lower - tol <= value <= upper + tol in
-    every column.
-
-    Statewise kinds (pathwise bounds, retention, envelopes) give the rows x
-    atoms values with scalar or per-atom bounds; the others give a rows x 1
-    column of per-row values with scalar bounds.
-    """
-    if isinstance(kind, PathwiseBounds):
-        return V, kind.lower, kind.upper
-    if isinstance(kind, IdiosyncraticRetention):
-        # below the deductible the band pins the share to the endowment
-        z = kind.endowment.values
-        low = z < kind.deductible - tol
-        return V, np.where(low, z, kind.deductible), np.where(low, z, math.inf)
-    if isinstance(kind, AggregateEnvelope):
-        _check_envelope_coverage(kind, s_values)
-        return V, _pl_eval(kind.lower, s_values), _pl_eval(kind.upper, s_values)
-    if isinstance(kind, ExpectationConstraint):
-        lower = -math.inf if kind.relation == "<=" else kind.bound
-        upper = math.inf if kind.relation == ">=" else kind.bound
-        return (V @ probs)[:, None], lower, upper
-    if isinstance(kind, OrliczBound):
-        return _ladder_mean(V, probs, kind.ladder)[:, None], -math.inf, kind.bound
-    value = measure_values(kind.measure, V, probs)[:, None]
-    if isinstance(kind, RiskCeiling):
-        return value, -math.inf, kind.bound
-    return value, kind.bound, math.inf
 
 
 def feasible_mask(tensors, s_values, probs, constraints, tol=FEASIBILITY_TOL):
@@ -285,33 +398,9 @@ def feasible_mask(tensors, s_values, probs, constraints, tol=FEASIBILITY_TOL):
     for constraint in constraints:
         kind = _kind_of(constraint)
         for i in constraint.agents(len(tensors)):
-            value, lower, upper = _band(kind, tensors[i], s_values, probs, tol)
+            value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
             mask &= ((value >= lower - tol) & (value <= upper + tol)).all(axis=1)
     return mask
-
-
-def _message(kind, agent, value, bound, below, s):
-    if isinstance(kind, PathwiseBounds):
-        side = "below lower" if below else "above upper"
-        return f"agent {agent} share {value:g} {side} bound {bound:g}"
-    if isinstance(kind, AggregateEnvelope):
-        side = "below" if below else "above"
-        return f"agent {agent} share {value:g} {side} envelope {bound:g} at S = {s:g}"
-    if isinstance(kind, IdiosyncraticRetention):
-        # on a retained state the band's only edge is the deductible
-        if bound == kind.deductible:
-            return (f"agent {agent} share {value:g} below deductible "
-                    f"{kind.deductible:g} on a retained state")
-        return (f"agent {agent} share {value:g} must equal endowment {bound:g} "
-                f"below deductible {kind.deductible:g}")
-    if isinstance(kind, ExpectationConstraint):
-        return f"agent {agent} mean {value:g} fails E[X] {kind.relation} {kind.bound:g}"
-    if isinstance(kind, OrliczBound):
-        return f"agent {agent} convex penalty {value:g} exceeds {bound:g}"
-    if isinstance(kind, RiskCeiling):
-        return (f"agent {agent} {kind.measure.describe()} = {value:g} exceeds "
-                f"ceiling {bound:g}")
-    return f"agent {agent} {kind.measure.describe()} = {value:g} below floor {bound:g}"
 
 
 def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
@@ -331,8 +420,8 @@ def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
         if isinstance(kind, IdiosyncraticRetention) and kind.endowment.space != A.space:
             raise ValidationError("retention endowment lives on a different space")
         for i in constraint.agents(A.n_agents):
-            value, lower, upper = _band(
-                kind, A.shares[i].values[None, :], s_values, A.space.probs, tol)
+            value, lower, upper = kind.band(
+                A.shares[i].values[None, :], s_values, A.space.probs, tol)
             row = value[0]
             below = row < lower - tol
             outside = np.flatnonzero(below | (row > upper + tol))
@@ -340,105 +429,21 @@ def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
                 continue
             lower = np.broadcast_to(lower, row.shape)
             upper = np.broadcast_to(upper, row.shape)
-            statewise = isinstance(kind, _STATEWISE)
             for a in outside:
                 v = float(row[a])
                 bound = float(lower[a] if below[a] else upper[a])
                 violations.append(Violation(
-                    ci, i, labels[a] if statewise else None,
+                    ci, i, labels[a] if kind.statewise else None,
                     bound - v if below[a] else v - bound,
-                    _message(kind, i, v, bound, below[a], s_values[a] if statewise else None)))
+                    kind.message(i, v, bound, below[a],
+                                 s_values[a] if kind.statewise else None)))
     return len(violations) == 0, violations
-
-
-class Solidity(enum.Enum):
-    SOLID = "Solid"
-    NOT_SOLID = "NotSolid"
-    UNKNOWN = "Unknown"
-
-
-_MEET_RANK = {Solidity.NOT_SOLID: 0, Solidity.UNKNOWN: 1, Solidity.SOLID: 2}
-
-
-@dataclass(frozen=True)
-class SolidityVerdict:
-    status: Solidity
-    reason: str
-    witness: object = None
-
-
-def _format_slope(slope):
-    frac = Fraction(slope).limit_denominator(10 ** 6)
-    if abs(float(frac) - slope) <= 1e-9:
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
-    return f"{slope:.6g}"
-
-
-def _classify_kind(kind):
-    if isinstance(kind, PathwiseBounds):
-        return SolidityVerdict(
-            Solidity.SOLID,
-            "convex-order reductions never leave the closed interval spanned "
-            "by the original support")
-    if isinstance(kind, ExpectationConstraint):
-        return SolidityVerdict(
-            Solidity.SOLID, "convex-order reductions preserve the mean exactly")
-    if isinstance(kind, OrliczBound):
-        return SolidityVerdict(
-            Solidity.SOLID,
-            "expected convex penalties never increase under convex-order reduction")
-    if isinstance(kind, RiskCeiling):
-        if cx_consistency_flag(kind.measure) is Consistency.CONSISTENT:
-            return SolidityVerdict(
-                Solidity.SOLID,
-                f"ceiling on {kind.measure.describe()}, which never increases "
-                "under convex-order reduction")
-        return SolidityVerdict(
-            Solidity.NOT_SOLID,
-            f"ceiling on {kind.measure.describe()}, which is not convex-order "
-            "consistent; a reduction can raise the quantile")
-    if isinstance(kind, RiskFloor):
-        if cx_consistency_flag(kind.measure) is Consistency.CONSISTENT:
-            return SolidityVerdict(
-                Solidity.NOT_SOLID,
-                f"floor on {kind.measure.describe()}; convex-order reductions "
-                "can push a consistent measure below any floor above the mean")
-        return SolidityVerdict(
-            Solidity.UNKNOWN,
-            f"floor on {kind.measure.describe()} is outside the certified grammar")
-    if isinstance(kind, IdiosyncraticRetention):
-        return SolidityVerdict(
-            Solidity.NOT_SOLID,
-            "couples a share to a variable that is not a function of the "
-            "aggregate; conditioning on the aggregate breaks the tie")
-    # AggregateEnvelope: certified breakable when the upper envelope rises
-    # faster than the aggregate between adjacent breakpoints
-    xs = [p[0] for p in kind.upper]
-    ys = [p[1] for p in kind.upper]
-    worst = None
-    for k in range(len(xs) - 1):
-        slope = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-        if worst is None or slope > worst:
-            worst = slope
-    if worst is not None and worst > 1.0 + ENVELOPE_SLOPE_TOL:
-        return SolidityVerdict(
-            Solidity.NOT_SOLID,
-            f"upper envelope rises with slope {_format_slope(worst)} > 1 between "
-            "adjacent aggregate states, so rearranging mass across states can "
-            "breach it")
-    return SolidityVerdict(
-        Solidity.UNKNOWN,
-        "aggregate envelopes are not certified solid; no upper segment has "
-        "slope above one")
 
 
 def classify_constraint(constraint):
     """Per-member verdict; see classify_solidity for the set-level meet."""
-    if isinstance(constraint, Constraint):
-        return _classify_kind(constraint.kind)
-    return _classify_kind(constraint)
+    kind = constraint.kind if isinstance(constraint, Constraint) else constraint
+    return kind.solidity()
 
 
 def classify_solidity(constraints):

@@ -14,11 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coshare import ConvergenceError, NonterminationError, ReproduceMismatch, SchemaError
+from coshare import (
+    AggregateEnvelope,
+    ConvergenceError,
+    ExpectationConstraint,
+    IdiosyncraticRetention,
+    NonterminationError,
+    OrliczBound,
+    PathwiseBounds,
+    ReproduceMismatch,
+    RiskCeiling,
+    RiskFloor,
+    RiskMeasureSpec,
+    SchemaError,
+)
 from coshare import cli
 from coshare.cli import (
-    canonical_problem,
-    emit_problem,
     emit_report,
     load_problem,
     main,
@@ -83,6 +94,14 @@ def solidity_doc():
         ],
         "task": {"kind": "check-solidity", "start": [[0, 0, 1, 1], [0, 1, 0, 1]]},
     }
+
+
+def unstarted_solidity_doc():
+    """solidity_doc with no start and no agent list: the endowment rows
+    count the agents, and the falsifier builds its own start."""
+    doc = solidity_doc()
+    del doc["task"]["start"], doc["agents"]
+    return doc
 
 
 def family_doc():
@@ -154,7 +173,7 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
-FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc)
+FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc, kinds_doc)
 FUZZ_VALUES = (None, True, False, 0, -1, 3, 10 ** 400, "1e400", [], [1, "x"], {},
                {"kind": "es"})
 
@@ -205,16 +224,35 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match="NaN"):
             load_problem(str(path))
 
-    @pytest.mark.parametrize("doc_fn", (improve_doc, solve_doc, oracle_doc,
-                                        solidity_doc, kinds_doc))
-    def test_round_trip(self, tmp_path, doc_fn):
-        first = load_problem(write(tmp_path, "a.json", doc_fn()))
-        text = emit_problem(first)
-        path = tmp_path / "b.json"
-        path.write_text(text)
-        second = load_problem(str(path))
-        assert canonical_problem(first) == canonical_problem(second)
-        assert emit_problem(second) == text
+    def test_every_kind_parses(self, tmp_path):
+        problem = load_problem(write(tmp_path, "p.json", kinds_doc()))
+        assert problem["measures"] == [RiskMeasureSpec.var(0.9),
+                                       RiskMeasureSpec.mean_variance(2.0)]
+        assert problem["deltas"] == [0.5, None]
+        constraints = problem["constraints"]
+        assert [c.scope for c in constraints] == [None, None, None, 0, None, 1, 0]
+        assert [c.kind for c in constraints[:5] + constraints[6:]] == [
+            PathwiseBounds(-math.inf, math.inf),
+            ExpectationConstraint(">=", -1 / 3),
+            OrliczBound((0.5, 2.0, 0.5, 1.0), 4.0),
+            RiskCeiling(RiskMeasureSpec.es(0.2), 10.0),
+            RiskFloor(RiskMeasureSpec.expected_convex_loss(0.5, 2.0, 0.5, 1.0), -3.5),
+            AggregateEnvelope(((1.0, -0.25), (3.0, 0.0)), ((1.0, 2.0), (3.0, 3.5))),
+        ]
+        retention = constraints[5].kind
+        assert type(retention) is IdiosyncraticRetention
+        assert list(retention.endowment.values) == [0.0, 0.5, 1.0]
+        assert retention.deductible == 1.5
+        # omitted fields take their defaults
+        doc = kinds_doc()
+        doc["constraints"][0] = {"kind": "pathwise_bounds", "lower": 0}
+        del doc["constraints"][1]["relation"]
+        box, mean = load_problem(write(tmp_path, "p.json", doc))["constraints"][:2]
+        assert box.kind == PathwiseBounds(0.0, math.inf)
+        assert mean.kind == ExpectationConstraint("<=", -1 / 3)
+        doc["constraints"][0] = {"kind": "pathwise_bounds", "upper": "1/2"}
+        box = load_problem(write(tmp_path, "p.json", doc))["constraints"][0]
+        assert box.kind == PathwiseBounds(-math.inf, 0.5)
 
 
 class TestRunProblem:
@@ -311,6 +349,14 @@ class TestMain:
         assert code == 0
         assert json.loads(out_file.read_text())["task"] == "oracle"
 
+    def test_tol_must_be_nonnegative_and_finite(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", oracle_doc())
+        for tol in ("-1", "nan", "inf"):
+            assert main(["run", path, "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --tol: expected a nonnegative finite number\n"
+
     def test_run_reproduce_out_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write(tmp_path, "p.json", reproduce_doc())
@@ -364,9 +410,13 @@ class TestMain:
         (solve_doc, ("aggregate", 1), "1e400", "aggregate[1]"),
         (solve_doc, ("aggregate", 1), 10 ** 400, "aggregate[1]"),
         (solidity_doc, ("constraints", 0, "scope"), True, "constraints[0].scope"),
+        (unstarted_solidity_doc, ("constraints", 1, "scope"), 3000,
+         "constraints[1].scope"),
+        (kinds_doc, ("constraints", 3, "scope"), 2, "constraints[3].scope"),
     ), ids=("constraints-int", "budget-text", "budget-negative", "seed-text",
             "start-int", "family-base-int", "case-list", "number-text-1e400",
-            "number-int-1e400", "scope-bool"))
+            "number-int-1e400", "scope-bool", "scope-past-endowments",
+            "scope-at-agents"))
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc_fn, node,
                                          value, where):
         assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1
