@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, NonterminationError, ValidationError
 from .probspace import RandomVariable, level_sets
 from .riskmeasures import evaluate
-from .stochorder import convex_order_leq
+from .stochorder import convex_order_mask
 
 CLEARING_TOL = 1e-9
 COMONOTONE_TOL = 1e-9
@@ -134,12 +134,12 @@ def comonotone_mask(tensors, s_values, probs, tol=COMONOTONE_TOL):
     return mask
 
 
-def is_comonotonic(A, tol=COMONOTONE_TOL):
+def is_comonotonic(A):
     """True iff every share is a nondecreasing function of the aggregate,
     in the sense of comonotone_mask."""
     _require_clearing(A)
     rows = [share.values[None, :] for share in A.shares]
-    return bool(comonotone_mask(rows, A.aggregate.values, A.space.probs, tol)[0])
+    return bool(comonotone_mask(rows, A.aggregate.values, A.space.probs)[0])
 
 
 def condition_on_aggregate(A):
@@ -247,9 +247,8 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
         A.aggregate,
     )
 
-    cx_ok = tuple(
-        convex_order_leq(improved.shares[i], A.shares[i]) for i in range(n)
-    )
+    probs = A.space.probs
+    cx_ok = tuple(convex_order_mask(atom_values, probs, A.share_matrix(), probs).tolist())
     _, residual = check_clearing(improved)
     deltas = None
     if measures is not None:

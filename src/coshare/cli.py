@@ -161,7 +161,10 @@ def _parse_constraint(obj, path, failures, space, n_agents):
     scope = obj.get("scope")
     if scope is not None:
         scope = _parse_count(scope, f"{path}.scope", failures)
-        if n_agents and scope >= n_agents:
+        if not n_agents:
+            failures.append(f"{path}.scope: no agent count bounds it "
+                            "(give agents, endowments or task.start)")
+        elif scope >= n_agents:
             failures.append(f"{path}.scope: expected an agent index below {n_agents}")
     try:
         if kind == "pathwise_bounds":
@@ -295,7 +298,9 @@ def load_problem(path):
         failures.append("constraints: expected a list")
         raw_constraints = []
     # a scope must name a listed agent; the falsifier sizes its search by it
-    n_agents = len(agents) or len(endowments or ())
+    start = task.get("start")
+    n_agents = (len(agents) or len(endowments or ())
+                or (len(start) if isinstance(start, list) else 0))
     for k, obj in enumerate(raw_constraints):
         parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, n_agents)
         if parsed is not None:

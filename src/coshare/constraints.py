@@ -23,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .allocation import Allocation, check_clearing, comonotonic_improvement, condition_on_aggregate
-from .errors import ContractError, ValidationError
+from .allocation import (Allocation, _require_clearing, check_clearing,
+                         comonotonic_improvement, condition_on_aggregate)
+from .errors import ValidationError
 from .probspace import RandomVariable
 from .riskmeasures import (
     Consistency,
@@ -34,7 +35,7 @@ from .riskmeasures import (
     cx_consistency_flag,
     measure_values,
 )
-from .stochorder import convex_order_leq
+from .stochorder import convex_order_mask
 
 FEASIBILITY_TOL = 1e-9
 ENVELOPE_SLOPE_TOL = 1e-12
@@ -409,9 +410,7 @@ def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
     Returns (feasible, violations); violations are ordered by constraint,
     then agent, then atom.  The allocation must clear its aggregate.
     """
-    ok, residual = check_clearing(A)
-    if not ok:
-        raise ContractError(f"allocation does not clear the aggregate (residual {residual:g})")
+    _require_clearing(A)
     labels = A.space.labels
     s_values = A.aggregate.values
     violations = []
@@ -478,10 +477,8 @@ def _verify_witness(X, Y, constraints, tol):
     rows = [share.values[None, :] for share in Y.shares]
     if feasible_mask(rows, Y.aggregate.values, Y.space.probs, constraints, tol)[0]:
         return False
-    for orig, red in zip(X.shares, Y.shares):
-        if not convex_order_leq(red, orig):
-            return False
-    return True
+    return bool(convex_order_mask(Y.share_matrix(), Y.space.probs,
+                                  X.share_matrix(), X.space.probs).all())
 
 
 def _feasible_seed(constraints, space, S):

@@ -269,15 +269,8 @@ class RegimeReport:
 
     def share_at(self, agent, s):
         """Exact piecewise-linear evaluation of one agent's curve."""
-        bps = self.breakpoints
-        if not bps:
-            s0, shares0 = self.anchors[0]
-            return shares0[agent] + self.slopes[0][agent] * (s - s0)
-        r = bisect.bisect_left(bps, s)
-        if r == 0:
-            s0, shares0 = self.anchors[0]
-            return shares0[agent] + self.slopes[0][agent] * (s - s0)
-        s0, shares0 = self.anchors[r - 1]
+        r = bisect.bisect_left(self.breakpoints, s)
+        s0, shares0 = self.anchors[max(r - 1, 0)]
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
@@ -407,46 +400,26 @@ def two_agent_fixed_point(a, C, S):
     kinks = sorted({-a * v for v in values} | {C - a * v for v in values})
     r_vals = [residual(k) for k in kinks]
     tol = RESIDUAL_ZERO_TOL
+    last = len(kinks) - 1
 
-    if all(r > tol for r in r_vals):
-        # root right of the last kink, where the residual has slope -1
-        beta = kinks[-1] + r_vals[-1]
-        return beta, beta
-    if all(r < -tol for r in r_vals):
-        beta = kinks[0] + r_vals[0]
-        return beta, beta
+    def root(j):
+        # zero of the residual on the piece right of kink j (j = -1: left
+        # of every kink); both tails have slope -1
+        if j < 0:
+            return kinks[0] + r_vals[0]
+        if j == last:
+            return kinks[-1] + r_vals[-1]
+        r_a, r_b = r_vals[j], r_vals[j + 1]
+        k_a, k_b = kinks[j], kinks[j + 1]
+        return k_a + r_a * (k_b - k_a) / (r_a - r_b)
 
-    j0 = next(i for i, r in enumerate(r_vals) if r <= tol)
-    if r_vals[j0] < -tol:
-        # strict sign change: unique root on a strictly decreasing segment
-        if j0 == 0:
-            beta = kinks[0] + r_vals[0]
-        else:
-            r_a, r_b = r_vals[j0 - 1], r_vals[j0]
-            k_a, k_b = kinks[j0 - 1], kinks[j0]
-            beta = k_a + r_a * (k_b - k_a) / (r_a - r_b)
-        return beta, beta
-
-    if j0 == 0:
-        beta_minus = kinks[0] + r_vals[0]
-    else:
-        r_a = r_vals[j0 - 1]
-        k_a, k_b = kinks[j0 - 1], kinks[j0]
-        r_b = r_vals[j0]
-        if r_a > tol:
-            beta_minus = k_a + r_a * (k_b - k_a) / (r_a - r_b) if r_a != r_b else k_b
-        else:
-            beta_minus = k_a
-    j1 = j0
-    while j1 + 1 < len(kinks) and r_vals[j1 + 1] >= -tol:
+    # the roots run from the piece before the first kink with r <= tol to
+    # the piece after the last kink of the run that follows with r >= -tol
+    j0 = next((j for j, r in enumerate(r_vals) if r <= tol), len(kinks))
+    j1 = j0 - 1
+    while j1 < last and r_vals[j1 + 1] >= -tol:
         j1 += 1
-    if j1 == len(kinks) - 1:
-        beta_plus = kinks[-1] + r_vals[-1]
-    else:
-        r_a, r_b = r_vals[j1], r_vals[j1 + 1]
-        k_a, k_b = kinks[j1], kinks[j1 + 1]
-        beta_plus = k_a + r_a * (k_b - k_a) / (r_a - r_b)
-    return beta_minus, beta_plus
+    return root(j0 - 1), root(j1)
 
 
 def _as_fraction(x, name):

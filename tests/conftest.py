@@ -22,6 +22,7 @@ from coshare import (
     RiskCeiling,
     RiskMeasureSpec,
     comonotone_minimize,
+    distribution_of,
     grid_minimize,
     var_scenario,
 )
@@ -140,8 +141,9 @@ def rng():
 
 
 # Scalar reference evaluators: the per-atom loops that the batch kernels
-# (riskmeasures.measure_values, probspace.level_sets) replaced.  The kernels
-# are checked against these on seeded inputs.
+# (riskmeasures.measure_values, probspace.level_sets,
+# stochorder.convex_order_mask) replaced.  The kernels are checked against
+# these on seeded inputs.
 
 def reference_distribution(X):
     order = np.argsort(X.values, kind="stable")
@@ -185,6 +187,24 @@ def reference_measure(spec, X):
                      for v, p in zip(X.values, X.space.probs)))
 
 
+def reference_convex_order(Y, X, tol=1e-9):
+    """Convex order on the merged laws: the means, then one stop-loss sum per
+    merged support point."""
+    dy = distribution_of(Y)
+    dx = distribution_of(X)
+
+    def mean(dist):
+        return sum(p * v for v, p in dist)
+
+    def stop_loss(dist, t):
+        return sum(p * (v - t) for v, p in dist if v > t)
+
+    if abs(mean(dy) - mean(dx)) > tol:
+        return False
+    grid = sorted({v for v, _ in dy} | {v for v, _ in dx})
+    return all(stop_loss(dy, t) <= stop_loss(dx, t) + tol for t in grid)
+
+
 def draw_variable(rng, m):
     """Seeded random variable on m atoms: Dirichlet probabilities, values on
     a coarse grid (exact ties) with some nudged by 1e-13 (near ties)."""
@@ -201,4 +221,6 @@ def draw_variable(rng, m):
 def reference():
     """Namespace of the scalar reference evaluators and the input generator."""
     return types.SimpleNamespace(distribution=reference_distribution,
-                                 measure=reference_measure, draw=draw_variable)
+                                 measure=reference_measure,
+                                 convex_order=reference_convex_order,
+                                 draw=draw_variable)

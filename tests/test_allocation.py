@@ -234,6 +234,21 @@ class TestImprovement:
             assert cert.clearing_residual <= RESIDUAL_TOL
             assert is_comonotonic(improved)
 
+    def test_certificate_matches_per_agent_checks(self, rng, reference):
+        # the certificate checks all agents in one kernel call; it must read
+        # as the one-row checks and the merged-law reference, agent by agent
+        for _ in range(60):
+            n_agents = int(rng.integers(2, 6))
+            n_atoms = int(rng.integers(2, 30))
+            probs = rng.dirichlet(np.ones(n_atoms))
+            rows = [rng.normal(size=n_atoms) for _ in range(n_agents)]
+            A = alloc(probs, *rows)
+            improved, cert = comonotonic_improvement(A)
+            pairs = list(zip(improved.shares, A.shares))
+            assert cert.convex_order_ok == tuple(convex_order_leq(y, x) for y, x in pairs)
+            assert cert.convex_order_ok == tuple(reference.convex_order(y, x)
+                                                 for y, x in pairs)
+
     def test_consistent_measures_never_lose(self, rng):
         spec = RiskMeasureSpec.es(0.7)
         for _ in range(30):

@@ -104,6 +104,22 @@ def unstarted_solidity_doc():
     return doc
 
 
+def aggregate_solidity_doc():
+    """solidity_doc with an aggregate in place of the endowments and no agent
+    list: the start rows count the agents."""
+    doc = solidity_doc()
+    del doc["endowments"], doc["agents"]
+    doc["aggregate"] = [0, 1, 1, 2]
+    return doc
+
+
+def unsized_solidity_doc():
+    """aggregate_solidity_doc with no start either: nothing counts the agents."""
+    doc = aggregate_solidity_doc()
+    del doc["task"]["start"]
+    return doc
+
+
 def family_doc():
     doc = oracle_doc()
     doc["task"]["grid"] = {"family": {"base": [[0, 0]], "direction": [[0, 1]],
@@ -290,6 +306,9 @@ class TestRunProblem:
         assert report["witness_method"] == "comonotonic improvement"
         reduction = report["tables"]["witness_reduction"]["rows"]
         assert [r[3] for r in reduction] == [0.0, 0.5, 0.5, 1.0]
+        # with an aggregate in place of the endowments and no agent list,
+        # the start rows count the agents and the search is the same
+        assert run_problem(write(tmp_path, "q.json", aggregate_solidity_doc())) == report
 
 
 class TestEmission:
@@ -413,10 +432,13 @@ class TestMain:
         (unstarted_solidity_doc, ("constraints", 1, "scope"), 3000,
          "constraints[1].scope"),
         (kinds_doc, ("constraints", 3, "scope"), 2, "constraints[3].scope"),
+        (aggregate_solidity_doc, ("constraints", 1, "scope"), 2,
+         "constraints[1].scope"),
+        (unsized_solidity_doc, ("constraints", 0, "scope"), 0, "constraints[0].scope"),
     ), ids=("constraints-int", "budget-text", "budget-negative", "seed-text",
             "start-int", "family-base-int", "case-list", "number-text-1e400",
             "number-int-1e400", "scope-bool", "scope-past-endowments",
-            "scope-at-agents"))
+            "scope-at-agents", "scope-past-start", "scope-without-agent-count"))
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc_fn, node,
                                          value, where):
         assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1

@@ -14,6 +14,7 @@ from coshare import (
     MVProblem,
     RandomVariable,
     ValidationError,
+    distribution_of,
     gamma_quantile,
     moments,
     mv_objective,
@@ -324,6 +325,58 @@ class TestSaturationCurve:
             saturation_curve((1, 1), (1, 2), intercepts=(2, 0))
 
 
+def reference_two_agent_fixed_point(a, C, S):
+    """The fixed-point interval scan with its separate strict-sign-change and
+    plateau branches."""
+    a, C = float(a), float(C)
+    dist = distribution_of(S)
+    values = np.array([v for v, _ in dist])
+    probs = np.array([p for _, p in dist])
+    mean_term = a * float(values @ probs)
+
+    def residual(beta):
+        return float(np.clip(a * values + beta, 0.0, C) @ probs) - mean_term - beta
+
+    kinks = sorted({-a * v for v in values} | {C - a * v for v in values})
+    r_vals = [residual(k) for k in kinks]
+    tol = 1e-12
+    if all(r > tol for r in r_vals):
+        beta = kinks[-1] + r_vals[-1]
+        return beta, beta
+    if all(r < -tol for r in r_vals):
+        beta = kinks[0] + r_vals[0]
+        return beta, beta
+    j0 = next(i for i, r in enumerate(r_vals) if r <= tol)
+    if r_vals[j0] < -tol:
+        if j0 == 0:
+            beta = kinks[0] + r_vals[0]
+        else:
+            r_a, r_b = r_vals[j0 - 1], r_vals[j0]
+            k_a, k_b = kinks[j0 - 1], kinks[j0]
+            beta = k_a + r_a * (k_b - k_a) / (r_a - r_b)
+        return beta, beta
+    if j0 == 0:
+        beta_minus = kinks[0] + r_vals[0]
+    else:
+        r_a = r_vals[j0 - 1]
+        k_a, k_b = kinks[j0 - 1], kinks[j0]
+        r_b = r_vals[j0]
+        if r_a > tol:
+            beta_minus = k_a + r_a * (k_b - k_a) / (r_a - r_b) if r_a != r_b else k_b
+        else:
+            beta_minus = k_a
+    j1 = j0
+    while j1 + 1 < len(kinks) and r_vals[j1 + 1] >= -tol:
+        j1 += 1
+    if j1 == len(kinks) - 1:
+        beta_plus = kinks[-1] + r_vals[-1]
+    else:
+        r_a, r_b = r_vals[j1], r_vals[j1 + 1]
+        k_a, k_b = kinks[j1], kinks[j1 + 1]
+        beta_plus = k_a + r_a * (k_b - k_a) / (r_a - r_b)
+    return beta_minus, beta_plus
+
+
 class TestTwoAgentFixedPoint:
     def test_point_solution(self):
         _, S = finite_aggregate((0.0, 10.0))
@@ -358,6 +411,24 @@ class TestTwoAgentFixedPoint:
             # strictly outside, the residual keeps one sign each side
             assert residual(lo - 0.5) >= -1e-12
             assert residual(hi + 0.5) <= 1e-12
+
+    def test_matches_reference(self):
+        # bitwise equal to the branchy scan, point solutions and plateaus alike
+        rng = np.random.default_rng(30_000)
+        intervals = points = 0
+        for _ in range(3000):
+            m = int(rng.integers(1, 7))
+            values = rng.integers(0, 9, size=m) * 0.5
+            if rng.random() < 0.5:
+                values = rng.uniform(0.0, 8.0, size=m)
+            _, S = finite_aggregate(values, rng.dirichlet(np.ones(m)))
+            a = float(rng.uniform(0.05, 0.95))
+            C = float(rng.choice((0.5, 2.0, 10.0))) * float(rng.uniform(0.5, 1.5))
+            got = two_agent_fixed_point(a, C, S)
+            assert got == reference_two_agent_fixed_point(a, C, S)
+            intervals += got[0] < got[1]
+            points += got[0] == got[1]
+        assert intervals > 500 and points > 500
 
     def test_domain(self):
         _, S = finite_aggregate((0.0, 1.0))
