@@ -25,9 +25,23 @@ g_j = x_j(s') - x_j(s) > 0 for the partner's gap.
 
 Every executed transfer strictly decreases sum_i Var(X_i), the termination
 witness; the run aborts with a diagnostic if the transfer cap is exceeded.
+
+Schedule.  Sweeps visit the level pairs (k, l), k < l, in order; on each
+pair, transfers repeat with the first violating agent and the first agent
+of largest rise until no agent falls by more than LEVEL_GAP_EPS from k to l.
+Sweeps repeat until one makes no transfer.  The loop runs on one Python
+float list per level, with the float operations of a numpy pair loop in the
+same order, so every transfer and output bit is that loop's.  Before row k
+of a sweep, one numpy test on a level-matrix mirror asks whether any agent
+lies more than LEVEL_GAP_EPS above its minimum over the levels after k; if
+none does, the row is skipped.  The skip is exact: x_i(k) - min_l x_i(l) is
+the largest of the row's gaps (rounding is monotone), and a row's transfers
+touch only level k and levels after it, so a skipped row would have made no
+transfer.  The mirror is rewritten for every level a pair changed.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -149,17 +163,18 @@ def condition_on_aggregate(A):
     output share is a convex-order reduction of its input share.
     """
     _require_clearing(A)
-    groups = level_sets(A.aggregate.values)
+    groups = [g for g in level_sets(A.aggregate.values) if len(g) > 1]
     probs = A.space.probs
-    new_values = [share.values.copy() for share in A.shares]
+    values = A.share_matrix()
     for group in groups:
-        mass = probs[group].sum()
-        for i, share in enumerate(A.shares):
-            block = share.values[group]
-            if block.max() == block.min():
-                continue  # already constant; p*v/p would cost an ulp
-            new_values[i][group] = float(probs[group] @ block / mass)
-    shares = tuple(RandomVariable(A.space, v) for v in new_values)
+        p = probs[group]
+        mass = p.sum()
+        block = values[:, group]
+        # constant blocks stay as they are: p*v/p would cost an ulp; the dot
+        # takes a contiguous copy, since a strided one can round differently
+        for i in np.flatnonzero(block.max(axis=1) != block.min(axis=1)):
+            values[i, group] = float(p @ values[i, group] / mass)
+    shares = tuple(RandomVariable(A.space, v) for v in values)
     return Allocation(A.space, shares, A.aggregate)
 
 
@@ -180,34 +195,52 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     groups = level_sets(conditioned.aggregate.values)
     n = A.n_agents
     m = len(groups)
-    masses = np.array([A.space.probs[g].sum() for g in groups])
-    # level-value matrix: x[i, k] = share i on level k (constant after conditioning)
-    x = np.array([[share.values[g[0]] for g in groups] for share in conditioned.shares])
+    # level k holds atoms groups[k]: its first atom and each atom's level
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=m)
+    order = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=A.space.size)
+    first = order[np.cumsum(sizes) - sizes]
+    level_of = np.empty_like(order)
+    level_of[order] = np.repeat(np.arange(m), sizes)
+    probs = A.space.probs
+    masses = probs[first]
+    for k in np.flatnonzero(sizes > 1):
+        masses[k] = probs[groups[k]].sum()
+    masses = masses.tolist()
+    # x[i, k] = share i on level k (constant after conditioning); the loop
+    # works on cols[k][i] and keeps x as a mirror for the row test
+    x = conditioned.share_matrix()[:, first]
+    cols = x.T.tolist()
 
     transfers = 0
-    while True:
+    changed = True
+    while changed:
         changed = False
-        for k in range(m):
+        for k in range(m - 1):
+            if not ((x[:, k] - x[:, k + 1:].min(axis=1)) > LEVEL_GAP_EPS).any():
+                continue  # no pair (k, l) has a violator
+            ck = cols[k]
+            row_moved = False
             for l in range(k + 1, m):
+                cl = cols[l]
+                pair_moved = False
                 while True:
-                    gaps = x[:, k] - x[:, l]
-                    violators = np.nonzero(gaps > LEVEL_GAP_EPS)[0]
-                    if violators.size == 0:
+                    gaps = [a - b for a, b in zip(ck, cl)]
+                    if max(gaps) <= LEVEL_GAP_EPS:
                         break
-                    i = int(violators[0])
-                    rising = -gaps
-                    j = int(np.argmax(rising))
-                    if rising[j] <= 0.0:
+                    i = next(t for t, g in enumerate(gaps) if g > LEVEL_GAP_EPS)
+                    gap_i = gaps[i]
+                    low = min(gaps)
+                    j = gaps.index(low)  # first agent with the largest rise
+                    gap_j = -low
+                    if gap_j <= 0.0:
                         # no partner left: a real breach unless the residual
                         # violation is below the comonotonicity tolerance
-                        if gaps[i] > CLEARING_TOL:
+                        if gap_i > CLEARING_TOL:
                             raise ContractError(
                                 "no transfer partner found; clearing must have been violated"
                             )
                         break
-                    gap_i = float(gaps[i])
-                    gap_j = float(rising[j])
-                    p_k, p_l = float(masses[k]), float(masses[l])
+                    p_k, p_l = masses[k], masses[l]
                     if abs(p_k - p_l) <= LEVEL_GAP_EPS:
                         amount = min(gap_i, gap_j / 2.0)
                         down, up = amount, amount
@@ -224,30 +257,32 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
                             "variance potential failed to decrease",
                             state={"levels": (k, l), "agents": (i, j), "transfers": transfers},
                         )
-                    x[i, k] -= down
-                    x[i, l] += up
-                    x[j, k] += down
-                    x[j, l] -= up
+                    ck[i] -= down
+                    cl[i] += up
+                    ck[j] += down
+                    cl[j] -= up
                     transfers += 1
-                    changed = True
+                    pair_moved = True
                     if transfers > max_transfers:
                         raise NonterminationError(
                             f"transfer cap {max_transfers} exceeded",
-                            state={"level_values": x.copy(), "transfers": transfers},
+                            state={"level_values": np.array(cols).T.copy(),
+                                   "transfers": transfers},
                         )
-        if not changed:
-            break
+                if pair_moved:
+                    x[:, l] = cl
+                    row_moved = True
+            if row_moved:
+                x[:, k] = ck
+                changed = True
 
-    atom_values = np.empty((n, A.space.size))
-    for k, g in enumerate(groups):
-        atom_values[:, g] = x[:, k][:, None]
+    atom_values = x[:, level_of]
     improved = Allocation(
         A.space,
         tuple(RandomVariable(A.space, atom_values[i]) for i in range(n)),
         A.aggregate,
     )
 
-    probs = A.space.probs
     cx_ok = tuple(convex_order_mask(atom_values, probs, A.share_matrix(), probs).tolist())
     _, residual = check_clearing(improved)
     deltas = None

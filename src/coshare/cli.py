@@ -510,11 +510,12 @@ def _task_improve(problem, args):
         raise SchemaError(failures)
     _require(all(len(v) == space.size for v in values),
              "improve: every share needs one value per atom")
-    A = Allocation(space, tuple(RandomVariable(space, v) for v in values), S)
     measures = problem["measures"]
+    _require(not measures or len(measures) == len(values),
+             f"task.shares: need one row per agent ({len(measures)} agents, "
+             f"{len(values)} rows)")
+    A = Allocation(space, tuple(RandomVariable(space, v) for v in values), S)
     specs = measures if measures and all(m is not None for m in measures) else None
-    if specs is not None and len(specs) != A.n_agents:
-        specs = None
     improved, cert = comonotonic_improvement(A, measures=specs)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from coshare import (
+    Allocation,
     Constraint,
     convex_ladder,
     FiniteSpace,
@@ -26,7 +27,9 @@ from coshare import (
     grid_minimize,
     var_scenario,
 )
-from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL
+from coshare.allocation import CLEARING_TOL, LEVEL_GAP_EPS, MAX_TRANSFERS
+from coshare.errors import ContractError, NonterminationError
+from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, level_sets
 
 CRITERION_TITLES = {
     1: "three-state ES pair: 19/8 vs 29/12, gap 1/24",
@@ -142,8 +145,9 @@ def rng():
 
 # Scalar reference evaluators: the per-atom loops that the batch kernels
 # (riskmeasures.measure_values, probspace.level_sets,
-# stochorder.convex_order_mask) replaced.  The kernels are checked against
-# these on seeded inputs.
+# stochorder.convex_order_mask) replaced, and the numpy pair loop that the
+# improvement's scalar repair replaced.  The library is checked against these
+# on seeded inputs.
 
 def reference_distribution(X):
     order = np.argsort(X.values, kind="stable")
@@ -205,6 +209,100 @@ def reference_convex_order(Y, X, tol=1e-9):
     return all(stop_loss(dy, t) <= stop_loss(dx, t) + tol for t in grid)
 
 
+def reference_condition(A):
+    """Per-level, per-share conditioning on sigma(S): one row per share."""
+    probs = A.space.probs
+    new_values = [share.values.copy() for share in A.shares]
+    for group in level_sets(A.aggregate.values):
+        mass = probs[group].sum()
+        for i, share in enumerate(A.shares):
+            block = share.values[group]
+            if block.max() == block.min():
+                continue
+            new_values[i][group] = float(probs[group] @ block / mass)
+    return np.array(new_values)
+
+
+def reference_repair(A, max_transfers=MAX_TRANSFERS):
+    """(x, transfers): the improvement's level matrix x[i, k] (share i on
+    level k of the aggregate) after the numpy (k, l) pair loop, run on the
+    conditioned allocation with the same transfer rule, checks and cap."""
+    groups = level_sets(A.aggregate.values)
+    conditioned = reference_condition(A)
+    m = len(groups)
+    masses = np.array([A.space.probs[g].sum() for g in groups])
+    x = np.array([[row[g[0]] for g in groups] for row in conditioned])
+
+    transfers = 0
+    while True:
+        changed = False
+        for k in range(m):
+            for l in range(k + 1, m):
+                while True:
+                    gaps = x[:, k] - x[:, l]
+                    violators = np.nonzero(gaps > LEVEL_GAP_EPS)[0]
+                    if violators.size == 0:
+                        break
+                    i = int(violators[0])
+                    rising = -gaps
+                    j = int(np.argmax(rising))
+                    if rising[j] <= 0.0:
+                        if gaps[i] > CLEARING_TOL:
+                            raise ContractError("no transfer partner found")
+                        break
+                    gap_i = float(gaps[i])
+                    gap_j = float(rising[j])
+                    p_k, p_l = float(masses[k]), float(masses[l])
+                    if abs(p_k - p_l) <= LEVEL_GAP_EPS:
+                        amount = min(gap_i, gap_j / 2.0)
+                        down, up = amount, amount
+                        drop = 2.0 * p_k * amount * (gap_i + gap_j - 2.0 * amount)
+                    else:
+                        amount = min(gap_i, gap_j)
+                        down = amount * p_l / (p_k + p_l)
+                        up = amount * p_k / (p_k + p_l)
+                        moved = amount * p_k * p_l / (p_k + p_l)
+                        drop = moved * (2.0 * gap_i - amount) + moved * (2.0 * gap_j - amount)
+                    if drop <= 0.0:
+                        raise NonterminationError(
+                            "variance potential failed to decrease",
+                            state={"levels": (k, l), "agents": (i, j), "transfers": transfers},
+                        )
+                    x[i, k] -= down
+                    x[i, l] += up
+                    x[j, k] += down
+                    x[j, l] -= up
+                    transfers += 1
+                    changed = True
+                    if transfers > max_transfers:
+                        raise NonterminationError(
+                            f"transfer cap {max_transfers} exceeded",
+                            state={"level_values": x.copy(), "transfers": transfers},
+                        )
+        if not changed:
+            return x, transfers
+
+
+def draw_allocation(rng):
+    """Seeded clearing allocation: n 2-8 agents on m 2-60 atoms (m drawn
+    log-uniformly), uniform or Dirichlet masses, distinct or tied aggregate
+    values, scale 1e-6 to 1e4."""
+    n = int(rng.integers(2, 9))
+    m = int(np.exp(rng.uniform(np.log(2.0), np.log(61.0))))
+    probs = rng.dirichlet(np.ones(m)) if rng.random() < 0.5 else np.full(m, 1.0 / m)
+    scale = 10.0 ** rng.uniform(-6.0, 4.0)
+    if rng.random() < 0.5:
+        s = rng.normal(size=m)
+    else:
+        s = rng.integers(0, max(2, m // 4), size=m) * 0.5
+    s = s * scale
+    rows = [rng.normal(size=m) * scale for _ in range(n - 1)]
+    rows.append(s - np.sum(rows, axis=0))
+    space = FiniteSpace((f"w{k}", p) for k, p in enumerate(probs))
+    return Allocation(space, tuple(RandomVariable(space, r) for r in rows),
+                      RandomVariable(space, s))
+
+
 def draw_variable(rng, m):
     """Seeded random variable on m atoms: Dirichlet probabilities, values on
     a coarse grid (exact ties) with some nudged by 1e-13 (near ties)."""
@@ -223,4 +321,7 @@ def reference():
     return types.SimpleNamespace(distribution=reference_distribution,
                                  measure=reference_measure,
                                  convex_order=reference_convex_order,
-                                 draw=draw_variable)
+                                 condition=reference_condition,
+                                 repair=reference_repair,
+                                 draw=draw_variable,
+                                 draw_allocation=draw_allocation)

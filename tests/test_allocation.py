@@ -19,6 +19,7 @@ from coshare import (
     is_comonotonic,
     moments,
 )
+from coshare.probspace import level_sets
 
 RESIDUAL_TOL = 1e-9
 
@@ -165,6 +166,12 @@ class TestConditioning:
             for a, b in zip(C.shares, CC.shares):
                 assert np.array_equal(a.values, b.values)
 
+    def test_matches_reference_bitwise(self, rng, reference):
+        for _ in range(200):
+            A = reference.draw_allocation(rng)
+            C = condition_on_aggregate(A)
+            assert np.array_equal(C.share_matrix(), reference.condition(A))
+
     def test_componentwise_convex_reduction(self, rng):
         for _ in range(25):
             probs = rng.dirichlet(np.ones(4))
@@ -215,9 +222,44 @@ class TestImprovement:
         with pytest.raises(ContractError):
             comonotonic_improvement(A)
 
-    def test_transfer_cap(self, three_state):
+    def test_transfer_cap(self, three_state, rng, reference):
         with pytest.raises(NonterminationError):
             comonotonic_improvement(three_state, max_transfers=0)
+        # the cap's state is the level matrix right after transfer cap + 1
+        checked = 0
+        while checked < 20:
+            A = reference.draw_allocation(rng)
+            _, cert = comonotonic_improvement(A)
+            if cert.transfers == 0:
+                continue
+            for cap in {0, cert.transfers // 2, cert.transfers - 1}:
+                with pytest.raises(NonterminationError) as got:
+                    comonotonic_improvement(A, max_transfers=cap)
+                with pytest.raises(NonterminationError) as want:
+                    reference.repair(A, max_transfers=cap)
+                assert got.value.state["transfers"] == cap + 1
+                assert np.array_equal(got.value.state["level_values"],
+                                      want.value.state["level_values"])
+            checked += 1
+
+    def test_comonotone_input_needs_no_transfer(self):
+        A = alloc((0.25,) * 4, (0.0, 1.0, 1.0, 2.0), (1.0, 1.5, 1.5, 4.0))
+        improved, cert = comonotonic_improvement(A, max_transfers=0)
+        assert cert.transfers == 0
+        assert np.array_equal(improved.share_matrix(), A.share_matrix())
+
+    def test_matches_reference_loop_bitwise(self, rng, reference):
+        # the scalar repair runs the numpy pair loop's float operations in
+        # the same order, skipping only rows with no violator
+        for _ in range(500):
+            A = reference.draw_allocation(rng)
+            improved, cert = comonotonic_improvement(A)
+            x, transfers = reference.repair(A)
+            expected = np.empty((A.n_agents, A.space.size))
+            for k, group in enumerate(level_sets(A.aggregate.values)):
+                expected[:, group] = x[:, [k]]
+            assert cert.transfers == transfers
+            assert np.array_equal(improved.share_matrix(), expected)
 
     def test_random_instances(self, rng):
         # the heavier 200+ instance loop lives in the acceptance suite

@@ -395,6 +395,16 @@ class TestMain:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_python_m_coshare_runs_a_document(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = write(tmp_path, "p.json", improve_doc())
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "coshare", "run", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["task"] == "improve"
+
     def test_schema_error_exit_one(self, tmp_path, capsys):
         doc = improve_doc()
         del doc["task"]
@@ -435,10 +445,13 @@ class TestMain:
         (aggregate_solidity_doc, ("constraints", 1, "scope"), 2,
          "constraints[1].scope"),
         (unsized_solidity_doc, ("constraints", 0, "scope"), 0, "constraints[0].scope"),
+        (improve_doc, ("task", "shares"),
+         [["1/4", "1/4", "7/4"], ["3/4", "7/4", "5/4"], [0, 0, 0]], "task.shares"),
     ), ids=("constraints-int", "budget-text", "budget-negative", "seed-text",
             "start-int", "family-base-int", "case-list", "number-text-1e400",
             "number-int-1e400", "scope-bool", "scope-past-endowments",
-            "scope-at-agents", "scope-past-start", "scope-without-agent-count"))
+            "scope-at-agents", "scope-past-start", "scope-without-agent-count",
+            "shares-past-agents"))
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc_fn, node,
                                          value, where):
         assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1
