@@ -113,10 +113,19 @@ class ImprovementCertificate:
         return self.comonotonic_ok and all(self.convex_order_ok)
 
 
+def _clearing_scale(S_values):
+    """max(1, max |S|): clearing tolerances are relative to it, so that
+    float dust on large aggregates clears and scales <= 1 keep the absolute
+    tolerance."""
+    return max(1.0, float(np.max(np.abs(S_values))))
+
+
 def check_clearing(A, tol=CLEARING_TOL):
-    """(clears, worst atom residual) for sum_i X_i = S."""
-    residual = float(np.max(np.abs(A.share_matrix().sum(axis=0) - A.aggregate.values)))
-    return residual <= tol, residual
+    """(clears, worst atom residual) for sum_i X_i = S; clears means a
+    residual within tol * _clearing_scale(S)."""
+    S_values = A.aggregate.values
+    residual = float(np.max(np.abs(A.share_matrix().sum(axis=0) - S_values)))
+    return residual <= tol * _clearing_scale(S_values), residual
 
 
 def _require_clearing(A):
@@ -211,6 +220,7 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     x = conditioned.share_matrix()[:, first]
     cols = x.T.tolist()
 
+    partner_tol = CLEARING_TOL * _clearing_scale(A.aggregate.values)
     transfers = 0
     changed = True
     while changed:
@@ -235,7 +245,7 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
                     if gap_j <= 0.0:
                         # no partner left: a real breach unless the residual
                         # violation is below the comonotonicity tolerance
-                        if gap_i > CLEARING_TOL:
+                        if gap_i > partner_tol:
                             raise ContractError(
                                 "no transfer partner found; clearing must have been violated"
                             )

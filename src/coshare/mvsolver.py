@@ -2,16 +2,19 @@
 
 Machinery: the unconstrained proportional rule, the capped optimum via a
 statewise shadow price (exact piecewise-linear inversion of the clipped
-aggregate response, every state in one batched pass) together with a damped
-fixed point on the intercepts, zero-intercept saturation curves in exact
-rational arithmetic, the two-agent intercept fixed-point interval, and the
-two-agent value-at-risk ceiling scenario on a Gamma(2,1) aggregate with
-closed-form piecewise moments.
+aggregate response, every state in one batched pass) together with the
+intercept fixed point, zero-intercept saturation curves in exact rational
+arithmetic, the two-agent intercept fixed-point interval, and the two-agent
+value-at-risk ceiling scenario on a Gamma(2,1) aggregate with closed-form
+piecewise moments.
 
 The intercept fixed point can be non-unique when caps bind (the two-agent
-interval above is the simplest case).  solve_capped_mv reports the point its
-damped iteration reaches from c = a E[S]; a faster iteration must reach the
-same point, or declare that the reported optimum changes.
+interval above is the simplest case).  solve_capped_mv reports the limit of
+the damped iteration c <- (c + E[X(c)]) / 2 from c = a E[S].  It reaches
+that limit by regime-limit jumps: E[X(c)] - c is piecewise affine in c, so
+within one regime (the agents interior in each state) the damped iteration's
+limit has a closed form, and a jump goes straight there.  A jump that does
+not at least halve the residual is replaced by one damped step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .riskmeasures import mean_variance
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITERS = 10 ** 4
 FIXED_POINT_DAMPING = 0.5
+KINK_MERGE_RTOL = 1e-12
 PROJECTION_CLEAR_TOL = 1e-9
 RESIDUAL_ZERO_TOL = 1e-12
 
@@ -240,7 +244,9 @@ class RegimeReport:
     """Piecewise-affine share curves: breakpoints in s, the active set and
     per-agent slope in each regime, anchor share vectors at the breakpoints,
     the intercepts, the intercept fixed-point residual, and the number of
-    fixed-point iterations that produced them (0 where none ran).
+    solver steps (regime-limit jumps or damped steps, see solve_capped_mv)
+    that produced them, counting the pass that found the residual below
+    FIXED_POINT_TOL (0 where no solve ran).
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -276,9 +282,21 @@ class RegimeReport:
 
 def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations):
     """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    in the arithmetic of the arguments (see _kink_responses)."""
+    in the arithmetic of the arguments (see _kink_responses).
+
+    Float kinks closer than KINK_MERGE_RTOL (relative) are one kink: agents
+    that saturate together at solved intercepts give kinks a few ulps
+    apart, which would open regimes of width ~1e-16 whose active sets
+    rounding decides.  Each run of close kinks keeps its first.  Exact
+    (Fraction) kinks are never merged.
+    """
     n = len(deltas)
     kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    if kinks.dtype != object and kinks.size > 1:
+        gaps = kinks[1:] - kinks[:-1]
+        keep = np.concatenate(
+            ([True], gaps > KINK_MERGE_RTOL * np.maximum(1.0, np.abs(kinks[1:]))))
+        kinks, responses = kinks[keep], responses[keep]
     intercepts = tuple(c.tolist())
     weights = inv.tolist()
 
@@ -312,15 +330,23 @@ def solve_capped_mv(problem):
 
     Shares take the truncated-affine form X_i = clip(c_i + eta(S)/delta_i,
     L_i, U_i) where eta(s) is the statewise shadow price; the intercepts
-    satisfy c_i = E[X_i] and are found by damped fixed-point iteration from
-    c = a E[S], a the proportional slopes.  Every iteration projects all
-    states at once.  Returns (Allocation, RegimeReport); the report counts
-    the iterations.
+    satisfy c_i = E[X_i].  Returns (Allocation, RegimeReport).
 
     The intercept fixed point need not be unique: with caps binding, a
-    continuum of intercepts can reach the same objective.  The damped path
-    from that start selects the optimum reported, so a faster iteration that
-    reaches a different fixed point changes the result, not just its cost.
+    continuum of intercepts can reach the same objective.  The rule is: the
+    reported intercepts are the limit of the damped iteration
+    c <- (c + E[X(c)]) / 2 from c = a E[S], a the proportional slopes.
+
+    Each step first tries a regime-limit jump.  With A the mask of agents
+    strictly inside their caps in each state and w = 1/delta, F(c) =
+    E[X(c)] - c has slope -J in the regime of A, J = I - E[P] and E[P] =
+    diag(p A) - D_w A^T diag(p/(A w)) A.  The damped iteration, while that
+    regime holds, converges to c + J^# F(c), J^# the group inverse of J; the
+    jump goes there.  It is taken if it at least halves the max-norm
+    residual, or lands on a fixed point in the same regime; otherwise the
+    step is one damped step.  Every step projects all states at once, and
+    the report counts the steps.  ConvergenceError after
+    FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
@@ -330,6 +356,7 @@ def solve_capped_mv(problem):
     space, S = problem.aggregate
     deltas = np.array(problem.delta)
     inv = 1.0 / deltas
+    root = np.sqrt(inv)
     lower = np.array(problem.lower)
     upper = np.array(problem.upper)
     probs = space.probs
@@ -338,28 +365,50 @@ def solve_capped_mv(problem):
     slopes = unconstrained_shares(problem.delta)
     c = np.array([float(a) * mean_s for a in slopes])
 
-    def shares_at(c):
-        # agents by states in C order: BLAS sums the product below in an
-        # order that depends on the layout
-        return np.ascontiguousarray(
-            _project_states(c, deltas, inv, lower, upper, support)[1].T)
+    def evaluate(c):
+        # E[X(c)] and the mask of agents strictly inside their caps: there
+        # x = c + eta/delta, as clipped agents sit exactly on a cap and the
+        # clearing dust goes to an agent well inside its box
+        x = _project_states(c, deltas, inv, lower, upper, support)[1]
+        return probs @ x, (lower < x) & (x < upper)
 
+    def regime_limit(active, f):
+        # J^# F for the regime of active: J = D_w^(1/2) M D_w^(-1/2) with
+        # M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2)
+        # symmetric, so J^# = D_w^(1/2) pinv(M) D_w^(-1/2)
+        A = active.astype(float)
+        load = A @ inv
+        weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
+        M = (A.T * weight) @ A
+        M *= np.multiply.outer(root, root)
+        M[np.diag_indices_from(M)] += 1.0 - probs @ A
+        return root * (np.linalg.pinv(M, hermitian=True) @ (f / root))
+
+    target, active = evaluate(c)
     residual = math.inf
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
-        target = shares_at(c) @ probs
-        residual = float(np.max(np.abs(target - c)))
+        f = target - c
+        residual = float(np.max(np.abs(f)))
         if residual < FIXED_POINT_TOL:
             c = target
             break
-        c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
+        jump = c + regime_limit(active, f)
+        target_jump, active_jump = evaluate(jump)
+        r_jump = float(np.max(np.abs(target_jump - jump)))
+        if r_jump <= 0.5 * residual or (
+                r_jump < FIXED_POINT_TOL and np.array_equal(active_jump, active)):
+            c, target, active = jump, target_jump, active_jump
+        else:
+            c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
+            target, active = evaluate(c)
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",
             last_iterate=tuple(c), residual=residual)
 
-    shares = shares_at(c)
+    shares = _project_states(c, deltas, inv, lower, upper, support)[1]
     allocation = Allocation(
-        space, tuple(RandomVariable(space, row.copy()) for row in shares), S)
+        space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
     report = _regimes_from_intercepts(
         c, deltas, inv, lower, upper, residual, iterations)
     return allocation, report

@@ -27,7 +27,8 @@ from coshare import (
     grid_minimize,
     var_scenario,
 )
-from coshare.allocation import CLEARING_TOL, LEVEL_GAP_EPS, MAX_TRANSFERS
+from coshare.allocation import (CLEARING_TOL, LEVEL_GAP_EPS, MAX_TRANSFERS,
+                                _clearing_scale)
 from coshare.errors import ContractError, NonterminationError
 from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, level_sets
 
@@ -232,6 +233,7 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
     m = len(groups)
     masses = np.array([A.space.probs[g].sum() for g in groups])
     x = np.array([[row[g[0]] for g in groups] for row in conditioned])
+    partner_tol = CLEARING_TOL * _clearing_scale(A.aggregate.values)
 
     transfers = 0
     while True:
@@ -247,7 +249,7 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
                     rising = -gaps
                     j = int(np.argmax(rising))
                     if rising[j] <= 0.0:
-                        if gaps[i] > CLEARING_TOL:
+                        if gaps[i] > partner_tol:
                             raise ContractError("no transfer partner found")
                         break
                     gap_i = float(gaps[i])

@@ -61,6 +61,19 @@ class TestAllocation:
         ok, residual = check_clearing(A, tol=0.5)
         assert ok
 
+    def test_clearing_tolerance_scales_with_aggregate(self, rng):
+        # float dust on shares of size 1e8 clears; at scale <= 1 the
+        # tolerance stays 1e-9
+        small = alloc((0.5, 0.5), (0.25, 0.5), (0.75, 0.5), aggregate=(1.0, 1.0 + 2e-9))
+        assert not check_clearing(small)[0]
+        for _ in range(100):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(3, 30))
+            shares = rng.normal(size=(n, m)) * 1e8
+            A = alloc(rng.dirichlet(np.ones(m)), *shares)
+            improved, cert = comonotonic_improvement(A)
+            assert check_clearing(improved)[0]
+            assert cert.clearing_residual <= 1e-9 * np.abs(A.aggregate.values).max()
+
 
 class TestComonotonicity:
     def test_monotone_shares(self):
