@@ -46,12 +46,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractError, NonterminationError, ValidationError
-from .probspace import RandomVariable, level_sets
+from .probspace import VALUE_TOL, RandomVariable, level_sets, value_scale
 from .riskmeasures import evaluate
 from .stochorder import convex_order_mask
 
-CLEARING_TOL = 1e-9
-COMONOTONE_TOL = 1e-9
 LEVEL_GAP_EPS = 1e-12
 MAX_TRANSFERS = 10 ** 6
 
@@ -113,19 +111,12 @@ class ImprovementCertificate:
         return self.comonotonic_ok and all(self.convex_order_ok)
 
 
-def _clearing_scale(S_values):
-    """max(1, max |S|): clearing tolerances are relative to it, so that
-    float dust on large aggregates clears and scales <= 1 keep the absolute
-    tolerance."""
-    return max(1.0, float(np.max(np.abs(S_values))))
-
-
-def check_clearing(A, tol=CLEARING_TOL):
+def check_clearing(A):
     """(clears, worst atom residual) for sum_i X_i = S; clears means a
-    residual within tol * _clearing_scale(S)."""
+    residual within VALUE_TOL * value_scale(S)."""
     S_values = A.aggregate.values
     residual = float(np.max(np.abs(A.share_matrix().sum(axis=0) - S_values)))
-    return residual <= tol * _clearing_scale(S_values), residual
+    return residual <= VALUE_TOL * value_scale(S_values), residual
 
 
 def _require_clearing(A):
@@ -134,14 +125,15 @@ def _require_clearing(A):
         raise ContractError(f"allocation does not clear its aggregate (residual {residual:g})")
 
 
-def comonotone_mask(tensors, s_values, probs, tol=COMONOTONE_TOL):
+def comonotone_mask(tensors, s_values, probs):
     """Rows of the share tensors (one rows x atoms array per agent) in which
     every share is a nondecreasing function of the aggregate values.
 
-    Two requirements per share: (a) it is constant on every level set of the
-    aggregate within tol, and (b) across levels sorted by value, its
-    probability-weighted level mean is nondecreasing within tol.
+    Two requirements per share, within VALUE_TOL * value_scale(s_values): (a)
+    it is constant on every level set of the aggregate, and (b) across levels
+    sorted by value, its probability-weighted level mean is nondecreasing.
     """
+    tol = VALUE_TOL * value_scale(s_values)
     levels = [(g, probs[g], probs[g].sum()) for g in level_sets(s_values)]
     mask = np.ones(tensors[0].shape[0], dtype=bool)
     for V in tensors:
@@ -191,8 +183,9 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     """Comonotonic allocation dominating A componentwise in convex order.
 
     Returns (improved allocation, certificate).  The output clears S, passes
-    is_comonotonic at tolerance 1e-9, and every output share precedes its
-    input share in convex order; the certificate records the verdicts.
+    is_comonotonic at tolerance VALUE_TOL * value_scale(S), and every output
+    share precedes its input share in convex order; the certificate records
+    the verdicts.
     ``measures`` optionally supplies one RiskMeasureSpec per agent whose
     objective deltas are reported.
     """
@@ -220,7 +213,7 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     x = conditioned.share_matrix()[:, first]
     cols = x.T.tolist()
 
-    partner_tol = CLEARING_TOL * _clearing_scale(A.aggregate.values)
+    partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
     transfers = 0
     changed = True
     while changed:

@@ -49,7 +49,7 @@ from .mvsolver import (
     var_scenario,
 )
 from .oracle import GridSpec, ScalarFamily, comonotone_minimize, grid_minimize
-from .probspace import FiniteSpace, RandomVariable
+from .probspace import VALUE_TOL, FiniteSpace, RandomVariable
 from .riskmeasures import RiskMeasureSpec, evaluate
 
 SCHEMA_VERSION = 1
@@ -579,7 +579,7 @@ def _task_oracle(problem, args):
     measures = problem["measures"]
     _require(measures and all(m is not None for m in measures),
              "oracle: every agent needs a measure")
-    tol = 1e-9 if args.tol is None else args.tol
+    tol = VALUE_TOL if args.tol is None else args.tol
     _require(math.isfinite(tol) and tol >= 0, "--tol: expected a nonnegative finite number")
     grid = _parse_grid(task)
     minimize = comonotone_minimize if task.get("comonotone") else grid_minimize
@@ -975,6 +975,9 @@ def main(argv=None):
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # load_problem reports read errors itself
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     except CoshareError as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ import numpy as np
 from .allocation import (Allocation, _require_clearing, check_clearing,
                          comonotonic_improvement, condition_on_aggregate)
 from .errors import ValidationError
-from .probspace import RandomVariable
+from .probspace import VALUE_TOL, RandomVariable, value_scale
 from .riskmeasures import (
     Consistency,
     RiskMeasureSpec,
@@ -37,10 +37,8 @@ from .riskmeasures import (
 )
 from .stochorder import convex_order_mask
 
-FEASIBILITY_TOL = 1e-9
 ENVELOPE_SLOPE_TOL = 1e-12
 FALSIFY_CHAIN_LIMIT = 16
-FALSIFY_GAP_EPS = 1e-9
 
 
 class Solidity(enum.Enum):
@@ -73,9 +71,10 @@ class _Kind:
 
     - band(V, s_values, probs, tol) -> (value, lower, upper) on the rows of
       V (rows x atoms): a row is feasible where lower - tol <= value <=
-      upper + tol in every column.  Statewise kinds give rows x atoms values
-      with scalar or per-atom bounds; the others give a rows x 1 column of
-      per-row values with scalar bounds;
+      upper + tol in every column, tol already times value_scale(S).
+      Statewise kinds give rows x atoms values with scalar or per-atom
+      bounds; the others give a rows x 1 column of per-row values with
+      scalar bounds;
     - message(agent, value, bound, below, s): the text of a breach past
       bound, where s is the aggregate at the atom (None unless statewise);
     - solidity(): the kind's SolidityVerdict.
@@ -294,11 +293,10 @@ def _pl_eval(points, s):
 
 
 def _check_envelope_coverage(kind, s_values):
-    lo_xs = (kind.lower[0][0], kind.lower[-1][0])
-    hi_xs = (kind.upper[0][0], kind.upper[-1][0])
     smin, smax = float(np.min(s_values)), float(np.max(s_values))
-    for name, (left, right) in (("lower", lo_xs), ("upper", hi_xs)):
-        if smin < left - 1e-9 or smax > right + 1e-9:
+    tol = VALUE_TOL * value_scale(s_values)
+    for name, points in (("lower", kind.lower), ("upper", kind.upper)):
+        if smin < points[0][0] - tol or smax > points[-1][0] + tol:
             raise ValidationError(
                 f"{name} envelope breakpoints do not cover the aggregate support"
             )
@@ -392,9 +390,10 @@ def _kind_of(constraint):
     return constraint.kind
 
 
-def feasible_mask(tensors, s_values, probs, constraints, tol=FEASIBILITY_TOL):
+def feasible_mask(tensors, s_values, probs, constraints, tol=VALUE_TOL):
     """Rows of the share tensors (one rows x atoms array per agent, over an
-    aggregate with values s_values) that satisfy every constraint."""
+    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values)."""
+    tol = tol * value_scale(s_values)
     mask = np.ones(tensors[0].shape[0], dtype=bool)
     for constraint in constraints:
         kind = _kind_of(constraint)
@@ -404,8 +403,8 @@ def feasible_mask(tensors, s_values, probs, constraints, tol=FEASIBILITY_TOL):
     return mask
 
 
-def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
-    """Evaluate every constraint against the allocation.
+def check_feasible(A, constraints):
+    """Evaluate every constraint within VALUE_TOL * value_scale(S), as feasible_mask does.
 
     Returns (feasible, violations); violations are ordered by constraint,
     then agent, then atom.  The allocation must clear its aggregate.
@@ -413,6 +412,7 @@ def check_feasible(A, constraints, tol=FEASIBILITY_TOL):
     _require_clearing(A)
     labels = A.space.labels
     s_values = A.aggregate.values
+    tol = VALUE_TOL * value_scale(s_values)
     violations = []
     for ci, constraint in enumerate(constraints):
         kind = _kind_of(constraint)
@@ -470,12 +470,12 @@ class SolidityWitness:
     method: str
 
 
-def _verify_witness(X, Y, constraints, tol):
+def _verify_witness(X, Y, constraints):
     ok, _ = check_clearing(Y)
     if not ok:
         return False
     rows = [share.values[None, :] for share in Y.shares]
-    if feasible_mask(rows, Y.aggregate.values, Y.space.probs, constraints, tol)[0]:
+    if feasible_mask(rows, Y.aggregate.values, Y.space.probs, constraints)[0]:
         return False
     return bool(convex_order_mask(Y.share_matrix(), Y.space.probs,
                                   X.share_matrix(), X.space.probs).all())
@@ -537,10 +537,10 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
         raise ValidationError("start allocation must be feasible")
 
     improved, _cert = comonotonic_improvement(X)
-    if _verify_witness(X, improved, constraints, FEASIBILITY_TOL):
+    if _verify_witness(X, improved, constraints):
         return SolidityWitness(X, improved, "comonotonic improvement")
     conditioned = condition_on_aggregate(X)
-    if _verify_witness(X, conditioned, constraints, FEASIBILITY_TOL):
+    if _verify_witness(X, conditioned, constraints):
         return SolidityWitness(X, conditioned, "aggregate conditioning")
 
     n = X.n_agents
@@ -549,6 +549,7 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
         return None
     rng = np.random.default_rng(seed)
     probs = space.probs
+    min_gap = VALUE_TOL * value_scale(S.values)
     base = [share.values.copy() for share in X.shares]
     values = [v.copy() for v in base]
     chain = 0
@@ -560,7 +561,7 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
         a, b = (int(k) for k in rng.choice(m, size=2, replace=False))
         gap_i = values[i][a] - values[i][b]
         gap_j = values[j][b] - values[j][a]
-        if gap_i <= FALSIFY_GAP_EPS or gap_j <= FALSIFY_GAP_EPS:
+        if gap_i <= min_gap or gap_j <= min_gap:
             continue
         p_a, p_b = float(probs[a]), float(probs[b])
         # no-crossing cap keeps the step a contraction for both agents
@@ -574,6 +575,6 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
         chain += 1
         candidate = Allocation(
             space, tuple(RandomVariable(space, v.copy()) for v in values), S)
-        if _verify_witness(X, candidate, constraints, FEASIBILITY_TOL):
+        if _verify_witness(X, candidate, constraints):
             return SolidityWitness(X, candidate, "paired transfers")
     return None

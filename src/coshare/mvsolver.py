@@ -37,11 +37,13 @@ from .errors import (
     ValidationError,
 )
 from .probspace import (
+    VALUE_TOL,
     FiniteSpace,
     GammaAggregate,
     RandomVariable,
     distribution_of,
     gamma_quantile,
+    value_scale,
 )
 from .riskmeasures import mean_variance
 
@@ -49,7 +51,6 @@ FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITERS = 10 ** 4
 FIXED_POINT_DAMPING = 0.5
 KINK_MERGE_RTOL = 1e-12
-PROJECTION_CLEAR_TOL = 1e-9
 RESIDUAL_ZERO_TOL = 1e-12
 
 
@@ -151,7 +152,7 @@ def _project_states(c, deltas, inv, lower, upper, s):
         x[rows[fixed], agent[fixed]] += dust[fixed]
         if not fixed.all():
             lost = dust[~fixed]
-            lost = lost[np.abs(lost) > PROJECTION_CLEAR_TOL]
+            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(s)]
             if lost.size:
                 raise ContractError(
                     f"projection residual {lost[0]:g} with every agent at a cap")
@@ -190,8 +191,7 @@ def statewise_projection(c, delta, lower, upper, s):
 
 @dataclass(frozen=True)
 class MVProblem:
-    """Variance weights, box caps, and an aggregate: either a finite
-    (space, S) pair or a GammaAggregate."""
+    """Variance weights, box caps, and a finite aggregate (space, S)."""
 
     delta: tuple
     lower: tuple
@@ -209,22 +209,15 @@ class MVProblem:
             raise ValidationError("caps need lower < upper for every agent")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if isinstance(self.aggregate, GammaAggregate):
-            s_min, s_max = 0.0, math.inf
-        else:
-            try:
-                space, S = self.aggregate
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    "aggregate must be a (FiniteSpace, RandomVariable) pair "
-                    "or a GammaAggregate")
-            if not isinstance(space, FiniteSpace) or not isinstance(S, RandomVariable):
-                raise ValidationError(
-                    "aggregate must be a (FiniteSpace, RandomVariable) pair "
-                    "or a GammaAggregate")
-            if S.space != space:
-                raise ValidationError("aggregate S must live on the given space")
-            s_min, s_max = float(S.values.min()), float(S.values.max())
+        try:
+            space, S = self.aggregate
+        except (TypeError, ValueError):
+            space = S = None
+        if not isinstance(space, FiniteSpace) or not isinstance(S, RandomVariable):
+            raise ValidationError("aggregate must be a (FiniteSpace, RandomVariable) pair")
+        if S.space != space:
+            raise ValidationError("aggregate S must live on the given space")
+        s_min, s_max = float(S.values.min()), float(S.values.max())
         if _extended_sum(lower) > s_min + 1e-12:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
         if _extended_sum(upper) < s_max - 1e-12:
@@ -234,10 +227,6 @@ class MVProblem:
     def n_agents(self):
         return len(self.delta)
 
-    @property
-    def is_finite(self):
-        return not isinstance(self.aggregate, GammaAggregate)
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -246,7 +235,7 @@ class RegimeReport:
     the intercepts, the intercept fixed-point residual, and the number of
     solver steps (regime-limit jumps or damped steps, see solve_capped_mv)
     that produced them, counting the pass that found the residual below
-    FIXED_POINT_TOL (0 where no solve ran).
+    FIXED_POINT_TOL * value_scale(S) (0 where no solve ran).
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -350,9 +339,6 @@ def solve_capped_mv(problem):
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
-    if not problem.is_finite:
-        raise ValidationError("solve_capped_mv needs a finite aggregate; "
-                              "the gamma scenario has its own entry point")
     space, S = problem.aggregate
     deltas = np.array(problem.delta)
     inv = 1.0 / deltas
@@ -362,6 +348,7 @@ def solve_capped_mv(problem):
     probs = space.probs
     support = S.values
     mean_s = float(support @ probs)
+    fixed_point_tol = FIXED_POINT_TOL * value_scale(support)
     slopes = unconstrained_shares(problem.delta)
     c = np.array([float(a) * mean_s for a in slopes])
 
@@ -389,14 +376,14 @@ def solve_capped_mv(problem):
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
         f = target - c
         residual = float(np.max(np.abs(f)))
-        if residual < FIXED_POINT_TOL:
+        if residual < fixed_point_tol:
             c = target
             break
         jump = c + regime_limit(active, f)
         target_jump, active_jump = evaluate(jump)
         r_jump = float(np.max(np.abs(target_jump - jump)))
         if r_jump <= 0.5 * residual or (
-                r_jump < FIXED_POINT_TOL and np.array_equal(active_jump, active)):
+                r_jump < fixed_point_tol and np.array_equal(active_jump, active)):
             c, target, active = jump, target_jump, active_jump
         else:
             c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
@@ -430,7 +417,8 @@ def two_agent_fixed_point(a, C, S):
 
     The residual is continuous, nonincreasing, and piecewise linear in beta;
     the solution set is a closed interval, returned as (beta_minus,
-    beta_plus) with both endpoints solving the fixed point within 1e-10.
+    beta_plus) with both endpoints solving the fixed point within 1e-10 at unit
+    scale; kink residuals within RESIDUAL_ZERO_TOL * value_scale(S) count as zero.
     """
     a = float(a)
     C = float(C)
@@ -448,7 +436,7 @@ def two_agent_fixed_point(a, C, S):
 
     kinks = sorted({-a * v for v in values} | {C - a * v for v in values})
     r_vals = [residual(k) for k in kinks]
-    tol = RESIDUAL_ZERO_TOL
+    tol = RESIDUAL_ZERO_TOL * value_scale(values)
     last = len(kinks) - 1
 
     def root(j):

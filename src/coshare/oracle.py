@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, comonotone_mask
-from .constraints import FEASIBILITY_TOL, feasible_mask
+from .constraints import feasible_mask
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import RandomVariable
+from .probspace import VALUE_TOL, RandomVariable
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
@@ -172,12 +172,13 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     return Allocation(space, shares, S), float(values[best])
 
 
-def grid_minimize(space, S, objectives, constraints, grid, tol=FEASIBILITY_TOL):
+def grid_minimize(space, S, objectives, constraints, grid, tol=VALUE_TOL):
     """Exhaustive minimum of sum_i objectives[i](X_i) over the grid,
-    subject to the constraints; clearing holds by construction."""
+    subject to the constraints within tol * value_scale(S) (see
+    feasible_mask); clearing holds by construction."""
     return _enumerate(space, S, objectives, constraints, grid, tol, comonotone=False)
 
 
-def comonotone_minimize(space, S, objectives, constraints, grid, tol=FEASIBILITY_TOL):
+def comonotone_minimize(space, S, objectives, constraints, grid, tol=VALUE_TOL):
     """grid_minimize restricted to comonotonic allocations."""
     return _enumerate(space, S, objectives, constraints, grid, tol, comonotone=True)

@@ -13,7 +13,10 @@ Conventions fixed here and used throughout:
   atom probabilities like ``0.9925 + 0.0025`` still reach a ``0.995`` level;
 * values within ``1e-12`` of a level's first value belong to that level
   (:func:`level_sets`), both for extracted distributions and for the level
-  sets of an aggregate.
+  sets of an aggregate;
+* checks of values in the aggregate's units (clearing, comonotonicity,
+  convex order, feasibility) pass within ``VALUE_TOL`` (or a caller's base
+  tolerance) times :func:`value_scale`: absolute up to scale 1, relative above.
 """
 
 import math
@@ -27,6 +30,7 @@ PROB_SUM_TOL = 1e-12
 VALUE_MERGE_TOL = 1e-12
 CUM_PROB_TOL = 1e-12
 GAMMA_ROOT_TOL = 1e-10
+VALUE_TOL = 1e-9
 
 
 class FiniteSpace:
@@ -182,6 +186,11 @@ def level_sets(values):
             groups.append([idx])
             first = v
     return groups
+
+
+def value_scale(values):
+    """max(1, max |values|), the factor value tolerances are multiplied by."""
+    return max(1.0, float(np.abs(values).max()))
 
 
 def distribution_of(X):

@@ -12,15 +12,16 @@ merged atoms once, largest first (h_0 >= h_1 >= ...), and with signed weights
 (Y's probabilities, minus X's) takes two running sums from the top:
 SL_Y(h_j) - SL_X(h_j) = sum_{l<j} (h_l - h_{l+1}) (P(Y > h_{l+1}) - P(X > h_{l+1})).
 Near ties are not merged: atoms within VALUE_MERGE_TOL stay separate grid
-points, which moves a stop-loss value by at most that distance.
+points, which moves a stop-loss value by at most that distance.  Values are
+compared within VALUE_TOL times each row pair's own value_scale, as there is
+no aggregate to take a scale from.
 """
 
 import numpy as np
 
 from .errors import ContractError
-from .probspace import RandomVariable
+from .probspace import VALUE_TOL, RandomVariable
 
-CX_DEFAULT_TOL = 1e-9
 WEIGHT_IDENTITY_TOL = 1e-12
 
 
@@ -45,16 +46,18 @@ def stop_loss(X, t):
 
 
 def convex_order_mask(Y, py, X, px):
-    """Rows i with Y[i] preceding X[i] in convex order, within CX_DEFAULT_TOL.
+    """Rows i with Y[i] preceding X[i] in convex order.
 
     Y is rows x atoms with atom probabilities py, X is rows x atoms with its
     own atom count and probabilities px.  Checks |E[Y] - E[X]| <= tol and
-    SL_Y <= SL_X + tol at every merged atom of the row pair.
+    SL_Y <= SL_X + tol at every merged atom of the row pair, with tol =
+    VALUE_TOL * max(1, max |value|) over the row pair.
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))
     _, gaps = _stop_loss_rows(V, w)
-    return (np.abs(V @ w) <= CX_DEFAULT_TOL) & (gaps <= CX_DEFAULT_TOL).all(axis=1)
+    tol = VALUE_TOL * np.maximum(np.abs(V).max(axis=1), 1.0)
+    return (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
 
 
 def convex_order_leq(Y, X):

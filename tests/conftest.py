@@ -11,6 +11,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coshare import (
     Allocation,
@@ -27,10 +28,10 @@ from coshare import (
     grid_minimize,
     var_scenario,
 )
-from coshare.allocation import (CLEARING_TOL, LEVEL_GAP_EPS, MAX_TRANSFERS,
-                                _clearing_scale)
+from coshare.allocation import LEVEL_GAP_EPS, MAX_TRANSFERS
 from coshare.errors import ContractError, NonterminationError
-from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, level_sets
+from coshare.probspace import (CUM_PROB_TOL, VALUE_MERGE_TOL, VALUE_TOL, level_sets,
+                               value_scale)
 
 CRITERION_TITLES = {
     1: "three-state ES pair: 19/8 vs 29/12, gap 1/24",
@@ -44,6 +45,11 @@ CRITERION_TITLES = {
 }
 
 _RESULTS = {}
+
+# every hypothesis test is seedless and deterministic: derived from the test
+# itself, with no example database and no deadline
+settings.register_profile("coshare", derandomize=True, database=None, deadline=None)
+settings.load_profile("coshare")
 
 
 def pytest_configure(config):
@@ -192,11 +198,13 @@ def reference_measure(spec, X):
                      for v, p in zip(X.values, X.space.probs)))
 
 
-def reference_convex_order(Y, X, tol=1e-9):
+def reference_convex_order(Y, X):
     """Convex order on the merged laws: the means, then one stop-loss sum per
-    merged support point."""
+    merged support point, within 1e-9 times the pair's largest |value| when
+    that exceeds 1."""
     dy = distribution_of(Y)
     dx = distribution_of(X)
+    tol = 1e-9 * max(1.0, *np.abs(Y.values), *np.abs(X.values))
 
     def mean(dist):
         return sum(p * v for v, p in dist)
@@ -233,7 +241,7 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
     m = len(groups)
     masses = np.array([A.space.probs[g].sum() for g in groups])
     x = np.array([[row[g[0]] for g in groups] for row in conditioned])
-    partner_tol = CLEARING_TOL * _clearing_scale(A.aggregate.values)
+    partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
 
     transfers = 0
     while True:

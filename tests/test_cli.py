@@ -386,6 +386,25 @@ class TestMain:
         assert artifacts and all(
             os.path.dirname(p) == "." and (tmp_path / p).is_file() for p in artifacts)
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["run", write(tmp_path, "p.json", improve_doc()), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, "p.json", improve_doc()),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_reproduce_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["reproduce", "fig-6.3", "--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {taken}: File exists\n"
+
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = ("import coshare, sys; "
@@ -478,7 +497,7 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: transfer cap 10 exceeded (transfers 11)\n")
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @settings(max_examples=1000)
     @given(st.data())
     def test_mutated_documents_exit_cleanly(self, data):
         # one node of a valid document replaced by a value of another shape:

@@ -192,8 +192,10 @@ class TestCheckFeasible:
             check_feasible(B, (PathwiseBounds(),))  # missing Constraint wrapper
 
 
-def reference_check_feasible(A, constraints, tol=1e-9):
-    """The per-kind scalar ladder that check_feasible replaced."""
+def reference_check_feasible(A, constraints):
+    """The per-kind scalar ladder that check_feasible replaced, within 1e-9
+    times the aggregate's largest |value| when that exceeds 1."""
+    tol = 1e-9 * max(1.0, *np.abs(A.aggregate.values))
     ok, residual = check_clearing(A)
     if not ok:
         raise ContractError(f"allocation does not clear the aggregate (residual {residual:g})")

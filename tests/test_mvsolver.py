@@ -142,19 +142,14 @@ class TestMVProblem:
             MVProblem((1.0, 1.0), (NEG_INF,), (INF,) * 2, agg)
         with pytest.raises(ValidationError):
             MVProblem((1.0, 1.0), (1.0, 0.0), (0.5, INF), agg)
-        with pytest.raises(ValidationError):
-            MVProblem((1.0, 1.0), (NEG_INF,) * 2, (INF,) * 2, "gamma")
+        for aggregate in ("gamma", GammaAggregate()):
+            with pytest.raises(ValidationError):
+                MVProblem((1.0, 1.0), (NEG_INF,) * 2, (INF,) * 2, aggregate)
         # caps must leave the aggregate range reachable
         with pytest.raises(ValidationError):
             MVProblem((1.0, 1.0), (1.5, 1.5), (INF,) * 2, agg)
         with pytest.raises(ValidationError):
             MVProblem((1.0, 1.0), (NEG_INF,) * 2, (0.5, 0.5), agg)
-
-    def test_gamma_rejected_by_finite_solver(self):
-        problem = MVProblem((1.0, 1.0), (NEG_INF,) * 2, (INF,) * 2,
-                            GammaAggregate())
-        with pytest.raises(ValidationError):
-            solve_capped_mv(problem)
 
 
 class TestUnconstrainedShares:
@@ -321,11 +316,14 @@ class TestSolveCappedMV:
 
     def test_step_count(self):
         # the regime jumps take a handful of steps where the damped
-        # iteration alone took 143-254
+        # iteration alone took 143-254; the residual stays below the
+        # absolute 1e-10 of perfbench's mv-capped check, although the
+        # solver stops at FIXED_POINT_TOL times the aggregate's scale
         rng = np.random.default_rng(404)
-        steps = [solve_capped_mv(mv_capped_problem(rng, m, n))[1].iterations
-                 for m in (4, 8, 16) for n in (2, 4, 8) for _ in range(5)]
-        assert max(steps) <= 50
+        reports = [solve_capped_mv(mv_capped_problem(rng, m, n))[1]
+                   for m in (4, 8, 16) for n in (2, 4, 8) for _ in range(5)]
+        assert max(r.iterations for r in reports) <= 50
+        assert max(r.residual for r in reports) < 1e-10
 
     def test_simultaneous_saturation_is_one_breakpoint(self):
         # both agents reach their lower cap 0 at s = 0, at float kinks an ulp
@@ -422,7 +420,7 @@ def reference_two_agent_fixed_point(a, C, S):
 
     kinks = sorted({-a * v for v in values} | {C - a * v for v in values})
     r_vals = [residual(k) for k in kinks]
-    tol = 1e-12
+    tol = 1e-12 * max(1.0, *np.abs(values))
     if all(r > tol for r in r_vals):
         beta = kinks[-1] + r_vals[-1]
         return beta, beta

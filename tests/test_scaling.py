@@ -1,0 +1,140 @@
+"""Value tolerances scale with the aggregate: rescaling a problem by c
+rescales its answers by c and leaves every verdict unchanged.
+
+Each case draws the same seeded problems at every scale.  At scales up to 1
+the tolerances stay absolute (VALUE_TOL = 1e-9); above 1 they grow with
+value_scale, max(1, max |value|).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from coshare import (
+    Allocation,
+    Constraint,
+    ExpectationConstraint,
+    FiniteSpace,
+    MVProblem,
+    PathwiseBounds,
+    RandomVariable,
+    check_feasible,
+    comonotonic_improvement,
+    falsify_solidity,
+    solve_capped_mv,
+    two_agent_fixed_point,
+)
+
+INF = math.inf
+
+
+def alloc(probs, rows):
+    sp = FiniteSpace((f"w{k}", p) for k, p in enumerate(probs))
+    return Allocation(sp, tuple(RandomVariable(sp, r) for r in rows))
+
+
+def mv_problem(rng, c):
+    """An mv-capped-shaped problem (Gamma(2,1) S on m equally likely atoms,
+    lower caps 0, agent 0 uncapped, the others capped at 3/n) with S and
+    the caps times c and the variance weights divided by c."""
+    m, n = int(rng.choice((4, 8, 16))), int(rng.choice((2, 4, 8)))
+    s = rng.gamma(2.0, 1.0, size=m)
+    delta = np.sort(rng.uniform(0.5, 2.0, size=n))
+    upper = np.array((INF,) + (3.0 / n,) * (n - 1))
+    sp = FiniteSpace.uniform(m)
+    return MVProblem(tuple(delta / c), (0.0,) * n, tuple(upper * c),
+                     (sp, RandomVariable(sp, s * c)))
+
+
+@pytest.mark.parametrize("c", (1e-6, 1.0, 1e4, 1e8))
+def test_improvement_certificates_verify(c):
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(3, 30))
+        probs = rng.dirichlet(np.ones(m))
+        _, cert = comonotonic_improvement(alloc(probs, rng.normal(size=(n, m)) * c))
+        assert cert.all_verified, cert
+
+
+@pytest.mark.parametrize("c", (1.0, 1e4, 1e6, 1e8))
+def test_capped_mv_intercepts_scale(c):
+    unit_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(60):
+        unit = np.array(solve_capped_mv(mv_problem(unit_rng, 1.0))[1].intercepts)
+        got = np.array(solve_capped_mv(mv_problem(rng, c))[1].intercepts)
+        assert np.max(np.abs(got / c - unit)) <= 1e-10 * max(1.0, np.abs(unit).max())
+
+
+def test_capped_mv_below_unit_scale_converges():
+    # below scale 1 the fixed-point tolerance stays absolute (1e-10), so the
+    # intercepts match c times the unit ones only loosely, but no solve raises
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        solve_capped_mv(mv_problem(rng, 1e-6))
+
+
+@pytest.mark.parametrize("c", (1e4, 1e8))
+def test_feasibility_verdicts_do_not_change(c):
+    # pathwise and expectation bounds taken from the shares themselves, so
+    # many values sit exactly on a bound at unit scale
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(200):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(m))
+        rows = rng.integers(-8, 9, size=(n, m)) * 0.25
+        if rng.random() < 0.5:
+            rows = rng.normal(size=(n, m))
+        unit, scaled = [], []
+        for i in range(n):
+            x = rows[i]
+            off = float(rng.choice((0.0, 0.0, -0.25, 0.25)))
+            if rng.random() < 0.5:
+                lo = float(x.min()) + off
+                hi = max(lo, float(x.max()) - float(rng.choice((0.0, 0.25))))
+                unit.append(Constraint(PathwiseBounds(lo, hi), i))
+                scaled.append(Constraint(PathwiseBounds(lo * c, hi * c), i))
+            else:
+                rel = str(rng.choice(("<=", "==", ">=")))
+                b = float(probs @ x) + off
+                unit.append(Constraint(ExpectationConstraint(rel, b), i))
+                scaled.append(Constraint(ExpectationConstraint(rel, b * c), i))
+        verdict = check_feasible(alloc(probs, rows), tuple(unit))[0]
+        assert check_feasible(alloc(probs, rows * c), tuple(scaled))[0] == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_no_false_witness_against_a_solid_set():
+    # pathwise bounds plus a mean pinned to the start's: Solid, so any
+    # witness would be float dust read as a breach
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 5)), int(rng.integers(3, 9))
+        probs = rng.dirichlet(np.ones(m))
+        rows = rng.normal(size=(n, m)) * 1e8
+        A = alloc(probs, rows)
+        constraints = (
+            Constraint(PathwiseBounds(float(rows.min()), float(rows.max()))),
+            Constraint(ExpectationConstraint("==", float(probs @ rows[0])), 0))
+        assert falsify_solidity(constraints, A.space, A.aggregate, budget=200,
+                                seed=seed, start=A) is None
+
+
+@pytest.mark.parametrize("c", (1e4, 1e8))
+def test_two_agent_interval_scales(c):
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        values = rng.integers(0, 9, size=m) * 0.5
+        if rng.random() < 0.5:
+            values = rng.uniform(0.0, 8.0, size=m)
+        sp = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+        a = float(rng.uniform(0.05, 0.95))
+        C = float(rng.choice((0.5, 2.0, 10.0))) * float(rng.uniform(0.5, 1.5))
+        lo, hi = two_agent_fixed_point(a, C, RandomVariable(sp, values))
+        lo_c, hi_c = two_agent_fixed_point(a, C * c, RandomVariable(sp, values * c))
+        scale = max(1.0, abs(lo), abs(hi))
+        assert abs(lo_c / c - lo) <= 1e-9 * scale
+        assert abs(hi_c / c - hi) <= 1e-9 * scale
