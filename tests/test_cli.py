@@ -535,24 +535,46 @@ class TestMain:
         capsys.readouterr()
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def assert_matches_golden(case, report, artifacts):
+    """The JSON and text reports and every CSV artifact of one reproduce
+    case, run with out_dir ".", equal the committed files in tests/golden
+    byte for byte."""
+    for fmt, ext in (("json", "json"), ("text", "txt")):
+        with open(os.path.join(GOLDEN, f"{case}.{ext}"), "rb") as fh:
+            want = fh.read()
+        assert emit_report(report, fmt, io.StringIO()).encode("utf-8") == want, (case, fmt)
+    names = sorted(os.path.basename(p) for p in artifacts)
+    assert names == sorted(f for f in os.listdir(GOLDEN)
+                           if f.startswith(f"{case}-") and f.endswith(".csv"))
+    for name in names:
+        with open(name, "rb") as got, open(os.path.join(GOLDEN, name), "rb") as want:
+            assert got.read() == want.read(), name
+
+
 class TestReproduce:
-    def test_fig63_artifacts_are_stable(self, tmp_path):
-        out = tmp_path / "fig"
-        report, artifacts = reproduce("fig-6.3", str(out))
+    def test_fig63_artifacts_are_stable(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report, artifacts = reproduce("fig-6.3", ".")
         assert all(c["ok"] for c in report["checks"])
         assert report["terminal_s"] is None
         (path,) = artifacts
         assert os.path.basename(path) == "fig-6.3-curve.csv"
         first = open(path, "rb").read()
         assert first.startswith(b"s,X_1,X_2,X_3,X_4\n")
-        reproduce("fig-6.3", str(out))
+        assert_matches_golden("fig-6.3", report, artifacts)
+        reproduce("fig-6.3", ".")
         assert open(path, "rb").read() == first
 
     @pytest.mark.parametrize("case", ("ex-3.1", "ex-4.2", "ex-4.3", "sec-6.4"))
-    def test_published_numbers_hold(self, tmp_path, case):
-        report, artifacts = reproduce(case, str(tmp_path / case))
+    def test_published_numbers_hold(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        report, artifacts = reproduce(case, ".")
         assert all(c["ok"] for c in report["checks"]), report["checks"]
         assert artifacts and all(os.path.exists(p) for p in artifacts)
+        assert_matches_golden(case, report, artifacts)
 
     def test_unknown_case(self, tmp_path):
         with pytest.raises(SchemaError, match="unknown reproduce case"):
