@@ -1,12 +1,13 @@
 """Clearing allocations, comonotonicity tests, and comonotonic improvement.
 
-The improvement runs in two phases.  Phase one replaces every share by its
-conditional expectation given the level sets of the aggregate S, which is a
-componentwise convex-order reduction and collapses the state space to the
-support of S.  Phase two repairs monotonicity violations by mean-preserving
-transfers between pairs of S-levels: whenever agent i decreases from level s
-to level s' > s, a partner j with an increasing gap absorbs the move, so
-clearing is preserved level by level.
+The improvement runs in two phases on the level sets of the aggregate S,
+one probspace.level_partition per call.  Phase one replaces every share by
+its conditional expectation given those level sets, as condition_on_aggregate
+does, which is a componentwise convex-order reduction and collapses the
+state space to the support of S.  Phase two repairs monotonicity violations
+by mean-preserving transfers between pairs of S-levels: whenever agent i
+decreases from level s to level s' > s, a partner j with an increasing gap
+absorbs the move, so clearing is preserved level by level.
 
 Transfer sizing.  Write g_i = x_i(s) - x_i(s') > 0 for the violating gap and
 g_j = x_j(s') - x_j(s) > 0 for the partner's gap.
@@ -41,12 +42,11 @@ transfer.  The mirror is rewritten for every level a pair changed.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, NonterminationError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, level_sets, value_scale
+from .probspace import VALUE_TOL, RandomVariable, level_partition, value_scale
 from .riskmeasures import evaluate
 from .stochorder import convex_order_mask
 
@@ -123,6 +123,7 @@ def _require_clearing(A):
     ok, residual = check_clearing(A)
     if not ok:
         raise ContractError(f"allocation does not clear its aggregate (residual {residual:g})")
+    return residual
 
 
 def comonotone_mask(tensors, s_values, probs):
@@ -134,7 +135,9 @@ def comonotone_mask(tensors, s_values, probs):
     sorted by value, its probability-weighted level mean is nondecreasing.
     """
     tol = VALUE_TOL * value_scale(s_values)
-    levels = [(g, probs[g], probs[g].sum()) for g in level_sets(s_values)]
+    part = level_partition(s_values, probs)
+    levels = [(group, probs[group], mass)
+              for group, mass in zip(np.split(part.order, part.starts[1:]), part.masses)]
     mask = np.ones(tensors[0].shape[0], dtype=bool)
     for V in tensors:
         prev = None
@@ -157,6 +160,21 @@ def is_comonotonic(A):
     return bool(comonotone_mask(rows, A.aggregate.values, A.space.probs)[0])
 
 
+def _level_means(values, part, probs):
+    """Phase one on share rows: each share, on each level of part where it is
+    not constant, becomes its probability-weighted mean on that level."""
+    out = values.copy()
+    for group, mass in zip(np.split(part.order, part.starts[1:]), part.masses):
+        if len(group) > 1:
+            block = values[:, group]
+            p = probs[group]
+            # constant blocks stay as they are (p*v/p would cost an ulp); the
+            # dot takes a contiguous copy, as a strided one can round otherwise
+            for i in np.flatnonzero(block.max(axis=1) != block.min(axis=1)):
+                out[i, group] = float(p @ values[i, group] / mass)
+    return out
+
+
 def condition_on_aggregate(A):
     """Replace each share by its conditional expectation given sigma(S).
 
@@ -164,19 +182,9 @@ def condition_on_aggregate(A):
     output share is a convex-order reduction of its input share.
     """
     _require_clearing(A)
-    groups = [g for g in level_sets(A.aggregate.values) if len(g) > 1]
-    probs = A.space.probs
-    values = A.share_matrix()
-    for group in groups:
-        p = probs[group]
-        mass = p.sum()
-        block = values[:, group]
-        # constant blocks stay as they are: p*v/p would cost an ulp; the dot
-        # takes a contiguous copy, since a strided one can round differently
-        for i in np.flatnonzero(block.max(axis=1) != block.min(axis=1)):
-            values[i, group] = float(p @ values[i, group] / mass)
-    shares = tuple(RandomVariable(A.space, v) for v in values)
-    return Allocation(A.space, shares, A.aggregate)
+    values = _level_means(A.share_matrix(), level_partition(A.aggregate.values, A.space.probs),
+                          A.space.probs)
+    return Allocation(A.space, tuple(RandomVariable(A.space, v) for v in values), A.aggregate)
 
 
 def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
@@ -193,24 +201,14 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     if measures is not None and len(measures) != A.n_agents:
         raise ContractError("need one measure per agent")
 
-    conditioned = condition_on_aggregate(A)
-    groups = level_sets(conditioned.aggregate.values)
-    n = A.n_agents
-    m = len(groups)
-    # level k holds atoms groups[k]: its first atom and each atom's level
-    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=m)
-    order = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=A.space.size)
-    first = order[np.cumsum(sizes) - sizes]
-    level_of = np.empty_like(order)
-    level_of[order] = np.repeat(np.arange(m), sizes)
     probs = A.space.probs
-    masses = probs[first]
-    for k in np.flatnonzero(sizes > 1):
-        masses[k] = probs[groups[k]].sum()
-    masses = masses.tolist()
-    # x[i, k] = share i on level k (constant after conditioning); the loop
-    # works on cols[k][i] and keeps x as a mirror for the row test
-    x = conditioned.share_matrix()[:, first]
+    part = level_partition(A.aggregate.values, probs)
+    m = part.starts.size
+    masses = part.masses.tolist()
+    # x[i, k] = share i on level k after phase one; the loop works on
+    # cols[k][i] and keeps x as a mirror for the row test
+    values = A.share_matrix()
+    x = _level_means(values, part, probs)[:, part.order[part.starts]]
     cols = x.T.tolist()
 
     partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
@@ -279,15 +277,12 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
                 x[:, k] = ck
                 changed = True
 
-    atom_values = x[:, level_of]
-    improved = Allocation(
-        A.space,
-        tuple(RandomVariable(A.space, atom_values[i]) for i in range(n)),
-        A.aggregate,
-    )
+    atom_values = x[:, part.level_of]
+    improved = Allocation(A.space, tuple(RandomVariable(A.space, v) for v in atom_values),
+                          A.aggregate)
 
-    cx_ok = tuple(convex_order_mask(atom_values, probs, A.share_matrix(), probs).tolist())
-    _, residual = check_clearing(improved)
+    cx_ok = tuple(convex_order_mask(atom_values, probs, values, probs).tolist())
+    residual = _require_clearing(improved)
     deltas = None
     if measures is not None:
         deltas = tuple(
@@ -296,7 +291,8 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
         )
     certificate = ImprovementCertificate(
         convex_order_ok=cx_ok,
-        comonotonic_ok=is_comonotonic(improved),
+        comonotonic_ok=bool(comonotone_mask(atom_values[:, None, :], A.aggregate.values,
+                                            probs)[0]),
         clearing_residual=residual,
         transfers=transfers,
         objective_deltas=deltas,

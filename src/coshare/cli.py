@@ -471,8 +471,6 @@ def _require(cond, message):
 def _task_solve_mv(problem, args):
     task = problem["task"]
     deltas = problem["deltas"]
-    _require(problem["space"] is not None and problem["S"] is not None,
-             "solve-mv: needs a finite space with an aggregate")
     _require(all(d is not None for d in deltas) and deltas,
              "solve-mv: every agent needs a delta")
     failures = []
@@ -486,8 +484,6 @@ def _task_solve_mv(problem, args):
                    (problem["space"], problem["S"]))
     allocation, report = solve_capped_mv(mv)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "task": "solve-mv",
         "objective": mv_objective(deltas, allocation),
         "intercepts": list(report.intercepts),
         "residual": report.residual,
@@ -502,8 +498,6 @@ def _task_solve_mv(problem, args):
 def _task_improve(problem, args):
     task = problem["task"]
     space, S = problem["space"], problem["S"]
-    _require(space is not None and S is not None,
-             "improve: needs a finite space with an aggregate")
     failures = []
     values = _parse_rows(task.get("shares"), "task.shares", failures)
     if failures:
@@ -518,8 +512,6 @@ def _task_improve(problem, args):
     specs = measures if measures and all(m is not None for m in measures) else None
     improved, cert = comonotonic_improvement(A, measures=specs)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "improve",
         "transfers": cert.transfers,
         "clearing_residual": cert.clearing_residual,
         "comonotonic": cert.comonotonic_ok,
@@ -574,8 +566,6 @@ def _parse_grid(task):
 def _task_oracle(problem, args):
     task = problem["task"]
     space, S = problem["space"], problem["S"]
-    _require(space is not None and S is not None,
-             "oracle: needs a finite space with an aggregate")
     measures = problem["measures"]
     _require(measures and all(m is not None for m in measures),
              "oracle: every agent needs a measure")
@@ -586,8 +576,6 @@ def _task_oracle(problem, args):
     allocation, value = minimize(space, S, tuple(measures),
                                  tuple(problem["constraints"]), grid, tol=tol)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "task": "oracle",
         "comonotone": bool(task.get("comonotone")),
         "value": value,
         "objective_parts": [evaluate(m, X) for m, X in zip(measures, allocation.shares)],
@@ -600,8 +588,6 @@ def _task_check_solidity(problem, args):
     constraints = tuple(problem["constraints"])
     verdict = classify_solidity(constraints)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "check-solidity",
         "status": verdict.status.value,
         "reason": verdict.reason,
         "tables": {},
@@ -630,26 +616,35 @@ def _task_check_solidity(problem, args):
     return report
 
 
-def run_problem(path, args=None):
-    """Load a problem file and run its task; returns the report dict."""
-    if args is None:
-        args = argparse.Namespace(seed=None, tol=None)
-    problem = load_problem(path)
-    kind = problem["task"]["kind"]
-    if kind == "solve-mv":
-        return _task_solve_mv(problem, args)
-    if kind == "improve":
-        return _task_improve(problem, args)
-    if kind == "oracle":
-        return _task_oracle(problem, args)
-    if kind == "check-solidity":
-        return _task_check_solidity(problem, args)
+def _task_reproduce(problem, args):
     case = problem["task"].get("case")
     _require(case in _REPRODUCE_CASES, f"task.case: expected one of {_REPRODUCE_CASES}")
     # a reproduce task writes its CSV artifacts to the working directory;
     # run's --out names the report file, not an artifact directory
     report, _ = reproduce(case)
     return report
+
+
+# task kind -> (runner, whether it needs a finite space with an aggregate)
+_TASKS = {
+    "solve-mv": (_task_solve_mv, True),
+    "improve": (_task_improve, True),
+    "oracle": (_task_oracle, True),
+    "check-solidity": (_task_check_solidity, False),
+    "reproduce": (_task_reproduce, False),
+}
+
+
+def run_problem(path, args=None):
+    """Load a problem file and run its task; returns the report dict."""
+    if args is None:
+        args = argparse.Namespace(seed=None, tol=None)
+    problem = load_problem(path)
+    kind = problem["task"]["kind"]
+    runner, needs_aggregate = _TASKS[kind]
+    _require(not needs_aggregate or (problem["space"] is not None and problem["S"] is not None),
+             f"{kind}: needs a finite space with an aggregate")
+    return {"schema_version": SCHEMA_VERSION, "task": kind, **runner(problem, args)}
 
 
 # ---------------------------------------------------------------------------
@@ -883,11 +878,7 @@ def reproduce(case, out_dir="."):
         raise SchemaError([f"unknown reproduce case {case!r}; "
                            f"choose from {_REPRODUCE_CASES}"])
     body, checks = _REPRODUCERS[case]()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "reproduce",
-    }
-    report.update(body)
+    report = {"schema_version": SCHEMA_VERSION, "task": "reproduce", **body}
     report["checks"] = [
         {"name": c["name"], "expected": c["expected"], "computed": c["computed"],
          "ok": c["ok"]} for c in checks]
@@ -962,11 +953,12 @@ def main(argv=None):
                 return 3
             emit_report(report, args.format)
             return 0
-        report = run_problem(args.path, args)
-        text = emit_report(report, args.format)
+        # the report reaches stdout only once --out holds it
+        text = emit_report(run_problem(args.path, args), args.format, io.StringIO())
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        sys.stdout.write(text)
         return 0
     except SchemaError as exc:
         for line in exc.failures:

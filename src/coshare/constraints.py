@@ -390,16 +390,32 @@ def _kind_of(constraint):
     return constraint.kind
 
 
-def feasible_mask(tensors, s_values, probs, constraints, tol=VALUE_TOL):
-    """Rows of the share tensors (one rows x atoms array per agent, over an
-    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values)."""
-    tol = tol * value_scale(s_values)
-    mask = np.ones(tensors[0].shape[0], dtype=bool)
+def _require_space(constraints, space):
+    """Every constraint is a Constraint with any retention endowment on space."""
     for constraint in constraints:
+        kind = _kind_of(constraint)
+        if isinstance(kind, IdiosyncraticRetention) and kind.endowment.space != space:
+            raise ValidationError("retention endowment lives on a different space")
+
+
+def _breaches(tensors, s_values, probs, constraints, tol):
+    """(constraint index, kind, agent, value, lower, upper, below, above) per
+    constrained agent: kind.band's output and where value < lower - tol and
+    value > upper + tol."""
+    for ci, constraint in enumerate(constraints):
         kind = _kind_of(constraint)
         for i in constraint.agents(len(tensors)):
             value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
-            mask &= ((value >= lower - tol) & (value <= upper + tol)).all(axis=1)
+            yield ci, kind, i, value, lower, upper, value < lower - tol, value > upper + tol
+
+
+def feasible_mask(tensors, s_values, probs, constraints, tol=VALUE_TOL):
+    """Rows of the share tensors (one rows x atoms array per agent, over an
+    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values)."""
+    mask = np.ones(tensors[0].shape[0], dtype=bool)
+    for *_, below, above in _breaches(tensors, s_values, probs, constraints,
+                                      tol * value_scale(s_values)):
+        mask &= ~(below | above).any(axis=1)
     return mask
 
 
@@ -410,32 +426,22 @@ def check_feasible(A, constraints):
     then agent, then atom.  The allocation must clear its aggregate.
     """
     _require_clearing(A)
+    _require_space(constraints, A.space)
     labels = A.space.labels
     s_values = A.aggregate.values
-    tol = VALUE_TOL * value_scale(s_values)
+    rows = [share.values[None, :] for share in A.shares]
     violations = []
-    for ci, constraint in enumerate(constraints):
-        kind = _kind_of(constraint)
-        if isinstance(kind, IdiosyncraticRetention) and kind.endowment.space != A.space:
-            raise ValidationError("retention endowment lives on a different space")
-        for i in constraint.agents(A.n_agents):
-            value, lower, upper = kind.band(
-                A.shares[i].values[None, :], s_values, A.space.probs, tol)
-            row = value[0]
-            below = row < lower - tol
-            outside = np.flatnonzero(below | (row > upper + tol))
-            if outside.size == 0:
-                continue
-            lower = np.broadcast_to(lower, row.shape)
-            upper = np.broadcast_to(upper, row.shape)
-            for a in outside:
-                v = float(row[a])
-                bound = float(lower[a] if below[a] else upper[a])
-                violations.append(Violation(
-                    ci, i, labels[a] if kind.statewise else None,
-                    bound - v if below[a] else v - bound,
-                    kind.message(i, v, bound, below[a],
-                                 s_values[a] if kind.statewise else None)))
+    for ci, kind, i, value, lower, upper, below, above in _breaches(
+            rows, s_values, A.space.probs, constraints, VALUE_TOL * value_scale(s_values)):
+        row, below = value[0], below[0]
+        for a in np.flatnonzero(below | above[0]):
+            v = float(row[a])
+            bound = float(np.broadcast_to(lower if below[a] else upper, row.shape)[a])
+            violations.append(Violation(
+                ci, i, labels[a] if kind.statewise else None,
+                bound - v if below[a] else v - bound,
+                kind.message(i, v, bound, below[a],
+                             s_values[a] if kind.statewise else None)))
     return len(violations) == 0, violations
 
 
@@ -526,6 +532,7 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     steps).  Returns a verified SolidityWitness or None; None is absence of
     evidence, not a proof.
     """
+    _require_space(constraints, space)
     X = start if start is not None else _feasible_seed(constraints, space, S)
     if X is None:
         return None

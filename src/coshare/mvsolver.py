@@ -63,6 +63,19 @@ def _positive_deltas(delta):
     return out
 
 
+def _caps(delta, lower, upper):
+    """(deltas, lower, upper) as float tuples: positive finite variance
+    weights and one cap pair with lower < upper per agent."""
+    deltas = _positive_deltas(delta)
+    lower = tuple(float(v) for v in lower)
+    upper = tuple(float(v) for v in upper)
+    if not (len(lower) == len(upper) == len(deltas)):
+        raise ValidationError("delta, lower, upper must have equal length")
+    if any(l >= u for l, u in zip(lower, upper)):
+        raise ValidationError("caps need lower < upper for every agent")
+    return deltas, lower, upper
+
+
 def unconstrained_shares(delta):
     """Proportional slopes a_i = (1/delta_i) / sum_j (1/delta_j).
 
@@ -168,15 +181,10 @@ def statewise_projection(c, delta, lower, upper, s):
     eta is found by exact inversion over the sorted kink set, taking the
     midpoint of the solution interval when H is flat at level s.
     """
-    deltas = _positive_deltas(delta)
-    n = len(deltas)
+    deltas, lower, upper = _caps(delta, lower, upper)
     c = tuple(float(v) for v in c)
-    lower = tuple(float(v) for v in lower)
-    upper = tuple(float(v) for v in upper)
-    if not (len(c) == len(lower) == len(upper) == n):
-        raise ValidationError("c, delta, lower, upper must have equal length")
-    if any(l >= u for l, u in zip(lower, upper)):
-        raise ValidationError("caps need lower < upper for every agent")
+    if len(c) != len(deltas):
+        raise ValidationError("one intercept per agent")
     s = float(s)
     total_lower = _extended_sum(lower)
     total_upper = _extended_sum(upper)
@@ -199,16 +207,9 @@ class MVProblem:
     aggregate: object
 
     def __post_init__(self):
-        deltas = _positive_deltas(self.delta)
-        object.__setattr__(self, "delta", deltas)
-        lower = tuple(float(v) for v in self.lower)
-        upper = tuple(float(v) for v in self.upper)
-        if not (len(lower) == len(upper) == len(deltas)):
-            raise ValidationError("delta, lower, upper must have equal length")
-        if any(l >= u for l, u in zip(lower, upper)):
-            raise ValidationError("caps need lower < upper for every agent")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        caps = _caps(self.delta, self.lower, self.upper)
+        for name, value in zip(("delta", "lower", "upper"), caps):
+            object.__setattr__(self, name, value)
         try:
             space, S = self.aggregate
         except (TypeError, ValueError):
@@ -218,9 +219,9 @@ class MVProblem:
         if S.space != space:
             raise ValidationError("aggregate S must live on the given space")
         s_min, s_max = float(S.values.min()), float(S.values.max())
-        if _extended_sum(lower) > s_min + 1e-12:
+        if _extended_sum(self.lower) > s_min + 1e-12:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
-        if _extended_sum(upper) < s_max - 1e-12:
+        if _extended_sum(self.upper) < s_max - 1e-12:
             raise ValidationError("sum of upper caps is below the largest aggregate value")
 
     @property
@@ -426,9 +427,7 @@ def two_agent_fixed_point(a, C, S):
         raise DomainError("slope a must lie strictly between 0 and 1")
     if C <= 0.0:
         raise DomainError("cap C must be positive")
-    dist = distribution_of(S)
-    values = np.array([v for v, _ in dist])
-    probs = np.array([p for _, p in dist])
+    values, probs = map(np.array, zip(*distribution_of(S)))
     mean_term = a * float(values @ probs)
 
     def residual(beta):

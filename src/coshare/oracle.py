@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, comonotone_mask
-from .constraints import feasible_mask
+from .constraints import _require_space, feasible_mask
 from .errors import DomainError, InfeasibleError, ValidationError
 from .probspace import VALUE_TOL, RandomVariable
 from .riskmeasures import RiskMeasureSpec, measure_values
@@ -140,6 +140,7 @@ def _free_tensor(grid):
 def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
+    _require_space(constraints, space)
     if grid.n_atoms != space.size:
         raise ValidationError("grid atom count must match the space")
     n = grid.n_free_agents + 1

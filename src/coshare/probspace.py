@@ -11,15 +11,17 @@ Conventions fixed here and used throughout:
 * quantiles are *lower* quantiles, ``inf{x : P(X <= x) >= u}``;
 * cumulative-probability comparisons tolerate ``1e-12`` of float drift, so
   atom probabilities like ``0.9925 + 0.0025`` still reach a ``0.995`` level;
-* values within ``1e-12`` of a level's first value belong to that level
-  (:func:`level_sets`), both for extracted distributions and for the level
-  sets of an aggregate;
+* values within ``1e-12`` of a level's first value belong to that level,
+  and a level's mass is the numpy sum of its atoms' probabilities in sorted
+  order; :func:`level_partition` is the one definition of both, read by
+  extracted distributions, conditioning, comonotonicity and the improvement;
 * checks of values in the aggregate's units (clearing, comonotonicity,
   convex order, feasibility) pass within ``VALUE_TOL`` (or a caller's base
   tolerance) times :func:`value_scale`: absolute up to scale 1, relative above.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,19 +175,30 @@ class GammaAggregate:
         return 2.0
 
 
-def level_sets(values):
-    """Atom indices grouped by value: atoms in stable sorted order, each group
-    holding the atoms within VALUE_MERGE_TOL of the group's first value."""
-    order = np.argsort(values, kind="stable").tolist()
-    groups = []
-    first = None
-    for idx, v in zip(order, values[order].tolist()):
-        if groups and v - first <= VALUE_MERGE_TOL:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-            first = v
-    return groups
+LevelPartition = namedtuple("LevelPartition", "order starts level_of masses")
+
+
+def level_partition(values, probs):
+    """LevelPartition(order, starts, level_of, masses) of values: order holds
+    the atoms in stable sorted order, and level k, the atoms
+    order[starts[k]:starts[k + 1]] (the last level runs to the end), holds
+    those within VALUE_MERGE_TOL of its first value; level_of[a] is the level
+    of atom a, and masses[k] the numpy sum of level k's probs in that order."""
+    order = np.argsort(values, kind="stable")
+    starts, first = [], None
+    for pos, v in enumerate(values[order].tolist()):
+        if starts and v - first <= VALUE_MERGE_TOL:
+            continue
+        starts.append(pos)
+        first = v
+    starts = np.array(starts, dtype=np.intp)
+    sizes = np.diff(starts, append=order.size)
+    level_of = np.empty_like(order)
+    level_of[order] = np.repeat(np.arange(starts.size), sizes)
+    masses = probs[order[starts]]
+    for k in np.flatnonzero(sizes > 1):
+        masses[k] = probs[order[starts[k]:starts[k] + sizes[k]]].sum()
+    return LevelPartition(order, starts, level_of, masses)
 
 
 def value_scale(values):
@@ -194,20 +207,11 @@ def value_scale(values):
 
 
 def distribution_of(X):
-    """Law of X as an ordered list of (value, prob) pairs.
-
-    Values are strictly increasing; probabilities of values within 1e-12 of
-    each other are merged.  Probabilities sum to one up to 1e-12.
-    """
-    values = X.values.tolist()
-    probs = X.space.probs.tolist()
-    dist = []
-    for group in level_sets(X.values):
-        mass = 0.0
-        for idx in group:
-            mass += probs[idx]
-        dist.append((values[group[0]], mass))
-    return dist
+    """Law of X as an ordered list of (value, prob) pairs: one pair per level
+    of level_partition, so values are strictly increasing and probabilities
+    sum to one up to 1e-12."""
+    part = level_partition(X.values, X.space.probs)
+    return list(zip(X.values[part.order[part.starts]].tolist(), part.masses.tolist()))
 
 
 def moments(X):

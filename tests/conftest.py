@@ -30,8 +30,7 @@ from coshare import (
 )
 from coshare.allocation import LEVEL_GAP_EPS, MAX_TRANSFERS
 from coshare.errors import ContractError, NonterminationError
-from coshare.probspace import (CUM_PROB_TOL, VALUE_MERGE_TOL, VALUE_TOL, level_sets,
-                               value_scale)
+from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, VALUE_TOL, value_scale
 
 CRITERION_TITLES = {
     1: "three-state ES pair: 19/8 vs 29/12, gap 1/24",
@@ -151,22 +150,28 @@ def rng():
 
 
 # Scalar reference evaluators: the per-atom loops that the batch kernels
-# (riskmeasures.measure_values, probspace.level_sets,
+# (riskmeasures.measure_values, probspace.level_partition,
 # stochorder.convex_order_mask) replaced, and the numpy pair loop that the
 # improvement's scalar repair replaced.  The library is checked against these
-# on seeded inputs.
+# on seeded inputs.  They group atoms into levels with their own loop, so a
+# fault in the library's partition cannot pass on both sides.
+
+def reference_levels(values):
+    """Atom indices by level: stable sorted order, each level holding the
+    atoms within VALUE_MERGE_TOL of its first value."""
+    levels = []
+    for idx in np.argsort(values, kind="stable").tolist():
+        if levels and values[idx] - values[levels[-1][0]] <= VALUE_MERGE_TOL:
+            levels[-1].append(idx)
+        else:
+            levels.append([idx])
+    return levels
+
 
 def reference_distribution(X):
-    order = np.argsort(X.values, kind="stable")
-    vals = X.values[order]
-    probs = X.space.probs[order]
-    out = []
-    for v, p in zip(vals, probs):
-        if out and v - out[-1][0] <= VALUE_MERGE_TOL:
-            out[-1][1] += p
-        else:
-            out.append([float(v), float(p)])
-    return [(v, p) for v, p in out]
+    # a level's mass is the numpy sum of its probabilities in sorted order
+    return [(float(X.values[group[0]]), float(X.space.probs[group].sum()))
+            for group in reference_levels(X.values)]
 
 
 def reference_measure(spec, X):
@@ -222,7 +227,7 @@ def reference_condition(A):
     """Per-level, per-share conditioning on sigma(S): one row per share."""
     probs = A.space.probs
     new_values = [share.values.copy() for share in A.shares]
-    for group in level_sets(A.aggregate.values):
+    for group in reference_levels(A.aggregate.values):
         mass = probs[group].sum()
         for i, share in enumerate(A.shares):
             block = share.values[group]
@@ -236,7 +241,7 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
     """(x, transfers): the improvement's level matrix x[i, k] (share i on
     level k of the aggregate) after the numpy (k, l) pair loop, run on the
     conditioned allocation with the same transfer rule, checks and cap."""
-    groups = level_sets(A.aggregate.values)
+    groups = reference_levels(A.aggregate.values)
     conditioned = reference_condition(A)
     m = len(groups)
     masses = np.array([A.space.probs[g].sum() for g in groups])
@@ -328,7 +333,8 @@ def draw_variable(rng, m):
 @pytest.fixture
 def reference():
     """Namespace of the scalar reference evaluators and the input generator."""
-    return types.SimpleNamespace(distribution=reference_distribution,
+    return types.SimpleNamespace(levels=reference_levels,
+                                 distribution=reference_distribution,
                                  measure=reference_measure,
                                  convex_order=reference_convex_order,
                                  condition=reference_condition,

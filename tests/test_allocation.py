@@ -19,7 +19,6 @@ from coshare import (
     is_comonotonic,
     moments,
 )
-from coshare.probspace import level_sets
 
 RESIDUAL_TOL = 1e-9
 
@@ -268,7 +267,7 @@ class TestImprovement:
             improved, cert = comonotonic_improvement(A)
             x, transfers = reference.repair(A)
             expected = np.empty((A.n_agents, A.space.size))
-            for k, group in enumerate(level_sets(A.aggregate.values)):
+            for k, group in enumerate(reference.levels(A.aggregate.values)):
                 expected[:, group] = x[:, [k]]
             assert cert.transfers == transfers
             assert np.array_equal(improved.share_matrix(), expected)

@@ -389,13 +389,16 @@ class TestMain:
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert main(["run", write(tmp_path, "p.json", improve_doc()), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot write {out}: No such file or directory\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_out_is_a_directory(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, "p.json", improve_doc()),
                      "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_reproduce_out_is_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"

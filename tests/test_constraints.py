@@ -461,6 +461,17 @@ class TestFalsify:
         assert falsify_solidity(constraints, space, S, start=start,
                                 budget=300) is None
 
+    def test_retention_endowment_on_another_space(self):
+        space, zeta1, zeta2, constraints = self.coin_pair()
+        S = zeta1 + zeta2
+        autarky = Allocation(space, (zeta1, zeta2), S)
+        for other in (FiniteSpace.uniform(4, prefix="v"), FiniteSpace.uniform(3)):
+            zeta = RandomVariable(other, np.arange(other.size, dtype=float))
+            moved = (Constraint(IdiosyncraticRetention(zeta, 1.0), scope=0),)
+            for start in (None, autarky):
+                with pytest.raises(ValidationError, match="different space"):
+                    falsify_solidity(moved, space, S, start=start)
+
     def test_start_must_clear_and_be_feasible(self):
         space = FiniteSpace.uniform(2)
         S = RandomVariable(space, (0.0, 2.0))

@@ -180,6 +180,18 @@ class TestStatewiseProjection:
         assert eta == pytest.approx(1.5, abs=1e-12)
         assert x == pytest.approx((0.5, 1.5), abs=1e-12)
 
+    def test_validation(self):
+        # the caps are checked as MVProblem checks them
+        c, free = (0.0, 0.0), ((NEG_INF,) * 2, (INF,) * 2)
+        with pytest.raises(DomainError):
+            statewise_projection(c, (0.0, 1.0), *free, 1.0)
+        with pytest.raises(ValidationError, match="equal length"):
+            statewise_projection(c, (1.0, 1.0), (NEG_INF,), (INF,) * 2, 1.0)
+        with pytest.raises(ValidationError, match="lower < upper"):
+            statewise_projection(c, (1.0, 1.0), (1.0, 0.0), (0.5, INF), 1.0)
+        with pytest.raises(ValidationError, match="one intercept per agent"):
+            statewise_projection((0.0,), (1.0, 1.0), *free, 1.0)
+
     def test_flat_interval_midpoint(self):
         # H is flat at level 4 for eta in [1, 3]; the midpoint is reported
         eta, x = statewise_projection((0.0, 0.0), (1.0, 1.0),

@@ -8,6 +8,7 @@ from coshare import (
     DomainError,
     FiniteSpace,
     GridSpec,
+    IdiosyncraticRetention,
     InfeasibleError,
     PathwiseBounds,
     RandomVariable,
@@ -114,6 +115,19 @@ class TestGridMinimize:
         with pytest.raises(ValidationError):
             grid_minimize(space, S, ES_PAIR, (),
                           GridSpec.uniform(1, 3, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("minimize", (grid_minimize, comonotone_minimize))
+    def test_retention_endowment_on_another_space(self, minimize):
+        # the grid lives on the given space; an endowment elsewhere is an
+        # error, not a silent comparison of unrelated atoms or a broadcast
+        space = FiniteSpace.uniform(3)
+        S = RandomVariable(space, (0.0, 1.0, 2.0))
+        grid = GridSpec.uniform(1, 3, 0.0, 2.0, 0.5)
+        for other in (FiniteSpace.uniform(3, prefix="v"), FiniteSpace.uniform(4)):
+            zeta = RandomVariable(other, np.arange(other.size, dtype=float))
+            cons = (Constraint(IdiosyncraticRetention(zeta, 1.0), scope=0),)
+            with pytest.raises(ValidationError, match="different space"):
+                minimize(space, S, ES_PAIR, cons, grid)
 
 
 class TestComonotone:

@@ -19,7 +19,7 @@ from coshare import (
     moments,
     var,
 )
-from coshare.probspace import level_sets
+from coshare.probspace import level_partition
 
 
 def make_space(probs, prefix="w"):
@@ -129,7 +129,13 @@ class TestDistribution:
         # 0.6e-12 joins the level of 0; 1.2e-12 is too far from 0 and starts
         # a new level even though it is within 1e-12 of its neighbour
         values = np.array([1.2e-12, 0.0, 5.0, 0.6e-12, 0.0])
-        assert level_sets(values) == [[1, 4, 3], [0], [2]]
+        probs = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        part = level_partition(values, probs)
+        assert part.order.tolist() == [1, 4, 3, 0, 2]
+        assert part.starts.tolist() == [0, 3, 4]
+        assert part.level_of.tolist() == [1, 0, 2, 0, 0]
+        # each level's mass is the numpy sum of its probabilities in sorted order
+        assert part.masses.tolist() == [np.array([0.2, 0.25, 0.15]).sum(), 0.1, 0.3]
 
     def test_matches_reference_loop(self, rng, reference):
         for _ in range(300):
