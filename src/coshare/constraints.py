@@ -39,6 +39,9 @@ from .stochorder import convex_order_mask
 
 ENVELOPE_SLOPE_TOL = 1e-12
 FALSIFY_CHAIN_LIMIT = 16
+# candidate cells (chains x steps x agents x atoms) the falsifier builds and
+# verifies at once; its peak memory is a few times this, whatever the budget
+_BLOCK_CELLS = 2 ** 20
 
 
 class Solidity(enum.Enum):
@@ -476,15 +479,25 @@ class SolidityWitness:
     method: str
 
 
-def _verify_witness(X, Y, constraints):
-    ok, _ = check_clearing(Y)
-    if not ok:
-        return False
-    rows = [share.values[None, :] for share in Y.shares]
-    if feasible_mask(rows, Y.aggregate.values, Y.space.probs, constraints)[0]:
-        return False
-    return bool(convex_order_mask(Y.share_matrix(), Y.space.probs,
-                                  X.share_matrix(), X.space.probs).all())
+def _witness_mask(Y, X, s_values, probs, constraints):
+    """Rows of Y (candidates x agents x atoms) that witness against the
+    allocation X (agents x atoms): the row clears s_values within
+    VALUE_TOL * value_scale(s_values), is infeasible, and each of its shares
+    precedes X's in convex order.  Each check runs only on the rows that
+    passed the ones before it."""
+    n, m = X.shape
+    hit = (np.abs(Y.sum(axis=1) - s_values).max(axis=1)
+           <= VALUE_TOL * value_scale(s_values))
+    rows = np.flatnonzero(hit)
+    if rows.size:
+        hit[rows] = ~feasible_mask(list(Y[rows].transpose(1, 0, 2)), s_values,
+                                   probs, constraints)
+        rows = rows[hit[rows]]
+    if rows.size:
+        hit[rows] = convex_order_mask(Y[rows].reshape(-1, m), probs,
+                                      np.tile(X, (rows.size, 1)),
+                                      probs).reshape(-1, n).all(axis=1)
+    return hit
 
 
 def _feasible_seed(constraints, space, S):
@@ -523,16 +536,78 @@ def _feasible_seed(constraints, space, S):
     return None
 
 
+def _transfer_witness(base, s_values, probs, constraints, budget, seed):
+    """Stage 3 of falsify_solidity from the start share matrix base (agents
+    x atoms): the first verified candidate's share matrix, or None.
+
+    Each block of chains runs in lockstep, one lane per chain, and every
+    step draws all its lanes with one integers and one uniform call.  A
+    block's candidates are verified together, so the search stops at the
+    first block that holds a witness."""
+    n, m = base.shape
+    if n < 2 or m < 2:
+        return None
+    rng = np.random.default_rng(seed)
+    min_gap = VALUE_TOL * value_scale(s_values)
+    length = FALSIFY_CHAIN_LIMIT
+    lanes = max(1, _BLOCK_CELLS // (length * n * m))
+    for first in range(0, -(-budget // length), lanes):
+        # lane c runs chain first + c; only the search's last chain can be
+        # short, so the lanes still drawing at a step are a prefix
+        block_draws = min(lanes * length, budget - first * length)
+        width = -(-block_draws // length)
+        state = np.repeat(base[None], width, axis=0)
+        candidates = np.empty((width, length, n, m))
+        moved = np.zeros((width, length), dtype=bool)
+        for step in range(min(length, block_draws)):
+            live = -(-(block_draws - step) // length)
+            ijab = rng.integers(0, (n, n - 1, m, m - 1), size=(live, 4))
+            u = rng.uniform(0.25, 1.0, size=live)
+            lane = np.arange(live)
+            i, a = ijab[:, 0], ijab[:, 2]
+            j = (i + 1 + ijab[:, 1]) % n
+            b = (a + 1 + ijab[:, 3]) % m
+            gap_i = state[lane, i, a] - state[lane, i, b]
+            gap_j = state[lane, j, b] - state[lane, j, a]
+            useful = (gap_i > min_gap) & (gap_j > min_gap)
+            lane, i, j, a, b = lane[useful], i[useful], j[useful], a[useful], b[useful]
+            p_a, p_b = probs[a], probs[b]
+            # no-crossing cap keeps the step a contraction for both agents
+            down = (np.minimum(gap_i, gap_j)[useful] * p_b / (p_a + p_b)
+                    * u[useful])
+            up = down * p_a / p_b
+            state[lane, i, a] -= down
+            state[lane, i, b] += up
+            state[lane, j, a] += down
+            state[lane, j, b] -= up
+            candidates[lane, step] = state[lane]
+            moved[lane, step] = True
+        rows = candidates[moved]
+        hit = np.flatnonzero(_witness_mask(rows, base, s_values, probs, constraints))
+        if hit.size:
+            return rows[hit[0]]
+    return None
+
+
 def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     """Seeded search for a solidity counterexample.
 
     Tries, in order: the comonotonic improvement of the start allocation,
-    plain conditioning on the aggregate, then up to ``budget`` randomized
-    paired no-crossing transfers (chained, reset every FALSIFY_CHAIN_LIMIT
-    steps).  Returns a verified SolidityWitness or None; None is absence of
-    evidence, not a proof.
+    plain conditioning on the aggregate, then ``budget`` draws of random
+    paired no-crossing transfers.  The draws form chains of
+    FALSIFY_CHAIN_LIMIT draws, and every chain restarts from the start:
+    draw t is step t % FALSIFY_CHAIN_LIMIT of chain t // FALSIFY_CHAIN_LIMIT.
+    A draw moves its chain only when both of its gaps are positive, and
+    every moved state is a candidate; the first verified candidate in this
+    chain-major draw order is returned.  Returns a verified SolidityWitness
+    or None; None is absence of evidence, not a proof.
     """
     _require_space(constraints, space)
+    if start is not None:
+        if start.space != space:
+            raise ValidationError("start allocation must live on the problem's space")
+        if not np.array_equal(start.aggregate.values, S.values):
+            raise ValidationError("start allocation's aggregate must be S")
     X = start if start is not None else _feasible_seed(constraints, space, S)
     if X is None:
         return None
@@ -543,45 +618,21 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     if not feasible:
         raise ValidationError("start allocation must be feasible")
 
+    base = X.share_matrix()
+    probs = space.probs
+
+    def verified(Y):
+        return _witness_mask(Y.share_matrix()[None], base, S.values, probs, constraints)[0]
+
     improved, _cert = comonotonic_improvement(X)
-    if _verify_witness(X, improved, constraints):
+    if verified(improved):
         return SolidityWitness(X, improved, "comonotonic improvement")
     conditioned = condition_on_aggregate(X)
-    if _verify_witness(X, conditioned, constraints):
+    if verified(conditioned):
         return SolidityWitness(X, conditioned, "aggregate conditioning")
 
-    n = X.n_agents
-    m = space.size
-    if n < 2 or m < 2:
+    rows = _transfer_witness(base, S.values, probs, constraints, budget, seed)
+    if rows is None:
         return None
-    rng = np.random.default_rng(seed)
-    probs = space.probs
-    min_gap = VALUE_TOL * value_scale(S.values)
-    base = [share.values.copy() for share in X.shares]
-    values = [v.copy() for v in base]
-    chain = 0
-    for _ in range(budget):
-        if chain >= FALSIFY_CHAIN_LIMIT:
-            values = [v.copy() for v in base]
-            chain = 0
-        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
-        a, b = (int(k) for k in rng.choice(m, size=2, replace=False))
-        gap_i = values[i][a] - values[i][b]
-        gap_j = values[j][b] - values[j][a]
-        if gap_i <= min_gap or gap_j <= min_gap:
-            continue
-        p_a, p_b = float(probs[a]), float(probs[b])
-        # no-crossing cap keeps the step a contraction for both agents
-        cap = min(gap_i, gap_j) * p_b / (p_a + p_b)
-        down = cap * rng.uniform(0.25, 1.0)
-        up = down * p_a / p_b
-        values[i][a] -= down
-        values[i][b] += up
-        values[j][a] += down
-        values[j][b] -= up
-        chain += 1
-        candidate = Allocation(
-            space, tuple(RandomVariable(space, v.copy()) for v in values), S)
-        if _verify_witness(X, candidate, constraints):
-            return SolidityWitness(X, candidate, "paired transfers")
-    return None
+    reduction = Allocation(space, tuple(RandomVariable(space, v) for v in rows), S)
+    return SolidityWitness(X, reduction, "paired transfers")

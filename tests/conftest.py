@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import coshare.constraints as constraints_module
 from coshare import (
     Allocation,
     Constraint,
@@ -26,9 +27,13 @@ from coshare import (
     comonotone_minimize,
     distribution_of,
     grid_minimize,
+    check_clearing,
+    check_feasible,
+    convex_order_leq,
     var_scenario,
 )
 from coshare.allocation import LEVEL_GAP_EPS, MAX_TRANSFERS
+from coshare.constraints import FALSIFY_CHAIN_LIMIT
 from coshare.errors import ContractError, NonterminationError
 from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, VALUE_TOL, value_scale
 
@@ -151,8 +156,9 @@ def rng():
 
 # Scalar reference evaluators: the per-atom loops that the batch kernels
 # (riskmeasures.measure_values, probspace.level_partition,
-# stochorder.convex_order_mask) replaced, and the numpy pair loop that the
-# improvement's scalar repair replaced.  The library is checked against these
+# stochorder.convex_order_mask) replaced, the numpy pair loop that the
+# improvement's scalar repair replaced, and the falsifier's transfer stage one
+# lane at a time.  The library is checked against these
 # on seeded inputs.  They group atoms into levels with their own loop, so a
 # fault in the library's partition cannot pass on both sides.
 
@@ -298,6 +304,55 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
             return x, transfers
 
 
+def reference_transfers(X, constraints, budget, seed):
+    """Stage 3 of falsify_solidity from the start X, one lane at a time: the
+    share matrix of the first verified candidate, or None.  It makes the
+    library's rng calls per block and step, moves each chain in Python
+    floats, and checks each candidate on its own with check_clearing,
+    check_feasible and convex_order_leq."""
+    space, S = X.space, X.aggregate
+    n, m = X.n_agents, space.size
+    if n < 2 or m < 2:
+        return None
+    p = space.probs.tolist()
+    rng = np.random.default_rng(seed)
+    min_gap = VALUE_TOL * value_scale(S.values)
+    length = FALSIFY_CHAIN_LIMIT
+    # read at call time, so a test that shrinks the blocks shrinks both sides
+    lanes = max(1, constraints_module._BLOCK_CELLS // (length * n * m))
+    chains = -(-budget // length)
+    for first in range(0, chains, lanes):
+        block = range(first, min(first + lanes, chains))
+        states = [X.share_matrix().tolist() for _ in block]
+        moved = [[] for _ in block]
+        for step in range(length):
+            live = [c for c, chain in enumerate(block) if chain * length + step < budget]
+            if not live:
+                break
+            ijab = rng.integers(0, (n, n - 1, m, m - 1), size=(len(live), 4))
+            u = rng.uniform(0.25, 1.0, size=len(live))
+            for c, (i, dj, a, db), uc in zip(live, ijab.tolist(), u.tolist()):
+                j, b = (i + 1 + dj) % n, (a + 1 + db) % m
+                x = states[c]
+                gap_i = x[i][a] - x[i][b]
+                gap_j = x[j][b] - x[j][a]
+                if gap_i <= min_gap or gap_j <= min_gap:
+                    continue
+                down = min(gap_i, gap_j) * p[b] / (p[a] + p[b]) * uc
+                up = down * p[a] / p[b]
+                x[i][a] -= down
+                x[i][b] += up
+                x[j][a] += down
+                x[j][b] -= up
+                moved[c].append([row[:] for row in x])
+        for rows in (rows for chain in moved for rows in chain):
+            Y = Allocation(space, tuple(RandomVariable(space, r) for r in rows), S)
+            if (check_clearing(Y)[0] and not check_feasible(Y, constraints)[0]
+                    and all(convex_order_leq(y, x) for y, x in zip(Y.shares, X.shares))):
+                return np.array(rows)
+    return None
+
+
 def draw_allocation(rng):
     """Seeded clearing allocation: n 2-8 agents on m 2-60 atoms (m drawn
     log-uniformly), uniform or Dirichlet masses, distinct or tied aggregate
@@ -339,5 +394,6 @@ def reference():
                                  convex_order=reference_convex_order,
                                  condition=reference_condition,
                                  repair=reference_repair,
+                                 transfers=reference_transfers,
                                  draw=draw_variable,
                                  draw_allocation=draw_allocation)

@@ -1,6 +1,8 @@
 """Constraint grammar, feasibility reports, and solidity classification."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +34,11 @@ from coshare import (
     expected_convex_loss,
     falsify_solidity,
     moments,
+    var,
 )
-from coshare.constraints import _check_envelope_coverage, _pl_eval, feasible_mask
+import coshare.constraints as constraints_module
+from coshare.constraints import (FALSIFY_CHAIN_LIMIT, _check_envelope_coverage,
+                                 _pl_eval, _transfer_witness, feasible_mask)
 
 
 def alloc(probs, *share_rows, aggregate=None):
@@ -484,3 +489,173 @@ class TestFalsify:
         constraints = (Constraint(PathwiseBounds(lower=0.0)),)
         with pytest.raises(ValidationError, match="feasible"):
             falsify_solidity(constraints, space, S, start=start)
+
+    @pytest.mark.parametrize("kind", (PathwiseBounds(-5.0, 5.0),
+                                      RiskFloor(RiskMeasureSpec.es(0.5), -5.0)))
+    def test_start_must_live_on_the_problem(self, kind):
+        space = FiniteSpace.uniform(3)
+        S = RandomVariable(space, (0.0, 1.0, 2.0))
+        four = FiniteSpace.uniform(4)
+        X1 = RandomVariable(four, (0.0, 1.0, 0.0, 1.0))
+        elsewhere = Allocation(four, (X1, X1))
+        with pytest.raises(ValidationError, match="problem's space"):
+            falsify_solidity((Constraint(kind),), space, S, start=elsewhere)
+        Y1 = RandomVariable(space, (0.0, 1.0, 1.0))
+        other = Allocation(space, (Y1, Y1))
+        with pytest.raises(ValidationError, match="aggregate must be S"):
+            falsify_solidity((Constraint(kind),), space, S, start=other)
+
+
+FALSIFIER_KINDS = ("pathwise", "expectation", "orlicz", "es-ceiling",
+                   "var-ceiling", "es-floor", "retention", "envelope")
+SOLID_KINDS = FALSIFIER_KINDS[:4]
+
+
+def falsifier_case(rng, kind):
+    """(constraints, feasible start) shaped like the crosscheck benchmark's
+    solidity cases: two agents on four Dirichlet atoms, S on {0, 1, 2, 3},
+    one of the eight kinds.  Every bound but retention's sits within 0.01
+    of the start's value, so that transfers often breach the NotSolid
+    kinds."""
+    m = 4
+    probs = rng.dirichlet(np.ones(m) * 2.0)
+    s = rng.choice([0.0, 1.0, 2.0, 3.0], size=m)
+    s[0], s[-1] = 0.0, 3.0
+    x0 = s * rng.uniform(0.2, 0.8) + rng.normal(scale=1.0, size=m)
+    start = alloc(probs, x0, s - x0, aggregate=s)
+    X0 = start.shares[0]
+    slack = rng.uniform(0.0, 0.01)
+    level = float(rng.uniform(0.3, 0.8))
+    if kind == "pathwise":
+        rows = start.share_matrix()
+        kinds = (PathwiseBounds(rows.min() - slack, rows.max() + slack),)
+    elif kind == "expectation":
+        kinds = (ExpectationConstraint("<=", float(probs @ x0) + slack),)
+    elif kind == "orlicz":
+        ladder = (0.5, 1.5, float(rng.uniform(-0.5, 0.5)), 1.0)
+        kinds = (OrliczBound(ladder, expected_convex_loss(X0, ladder) + slack),)
+    elif kind == "es-ceiling":
+        kinds = (RiskCeiling(RiskMeasureSpec.es(level), es(X0, level) + slack),)
+    elif kind == "var-ceiling":
+        kinds = (RiskCeiling(RiskMeasureSpec.var(level), var(X0, level) + slack),)
+    elif kind == "es-floor":
+        kinds = (RiskFloor(RiskMeasureSpec.es(level), es(X0, level) - slack),)
+    elif kind == "retention":
+        zeta = rng.integers(0, 2, size=(2, m)).astype(float)
+        zeta[:, 0], zeta[:, -1] = 0.0, 1.0
+        start = alloc(probs, *zeta)
+        kinds = tuple(IdiosyncraticRetention(z, 1.0) for z in start.shares)
+    else:  # an upper envelope steeper than the aggregate
+        top = float(np.max(x0)) + slack
+        kinds = (AggregateEnvelope(((0.0, -10.0), (3.0, -10.0)),
+                                   ((0.0, top), (1.0, top), (2.0, top + 2.5),
+                                    (3.0, top + 2.5))),)
+    return tuple(Constraint(k, scope=i) for i, k in enumerate(kinds)), start
+
+
+def transfer_stage(X, constraints, budget, seed):
+    return _transfer_witness(X.share_matrix(), X.aggregate.values, X.space.probs,
+                             constraints, budget, seed)
+
+
+class TestTransferStage:
+    # three chains per block on these cases, so searches cross blocks
+    SMALL_BLOCKS = 3 * 2 * 4 * FALSIFY_CHAIN_LIMIT
+
+    def test_witness_mask_applies_every_check(self):
+        # agent 0's ES at 1/2 must stay at or above 1.9 on two equal atoms;
+        # a transfer never builds the last two rows, so the reference
+        # comparison cannot reach their checks
+        X = alloc((0.5, 0.5), (-1.0, 2.0), (1.0, 0.0))
+        constraints = (Constraint(RiskFloor(RiskMeasureSpec.es(0.5), 1.9), scope=0),)
+        Y = np.array([X.share_matrix(),             # feasible
+                      [[-0.5, 1.5], [0.5, 0.5]],    # an infeasible reduction
+                      [[0.0, 1.5], [0.0, 0.5]],     # infeasible, moves the means
+                      [[-0.5, 1.5], [0.6, 0.4]]])   # reductions that do not clear
+        mask = constraints_module._witness_mask(Y, X.share_matrix(), X.aggregate.values,
+                                                X.space.probs, constraints)
+        assert mask.tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("cells", (None, SMALL_BLOCKS))
+    def test_matches_scalar_reference(self, reference, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(constraints_module, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(13)
+        witnesses = 0
+        for trial in range(304):
+            kind = FALSIFIER_KINDS[trial % len(FALSIFIER_KINDS)]
+            constraints, X = falsifier_case(rng, kind)
+            budget = int(rng.integers(0, 400))
+            expected = reference.transfers(X, constraints, budget, trial)
+            got = transfer_stage(X, constraints, budget, trial)
+            if expected is None:
+                assert got is None, (trial, kind)
+            else:
+                assert kind not in SOLID_KINDS
+                assert np.array_equal(got, expected), (trial, kind)
+                witnesses += 1
+            witness = falsify_solidity(constraints, X.space, X.aggregate,
+                                       budget=budget, seed=trial, start=X)
+            if witness is None:
+                assert expected is None
+            elif witness.method == "paired transfers":
+                assert np.array_equal(witness.reduction.share_matrix(), expected)
+        assert witnesses >= 40
+
+    @pytest.mark.parametrize("cells", (None, SMALL_BLOCKS))
+    def test_edge_budgets(self, reference, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(constraints_module, "_BLOCK_CELLS", cells)
+        L = FALSIFY_CHAIN_LIMIT
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for trial in range(40):
+            constraints, X = falsifier_case(rng, ("var-ceiling", "es-floor")[trial % 2])
+            for budget in (0, 1, L - 1, L, L + 1, 3 * L + 5, 7 * L):
+                expected = reference.transfers(X, constraints, budget, trial)
+                got = transfer_stage(X, constraints, budget, trial)
+                if budget == 0:
+                    assert got is None
+                if expected is None:
+                    assert got is None, (trial, budget)
+                else:
+                    assert np.array_equal(got, expected), (trial, budget)
+                outcomes.add((budget, expected is None))
+        # a budget short of one chain, just past it and past three chains
+        # each both finds and misses a witness
+        assert {(b, f) for b in (L - 1, L + 1, 3 * L + 5) for f in (True, False)} <= outcomes
+
+    def test_memory_does_not_grow_with_budget(self, monkeypatch):
+        # a Solid set: every one of the 10^4 draws is searched.  Kept as one
+        # array, its 2,600 candidates of 8 x 4000 cells would take 670 MB
+        rng = np.random.default_rng(0)
+        n, m = 8, 4000
+        rows = rng.normal(size=(n, m))
+        # S on four levels keeps stages 1 and 2 quick at this size
+        rows[-1] = rng.integers(0, 4, size=m) - rows[:-1].sum(axis=0)
+        X = alloc(rng.dirichlet(np.ones(m)), *rows)
+        constraints = (Constraint(PathwiseBounds(rows.min(), rows.max())),)
+        blocks = []
+        mask = constraints_module._witness_mask
+
+        def counted(Y, *args):
+            blocks.append(Y.shape[0])
+            return mask(Y, *args)
+
+        monkeypatch.setattr(constraints_module, "_witness_mask", counted)
+        lanes = constraints_module._BLOCK_CELLS // (FALSIFY_CHAIN_LIMIT * n * m)
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            witness = falsify_solidity(constraints, X.space, X.aggregate,
+                                       budget=10 ** 4, start=X)
+            elapsed = time.perf_counter() - began
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert witness is None
+        # stages 1 and 2, then every block of chains
+        assert len(blocks) == 2 + -(-10 ** 4 // (FALSIFY_CHAIN_LIMIT * lanes))
+        assert sum(blocks[2:]) > 10 ** 3
+        assert peak < 64 * 2 ** 20
+        assert elapsed < 60.0
