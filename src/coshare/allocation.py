@@ -87,7 +87,7 @@ class Allocation:
         return len(self.shares)
 
     def share_matrix(self):
-        return np.vstack([share.values for share in self.shares])
+        return np.array([share.values for share in self.shares])
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def check_clearing(A):
     """(clears, worst atom residual) for sum_i X_i = S; clears means a
     residual within VALUE_TOL * value_scale(S)."""
     S_values = A.aggregate.values
-    residual = float(np.max(np.abs(A.share_matrix().sum(axis=0) - S_values)))
+    residual = float(np.abs(A.share_matrix().sum(axis=0) - S_values).max())
     return residual <= VALUE_TOL * value_scale(S_values), residual
 
 
@@ -187,7 +187,7 @@ def condition_on_aggregate(A):
     return Allocation(A.space, tuple(RandomVariable(A.space, v) for v in values), A.aggregate)
 
 
-def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
+def comonotonic_improvement(A, measures=None):
     """Comonotonic allocation dominating A componentwise in convex order.
 
     Returns (improved allocation, certificate).  The output clears S, passes
@@ -212,6 +212,7 @@ def comonotonic_improvement(A, measures=None, max_transfers=MAX_TRANSFERS):
     cols = x.T.tolist()
 
     partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
+    max_transfers = MAX_TRANSFERS  # read once per call; a local in the loop
     transfers = 0
     changed = True
     while changed:

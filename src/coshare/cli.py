@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -53,8 +54,6 @@ from .probspace import VALUE_TOL, FiniteSpace, RandomVariable
 from .riskmeasures import RiskMeasureSpec, evaluate
 
 SCHEMA_VERSION = 1
-_TASK_KINDS = ("solve-mv", "improve", "oracle", "check-solidity", "reproduce")
-_REPRODUCE_CASES = ("ex-3.1", "ex-4.2", "ex-4.3", "fig-6.3", "sec-6.4")
 
 
 class ReproduceMismatch(CoshareError):
@@ -571,12 +570,14 @@ def _task_oracle(problem, args):
              "oracle: every agent needs a measure")
     tol = VALUE_TOL if args.tol is None else args.tol
     _require(math.isfinite(tol) and tol >= 0, "--tol: expected a nonnegative finite number")
+    comonotone = task.get("comonotone", False)
+    _require(isinstance(comonotone, bool), "task.comonotone: expected true or false")
     grid = _parse_grid(task)
-    minimize = comonotone_minimize if task.get("comonotone") else grid_minimize
+    minimize = comonotone_minimize if comonotone else grid_minimize
     allocation, value = minimize(space, S, tuple(measures),
                                  tuple(problem["constraints"]), grid, tol=tol)
     return {
-        "comonotone": bool(task.get("comonotone")),
+        "comonotone": comonotone,
         "value": value,
         "objective_parts": [evaluate(m, X) for m, X in zip(measures, allocation.shares)],
         "tables": {"allocation": _allocation_table(allocation)},
@@ -601,6 +602,10 @@ def _task_check_solidity(problem, args):
             seed = _parse_count(args.seed, "--seed", failures)
         budget = _parse_count(task.get("budget", 10 ** 4), "task.budget", failures)
         rows = _parse_rows(task["start"], "task.start", failures) if "start" in task else []
+        for k, row in enumerate(rows):
+            if row and len(row) != space.size:  # an empty row failed to parse
+                failures.append(f"task.start[{k}]: need one value per atom "
+                                f"({space.size} atoms, {len(row)} values)")
         if failures:
             raise SchemaError(failures)
         start = None
@@ -633,6 +638,8 @@ _TASKS = {
     "check-solidity": (_task_check_solidity, False),
     "reproduce": (_task_reproduce, False),
 }
+# tuples, so that membership tests compare a JSON list instead of hashing it
+_TASK_KINDS = tuple(_TASKS)
 
 
 def run_problem(path, args=None):
@@ -868,13 +875,14 @@ _REPRODUCERS = {
     "fig-6.3": _reproduce_fig63,
     "sec-6.4": _reproduce_sec64,
 }
+_REPRODUCE_CASES = tuple(_REPRODUCERS)
 
 
 def reproduce(case, out_dir="."):
     """Run one canonical case, assert its published numbers, and write the
     figure-data CSV artifacts.  Raises ReproduceMismatch when any assertion
     fails."""
-    if case not in _REPRODUCE_CASES:  # a tuple: unhashable cases compare unequal
+    if case not in _REPRODUCE_CASES:
         raise SchemaError([f"unknown reproduce case {case!r}; "
                            f"choose from {_REPRODUCE_CASES}"])
     body, checks = _REPRODUCERS[case]()
@@ -901,6 +909,7 @@ def reproduce(case, out_dir="."):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # parse_args leaves the parser unchanged; build it once
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coshare",

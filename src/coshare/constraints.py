@@ -450,8 +450,7 @@ def check_feasible(A, constraints):
 
 def classify_constraint(constraint):
     """Per-member verdict; see classify_solidity for the set-level meet."""
-    kind = constraint.kind if isinstance(constraint, Constraint) else constraint
-    return kind.solidity()
+    return _kind_of(constraint).solidity()
 
 
 def classify_solidity(constraints):
@@ -501,38 +500,25 @@ def _witness_mask(Y, X, s_values, probs, constraints):
 
 
 def _feasible_seed(constraints, space, S):
-    n = 0
-    for c in constraints:
-        if c.scope is not None:
-            n = max(n, c.scope + 1)
-    n = max(n, 2)
-    candidates = []
-    retained = {}
-    for c in constraints:
-        if isinstance(c.kind, IdiosyncraticRetention) and c.scope is not None:
-            retained[c.scope] = c.kind.endowment
-    if retained:
-        free = [i for i in range(n) if i not in retained]
-        residual = S.values - sum(z.values for z in retained.values())
-        values = []
-        for i in range(n):
-            if i in retained:
-                values.append(retained[i].values.copy())
-            else:
-                values.append(residual / len(free))
-        # with no free agent this is pure autarky; the clearing filter
-        # below rejects it unless the endowments already sum to S
-        candidates.append(values)
-    candidates.append([S.values / n for _ in range(n)])
-    for values in candidates:
-        shares = tuple(RandomVariable(space, v) for v in values)
-        A = Allocation(space, shares, S)
-        ok, _ = check_clearing(A)
-        if not ok:
-            continue
-        feasible, _ = check_feasible(A, constraints)
-        if feasible:
-            return A
+    """The start of a search without one: every agent under a scoped
+    retention keeps its endowment and the others split the residual evenly.
+    None when no retention is scoped, or when that allocation does not clear
+    or is infeasible.  (Without a retention the candidate would be the even
+    split S/n, which is comonotone: no search stage moves it.)"""
+    retained = {c.scope: c.kind.endowment for c in constraints
+                if isinstance(c.kind, IdiosyncraticRetention) and c.scope is not None}
+    if not retained:
+        return None
+    n = max(2, *(c.scope + 1 for c in constraints if c.scope is not None))
+    free = [i for i in range(n) if i not in retained]
+    residual = S.values - sum(z.values for z in retained.values())
+    # with no free agent this is pure autarky, rejected below unless the
+    # endowments already sum to S
+    values = [retained[i].values.copy() if i in retained else residual / len(free)
+              for i in range(n)]
+    A = Allocation(space, tuple(RandomVariable(space, v) for v in values), S)
+    if check_clearing(A)[0] and check_feasible(A, constraints)[0]:
+        return A
     return None
 
 
@@ -600,7 +586,8 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     A draw moves its chain only when both of its gaps are positive, and
     every moved state is a candidate; the first verified candidate in this
     chain-major draw order is returned.  Returns a verified SolidityWitness
-    or None; None is absence of evidence, not a proof.
+    or None; None is absence of evidence, not a proof.  Without a start,
+    only a set with a scoped retention is searched, from _feasible_seed.
     """
     _require_space(constraints, space)
     if start is not None:

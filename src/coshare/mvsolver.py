@@ -468,7 +468,7 @@ def _as_fraction(x, name):
     return Fraction(x)
 
 
-def saturation_curve(delta, upper, intercepts=None):
+def saturation_curve(delta, upper):
     """Zero-intercept clipped quota-share curve in exact rational arithmetic.
 
     Agents share s proportionally until each hits its upper cap, after which
@@ -487,19 +487,13 @@ def saturation_curve(delta, upper, intercepts=None):
         raise ValidationError("one upper cap per agent")
     caps = [math.inf if u == math.inf else _as_fraction(u, "upper cap")
             for u in upper]
-    if intercepts is None:
-        c = [Fraction(0)] * n
-    else:
-        if len(intercepts) != n:
-            raise ValidationError("one intercept per agent")
-        c = [_as_fraction(v, "intercept") for v in intercepts]
-    if any(cap <= ci for cap, ci in zip(caps, c)):
-        raise ValidationError("every finite cap must exceed its intercept")
+    if any(cap <= 0 for cap in caps):
+        raise ValidationError("every cap must be positive")
 
     deltas = np.array(deltas, dtype=object)
     with np.errstate(invalid="ignore"):  # the nan kinks of tiny weights
         report = _regimes_from_intercepts(
-            np.array(c, dtype=object), deltas, 1 / deltas,
+            np.array([Fraction(0)] * n, dtype=object), deltas, 1 / deltas,
             np.full(n, -math.inf, dtype=object),
             np.array(caps, dtype=object), residual=0.0, iterations=0)
     if math.inf not in caps:
@@ -617,7 +611,7 @@ def _four_regime_pieces(m, lam, q, ceiling):
     )
 
 
-def var_scenario(delta=(0.01, 1.0), var_level=0.95, ceiling=3.0):
+def var_scenario():
     """The two-agent VaR-ceiling scenario on the Gamma(2,1) aggregate.
 
     Fixed-parameter reproduction: delta = (1/100, 1), level 0.95, ceiling 3.
@@ -627,25 +621,14 @@ def var_scenario(delta=(0.01, 1.0), var_level=0.95, ceiling=3.0):
     """
     from scipy.optimize import minimize_scalar  # lazily, as in gamma_quantile
 
-    deltas = _positive_deltas(delta)
-    if len(deltas) != 2:
-        raise ValidationError("the scenario has exactly two agents")
-    d1, d2 = deltas
-    var_level = float(var_level)
-    ceiling = float(ceiling)
-    if not 0.0 < var_level < 1.0:
-        raise DomainError("var level must lie in (0,1)")
-    if ceiling <= 0.0:
-        raise DomainError("ceiling must be positive")
-
+    d1, d2 = 0.01, 1.0
+    var_level = 0.95
+    ceiling = 3.0
     lam = d1 / (d1 + d2)
-    gamma = GammaAggregate()
-    q = gamma_quantile(gamma, var_level)
+    q = gamma_quantile(GammaAggregate(), var_level)
 
-    # exact rational values where the inputs are exact: the proportional
-    # optimum and autarky
-    d1_frac = Fraction(1, 100) if abs(d1 - 0.01) < 1e-15 else Fraction(d1)
-    d2_frac = Fraction(1) if d2 == 1.0 else Fraction(d2)
+    # exact rational values: the proportional optimum and autarky
+    d1_frac, d2_frac = Fraction(1, 100), Fraction(1)
     lam_frac = d1_frac / (d1_frac + d2_frac)
     unconstrained = float(
         2 + 2 * (d1_frac * (1 - lam_frac) ** 2 + d2_frac * lam_frac ** 2))
@@ -657,8 +640,6 @@ def var_scenario(delta=(0.01, 1.0), var_level=0.95, ceiling=3.0):
         return 2.0 + d1 * var_rest + d2 * var_f
 
     m_hi = (1.0 - lam) * q - ceiling
-    if m_hi <= 0.0:
-        raise DomainError("ceiling too large for a four-regime rule")
     result = minimize_scalar(
         constrained_value, bounds=(1e-9, m_hi - 1e-9), method="bounded",
         options={"xatol": 1e-10})

@@ -3,8 +3,7 @@
 Everything downstream (orders, risk measures, allocations, oracles) runs on
 :class:`FiniteSpace` and :class:`RandomVariable`.  The only continuous object
 in the library is :class:`GammaAggregate`, the aggregate-loss distribution of
-the two-agent value-at-risk scenario, which is handled analytically and via
-:func:`discretize_gamma`.
+the two-agent value-at-risk scenario, which is handled analytically.
 
 Conventions fixed here and used throughout:
 
@@ -53,7 +52,7 @@ class FiniteSpace:
         if len(set(labels)) != len(labels):
             raise ValidationError("atom labels must be unique")
         probs = np.array([float(p) for _, p in atoms], dtype=float)
-        if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
+        if not np.isfinite(probs).all() or (probs <= 0.0).any():
             raise ValidationError("atom probabilities must be finite and strictly positive")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -63,11 +62,11 @@ class FiniteSpace:
         self.probs = probs
 
     @classmethod
-    def uniform(cls, n, prefix="w"):
-        """n equally likely atoms labelled prefix+index."""
+    def uniform(cls, n):
+        """n equally likely atoms labelled w0, w1, ..."""
         if n < 1:
             raise ValidationError("need at least one atom")
-        return cls((f"{prefix}{k}", 1.0 / n) for k in range(n))
+        return cls((f"w{k}", 1.0 / n) for k in range(n))
 
     @property
     def size(self):
@@ -77,6 +76,8 @@ class FiniteSpace:
         return len(self.labels)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         return self.labels == other.labels and np.array_equal(self.probs, other.probs)
@@ -107,7 +108,7 @@ class RandomVariable:
             raise ValidationError(
                 f"values shape {values.shape} does not match atom count {space.size}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationError("values must all be finite")
         values.setflags(write=False)
         self.space = space
@@ -154,25 +155,10 @@ class RandomVariable:
 class GammaAggregate:
     """Gamma(2,1) aggregate loss: cdf(q) = 1 - (1+q)e^{-q} on q >= 0."""
 
-    shape: int = 2
-    rate: int = 1
-
-    def __post_init__(self):
-        if self.shape != 2 or self.rate != 1:
-            raise ValidationError("only the Gamma(2,1) aggregate is supported")
-
     def cdf(self, q):
         if q <= 0.0:
             return 0.0
         return 1.0 - (1.0 + q) * math.exp(-q)
-
-    @property
-    def mean(self):
-        return 2.0
-
-    @property
-    def variance(self):
-        return 2.0
 
 
 LevelPartition = namedtuple("LevelPartition", "order starts level_of masses")
@@ -185,19 +171,19 @@ def level_partition(values, probs):
     those within VALUE_MERGE_TOL of its first value; level_of[a] is the level
     of atom a, and masses[k] the numpy sum of level k's probs in that order."""
     order = np.argsort(values, kind="stable")
-    starts, first = [], None
+    bounds, first = [], None
     for pos, v in enumerate(values[order].tolist()):
-        if starts and v - first <= VALUE_MERGE_TOL:
+        if bounds and v - first <= VALUE_MERGE_TOL:
             continue
-        starts.append(pos)
+        bounds.append(pos)
         first = v
-    starts = np.array(starts, dtype=np.intp)
-    sizes = np.diff(starts, append=order.size)
+    bounds = np.array(bounds + [order.size], dtype=np.intp)
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     level_of = np.empty_like(order)
     level_of[order] = np.repeat(np.arange(starts.size), sizes)
     masses = probs[order[starts]]
-    for k in np.flatnonzero(sizes > 1):
-        masses[k] = probs[order[starts[k]:starts[k] + sizes[k]]].sum()
+    for k in (sizes > 1).nonzero()[0].tolist():
+        masses[k] = probs[order[bounds[k]:bounds[k + 1]]].sum()
     return LevelPartition(order, starts, level_of, masses)
 
 
@@ -235,15 +221,3 @@ def gamma_quantile(g, u):
         hi *= 2.0
     return float(brentq(lambda q: g.cdf(q) - u, 0.0, hi, xtol=GAMMA_ROOT_TOL))
 
-
-def discretize_gamma(g, n):
-    """Equal-mass midpoint-quantile discretization of the Gamma(2,1) law.
-
-    Atom k (k = 1..n) carries the quantile at level (k - 1/2)/n with
-    probability 1/n.  Deterministic: no sampling involved.
-    """
-    if n < 2:
-        raise DomainError("discretization needs at least 2 atoms")
-    space = FiniteSpace.uniform(n, prefix="g")
-    values = [gamma_quantile(g, (k - 0.5) / n) for k in range(1, n + 1)]
-    return space, RandomVariable(space, values)

@@ -6,6 +6,7 @@ criterion.  Expensive pipelines (the 1.19M-point grid of the four-atom
 example, the Gamma(2,1) scenario) run once per session here.
 """
 
+import gc
 import time
 import types
 
@@ -59,6 +60,13 @@ settings.load_profile("coshare")
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(num, title): acceptance criterion test")
+
+
+def pytest_collection_finish(session):
+    # what exists once the tests are collected (modules, hypothesis, pytest's
+    # own state) lives for the whole run: frozen, full collections skip it
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.hookimpl(hookwrapper=True)

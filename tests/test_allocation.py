@@ -19,6 +19,7 @@ from coshare import (
     is_comonotonic,
     moments,
 )
+import coshare.allocation as allocation_module
 
 RESIDUAL_TOL = 1e-9
 
@@ -28,6 +29,13 @@ def alloc(probs, *share_rows, aggregate=None):
     shares = tuple(RandomVariable(sp, row) for row in share_rows)
     agg = RandomVariable(sp, aggregate) if aggregate is not None else None
     return Allocation(sp, shares, aggregate=agg)
+
+
+def capped_improvement(A, cap):
+    """comonotonic_improvement(A) with its transfer cap set to cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation_module, "MAX_TRANSFERS", cap)
+        return comonotonic_improvement(A)
 
 
 @pytest.fixture
@@ -235,7 +243,7 @@ class TestImprovement:
 
     def test_transfer_cap(self, three_state, rng, reference):
         with pytest.raises(NonterminationError):
-            comonotonic_improvement(three_state, max_transfers=0)
+            capped_improvement(three_state, 0)
         # the cap's state is the level matrix right after transfer cap + 1
         checked = 0
         while checked < 20:
@@ -245,7 +253,7 @@ class TestImprovement:
                 continue
             for cap in {0, cert.transfers // 2, cert.transfers - 1}:
                 with pytest.raises(NonterminationError) as got:
-                    comonotonic_improvement(A, max_transfers=cap)
+                    capped_improvement(A, cap)
                 with pytest.raises(NonterminationError) as want:
                     reference.repair(A, max_transfers=cap)
                 assert got.value.state["transfers"] == cap + 1
@@ -255,7 +263,7 @@ class TestImprovement:
 
     def test_comonotone_input_needs_no_transfer(self):
         A = alloc((0.25,) * 4, (0.0, 1.0, 1.0, 2.0), (1.0, 1.5, 1.5, 4.0))
-        improved, cert = comonotonic_improvement(A, max_transfers=0)
+        improved, cert = capped_improvement(A, 0)
         assert cert.transfers == 0
         assert np.array_equal(improved.share_matrix(), A.share_matrix())
 

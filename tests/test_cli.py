@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +348,13 @@ class TestEmission:
             emit_report({}, "yaml")
 
 
+@pytest.fixture(scope="class")
+def fuzz_dir(tmp_path_factory):
+    """The working directory of every fuzz example: each writes its document
+    and report over the last one's, and no run reads a file it did not write."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         assert main(["run", str(write(tmp_path, "p.json", improve_doc())),
@@ -481,6 +487,26 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("value", ("false", "true", 0, 1, None, [True]))
+    def test_comonotone_flag_must_be_boolean(self, tmp_path, capsys, value):
+        doc = oracle_doc()
+        doc["task"]["comonotone"] = value
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: task.comonotone: expected true or false\n"
+        doc["task"]["comonotone"] = True
+        assert run_problem(write(tmp_path, "p.json", doc))["comonotone"] is True
+
+    def test_start_rows_need_one_value_per_atom(self, tmp_path, capsys):
+        doc = solidity_doc()
+        doc["task"]["start"][1] = [0, 1, 0]
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: task.start[1]: need one value per atom (4 atoms, 3 values)\n")
+
     def test_convergence_error_reports_residual(self, tmp_path, capsys, monkeypatch):
         def stalled(problem):
             raise ConvergenceError("intercept fixed point did not converge",
@@ -501,8 +527,8 @@ class TestMain:
             "error: transfer cap 10 exceeded (transfers 11)\n")
 
     @settings(max_examples=1000)
-    @given(st.data())
-    def test_mutated_documents_exit_cleanly(self, data):
+    @given(data=st.data())
+    def test_mutated_documents_exit_cleanly(self, fuzz_dir, data):
         # one node of a valid document replaced by a value of another shape:
         # the CLI answers with a documented exit code, never a traceback
         doc_fn = data.draw(st.sampled_from(FUZZ_DOCS))
@@ -510,15 +536,14 @@ class TestMain:
         value = data.draw(st.sampled_from(FUZZ_VALUES))
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)  # reproduce tasks write their CSV files here
-            try:
-                with open("p.json", "w", encoding="utf-8") as fh:
-                    json.dump(mutated(doc_fn, path, value), fh)
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["p.json", "--out", "report.json"])
-            finally:
-                os.chdir(cwd)
+        os.chdir(fuzz_dir)  # reproduce tasks write their CSV files here
+        try:
+            with open("p.json", "w", encoding="utf-8") as fh:
+                json.dump(mutated(doc_fn, path, value), fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["p.json", "--out", "report.json"])
+        finally:
+            os.chdir(cwd)
         assert code in (0, 1, 2, 3)
         assert err.getvalue() == "" or err.getvalue().startswith(
             ("error:", "infeasible:", "mismatch:"))

@@ -358,7 +358,9 @@ class TestClassify:
             RiskCeiling(RiskMeasureSpec.es(0.9), 1.0),
         )
         for kind in solid:
-            assert classify_constraint(kind).status is Solidity.SOLID
+            assert classify_constraint(Constraint(kind)).status is Solidity.SOLID
+        with pytest.raises(ValidationError, match="Constraint instances"):
+            classify_constraint(solid[0])
         verdict = classify_solidity(tuple(Constraint(k) for k in solid))
         assert verdict.status is Solidity.SOLID
         assert verdict.reason == "every member is certified solid"
@@ -368,19 +370,19 @@ class TestClassify:
         assert verdict.status is Solidity.SOLID
 
     def test_var_ceiling_not_solid(self):
-        verdict = classify_constraint(RiskCeiling(RiskMeasureSpec.var(0.9), 1.0))
+        verdict = classify_constraint(Constraint(RiskCeiling(RiskMeasureSpec.var(0.9), 1.0)))
         assert verdict.status is Solidity.NOT_SOLID
         assert "not convex-order" in verdict.reason
 
     def test_floors(self):
-        assert classify_constraint(
-            RiskFloor(RiskMeasureSpec.es(0.9), 1.0)).status is Solidity.NOT_SOLID
-        assert classify_constraint(
-            RiskFloor(RiskMeasureSpec.var(0.9), 1.0)).status is Solidity.UNKNOWN
+        assert classify_constraint(Constraint(
+            RiskFloor(RiskMeasureSpec.es(0.9), 1.0))).status is Solidity.NOT_SOLID
+        assert classify_constraint(Constraint(
+            RiskFloor(RiskMeasureSpec.var(0.9), 1.0))).status is Solidity.UNKNOWN
 
     def test_retention_not_solid(self):
         zeta = RandomVariable(FiniteSpace.uniform(2), (0.0, 1.0))
-        verdict = classify_constraint(IdiosyncraticRetention(zeta, 1.0))
+        verdict = classify_constraint(Constraint(IdiosyncraticRetention(zeta, 1.0)))
         assert verdict.status is Solidity.NOT_SOLID
         assert "conditioning on the aggregate breaks the tie" in verdict.reason
 
@@ -388,12 +390,12 @@ class TestClassify:
         steep = AggregateEnvelope(
             ((1.0, 0.25), (2.0, 0.25), (3.0, 0.25)),
             ((1.0, 0.25), (2.0, 0.25), (3.0, 1.75)))
-        verdict = classify_constraint(steep)
+        verdict = classify_constraint(Constraint(steep))
         assert verdict.status is Solidity.NOT_SOLID
         assert "3/2" in verdict.reason
 
         flat = AggregateEnvelope(((0.0, 0.0), (2.0, 1.0)), ((0.0, 1.0), (2.0, 2.0)))
-        assert classify_constraint(flat).status is Solidity.UNKNOWN
+        assert classify_constraint(Constraint(flat)).status is Solidity.UNKNOWN
 
     def test_meet_picks_worst_and_names_it(self):
         verdict = classify_solidity((
@@ -441,10 +443,34 @@ class TestFalsify:
                 in messages)
 
     def test_default_seed_finds_same_witness(self):
+        # without a start, a scoped retention seeds the search with its
+        # endowments: on ex-3.1 that is autarky
         space, zeta1, zeta2, constraints = self.coin_pair()
         S = zeta1 + zeta2
+        autarky = Allocation(space, (zeta1, zeta2), S)
         witness = falsify_solidity(constraints, space, S)
-        assert witness is not None and witness.method == "comonotonic improvement"
+        want = falsify_solidity(constraints, space, S, start=autarky)
+        assert witness.method == want.method == "comonotonic improvement"
+        for got, expected in ((witness.feasible, want.feasible),
+                              (witness.reduction, want.reduction)):
+            assert np.array_equal(got.share_matrix(), expected.share_matrix())
+
+    def test_no_start_without_retention_finds_nothing(self, monkeypatch):
+        # the only start-free seed is a retention's: every other set, and the
+        # empty one, is not searched at all
+        checked = []
+        monkeypatch.setattr(constraints_module, "_witness_mask",
+                            lambda Y, *args: checked.append(Y.shape[0]))
+        rng = np.random.default_rng(7)
+        for trial in range(5 * len(FALSIFIER_KINDS)):
+            kind = FALSIFIER_KINDS[trial % len(FALSIFIER_KINDS)]
+            if kind == "retention":
+                continue
+            constraints, X = falsifier_case(rng, kind)
+            assert falsify_solidity(constraints, X.space, X.aggregate,
+                                    budget=400, seed=trial) is None, (trial, kind)
+            assert falsify_solidity((), X.space, X.aggregate) is None
+        assert checked == []
 
     def test_floor_witness(self):
         # contraction drops a consistent measure below its floor
@@ -470,7 +496,8 @@ class TestFalsify:
         space, zeta1, zeta2, constraints = self.coin_pair()
         S = zeta1 + zeta2
         autarky = Allocation(space, (zeta1, zeta2), S)
-        for other in (FiniteSpace.uniform(4, prefix="v"), FiniteSpace.uniform(3)):
+        for other in (FiniteSpace((f"v{k}", 0.25) for k in range(4)),
+                      FiniteSpace.uniform(3)):
             zeta = RandomVariable(other, np.arange(other.size, dtype=float))
             moved = (Constraint(IdiosyncraticRetention(zeta, 1.0), scope=0),)
             for start in (None, autarky):

@@ -398,13 +398,13 @@ class TestSaturationCurve:
         assert report.share_at(0, F(3)) == F(1)  # saturated curve stays flat
 
     def test_no_kink_anchor_is_exact(self):
-        report = saturation_curve((1, 2), (INF, INF), intercepts=(F(-1, 3), 0))
+        report = saturation_curve((1, 2), (INF, INF))
         assert report.breakpoints == () and report.terminal_s is None
         ((s0, shares0),) = report.anchors
-        assert type(s0) is F and s0 == F(-1, 3)
-        assert shares0 == (F(-1, 3), F(0))
+        assert type(s0) is F and s0 == 0
+        assert shares0 == (F(0), F(0)) and all(type(x) is F for x in shares0)
         assert report.slopes == ((F(2, 3), F(1, 3)),)
-        assert report.share_at(1, F(2)) == F(7, 9)
+        assert report.share_at(1, F(2)) == F(2, 3)
 
     def test_rational_below_float_range(self):
         # a weight that rounds to float 0 still has its one finite kink
@@ -418,9 +418,9 @@ class TestSaturationCurve:
             saturation_curve((1.0, math.nan), (1, 1))
         with pytest.raises(ValidationError, match="must be finite"):
             saturation_curve((1, 1), (1, 10 ** 400))
-        with pytest.raises(ValidationError,
-                           match="every finite cap must exceed its intercept"):
-            saturation_curve((1, 1), (1, 2), intercepts=(2, 0))
+        for cap in (0, -1):
+            with pytest.raises(ValidationError, match="every cap must be positive"):
+                saturation_curve((1, 1), (cap, 2))
 
 
 def reference_two_agent_fixed_point(a, C, S):

@@ -123,7 +123,8 @@ class TestGridMinimize:
         space = FiniteSpace.uniform(3)
         S = RandomVariable(space, (0.0, 1.0, 2.0))
         grid = GridSpec.uniform(1, 3, 0.0, 2.0, 0.5)
-        for other in (FiniteSpace.uniform(3, prefix="v"), FiniteSpace.uniform(4)):
+        for other in (FiniteSpace((f"v{k}", 1.0 / 3) for k in range(3)),
+                      FiniteSpace.uniform(4)):
             zeta = RandomVariable(other, np.arange(other.size, dtype=float))
             cons = (Constraint(IdiosyncraticRetention(zeta, 1.0), scope=0),)
             with pytest.raises(ValidationError, match="different space"):

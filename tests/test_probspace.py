@@ -13,7 +13,6 @@ from coshare import (
     GammaAggregate,
     RandomVariable,
     ValidationError,
-    discretize_gamma,
     distribution_of,
     gamma_quantile,
     moments,
@@ -178,9 +177,6 @@ class TestGamma:
         g = GammaAggregate()
         assert g.cdf(0.0) == 0.0 and g.cdf(-1.0) == 0.0
         assert g.cdf(50.0) == pytest.approx(1.0, abs=1e-12)
-        assert g.mean == 2.0 and g.variance == 2.0
-        with pytest.raises(ValidationError):
-            GammaAggregate(shape=3)
 
     def test_quantile_inverts_cdf(self):
         g = GammaAggregate()
@@ -195,15 +191,3 @@ class TestGamma:
         # 1 - (1+q)e^{-q} = 0.95 at q ~ 4.7439
         assert gamma_quantile(GammaAggregate(), 0.95) == pytest.approx(
             4.7439, abs=1e-3)
-
-    def test_discretization(self):
-        g = GammaAggregate()
-        sp, X = discretize_gamma(g, 400)
-        assert sp.size == 400
-        assert np.allclose(sp.probs, 1.0 / 400)
-        assert np.all(np.diff(X.values) > 0)
-        mean, var = moments(X)
-        assert mean == pytest.approx(2.0, abs=0.01)
-        assert var == pytest.approx(2.0, abs=0.1)
-        with pytest.raises(DomainError):
-            discretize_gamma(g, 1)
