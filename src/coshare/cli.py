@@ -37,10 +37,13 @@ from .constraints import (
 )
 from .errors import (
     CoshareError,
+    ContractError,
     ConvergenceError,
+    DomainError,
     InfeasibleError,
     NonterminationError,
     SchemaError,
+    ValidationError,
 )
 from .mvsolver import (
     MVProblem,
@@ -89,36 +92,43 @@ def _read_number(value):
 
 
 def _parse_number(value, path, failures, allow_inf=False):
+    """value as a float, or None with the fault recorded at path."""
     try:
         out = _read_number(value)
     except ValueError as exc:
         failures.append(f"{path}: {exc}")
-        return 0.0
+        return None
     if math.isnan(out):
         failures.append(f"{path}: NaN is not a valid number")
-    elif math.isinf(out) and not allow_inf:
+        return None
+    if math.isinf(out) and not allow_inf:
         failures.append(f"{path}: infinity not allowed here")
+        return None
     return out
 
 
 def _parse_number_list(value, path, failures, allow_inf=False):
     if not isinstance(value, list) or not value:
         failures.append(f"{path}: expected a nonempty list of numbers")
-        return []
-    return [_parse_number(v, f"{path}[{k}]", failures, allow_inf)
-            for k, v in enumerate(value)]
+        return None
+    out = [_parse_number(v, f"{path}[{k}]", failures, allow_inf)
+           for k, v in enumerate(value)]
+    return None if None in out else out
 
 
-def _parse_rows(value, path, failures):
-    """A nonempty list of nonempty number lists, such as one share per agent."""
+def _parse_rows(value, path, failures, read_row=_parse_number_list):
+    """A nonempty list of rows, such as one share per agent, each read by
+    read_row; None, with every fault recorded, if any row is faulty."""
     if not isinstance(value, list) or not value:
         failures.append(f"{path}: expected a nonempty list of number lists")
-        return []
-    return [_parse_number_list(row, f"{path}[{k}]", failures)
-            for k, row in enumerate(value)]
+        return None
+    out = [read_row(row, f"{path}[{k}]", failures) for k, row in enumerate(value)]
+    return None if any(row is None for row in out) else out
 
 
 def _parse_count(value, path, failures):
+    if isinstance(value, str):  # a number string counts as its number
+        value = _parse_number(value, path, [])
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -127,29 +137,41 @@ def _parse_count(value, path, failures):
     return value
 
 
+def _build(make, path, failures, *args):
+    """make(*args), or None when a reader has flagged an argument (None) or
+    the library rejects them; a rejection is recorded as 'path: reason'."""
+    if any(arg is None for arg in args):
+        return None
+    try:
+        return make(*args)
+    except (ValidationError, DomainError, ContractError) as exc:
+        failures.append(f"{path}: {exc}")
+        return None
+
+
+def _parse_variable(value, path, failures, space):
+    """A RandomVariable on space from one number per atom, or None with the
+    fault recorded at path; None without one when space is None."""
+    values = _parse_number_list(value, path, failures)
+    return None if space is None else _build(RandomVariable, path, failures, space, values)
+
+
 def _parse_measure(obj, path, failures):
     if not isinstance(obj, dict) or "kind" not in obj:
         failures.append(f"{path}: measure needs a 'kind'")
         return None
     kind = obj["kind"]
-    try:
-        if kind in ("var", "es"):
-            level = _parse_number(obj.get("level"), f"{path}.level", failures)
-            return RiskMeasureSpec(kind, level=level)
-        if kind == "mean_variance":
-            delta = _parse_number(obj.get("delta"), f"{path}.delta", failures)
-            return RiskMeasureSpec(kind, delta=delta)
-        if kind == "expected_convex_loss":
-            ladder = _parse_number_list(obj.get("ladder"), f"{path}.ladder", failures)
-            if len(ladder) != 4:
-                failures.append(f"{path}.ladder: need [alpha, beta, R, B]")
-                return None
-            return RiskMeasureSpec(kind, ladder=tuple(ladder))
-    except CoshareError as exc:
-        failures.append(f"{path}: {exc}")
+    if kind in ("var", "es"):
+        field, read = "level", _parse_number
+    elif kind == "mean_variance":
+        field, read = "delta", _parse_number
+    elif kind == "expected_convex_loss":
+        field, read = "ladder", _parse_number_list
+    else:
+        failures.append(f"{path}.kind: unknown measure kind {kind!r}")
         return None
-    failures.append(f"{path}.kind: unknown measure kind {kind!r}")
-    return None
+    value = read(obj.get(field), f"{path}.{field}", failures)
+    return _build(lambda v: RiskMeasureSpec(kind, **{field: v}), path, failures, value)
 
 
 def _parse_constraint(obj, path, failures, space, n_agents):
@@ -165,50 +187,38 @@ def _parse_constraint(obj, path, failures, space, n_agents):
                             "(give agents, endowments or task.start)")
         elif scope >= n_agents:
             failures.append(f"{path}.scope: expected an agent index below {n_agents}")
-    try:
-        if kind == "pathwise_bounds":
-            body = PathwiseBounds(
-                _parse_number(obj.get("lower", "-inf"), f"{path}.lower", failures, True),
-                _parse_number(obj.get("upper", "inf"), f"{path}.upper", failures, True))
-        elif kind == "expectation":
-            body = ExpectationConstraint(
-                obj.get("relation", "<="),
-                _parse_number(obj.get("bound"), f"{path}.bound", failures))
-        elif kind == "orlicz":
-            ladder = _parse_number_list(obj.get("ladder"), f"{path}.ladder", failures)
-            if len(ladder) != 4:
-                failures.append(f"{path}.ladder: need [alpha, beta, R, B]")
-                return None
-            body = OrliczBound(tuple(ladder),
-                               _parse_number(obj.get("bound"), f"{path}.bound", failures))
-        elif kind in ("risk_ceiling", "risk_floor"):
-            measure = _parse_measure(obj.get("measure"), f"{path}.measure", failures)
-            if measure is None:
-                return None
-            bound = _parse_number(obj.get("bound"), f"{path}.bound", failures)
-            body = (RiskCeiling if kind == "risk_ceiling" else RiskFloor)(measure, bound)
-        elif kind == "retention":
-            if space is None:
-                failures.append(f"{path}: retention needs a finite space")
-                return None
-            values = _parse_number_list(obj.get("endowment"), f"{path}.endowment", failures)
-            if len(values) != space.size:
-                failures.append(f"{path}.endowment: need one value per atom")
-                return None
-            body = IdiosyncraticRetention(
-                RandomVariable(space, values),
-                _parse_number(obj.get("deductible"), f"{path}.deductible", failures))
-        elif kind == "envelope":
-            body = AggregateEnvelope(
-                _parse_rows(obj.get("lower"), f"{path}.lower", failures),
-                _parse_rows(obj.get("upper"), f"{path}.upper", failures))
-        else:
-            failures.append(f"{path}.kind: unknown constraint kind {kind!r}")
+    if kind == "pathwise_bounds":
+        body = _build(PathwiseBounds, path, failures,
+                      _parse_number(obj.get("lower", "-inf"), f"{path}.lower", failures, True),
+                      _parse_number(obj.get("upper", "inf"), f"{path}.upper", failures, True))
+    elif kind == "expectation":
+        body = _build(functools.partial(ExpectationConstraint, obj.get("relation", "<=")),
+                      path, failures,
+                      _parse_number(obj.get("bound"), f"{path}.bound", failures))
+    elif kind == "orlicz":
+        body = _build(OrliczBound, path, failures,
+                      _parse_number_list(obj.get("ladder"), f"{path}.ladder", failures),
+                      _parse_number(obj.get("bound"), f"{path}.bound", failures))
+    elif kind in ("risk_ceiling", "risk_floor"):
+        body = _build(RiskCeiling if kind == "risk_ceiling" else RiskFloor, path, failures,
+                      _parse_measure(obj.get("measure"), f"{path}.measure", failures),
+                      _parse_number(obj.get("bound"), f"{path}.bound", failures))
+    elif kind == "retention":
+        if space is None:
+            failures.append(f"{path}: retention needs a finite space")
             return None
-        return Constraint(body, scope)
-    except CoshareError as exc:
-        failures.append(f"{path}: {exc}")
+        body = _build(IdiosyncraticRetention, path, failures,
+                      _parse_variable(obj.get("endowment"), f"{path}.endowment", failures,
+                                      space),
+                      _parse_number(obj.get("deductible"), f"{path}.deductible", failures))
+    elif kind == "envelope":
+        body = _build(AggregateEnvelope, path, failures,
+                      _parse_rows(obj.get("lower"), f"{path}.lower", failures),
+                      _parse_rows(obj.get("upper"), f"{path}.upper", failures))
+    else:
+        failures.append(f"{path}.kind: unknown constraint kind {kind!r}")
         return None
+    return None if body is None else Constraint(body, scope)
 
 
 def load_problem(path):
@@ -243,6 +253,7 @@ def load_problem(path):
         if not isinstance(atoms, list) or not atoms:
             failures.append("space.atoms: need a nonempty list")
         else:
+            flagged = len(failures)
             labels, probs = [], []
             for k, atom in enumerate(atoms):
                 if not isinstance(atom, dict):
@@ -251,26 +262,28 @@ def load_problem(path):
                 labels.append(str(atom.get("label", f"w{k}")))
                 probs.append(_parse_number(atom.get("prob"), f"space.atoms[{k}].prob",
                                            failures))
-            if not failures:
-                try:
-                    space = FiniteSpace(zip(labels, probs))
-                except CoshareError as exc:
-                    failures.append(f"space: {exc}")
+            if len(failures) == flagged:
+                space = _build(FiniteSpace, "space", failures, zip(labels, probs))
     elif isinstance(spc, dict) and "gamma" in spc:
         gamma = True
     else:
         failures.append("space: need either 'atoms' or a 'gamma' tag")
 
-    aggregate = None
-    endowments = None
+    S = None
     if "aggregate" in raw and "endowments" in raw:
-        failures.append("give either 'aggregate' or 'endowments', not both")
+        failures.append("endowments: give either 'aggregate' or 'endowments', not both")
     if "aggregate" in raw:
-        aggregate = _parse_number_list(raw["aggregate"], "aggregate", failures)
+        S = _parse_variable(raw["aggregate"], "aggregate", failures, space)
     elif "endowments" in raw:
-        endowments = _parse_rows(raw["endowments"], "endowments", failures)
+        rows = _parse_rows(raw["endowments"], "endowments", failures,
+                           functools.partial(_parse_variable, space=space))
+        if rows is not None:
+            with np.errstate(over="ignore"):  # RandomVariable reports the overflow
+                total = np.sum([row.values for row in rows], axis=0)
+            S = _build(RandomVariable, "endowments", failures, space, total)
     elif not gamma:
-        failures.append("need 'aggregate' values or 'endowments' for a finite space")
+        failures.append("aggregate: give 'aggregate' values or 'endowments' "
+                        "for a finite space")
 
     agents = raw.get("agents", [])
     measures, deltas = [], []
@@ -297,51 +310,20 @@ def load_problem(path):
         failures.append("constraints: expected a list")
         raw_constraints = []
     # a scope must name a listed agent; the falsifier sizes its search by it
-    start = task.get("start")
-    n_agents = (len(agents) or len(endowments or ())
+    endowments, start = raw.get("endowments"), task.get("start")
+    n_agents = (len(agents) or (len(endowments) if isinstance(endowments, list) else 0)
                 or (len(start) if isinstance(start, list) else 0))
     for k, obj in enumerate(raw_constraints):
         parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, n_agents)
         if parsed is not None:
             constraints.append(parsed)
 
-    S = None
-    if space is not None:
-        n_atoms = space.size
-        if aggregate is not None:
-            if len(aggregate) != n_atoms:
-                failures.append("aggregate: need one value per atom")
-            elif not failures:
-                # only built from clean parses; flagged values (NaN, stray
-                # inf) must reach the SchemaError below, not a constructor
-                S = RandomVariable(space, aggregate)
-        elif endowments is not None:
-            if any(len(e) != n_atoms for e in endowments):
-                failures.append("endowments: need one value per atom for every agent")
-            elif not failures:
-                total = np.sum([np.array(e) for e in endowments], axis=0)
-                S = RandomVariable(space, total)
-
     if failures:
         raise SchemaError(failures)
     return {
         "space": space, "S": S, "measures": measures, "deltas": deltas,
-        "constraints": constraints, "task": _canonical_value(task),
+        "constraints": constraints, "task": task,
     }
-
-
-def _canonical_value(v):
-    """Number strings ("p/q", "inf", "-inf") to floats; structure kept."""
-    if isinstance(v, str):
-        try:
-            return _read_number(v)
-        except ValueError:
-            return v
-    if isinstance(v, dict):
-        return {k: _canonical_value(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_canonical_value(x) for x in v]
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +453,7 @@ def _task_solve_mv(problem, args):
     task = problem["task"]
     deltas = problem["deltas"]
     _require(all(d is not None for d in deltas) and deltas,
-             "solve-mv: every agent needs a delta")
+             "agents: solve-mv needs a delta for every agent")
     failures = []
     lower = _parse_number_list(task.get("lower", ["-inf"] * len(deltas)),
                                "task.lower", failures, allow_inf=True)
@@ -498,16 +480,15 @@ def _task_improve(problem, args):
     task = problem["task"]
     space, S = problem["space"], problem["S"]
     failures = []
-    values = _parse_rows(task.get("shares"), "task.shares", failures)
+    shares = _parse_rows(task.get("shares"), "task.shares", failures,
+                         functools.partial(_parse_variable, space=space))
     if failures:
         raise SchemaError(failures)
-    _require(all(len(v) == space.size for v in values),
-             "improve: every share needs one value per atom")
     measures = problem["measures"]
-    _require(not measures or len(measures) == len(values),
+    _require(not measures or len(measures) == len(shares),
              f"task.shares: need one row per agent ({len(measures)} agents, "
-             f"{len(values)} rows)")
-    A = Allocation(space, tuple(RandomVariable(space, v) for v in values), S)
+             f"{len(shares)} rows)")
+    A = Allocation(space, tuple(shares), S)
     specs = measures if measures and all(m is not None for m in measures) else None
     improved, cert = comonotonic_improvement(A, measures=specs)
     report = {
@@ -527,7 +508,7 @@ def _parse_grid(task):
     failures = []
     grid = task.get("grid")
     if not isinstance(grid, dict):
-        raise SchemaError(["oracle: task.grid required"])
+        raise SchemaError(["task.grid: expected an object with 'ranges' or 'family'"])
     if "family" in grid:
         fam = grid["family"]
         if not isinstance(fam, dict):
@@ -552,6 +533,8 @@ def _parse_grid(task):
         row = []
         for j, triple in enumerate(agent):
             vals = _parse_number_list(triple, f"task.grid.ranges[{i}][{j}]", failures)
+            if vals is None:
+                continue
             if len(vals) != 3:
                 failures.append(f"task.grid.ranges[{i}][{j}]: need [lo, hi, step]")
             else:
@@ -567,7 +550,7 @@ def _task_oracle(problem, args):
     space, S = problem["space"], problem["S"]
     measures = problem["measures"]
     _require(measures and all(m is not None for m in measures),
-             "oracle: every agent needs a measure")
+             "agents: oracle needs a measure for every agent")
     tol = VALUE_TOL if args.tol is None else args.tol
     _require(math.isfinite(tol) and tol >= 0, "--tol: expected a nonnegative finite number")
     comonotone = task.get("comonotone", False)
@@ -594,23 +577,19 @@ def _task_check_solidity(problem, args):
         "tables": {},
     }
     space, S = problem["space"], problem["S"]
-    if space is not None and S is not None:
+    if S is not None:
         failures = []
         if args.seed is None:
             seed = _parse_count(task.get("seed", 0), "task.seed", failures)
         else:
             seed = _parse_count(args.seed, "--seed", failures)
         budget = _parse_count(task.get("budget", 10 ** 4), "task.budget", failures)
-        rows = _parse_rows(task["start"], "task.start", failures) if "start" in task else []
-        for k, row in enumerate(rows):
-            if row and len(row) != space.size:  # an empty row failed to parse
-                failures.append(f"task.start[{k}]: need one value per atom "
-                                f"({space.size} atoms, {len(row)} values)")
+        rows = (_parse_rows(task["start"], "task.start", failures,
+                            functools.partial(_parse_variable, space=space))
+                if "start" in task else None)
         if failures:
             raise SchemaError(failures)
-        start = None
-        if rows:
-            start = Allocation(space, tuple(RandomVariable(space, r) for r in rows), S)
+        start = None if rows is None else Allocation(space, tuple(rows), S)
         witness = falsify_solidity(constraints, space, S, budget=budget,
                                    seed=seed, start=start)
         report["witness_found"] = witness is not None
@@ -649,9 +628,14 @@ def run_problem(path, args=None):
     problem = load_problem(path)
     kind = problem["task"]["kind"]
     runner, needs_aggregate = _TASKS[kind]
-    _require(not needs_aggregate or (problem["space"] is not None and problem["S"] is not None),
-             f"{kind}: needs a finite space with an aggregate")
-    return {"schema_version": SCHEMA_VERSION, "task": kind, **runner(problem, args)}
+    _require(not needs_aggregate or problem["S"] is not None,
+             f"space: {kind} needs a finite space with an aggregate")
+    try:
+        report = runner(problem, args)
+    except (ValidationError, DomainError, ContractError) as exc:
+        # the library rejected a value the task passed on
+        raise SchemaError([f"task: {exc}"]) from None
+    return {"schema_version": SCHEMA_VERSION, "task": kind, **report}
 
 
 # ---------------------------------------------------------------------------
@@ -954,12 +938,7 @@ def main(argv=None):
         return 1
     try:
         if args.command == "reproduce":
-            try:
-                report, _ = reproduce(args.case, out_dir=args.out)
-            except ReproduceMismatch as exc:
-                for line in exc.diffs:
-                    print(f"mismatch: {line}", file=sys.stderr)
-                return 3
+            report, _ = reproduce(args.case, out_dir=args.out)
             emit_report(report, args.format)
             return 0
         # the report reaches stdout only once --out holds it
@@ -976,6 +955,10 @@ def main(argv=None):
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except ReproduceMismatch as exc:
+        for line in exc.diffs:
+            print(f"mismatch: {line}", file=sys.stderr)
+        return 3
     except OSError as exc:  # load_problem reports read errors itself
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1

@@ -106,7 +106,7 @@ class RandomVariable:
         values = np.array(values, dtype=float)
         if values.shape != (space.size,):
             raise ValidationError(
-                f"values shape {values.shape} does not match atom count {space.size}"
+                f"need one value per atom ({space.size} atoms, {values.size} values)"
             )
         if not np.isfinite(values).all():
             raise ValidationError("values must all be finite")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -164,15 +165,22 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+DELETE = object()
+
+
 def mutated(doc_fn, path, value):
-    """doc_fn()'s document with the node at path (a key sequence) replaced."""
+    """doc_fn()'s document with the node at path (a key sequence) replaced,
+    or removed when value is DELETE."""
     doc = copy.deepcopy(doc_fn())
     if not path:
         return value
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     return doc
 
 
@@ -190,7 +198,16 @@ def node_paths(node, path=()):
 
 FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc, kinds_doc)
 FUZZ_VALUES = (None, True, False, 0, -1, 3, 10 ** 400, "1e400", [], [1, "x"], {},
-               {"kind": "es"})
+               {"kind": "es"}, "-1/3", "inf", [0, 1, 2])
+# every error line of a fuzzed document names a field of it (a top-level key,
+# then .name or [k] steps), a flag, or the file itself when it is not an
+# object; or it is an iteration error carrying its state, or a write failure
+FUZZ_ERROR_LINE = re.compile(
+    r"error: ((schema_version|space|aggregate|endowments|agents|constraints|task)"
+    r"(\.\w+|\[\d+\])*|--tol|--seed|p\.json): "
+    r"|error: .* \((residual \S+|transfers \d+)\)$"
+    r"|error: cannot write "
+    r"|infeasible: |mismatch: ")
 
 
 class TestLoadProblem:
@@ -198,8 +215,15 @@ class TestLoadProblem:
         problem = load_problem(write(tmp_path, "p.json", solve_doc()))
         assert problem["space"].size == 2
         assert problem["deltas"] == [1.0, 1.0]
-        assert problem["task"]["lower"] == [-math.inf, -math.inf]
-        assert problem["task"]["upper"] == [0.5, math.inf]
+        # the task is kept as written; each task reads its own numbers
+        assert problem["task"] == solve_doc()["task"]
+        # "-inf" leaves agent 1 unbounded below, and "1/2" is its cap 0.5
+        doc = solve_doc()
+        doc["task"]["upper"][0] = "1/2"
+        report = run_problem(write(tmp_path, "q.json", doc))
+        assert report == run_problem(write(tmp_path, "p.json", solve_doc()))
+        rows = report["tables"]["allocation"]["rows"]
+        assert [r[3] for r in rows] == pytest.approx((-0.5, 0.5), abs=1e-9)
 
     def test_all_failures_reported_at_once(self, tmp_path):
         doc = {
@@ -446,15 +470,27 @@ class TestMain:
         assert main([str(write(tmp_path, "p.json", doc))]) == 2
         assert capsys.readouterr().err.startswith("infeasible: ")
 
+    def test_count_fields_read_number_strings(self, tmp_path):
+        doc = solidity_doc()
+        doc["task"].update(seed="7", budget="1e2")
+        as_text = run_problem(write(tmp_path, "p.json", doc))
+        doc["task"].update(seed=7, budget=100)
+        assert as_text == run_problem(write(tmp_path, "q.json", doc))
+
     def test_reproduce_mismatch_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken():
             return {"case": "fig-6.3", "tables": {}}, [
                 {"name": "breakpoint count", "expected": 3, "computed": 2,
                  "ok": False}]
         monkeypatch.setitem(cli._REPRODUCERS, "fig-6.3", broken)
-        assert main(["reproduce", "fig-6.3", "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert "mismatch: breakpoint count: expected 3, got 2" in err
+        monkeypatch.chdir(tmp_path)
+        doc = write(tmp_path, "p.json", mutated(reproduce_doc, ("task", "case"), "fig-6.3"))
+        # the reproduce command and run on a reproduce document alike
+        for argv in (["reproduce", "fig-6.3", "--out", str(tmp_path)], ["run", doc]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "mismatch: breakpoint count: expected 3, got 2\n"
 
     @pytest.mark.parametrize("doc_fn, node, value, where", (
         (improve_doc, ("constraints",), 5, "constraints"),
@@ -485,6 +521,50 @@ class TestMain:
         assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize("doc_fn, node, value, where", (
+        # a value the library rejects inside a task
+        (solve_doc, ("task", "upper"), [0.5], "task"),
+        (solve_doc, ("task", "lower"), [1, "-inf"], "task"),
+        (solve_doc, ("agents", 0, "delta"), -1, "task"),
+        (oracle_doc, ("constraints",), [{"kind": "envelope", "lower": [[0, -5], [1, -5]],
+                                         "upper": [[0, 5], [1, 5]]}], "task"),
+        (family_doc, ("task", "grid", "family", "direction"), [[0, 1, 0]], "task"),
+        (oracle_doc, ("agents",), [{"measure": {"kind": "es", "level": 0.5}}] * 3, "task"),
+        (oracle_doc, ("task", "grid", "ranges"), [[[0, 1, 1]]], "task"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1, 0.3], "task"),
+        (improve_doc, ("task", "shares"), [[0, 0, 0], [0, 0, 0]], "task"),
+        (solidity_doc, ("task", "start"), [[0, 1, 0, 1], [0, 0, 1, 1]], "task"),
+        (solidity_doc, ("task", "start", 1), [0, 1, 0, 2], "task"),
+        # a document field the task needs, or one it cannot take
+        (improve_doc, ("task", "shares", 0), [1, 2], "task.shares[0]"),
+        (solve_doc, ("agents", 1), {}, "agents"),
+        (oracle_doc, ("agents", 1), {}, "agents"),
+        (oracle_doc, ("task", "grid"), DELETE, "task.grid"),
+        (improve_doc, ("space",), {"gamma": {}}, "space"),
+        (improve_doc, ("endowments",), [[0, 1, 1], [1, 1, 2]], "endowments"),
+        (improve_doc, ("aggregate",), DELETE, "aggregate"),
+        # a flagged number is reported once, and not again by a constructor
+        (improve_doc, ("constraints",), [{"kind": "expectation", "bound": "inf"}],
+         "constraints[0].bound"),
+        (solidity_doc, ("endowments", 0, 1), "x", "endowments[0][1]"),
+        (solidity_doc, ("constraints", 0, "endowment", 1), "x",
+         "constraints[0].endowment[1]"),
+    ), ids=("caps-unequal-length", "lower-above-upper",
+            "delta-negative", "envelope-uncovered", "family-direction-width",
+            "grid-too-few-agents", "grid-atom-count", "grid-step-off-range",
+            "shares-not-clearing", "start-infeasible", "start-not-clearing",
+            "share-row-length", "agent-without-delta", "agent-without-measure",
+            "oracle-without-grid", "improve-on-gamma", "aggregate-and-endowments",
+            "neither-aggregate-nor-endowments", "expectation-bound-inf",
+            "endowment-text", "retention-endowment-text"))
+    def test_one_fault_one_line_at_its_field(self, tmp_path, capsys, doc_fn, node,
+                                             value, where):
+        assert main([write(tmp_path, "bad.json", mutated(doc_fn, node, value))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {where}: ")
 
     @pytest.mark.parametrize("value", ("false", "true", 0, 1, None, [True]))
@@ -545,8 +625,8 @@ class TestMain:
         finally:
             os.chdir(cwd)
         assert code in (0, 1, 2, 3)
-        assert err.getvalue() == "" or err.getvalue().startswith(
-            ("error:", "infeasible:", "mismatch:"))
+        for line in err.getvalue().splitlines():
+            assert FUZZ_ERROR_LINE.match(line), line
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["reproduce", "no-such-case"]) == 1

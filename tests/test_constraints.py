@@ -472,6 +472,15 @@ class TestFalsify:
             assert falsify_solidity((), X.space, X.aggregate) is None
         assert checked == []
 
+    def test_infeasible_retention_seed_is_not_searched(self):
+        # the seed keeps agent 0's endowment and gives agent 1 the rest
+        space, zeta1, zeta2, retentions = self.coin_pair()
+        S = zeta1 + zeta2
+        capped = (retentions[0], Constraint(PathwiseBounds(upper=0.5), scope=1))
+        assert falsify_solidity(capped, space, S) is None
+        # both agents retained: their endowments must sum to S
+        assert falsify_solidity(retentions, space, S + 1.0) is None
+
     def test_floor_witness(self):
         # contraction drops a consistent measure below its floor
         space = FiniteSpace.uniform(2)
@@ -602,6 +611,12 @@ class TestTransferStage:
         mask = constraints_module._witness_mask(Y, X.share_matrix(), X.aggregate.values,
                                                 X.space.probs, constraints)
         assert mask.tolist() == [False, True, False, False]
+
+    def test_one_agent_or_one_atom_has_no_pair(self):
+        one_agent = alloc((0.5, 0.5), (0.0, 2.0))
+        one_atom = alloc((1.0,), (1.0,), (2.0,))
+        for X in (one_agent, one_atom):
+            assert transfer_stage(X, (), FALSIFY_CHAIN_LIMIT, 0) is None
 
     @pytest.mark.parametrize("cells", (None, SMALL_BLOCKS))
     def test_matches_scalar_reference(self, reference, monkeypatch, cells):

@@ -7,12 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import coshare.mvsolver as mvsolver_module
 from coshare import (
     Constraint,
+    ConvergenceError,
     DomainError,
     FiniteSpace,
     GammaAggregate,
     GridSpec,
+    InfeasibleError,
     MVProblem,
     PathwiseBounds,
     RandomVariable,
@@ -150,6 +153,12 @@ class TestMVProblem:
         with pytest.raises(ValidationError):
             MVProblem((1.0, 1.0), (NEG_INF,) * 2, (0.5, 0.5), agg)
 
+    def test_aggregate_on_another_space(self):
+        space, _ = finite_aggregate((0.0, 2.0))
+        _, S = finite_aggregate((0.0, 2.0), (0.25, 0.75))
+        with pytest.raises(ValidationError, match="live on the given space"):
+            MVProblem((1.0, 1.0), (NEG_INF,) * 2, (INF,) * 2, (space, S))
+
     def test_gamma_rejected_by_finite_solver(self):
         # the finite-state solver cannot take a continuous aggregate, so the
         # problem it solves refuses one when it is built
@@ -191,6 +200,15 @@ class TestStatewiseProjection:
             statewise_projection(c, (1.0, 1.0), (1.0, 0.0), (0.5, INF), 1.0)
         with pytest.raises(ValidationError, match="one intercept per agent"):
             statewise_projection((0.0,), (1.0, 1.0), *free, 1.0)
+
+    def test_state_outside_cap_range_is_infeasible(self):
+        # the caps admit sums in [-1, 3]
+        caps = ((0.0, 0.0), (1.0, 1.0), (-1.0, 0.0), (1.0, 2.0))
+        for s in (-1.5, 3.5):
+            with pytest.raises(InfeasibleError, match="outside the feasible cap range"):
+                statewise_projection(*caps, s)
+        for s in (-1.0, 3.0):
+            assert statewise_projection(*caps, s)[1].sum() == pytest.approx(s, abs=1e-12)
 
     def test_flat_interval_midpoint(self):
         # H is flat at level 4 for eta in [1, 3]; the midpoint is reported
@@ -255,6 +273,17 @@ class TestSolveCappedMV:
         assert report.intercepts == pytest.approx((0.0, 1.0), abs=1e-8)
         assert report.residual <= 1e-10
         assert mv_objective(problem.delta, best) == pytest.approx(1.5, abs=1e-9)
+
+    def test_step_cap_raises_with_last_iterate(self, monkeypatch):
+        # the capped problem above needs more than one step from a E[S]
+        monkeypatch.setattr(mvsolver_module, "FIXED_POINT_MAX_ITERS", 1)
+        agg = finite_aggregate((0.0, 2.0))
+        problem = MVProblem((1.0, 1.0), (NEG_INF,) * 2, (0.5, INF), agg)
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            solve_capped_mv(problem)
+        assert exc.value.residual > 1e-10
+        assert len(exc.value.last_iterate) == 2
+        assert all(math.isfinite(c) for c in exc.value.last_iterate)
 
     def test_uncapped_matches_proportional_rule(self):
         agg = finite_aggregate((0.0, 3.0))
