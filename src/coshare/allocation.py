@@ -133,12 +133,30 @@ def comonotone_mask(tensors, s_values, probs):
     Two requirements per share, within VALUE_TOL * value_scale(s_values): (a)
     it is constant on every level set of the aggregate, and (b) across levels
     sorted by value, its probability-weighted level mean is nondecreasing.
+    The work loops over the levels, each step vectorised over the rows, unless
+    the levels outnumber the rows (is_comonotonic's one row); then each share
+    is reordered once into level order and reduced level by level in numpy.
     """
     tol = VALUE_TOL * value_scale(s_values)
     part = level_partition(s_values, probs)
+    mask = np.ones(tensors[0].shape[0], dtype=bool)
+    if mask.size < part.starts.size:
+        p = probs[part.order, None]
+        masses = part.masses[:, None]
+        pooled = part.starts.size < part.order.size  # some level holds several atoms
+        for V in tensors:
+            W = V.T[part.order]  # atoms x rows, in level order
+            if pooled:
+                spread = (np.maximum.reduceat(W, part.starts)
+                          - np.minimum.reduceat(W, part.starts))
+                mask &= (spread <= tol).all(axis=0)
+                rep = np.add.reduceat(W * p, part.starts) / masses
+            else:
+                rep = W * p / masses
+            mask &= (rep[1:] >= rep[:-1] - tol).all(axis=0)
+        return mask
     levels = [(group, probs[group], mass)
               for group, mass in zip(np.split(part.order, part.starts[1:]), part.masses)]
-    mask = np.ones(tensors[0].shape[0], dtype=bool)
     for V in tensors:
         prev = None
         for group, p, mass in levels:

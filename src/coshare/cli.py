@@ -174,7 +174,7 @@ def _parse_measure(obj, path, failures):
     return _build(lambda v: RiskMeasureSpec(kind, **{field: v}), path, failures, value)
 
 
-def _parse_constraint(obj, path, failures, space, n_agents):
+def _parse_constraint(obj, path, failures, space, gamma, n_agents):
     if not isinstance(obj, dict) or "kind" not in obj:
         failures.append(f"{path}: constraint needs a 'kind'")
         return None
@@ -204,7 +204,7 @@ def _parse_constraint(obj, path, failures, space, n_agents):
                       _parse_measure(obj.get("measure"), f"{path}.measure", failures),
                       _parse_number(obj.get("bound"), f"{path}.bound", failures))
     elif kind == "retention":
-        if space is None:
+        if gamma:
             failures.append(f"{path}: retention needs a finite space")
             return None
         body = _build(IdiosyncraticRetention, path, failures,
@@ -314,7 +314,8 @@ def load_problem(path):
     n_agents = (len(agents) or (len(endowments) if isinstance(endowments, list) else 0)
                 or (len(start) if isinstance(start, list) else 0))
     for k, obj in enumerate(raw_constraints):
-        parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, n_agents)
+        parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, gamma,
+                                   n_agents)
         if parsed is not None:
             constraints.append(parsed)
 

@@ -40,7 +40,8 @@ from .stochorder import convex_order_mask
 ENVELOPE_SLOPE_TOL = 1e-12
 FALSIFY_CHAIN_LIMIT = 16
 # candidate cells (chains x steps x agents x atoms) the falsifier builds and
-# verifies at once; its peak memory is a few times this, whatever the budget
+# verifies at once, and share cells (grid points x agents x atoms) the oracle
+# checks at once; peak memory is a few times this, whatever the budget or grid
 _BLOCK_CELLS = 2 ** 20
 
 

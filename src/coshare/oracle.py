@@ -9,19 +9,19 @@ grid points, not approximations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import Allocation, comonotone_mask
-from .constraints import _require_space, feasible_mask
+from .constraints import _BLOCK_CELLS, _require_space, feasible_mask
 from .errors import DomainError, InfeasibleError, ValidationError
 from .probspace import VALUE_TOL, RandomVariable
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
-GRID_CELL_LIMIT = 6 * 10 ** 7
 TIE_EPS = 1e-12
 
 
@@ -118,23 +118,55 @@ class GridSpec:
         return len(self.ranges[0])
 
 
-def _free_tensor(grid):
-    """Candidate values for the free agents, shaped (points, free, atoms)."""
+def _slices(total, rows):
+    """Slices of range(total), in order, of near-equal size at most rows."""
+    size = -(-total // -(-total // rows))
+    return [slice(k, min(k + size, total)) for k in range(0, total, size)]
+
+
+def _chunk_rows(n_agents, n_atoms):
+    """Grid points per chunk: the falsifier's cell budget over one point's cells."""
+    return max(1, _BLOCK_CELLS // (n_agents * n_atoms))
+
+
+def _grid_axes(grid):
+    """The grid's axes in grid (C) order: the family's scalar, or one per
+    free agent and atom; the grid's points are their product."""
     if grid.family is not None:
         fam = grid.family
-        a = _axis(fam.lo, fam.hi, fam.step)
-        base = np.array(fam.base)
-        direction = np.array(fam.direction)
-        return base[None, :, :] + a[:, None, None] * direction[None, :, :]
-    axes = [_axis(*triple) for agent in grid.ranges for triple in agent]
-    points = 1
-    for ax in axes:
-        points *= len(ax)
-    if points > GRID_POINT_LIMIT or points * len(axes) > GRID_CELL_LIMIT:
-        raise DomainError(f"grid of {points} points exceeds the oracle size limit")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.column_stack([g.reshape(-1) for g in mesh])
-    return flat.reshape(points, grid.n_free_agents, grid.n_atoms)
+        return [_axis(fam.lo, fam.hi, fam.step)]
+    return [_axis(*triple) for agent in grid.ranges for triple in agent]
+
+
+def _free_chunks(grid, axes, rows):
+    """Candidate values for the free agents, in grid order, as blocks shaped
+    (points, free, atoms) of at most rows points.  A family slices its
+    scalar axis.  A ranges grid fixes one value of each leading axis per
+    block and slices the mesh of the trailing axes, which is built once; a
+    grid that fits one block is that mesh."""
+    shape = (-1, grid.n_free_agents, grid.n_atoms)
+    if grid.family is not None:
+        base = np.array(grid.family.base)
+        direction = np.array(grid.family.direction)
+        for part in _slices(axes[0].size, rows):
+            yield base[None, :, :] + axes[0][part, None, None] * direction[None, :, :]
+        return
+    lead = len(axes) - 1
+    while lead > 0 and math.prod(len(ax) for ax in axes[lead - 1:]) <= rows:
+        lead -= 1
+    # no name holds the mesh, so the paused generator keeps only its stack
+    tail = np.column_stack([g.reshape(-1)
+                            for g in np.meshgrid(*axes[lead:], indexing="ij")])
+    parts = _slices(tail.shape[0], rows)
+    for head in itertools.product(*axes[:lead]):
+        for part in parts:
+            if lead:
+                block = np.empty((part.stop - part.start, len(axes)))
+                block[:, :lead] = head
+                block[:, lead:] = tail[part]
+            else:
+                block = tail[part]
+            yield block.reshape(shape)
 
 
 def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
@@ -145,32 +177,52 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
         raise ValidationError("grid atom count must match the space")
     n = grid.n_free_agents + 1
     if len(objectives) != n:
-        raise ValidationError(f"need one objective per agent ({n})")
+        raise ValidationError(f"grid has {n - 1} free agents, so it needs {n} "
+                              f"objectives; got {len(objectives)}")
     for spec in objectives:
         if not isinstance(spec, RiskMeasureSpec):
             raise ValidationError("objectives must be RiskMeasureSpec instances")
-    free = _free_tensor(grid)
-    tensors = [free[:, i, :] for i in range(n - 1)]
-    tensors.append(S.values[None, :] - free.sum(axis=1))
+    axes = _grid_axes(grid)
+    points = math.prod(len(ax) for ax in axes)
+    if points > GRID_POINT_LIMIT:
+        raise DomainError(f"grid of {points} points exceeds the oracle size limit")
     probs = space.probs
-    mask = feasible_mask(tensors, S.values, probs, constraints, tol)
-    if comonotone:
-        mask &= comonotone_mask(tensors, S.values, probs)
-    if not mask.any():
+    # streaming argmin: the pick is the first grid point within the window
+    # vmin + TIE_EPS * (1 + |vmin|), which only shrinks as vmin falls.  kept
+    # holds, in grid order, (value, shares) of the points inside the current
+    # window whose value is below that of every point kept before them; the
+    # pick is one of them, and once every block is seen it is the first.
+    vmin, kept = np.inf, []
+    for free in _free_chunks(grid, axes, _chunk_rows(n, space.size)):
+        tensors = [free[:, i, :] for i in range(n - 1)]
+        tensors.append(S.values[None, :] - free.sum(axis=1))
+        mask = feasible_mask(tensors, S.values, probs, constraints, tol)
+        if comonotone:
+            mask &= comonotone_mask(tensors, S.values, probs)
+        if not mask.any():
+            continue
+        values = np.zeros(free.shape[0])
+        for i, spec in enumerate(objectives):
+            values[mask] += measure_values(spec, tensors[i][mask], probs)
+        values[~mask] = np.inf
+        vmin = min(vmin, float(values.min()))
+        window = vmin + TIE_EPS * (1.0 + abs(vmin))
+        kept = [k for k in kept if k[0] <= window]
+        near = np.flatnonzero(values <= window)
+        near_values = values[near]
+        bound = kept[-1][0] if kept else np.inf
+        new = near_values < np.minimum.accumulate(np.append(bound, near_values))[:-1]
+        picked = near[new]
+        rows = np.stack([V[picked] for V in tensors], axis=1)
+        kept.extend(zip(near_values[new].tolist(), rows))
+    if not kept:
         raise InfeasibleError(
             "no feasible grid point",
-            details={"points": int(free.shape[0]), "comonotone": comonotone},
+            details={"points": points, "comonotone": comonotone},
         )
-    values = np.zeros(free.shape[0])
-    for i, spec in enumerate(objectives):
-        values[mask] += measure_values(spec, tensors[i][mask], probs)
-    values[~mask] = np.inf
-    vmin = float(values.min())
-    # first grid point within float dust of the minimum: lexicographic
-    # tie-break in grid order
-    best = int(np.argmax(values <= vmin + TIE_EPS * (1.0 + abs(vmin))))
-    shares = tuple(RandomVariable(space, tensors[i][best].copy()) for i in range(n))
-    return Allocation(space, shares, S), float(values[best])
+    value, row = kept[0]
+    shares = tuple(RandomVariable(space, row[i]) for i in range(n))
+    return Allocation(space, shares, S), value
 
 
 def grid_minimize(space, S, objectives, constraints, grid, tol=VALUE_TOL):

@@ -567,6 +567,27 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {where}: ")
 
+    def test_unparsed_atoms_are_not_a_gamma_space(self, tmp_path, capsys):
+        # atoms that fail to parse leave no space, but the retentions on
+        # them are not on a gamma space: the probability is the one fault
+        doc = mutated(solidity_doc, ("space", "atoms", 0, "prob"), "x")
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: space.atoms[0].prob: cannot parse number 'x'\n")
+
+    def test_retention_on_gamma_space(self, tmp_path, capsys):
+        doc = mutated(solidity_doc, ("space",), {"gamma": {}})
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: constraints[0]: retention needs a finite space\n"
+            "error: constraints[1]: retention needs a finite space\n")
+
+    def test_grid_arity_names_the_grid(self, tmp_path, capsys):
+        doc = mutated(oracle_doc, ("agents",), [{"measure": {"kind": "es", "level": 0.5}}] * 3)
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: task: grid has 1 free agents, so it needs 2 objectives; got 3\n")
+
     @pytest.mark.parametrize("value", ("false", "true", 0, 1, None, [True]))
     def test_comonotone_flag_must_be_boolean(self, tmp_path, capsys, value):
         doc = oracle_doc()

@@ -1,5 +1,7 @@
 """Exhaustive grid minimizers used as ground truth for the solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from coshare import (
     InfeasibleError,
     PathwiseBounds,
     RandomVariable,
+    RiskCeiling,
     RiskMeasureSpec,
     ScalarFamily,
     ValidationError,
@@ -19,6 +22,8 @@ from coshare import (
     grid_minimize,
     is_comonotonic,
 )
+from coshare import oracle
+from coshare.cli import _example_43_space
 from coshare.riskmeasures import measure_values
 
 
@@ -104,7 +109,8 @@ class TestGridMinimize:
     def test_input_validation(self):
         space, S = two_state()
         grid = GridSpec.uniform(1, 2, 0.0, 1.0, 1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="grid has 1 free agents, so it needs "
+                                                 "2 objectives; got 1"):
             grid_minimize(space, S, (RiskMeasureSpec.es(0.5),), (), grid)
         with pytest.raises(ValidationError):
             grid_minimize(space, S, ("es", "es"), (), grid)
@@ -170,3 +176,94 @@ class TestVectorizedMeasures:
                 for row, g in zip(V, got):
                     want = reference.measure(spec, RandomVariable(space, row))
                     assert g == pytest.approx(want, rel=1e-12, abs=1e-12), spec.describe()
+
+
+def _outcome(minimize, args):
+    """(share values, value) of a minimization, or its InfeasibleError details."""
+    try:
+        best, value = minimize(*args)
+    except InfeasibleError as exc:
+        return exc.details
+    return [share.values.tolist() for share in best.shares], value
+
+
+def _random_problem(rng):
+    """A small seeded oracle problem: coarse grids, so values tie often.
+
+    Its measures and constraints sort and sum each row on its own.  The
+    kernels that take a matrix product with the probabilities (mean-variance,
+    expected convex loss, expectation and Orlicz bands) round as BLAS does,
+    and BLAS rounds a one-row product differently from a many-row one."""
+    m = int(rng.integers(2, 4))
+    n = int(rng.integers(2, 4)) if m == 2 else 2
+    space = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+    S = RandomVariable(space, rng.choice([0.0, 1.0, 1.0, 2.0, 3.0], size=m))
+    kinds = (RiskMeasureSpec.es(0.5), RiskMeasureSpec.var(0.6),
+             RiskMeasureSpec.es(0.8), RiskMeasureSpec.es(0.25))
+    objectives = tuple(kinds[int(k)] for k in rng.integers(0, len(kinds), size=n))
+    constraints = []
+    if rng.random() < 0.5:
+        constraints.append(Constraint(PathwiseBounds(lower=-0.5, upper=2.5)))
+    if rng.random() < 0.3:
+        constraints.append(Constraint(RiskCeiling(RiskMeasureSpec.var(0.5), 0.5), scope=0))
+    if rng.random() < 0.1:
+        constraints.append(Constraint(PathwiseBounds(lower=5.0), scope=0))
+    if rng.random() < 0.5:
+        grid = GridSpec.uniform(n - 1, m, -1.0, 2.0, 0.5)
+    else:
+        grid = GridSpec.from_family(rng.choice([0.0, 0.5], size=(n - 1, m)),
+                                    rng.choice([0.0, 0.5, 1.0], size=(n - 1, m)),
+                                    -2.0, 3.0, 0.125)
+    return space, S, objectives, tuple(constraints), grid
+
+
+class TestChunking:
+    @pytest.mark.parametrize("rows", (1, 7, 64))
+    @pytest.mark.parametrize("minimize", (grid_minimize, comonotone_minimize))
+    def test_chunks_match_one_block(self, rng, monkeypatch, rows, minimize):
+        # every seeded grid fits one block by default; cut into blocks of
+        # rows points, each minimizer gives the same point and value bits,
+        # or the same InfeasibleError details
+        problems = [_random_problem(rng) for _ in range(40)]
+        whole = [_outcome(minimize, args) for args in problems]
+        assert any(isinstance(w, dict) for w in whole)
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)
+        for args, want in zip(problems, whole):
+            assert _outcome(minimize, args) == want
+
+    @pytest.mark.parametrize("rows", (1, 2, 3, 7, 64))
+    def test_streaming_tie_break(self, monkeypatch, rows):
+        # one free agent on one atom, its objective read from a table: near
+        # ties within TIE_EPS fall in different blocks, and the pick is the
+        # first grid point within TIE_EPS * (1 + |min|) of the minimum
+        table = np.array([3.0, 1.0 + 9e-13, 2.0, 1.0 + 4e-13, 1.0 + 3e-12, 1.0,
+                          1.0 + 2e-13, 1.0, 5.0, 1.0 + 1e-13])
+        space = FiniteSpace.uniform(1)
+        S = RandomVariable(space, (0.0,))
+        grid = GridSpec.uniform(1, 1, 0.0, 9.0, 1.0)
+
+        def lookup(spec, V, probs):
+            return table[V[:, 0].astype(int)] if spec.level == 0.5 else np.zeros(len(V))
+
+        monkeypatch.setattr(oracle, "measure_values", lookup)
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)
+        objectives = (RiskMeasureSpec.es(0.5), RiskMeasureSpec.es(0.25))
+        best, value = grid_minimize(space, S, objectives, (), grid)
+        vmin = table.min()
+        first = int(np.argmax(table <= vmin + oracle.TIE_EPS * (1.0 + abs(vmin))))
+        assert first == 1
+        assert best.shares[0].values[0] == first and value == table[first]
+
+    def test_memory_bounded_by_chunk(self):
+        # ex-4.3's constrained 33^4 grid traces about 9 MiB in blocks; its
+        # whole mesh with the share tensors and sort temporaries traces 225 MiB
+        space, S, measures, constraints = _example_43_space()
+        grid = GridSpec.uniform(1, 4, 0.0, 4.0, 0.125)
+        tracemalloc.start()
+        try:
+            _, value = grid_minimize(space, S, measures, constraints, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(25.0 / 12.0, abs=1e-9)
+        assert peak < 32 * 2 ** 20
