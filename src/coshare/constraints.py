@@ -81,10 +81,15 @@ class _Kind:
       scalar bounds;
     - message(agent, value, bound, below, s): the text of a breach past
       bound, where s is the aggregate at the atom (None unless statewise);
-    - solidity(): the kind's SolidityVerdict.
+    - solidity(): the kind's SolidityVerdict;
+    - check_aggregate(s_values): raise ValidationError unless the kind
+      applies to the aggregate; it runs before any band does.
     """
 
     statewise = False
+
+    def check_aggregate(self, s_values):
+        pass
 
 
 def _require_finite(kind, field, message):
@@ -324,8 +329,10 @@ class AggregateEnvelope(_Kind):
         if np.any(lo > hi + 1e-12):
             raise ValidationError("lower envelope exceeds upper envelope")
 
-    def band(self, V, s_values, probs, tol):
+    def check_aggregate(self, s_values):
         _check_envelope_coverage(self, s_values)
+
+    def band(self, V, s_values, probs, tol):
         return V, _pl_eval(self.lower, s_values), _pl_eval(self.upper, s_values)
 
     def message(self, agent, value, bound, below, s):
@@ -402,24 +409,50 @@ def _require_space(constraints, space):
             raise ValidationError("retention endowment lives on a different space")
 
 
+def _bands(constraints, n_agents, s_values):
+    """(constraint index, kind, agent) per constrained agent, in constraint
+    order; every constraint, its scope and its fit to the aggregate are
+    checked before any band runs."""
+    bands = []
+    for ci, constraint in enumerate(constraints):
+        kind = _kind_of(constraint)
+        agents = constraint.agents(n_agents)
+        kind.check_aggregate(s_values)
+        bands.extend((ci, kind, i) for i in agents)
+    return bands
+
+
 def _breaches(tensors, s_values, probs, constraints, tol):
     """(constraint index, kind, agent, value, lower, upper, below, above) per
     constrained agent: kind.band's output and where value < lower - tol and
     value > upper + tol."""
-    for ci, constraint in enumerate(constraints):
-        kind = _kind_of(constraint)
-        for i in constraint.agents(len(tensors)):
-            value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
-            yield ci, kind, i, value, lower, upper, value < lower - tol, value > upper + tol
+    for ci, kind, i in _bands(constraints, len(tensors), s_values):
+        value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
+        yield ci, kind, i, value, lower, upper, value < lower - tol, value > upper + tol
 
 
 def feasible_mask(tensors, s_values, probs, constraints, tol=VALUE_TOL):
     """Rows of the share tensors (one rows x atoms array per agent, over an
-    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values)."""
-    mask = np.ones(tensors[0].shape[0], dtype=bool)
-    for *_, below, above in _breaches(tensors, s_values, probs, constraints,
-                                      tol * value_scale(s_values)):
-        mask &= ~(below | above).any(axis=1)
+    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values).
+
+    Each (constraint, agent) band runs, in constraint order, only on the
+    rows that passed every band before it, and none runs once no row is
+    left.  Row-wise bands give the same verdicts as on every row; a band
+    that takes V @ probs can round a row differently with fewer rows."""
+    tol = tol * value_scale(s_values)
+    rows = None  # every row has passed: the bands see the tensors themselves
+    for _, kind, i in _bands(constraints, len(tensors), s_values):
+        V = tensors[i] if rows is None else tensors[i].take(rows, axis=0)
+        value, lower, upper = kind.band(V, s_values, probs, tol)
+        ok = ~((value < lower - tol) | (value > upper + tol)).any(axis=1)
+        if ok.all():
+            continue
+        rows = np.flatnonzero(ok) if rows is None else rows[ok]
+        if not rows.size:
+            break
+    mask = np.full(tensors[0].shape[0], rows is None)
+    if rows is not None:
+        mask[rows] = True
     return mask
 
 

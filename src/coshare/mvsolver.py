@@ -611,6 +611,77 @@ def _four_regime_pieces(m, lam, q, ceiling):
     )
 
 
+def _minimize_bounded(func, lo, hi, xatol, maxfun=500):
+    """(x, func(x)) at a local minimum of func on [lo, hi], to within about
+    xatol, by Brent's golden-section and parabolic search (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), step for step as the
+    widely used Python fminbound, whose results it repeats bit for bit; it
+    stops after maxfun calls of func."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def var_scenario():
     """The two-agent VaR-ceiling scenario on the Gamma(2,1) aggregate.
 
@@ -619,8 +690,6 @@ def var_scenario():
     discontinuous at q, the 0.95 quantile of the aggregate, so the optimum
     is not comonotonic; the comonotone-restricted value is strictly worse.
     """
-    from scipy.optimize import minimize_scalar  # lazily, as in gamma_quantile
-
     d1, d2 = 0.01, 1.0
     var_level = 0.95
     ceiling = 3.0
@@ -640,11 +709,9 @@ def var_scenario():
         return 2.0 + d1 * var_rest + d2 * var_f
 
     m_hi = (1.0 - lam) * q - ceiling
-    result = minimize_scalar(
-        constrained_value, bounds=(1e-9, m_hi - 1e-9), method="bounded",
-        options={"xatol": 1e-10})
-    m_star = float(result.x)
-    constrained = float(result.fun)
+    m_star, constrained = _minimize_bounded(
+        constrained_value, 1e-9, m_hi - 1e-9, 1e-10)
+    m_star, constrained = float(m_star), float(constrained)
     a, r, _ = _four_regime_pieces(m_star, lam, q, ceiling)
 
     # comonotone family for agent 1: zero until s0, slope k1 up to the
@@ -661,22 +728,15 @@ def var_scenario():
         return 2.0 + d1 * var_g + d2 * var_rest
 
     def best_k2(s_c, k1):
-        res = minimize_scalar(
-            lambda k2: com_value(s_c, k1, k2), bounds=(0.0, 1.0),
-            method="bounded", options={"xatol": 1e-8})
-        return float(res.x), float(res.fun)
+        k2, value = _minimize_bounded(lambda k2: com_value(s_c, k1, k2), 0.0, 1.0, 1e-8)
+        return float(k2), float(value)
 
     def best_k1(s_c):
         lo = ceiling / s_c
-        res = minimize_scalar(
-            lambda k1: best_k2(s_c, k1)[1], bounds=(lo, 1.0),
-            method="bounded", options={"xatol": 1e-7})
-        return float(res.x), best_k2(s_c, float(res.x))[1]
+        k1, _ = _minimize_bounded(lambda k1: best_k2(s_c, k1)[1], lo, 1.0, 1e-7)
+        return float(k1), best_k2(s_c, float(k1))[1]
 
-    outer = minimize_scalar(
-        lambda s_c: best_k1(s_c)[1], bounds=(ceiling, q), method="bounded",
-        options={"xatol": 1e-6})
-    s_c = float(outer.x)
+    s_c = float(_minimize_bounded(lambda s_c: best_k1(s_c)[1], ceiling, q, 1e-6)[0])
     k1 = best_k1(s_c)[0]
     k2, comonotone = best_k2(s_c, k1)
 

@@ -196,15 +196,18 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     for free in _free_chunks(grid, axes, _chunk_rows(n, space.size)):
         tensors = [free[:, i, :] for i in range(n - 1)]
         tensors.append(S.values[None, :] - free.sum(axis=1))
-        mask = feasible_mask(tensors, S.values, probs, constraints, tol)
-        if comonotone:
-            mask &= comonotone_mask(tensors, S.values, probs)
-        if not mask.any():
+        # the block's rows that pass, in grid order
+        idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints, tol))
+        if comonotone and idx.size == free.shape[0]:
+            idx = np.flatnonzero(comonotone_mask(tensors, S.values, probs))
+        elif comonotone and idx.size:
+            idx = idx[comonotone_mask([V.take(idx, axis=0) for V in tensors],
+                                      S.values, probs)]
+        if not idx.size:
             continue
-        values = np.zeros(free.shape[0])
+        values = np.zeros(idx.size)
         for i, spec in enumerate(objectives):
-            values[mask] += measure_values(spec, tensors[i][mask], probs)
-        values[~mask] = np.inf
+            values += measure_values(spec, tensors[i].take(idx, axis=0), probs)
         vmin = min(vmin, float(values.min()))
         window = vmin + TIE_EPS * (1.0 + abs(vmin))
         kept = [k for k in kept if k[0] <= window]
@@ -212,7 +215,7 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
         near_values = values[near]
         bound = kept[-1][0] if kept else np.inf
         new = near_values < np.minimum.accumulate(np.append(bound, near_values))[:-1]
-        picked = near[new]
+        picked = idx[near[new]]
         rows = np.stack([V[picked] for V in tensors], axis=1)
         kept.extend(zip(near_values[new].tolist(), rows))
     if not kept:

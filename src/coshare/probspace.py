@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 VALUE_MERGE_TOL = 1e-12
@@ -208,16 +208,60 @@ def moments(X):
     return mean, max(var, 0.0)
 
 
+def _brentq(f, a, b, xtol, maxiter=100):
+    """Root of f in [a, b], where f(a) and f(b) have opposite signs, to
+    within xtol + 4 eps |root|, by Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as the
+    common C implementation of it, whose results it repeats bit for bit."""
+    rtol = 4 * math.ulp(1.0)
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(f"no root within {xtol:g} after {maxiter} steps",
+                           last_iterate=xcur)
+
+
 def gamma_quantile(g, u):
     """Root of cdf(q) = u by bracketed root finding, absolute tolerance 1e-10."""
-    # scipy.optimize costs tens of MB and much of the import time; only the
-    # gamma paths need it
-    from scipy.optimize import brentq
-
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {u!r}")
     hi = 1.0
     while g.cdf(hi) <= u:
         hi *= 2.0
-    return float(brentq(lambda q: g.cdf(q) - u, 0.0, hi, xtol=GAMMA_ROOT_TOL))
-
+    return float(_brentq(lambda q: g.cdf(q) - u, 0.0, hi, GAMMA_ROOT_TOL))

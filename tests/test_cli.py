@@ -438,14 +438,20 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {taken}: File exists\n"
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = ("import coshare, sys; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # importing, then running the Gamma(2,1) paths: the quantile's root
+        # and the sec-6.4 study with its nested bounded minimizations
+        for work in ("import coshare, sys",
+                     "import coshare, coshare.cli, sys; "
+                     "coshare.gamma_quantile(coshare.GammaAggregate(), 0.5); "
+                     "assert coshare.cli.main(['reproduce', 'sec-6.4']) == 0"):
+            out = subprocess.run([sys.executable, "-c", f"{work}; {loaded}"], env=env,
+                                 cwd=tmp_path, check=True, capture_output=True,
+                                 text=True).stdout
+            assert out.splitlines()[-1] == "[]"
 
     def test_python_m_coshare_runs_a_document(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -704,6 +710,14 @@ class TestReproduce:
         assert all(c["ok"] for c in report["checks"]), report["checks"]
         assert artifacts and all(os.path.exists(p) for p in artifacts)
         assert_matches_golden(case, report, artifacts)
+
+    def test_sec64_holds_to_the_printed_precision(self):
+        _, checks = cli._REPRODUCERS["sec-6.4"]()
+        measured = [c for c in checks if c["tol"] is not None]
+        assert len(measured) == 8
+        for c in measured:
+            assert c["tol"] <= 5e-5, c["name"]
+            assert abs(c["computed"] - c["expected"]) < 5e-5, c["name"]
 
     def test_unknown_case(self, tmp_path):
         with pytest.raises(SchemaError, match="unknown reproduce case"):

@@ -37,6 +37,7 @@ from coshare import (
     var,
 )
 import coshare.constraints as constraints_module
+from coshare.probspace import VALUE_TOL, value_scale
 from coshare.constraints import (FALSIFY_CHAIN_LIMIT, _check_envelope_coverage,
                                  _pl_eval, _transfer_witness, feasible_mask)
 
@@ -121,6 +122,10 @@ class TestCheckFeasible:
         assert keys == [(0, 0, "w0"), (0, 1, "w1"), (1, 0, None), (1, 1, None)]
         assert violations[0].magnitude == pytest.approx(1.0)
         assert all(v.magnitude > 0 for v in violations)
+        # every constraint is checked on the whole allocation, in either order
+        _, violations = check_feasible(A, constraints[::-1])
+        keys = [(v.constraint_index, v.agent, v.atom) for v in violations]
+        assert keys == [(0, 0, None), (0, 1, None), (1, 0, "w0"), (1, 1, "w1")]
 
     def test_expectation_relations(self):
         A = alloc((0.5, 0.5), (1.0, 3.0))  # mean 2
@@ -347,6 +352,106 @@ class TestAgainstReference:
             assert bool(mask[0]) == got[0]
             kinds_violated |= {type(constraints[v.constraint_index].kind) for v in got[1]}
         assert len(kinds_violated) == 7
+
+
+def row_wise(constraint):
+    """True when the constraint's band reads each row on its own, with no
+    V @ probs, so its verdict on a row cannot depend on the other rows."""
+    kind = constraint.kind
+    if isinstance(kind, (RiskCeiling, RiskFloor)):
+        return kind.measure.kind in ("var", "es")
+    return not isinstance(kind, (ExpectationConstraint, OrliczBound))
+
+
+def unstaged_mask(tensors, s_values, probs, constraints):
+    """The AND of every band's own verdict over all rows."""
+    mask = np.ones(tensors[0].shape[0], dtype=bool)
+    for *_, below, above in constraints_module._breaches(
+            tensors, s_values, probs, constraints, VALUE_TOL * value_scale(s_values)):
+        mask &= ~(below | above).any(axis=1)
+    return mask
+
+
+class RecordedBox(PathwiseBounds):
+    """A pathwise box that keeps every share tensor its band is given."""
+
+    seen = []
+
+    def band(self, V, s_values, probs, tol):
+        self.seen.append(V)
+        return super().band(V, s_values, probs, tol)
+
+
+class TestStagedFeasibility:
+    @pytest.mark.parametrize("dyadic", (False, True))
+    def test_matches_unstaged_reference(self, rng, dyadic):
+        """Staged feasible_mask equals the AND of every band over all rows,
+        in any constraint order.  With Dirichlet masses only row-wise kinds
+        are drawn; with masses in sixteenths every V @ probs is exact, so
+        every kind is drawn."""
+        outcomes, kinds = set(), set()
+        for _ in range(250):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            if dyadic:
+                probs = (1 + rng.multinomial(16 - m, np.full(m, 1.0 / m))) / 16
+            else:
+                probs = rng.dirichlet(np.ones(m))
+            space = FiniteSpace((f"w{k}", p) for k, p in enumerate(probs))
+            base = rng.integers(-8, 9, size=(n, m)) / 4.0
+            A = Allocation(space, tuple(RandomVariable(space, row) for row in base))
+            constraints, k = [], int(rng.integers(1, 5))
+            while len(constraints) < k:
+                c = random_constraint(rng, A)
+                if dyadic or row_wise(c):
+                    constraints.append(c)
+            noise = rng.choice((-0.5, -0.25, 0.0, 0.0, 0.0, 0.25, 0.5),
+                               size=(n, int(rng.choice((1, 8, 64))), m))
+            if rng.random() < 0.25:
+                noise[:] = 0.0  # every row is the base allocation
+            tensors = list(base[:, None, :] + noise)
+            s = A.aggregate.values
+            want = unstaged_mask(tensors, s, probs, constraints)
+            for _ in range(3):
+                order = [constraints[j] for j in rng.permutation(len(constraints))]
+                assert np.array_equal(feasible_mask(tensors, s, probs, order), want)
+            outcomes.add("all" if want.all() else "some" if want.any() else "none")
+            kinds |= {type(c.kind) for c in constraints}
+        assert outcomes == {"all", "some", "none"}
+        assert len(kinds) == (7 if dyadic else 5)
+
+    def test_each_band_sees_only_the_rows_still_feasible(self):
+        s, probs = np.array([1.0, 1.0]), np.full(2, 0.5)
+        V = np.array([[0.0, 1.0], [-1.0, 2.0], [0.5, 0.5], [2.0, -1.0]])
+        tensors = [V, s - V]
+        RecordedBox.seen = []
+        mask = feasible_mask(tensors, s, probs,
+                             (Constraint(PathwiseBounds(lower=0.0), scope=0),
+                              Constraint(RecordedBox(upper=0.75), scope=1)))
+        assert mask.tolist() == [False, False, True, False]
+        assert len(RecordedBox.seen) == 1
+        assert np.array_equal(RecordedBox.seen[0], tensors[1][[0, 2]])
+        # while every row passes, a band gets the tensor itself
+        RecordedBox.seen = []
+        assert feasible_mask(tensors, s, probs,
+                             (Constraint(RecordedBox(lower=-5.0)),)).all()
+        assert [W is T for W, T in zip(RecordedBox.seen, tensors)] == [True, True]
+        # once no row is left, no band runs
+        RecordedBox.seen = []
+        assert not feasible_mask(tensors, s, probs,
+                                 (Constraint(PathwiseBounds(lower=5.0)),
+                                  Constraint(RecordedBox()))).any()
+        assert RecordedBox.seen == []
+
+    @pytest.mark.parametrize("late", (
+        Constraint(PathwiseBounds(), scope=3),
+        Constraint(AggregateEnvelope(((0.0, 0.0), (1.0, 1.0)), ((0.0, 1.0), (1.0, 2.0)))),
+    ), ids=("scope", "envelope-coverage"))
+    def test_every_constraint_is_checked_before_any_band(self, late):
+        """A constraint no row reaches is still checked against the agent
+        count and the aggregate."""
+        with pytest.raises(ValidationError):
+            feasible_mask([np.zeros((3, 2))], np.array([0.0, 2.0]), np.full(2, 0.5),
+                          (Constraint(PathwiseBounds(lower=5.0)), late))
 
 
 class TestClassify:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import coshare.mvsolver as mvsolver_module
 from coshare import (
@@ -617,3 +618,36 @@ class TestVarScenario:
         assert np.allclose(g + rest, grid, atol=1e-12)
         g_at = report.comonotone_shares(np.array([s_c, report.q]))[0]
         assert g_at == pytest.approx((report.ceiling, report.ceiling), abs=1e-9)
+
+    def test_bounded_minimizer_matches_scipy(self):
+        """The private bounded minimizer repeats scipy's
+        minimize_scalar(method="bounded") bit for bit, also when it stops at
+        the call cap."""
+        rng = np.random.default_rng(20261019)
+        for case in range(1500):
+            lo = float(rng.normal(scale=3.0))
+            hi = lo + float(rng.exponential(3.0))
+            c = float(rng.uniform(lo - 1.0, hi + 1.0))
+            w = float(rng.exponential())
+            family = case % 4
+            if family == 0:
+                def f(x, c=c, w=w):
+                    return (x - c) ** 2 + w
+            elif family == 1:
+                def f(x, c=c, w=w):
+                    return abs(x - c) ** 1.5 - w * x
+            elif family == 2:  # several local minima
+                def f(x, k=float(rng.uniform(0.5, 10.0)), w=w):
+                    return math.cos(k * x) + w * x * x
+            else:  # var_scenario's own objective, at a random intercept
+                def f(m, s=float(rng.uniform(4.0, 5.0))):
+                    _, _, pieces = mvsolver_module._four_regime_pieces(m, 1 / 101, s, 3.0)
+                    var_f, var_rest = mvsolver_module._variance_pair(pieces)
+                    return 2.0 + 0.01 * var_rest + var_f
+                lo, hi = 1e-9, float(rng.uniform(0.5, 1.5))
+            xatol = float(rng.choice((1e-3, 1e-5, 1e-8, 1e-10)))
+            maxfun = 500 if case % 5 else int(rng.integers(1, 12))
+            want = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                            options={"xatol": xatol, "maxiter": maxfun})
+            got = mvsolver_module._minimize_bounded(f, lo, hi, xatol, maxfun)
+            assert got == (want.x, want.fun)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from coshare import (
+    ConvergenceError,
     DomainError,
     FiniteSpace,
     GammaAggregate,
@@ -18,7 +19,7 @@ from coshare import (
     moments,
     var,
 )
-from coshare.probspace import level_partition
+from coshare.probspace import _brentq, level_partition
 
 
 def make_space(probs, prefix="w"):
@@ -186,6 +187,44 @@ class TestGamma:
             assert q == pytest.approx(stats.gamma.ppf(u, 2), abs=1e-8)
         with pytest.raises(DomainError):
             gamma_quantile(g, 1.0)
+
+    def test_brentq_matches_scipy(self):
+        """The private root finder repeats scipy.optimize.brentq bit for bit,
+        and stops where scipy does when the step cap is reached."""
+        rng = np.random.default_rng(20261019)
+        g = GammaAggregate()
+        cases = [(lambda x: x - 1.0, 1.0, 2.0, 1e-10), (lambda x: x - 2.0, 1.0, 2.0, 1e-10)]
+        while len(cases) < 1500:
+            family = len(cases) % 4
+            r, w = float(rng.normal()), float(rng.exponential())
+            a, b = r - float(rng.exponential(3.0)), r + float(rng.exponential(3.0))
+            xtol = float(rng.choice((1e-3, 1e-6, 1e-10, 2e-12)))
+            if family == 0:  # gamma_quantile's own root
+                def f(q, u=float(rng.uniform(1e-4, 1.0 - 1e-4))):
+                    return g.cdf(q) - u
+                a, b = 0.0, float(rng.choice((16.0, 32.0, 64.0)))
+            elif family == 1:  # a cubic with one real root, at r
+                def f(x, r=r, p=float(rng.normal()), w=w):
+                    return (x - r) * (x * x + p * x + p * p / 4 + w)
+            elif family == 2:
+                def f(x, r=r, k=float(rng.uniform(0.1, 5.0))):
+                    return math.exp(k * (x - r)) - 1.0
+            else:  # several roots, as a wiggle allows
+                def f(x, r=r, k=float(rng.uniform(0.5, 20.0)), w=w):
+                    return math.atan(k * (x - r)) + w * math.sin(3.0 * x)
+            if f(a) * f(b) < 0:
+                cases.append((f, a, b, xtol))
+        for f, a, b, xtol in cases:
+            assert _brentq(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
+        for f, a, b, xtol in cases[2:50]:
+            x, result = optimize.brentq(f, a, b, xtol=xtol, maxiter=3,
+                                        full_output=True, disp=False)
+            if result.converged:
+                assert _brentq(f, a, b, xtol, maxiter=3) == x
+            else:
+                with pytest.raises(ConvergenceError) as caught:
+                    _brentq(f, a, b, xtol, maxiter=3)
+                assert caught.value.last_iterate == x
 
     def test_var95_value(self):
         # 1 - (1+q)e^{-q} = 0.95 at q ~ 4.7439
