@@ -53,7 +53,7 @@ from .mvsolver import (
     var_scenario,
 )
 from .oracle import GridSpec, ScalarFamily, comonotone_minimize, grid_minimize
-from .probspace import VALUE_TOL, FiniteSpace, RandomVariable
+from .probspace import FiniteSpace, RandomVariable
 from .riskmeasures import RiskMeasureSpec, evaluate
 
 SCHEMA_VERSION = 1
@@ -222,8 +222,11 @@ def _parse_constraint(obj, path, failures, space, gamma, n_agents):
 
 
 def load_problem(path):
-    """Parse and validate a problem file; raises SchemaError listing every
-    failure at once."""
+    """Read a problem file in one pass: the common fields, then the task's
+    own fields and the checks that span fields, each run only where the
+    fields it reads have parsed.  Returns the problem, with the task as
+    written under "task" and its parsed fields beside it; raises SchemaError
+    listing every fault at once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -289,42 +292,45 @@ def load_problem(path):
     measures, deltas = [], []
     if not isinstance(agents, list):
         failures.append("agents: expected a list")
-        agents = []
-    for k, agent in enumerate(agents):
+        agents = None
+    for k, agent in enumerate(agents or ()):
         if not isinstance(agent, dict):
             failures.append(f"agents[{k}]: expected an object")
             continue
-        if "measure" in agent:
-            measures.append(_parse_measure(agent["measure"], f"agents[{k}].measure",
-                                           failures))
-        else:
-            measures.append(None)
-        if "delta" in agent:
-            deltas.append(_parse_number(agent["delta"], f"agents[{k}].delta", failures))
-        else:
-            deltas.append(None)
+        measures.append(_parse_measure(agent["measure"], f"agents[{k}].measure", failures)
+                        if "measure" in agent else None)
+        deltas.append(_parse_number(agent["delta"], f"agents[{k}].delta", failures)
+                      if "delta" in agent else None)
 
-    constraints = []
     raw_constraints = raw.get("constraints", [])
     if not isinstance(raw_constraints, list):
         failures.append("constraints: expected a list")
         raw_constraints = []
     # a scope must name a listed agent; the falsifier sizes its search by it
     endowments, start = raw.get("endowments"), task.get("start")
-    n_agents = (len(agents) or (len(endowments) if isinstance(endowments, list) else 0)
+    n_agents = (len(agents or ()) or (len(endowments) if isinstance(endowments, list) else 0)
                 or (len(start) if isinstance(start, list) else 0))
-    for k, obj in enumerate(raw_constraints):
-        parsed = _parse_constraint(obj, f"constraints[{k}]", failures, space, gamma,
-                                   n_agents)
-        if parsed is not None:
-            constraints.append(parsed)
+    # a constraint is None only with its fault recorded
+    constraints = [_parse_constraint(obj, f"constraints[{k}]", failures, space, gamma,
+                                     n_agents) for k, obj in enumerate(raw_constraints)]
 
+    problem = {
+        "space": space, "S": S, "gamma": gamma, "agents": agents, "measures": measures,
+        "deltas": deltas, "constraints": constraints, "task": task,
+    }
+    kind = task["kind"]
+    if kind is not None:
+        reader, _, needs_finite, agent_field = _TASKS[kind]
+        if needs_finite and gamma:
+            failures.append(f"space: {kind} needs a finite space with an aggregate")
+        # an agent that is not an object, or a faulty list, has its fault already
+        if agent_field and agents is not None and (not agents or any(
+                isinstance(agent, dict) and agent_field not in agent for agent in agents)):
+            failures.append(f"agents: {kind} needs a {agent_field} for every agent")
+        problem.update(reader(task, problem, failures))
     if failures:
         raise SchemaError(failures)
-    return {
-        "space": space, "S": S, "measures": measures, "deltas": deltas,
-        "constraints": constraints, "task": task,
-    }
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +440,24 @@ def emit_report(report, fmt="json", stream=None):
 
 def _allocation_table(A):
     header = ["atom", "prob", "S"] + [f"X_{i+1}" for i in range(A.n_agents)]
-    rows = []
-    for k in range(A.space.size):
-        rows.append([A.space.labels[k], float(A.space.probs[k]),
-                     float(A.aggregate.values[k])]
-                    + [float(share.values[k]) for share in A.shares])
+    rows = [[A.space.labels[k], float(A.space.probs[k]), float(A.aggregate.values[k])]
+            + [float(share.values[k]) for share in A.shares] for k in range(A.space.size)]
     return {"header": header, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
 # task dispatch
 
-def _require(cond, message):
-    if not cond:
-        raise SchemaError([message])
+def _read_solve_mv(task, problem, failures):
+    return {side: _parse_number_list(task[side], f"task.{side}", failures, allow_inf=True)
+            for side in ("lower", "upper") if side in task}
 
 
-def _task_solve_mv(problem, args):
-    task = problem["task"]
+def _task_solve_mv(problem):
     deltas = problem["deltas"]
-    _require(all(d is not None for d in deltas) and deltas,
-             "agents: solve-mv needs a delta for every agent")
-    failures = []
-    lower = _parse_number_list(task.get("lower", ["-inf"] * len(deltas)),
-                               "task.lower", failures, allow_inf=True)
-    upper = _parse_number_list(task.get("upper", ["inf"] * len(deltas)),
-                               "task.upper", failures, allow_inf=True)
-    if failures:
-        raise SchemaError(failures)
-    mv = MVProblem(tuple(deltas), tuple(lower), tuple(upper),
+    mv = MVProblem(tuple(deltas),
+                   tuple(problem.get("lower", [-math.inf] * len(deltas))),
+                   tuple(problem.get("upper", [math.inf] * len(deltas))),
                    (problem["space"], problem["S"]))
     allocation, report = solve_capped_mv(mv)
     return {
@@ -477,19 +472,19 @@ def _task_solve_mv(problem, args):
     }
 
 
-def _task_improve(problem, args):
-    task = problem["task"]
-    space, S = problem["space"], problem["S"]
-    failures = []
+def _read_improve(task, problem, failures):
     shares = _parse_rows(task.get("shares"), "task.shares", failures,
-                         functools.partial(_parse_variable, space=space))
-    if failures:
-        raise SchemaError(failures)
+                         functools.partial(_parse_variable, space=problem["space"]))
+    agents = problem["agents"]
+    if shares is not None and agents and len(agents) != len(shares):
+        failures.append(f"task.shares: need one row per agent ({len(agents)} agents, "
+                        f"{len(shares)} rows)")
+    return {"shares": shares}
+
+
+def _task_improve(problem):
+    A = Allocation(problem["space"], tuple(problem["shares"]), problem["S"])
     measures = problem["measures"]
-    _require(not measures or len(measures) == len(shares),
-             f"task.shares: need one row per agent ({len(measures)} agents, "
-             f"{len(shares)} rows)")
-    A = Allocation(space, tuple(shares), S)
     specs = measures if measures and all(m is not None for m in measures) else None
     improved, cert = comonotonic_improvement(A, measures=specs)
     report = {
@@ -505,71 +500,78 @@ def _task_improve(problem, args):
     return report
 
 
-def _parse_grid(task):
-    failures = []
-    grid = task.get("grid")
+def _read_grid(grid, failures):
+    """task.grid as ("family", the ScalarFamily arguments) or ("ranges", one
+    tuple of (lo, hi, step) triples per free agent); None if it is faulty."""
+    flagged = len(failures)
+    spec = None
     if not isinstance(grid, dict):
-        raise SchemaError(["task.grid: expected an object with 'ranges' or 'family'"])
-    if "family" in grid:
+        failures.append("task.grid: expected an object with 'ranges' or 'family'")
+    elif "family" in grid:
         fam = grid["family"]
         if not isinstance(fam, dict):
-            raise SchemaError(["task.grid.family: expected an object"])
-        base = _parse_rows(fam.get("base"), "task.grid.family.base", failures)
-        direction = _parse_rows(fam.get("direction"), "task.grid.family.direction",
-                                failures)
-        lo = _parse_number(fam.get("lo"), "task.grid.family.lo", failures)
-        hi = _parse_number(fam.get("hi"), "task.grid.family.hi", failures)
-        step = _parse_number(fam.get("step"), "task.grid.family.step", failures)
-        if failures:
-            raise SchemaError(failures)
-        return GridSpec(family=ScalarFamily(base, direction, lo, hi, step))
-    ranges = grid.get("ranges")
-    if not isinstance(ranges, list) or not ranges:
-        raise SchemaError(["task.grid: need 'ranges' or 'family'"])
-    parsed = []
-    for i, agent in enumerate(ranges):
-        if not isinstance(agent, list):
-            failures.append(f"task.grid.ranges[{i}]: expected a list of triples")
-            continue
-        row = []
-        for j, triple in enumerate(agent):
-            vals = _parse_number_list(triple, f"task.grid.ranges[{i}][{j}]", failures)
-            if vals is None:
+            failures.append("task.grid.family: expected an object")
+        else:
+            args = [_parse_rows(fam.get(k), f"task.grid.family.{k}", failures)
+                    for k in ("base", "direction")]
+            args += [_parse_number(fam.get(k), f"task.grid.family.{k}", failures)
+                     for k in ("lo", "hi", "step")]
+            spec = ("family", tuple(args))
+    elif not isinstance(grid.get("ranges"), list) or not grid["ranges"]:
+        failures.append("task.grid: need 'ranges' or 'family'")
+    else:
+        ranges = []
+        for i, agent in enumerate(grid["ranges"]):
+            if not isinstance(agent, list):
+                failures.append(f"task.grid.ranges[{i}]: expected a list of triples")
                 continue
-            if len(vals) != 3:
-                failures.append(f"task.grid.ranges[{i}][{j}]: need [lo, hi, step]")
-            else:
-                row.append(tuple(vals))
-        parsed.append(tuple(row))
-    if failures:
-        raise SchemaError(failures)
-    return GridSpec(ranges=tuple(parsed))
+            row = []
+            for j, triple in enumerate(agent):
+                path = f"task.grid.ranges[{i}][{j}]"
+                row.append(_parse_number_list(triple, path, failures))
+                if row[-1] is not None and len(row[-1]) != 3:
+                    failures.append(f"{path}: need [lo, hi, step]")
+            ranges.append(tuple(row))
+        spec = ("ranges", tuple(ranges))
+    return spec if len(failures) == flagged else None
 
 
-def _task_oracle(problem, args):
-    task = problem["task"]
-    space, S = problem["space"], problem["S"]
-    measures = problem["measures"]
-    _require(measures and all(m is not None for m in measures),
-             "agents: oracle needs a measure for every agent")
-    tol = VALUE_TOL if args.tol is None else args.tol
-    _require(math.isfinite(tol) and tol >= 0, "--tol: expected a nonnegative finite number")
+def _read_oracle(task, problem, failures):
     comonotone = task.get("comonotone", False)
-    _require(isinstance(comonotone, bool), "task.comonotone: expected true or false")
-    grid = _parse_grid(task)
-    minimize = comonotone_minimize if comonotone else grid_minimize
-    allocation, value = minimize(space, S, tuple(measures),
-                                 tuple(problem["constraints"]), grid, tol=tol)
+    if not isinstance(comonotone, bool):
+        failures.append("task.comonotone: expected true or false")
+    return {"comonotone": comonotone, "grid": _read_grid(task.get("grid"), failures)}
+
+
+def _task_oracle(problem):
+    measures = tuple(problem["measures"])
+    form, spec = problem["grid"]
+    grid = (GridSpec(family=ScalarFamily(*spec)) if form == "family"
+            else GridSpec(ranges=spec))
+    minimize = comonotone_minimize if problem["comonotone"] else grid_minimize
+    allocation, value = minimize(problem["space"], problem["S"], measures,
+                                 tuple(problem["constraints"]), grid)
     return {
-        "comonotone": comonotone,
+        "comonotone": problem["comonotone"],
         "value": value,
         "objective_parts": [evaluate(m, X) for m, X in zip(measures, allocation.shares)],
         "tables": {"allocation": _allocation_table(allocation)},
     }
 
 
-def _task_check_solidity(problem, args):
-    task = problem["task"]
+def _read_check_solidity(task, problem, failures):
+    if problem["gamma"]:  # no aggregate: the set is classified, not searched
+        return {}
+    return {
+        "seed": _parse_count(task.get("seed", 0), "task.seed", failures),
+        "budget": _parse_count(task.get("budget", 10 ** 4), "task.budget", failures),
+        "start": (_parse_rows(task["start"], "task.start", failures,
+                              functools.partial(_parse_variable, space=problem["space"]))
+                  if "start" in task else None),
+    }
+
+
+def _task_check_solidity(problem):
     constraints = tuple(problem["constraints"])
     verdict = classify_solidity(constraints)
     report = {
@@ -577,22 +579,11 @@ def _task_check_solidity(problem, args):
         "reason": verdict.reason,
         "tables": {},
     }
-    space, S = problem["space"], problem["S"]
+    space, S, rows = problem["space"], problem["S"], problem.get("start")
     if S is not None:
-        failures = []
-        if args.seed is None:
-            seed = _parse_count(task.get("seed", 0), "task.seed", failures)
-        else:
-            seed = _parse_count(args.seed, "--seed", failures)
-        budget = _parse_count(task.get("budget", 10 ** 4), "task.budget", failures)
-        rows = (_parse_rows(task["start"], "task.start", failures,
-                            functools.partial(_parse_variable, space=space))
-                if "start" in task else None)
-        if failures:
-            raise SchemaError(failures)
         start = None if rows is None else Allocation(space, tuple(rows), S)
-        witness = falsify_solidity(constraints, space, S, budget=budget,
-                                   seed=seed, start=start)
+        witness = falsify_solidity(constraints, space, S, budget=problem["budget"],
+                                   seed=problem["seed"], start=start)
         report["witness_found"] = witness is not None
         if witness is not None:
             report["witness_method"] = witness.method
@@ -601,38 +592,41 @@ def _task_check_solidity(problem, args):
     return report
 
 
-def _task_reproduce(problem, args):
-    case = problem["task"].get("case")
-    _require(case in _REPRODUCE_CASES, f"task.case: expected one of {_REPRODUCE_CASES}")
+def _read_reproduce(task, problem, failures):
+    case = task.get("case")
+    if case not in _REPRODUCE_CASES:
+        failures.append(f"task.case: expected one of {_REPRODUCE_CASES}")
+    return {"case": case}
+
+
+def _task_reproduce(problem):
     # a reproduce task writes its CSV artifacts to the working directory;
     # run's --out names the report file, not an artifact directory
-    report, _ = reproduce(case)
+    report, _ = reproduce(problem["case"])
     return report
 
 
-# task kind -> (runner, whether it needs a finite space with an aggregate)
+# task kind -> (reader, runner, whether it needs a finite space, the field
+# every agent needs).  The reader, called by load_problem, reads the shapes
+# and numbers of the task's fields and records every fault; the runner builds
+# the library objects, calls the library and assembles the report.
 _TASKS = {
-    "solve-mv": (_task_solve_mv, True),
-    "improve": (_task_improve, True),
-    "oracle": (_task_oracle, True),
-    "check-solidity": (_task_check_solidity, False),
-    "reproduce": (_task_reproduce, False),
+    "solve-mv": (_read_solve_mv, _task_solve_mv, True, "delta"),
+    "improve": (_read_improve, _task_improve, True, None),
+    "oracle": (_read_oracle, _task_oracle, True, "measure"),
+    "check-solidity": (_read_check_solidity, _task_check_solidity, False, None),
+    "reproduce": (_read_reproduce, _task_reproduce, False, None),
 }
 # tuples, so that membership tests compare a JSON list instead of hashing it
 _TASK_KINDS = tuple(_TASKS)
 
 
-def run_problem(path, args=None):
+def run_problem(path):
     """Load a problem file and run its task; returns the report dict."""
-    if args is None:
-        args = argparse.Namespace(seed=None, tol=None)
     problem = load_problem(path)
     kind = problem["task"]["kind"]
-    runner, needs_aggregate = _TASKS[kind]
-    _require(not needs_aggregate or problem["S"] is not None,
-             f"space: {kind} needs a finite space with an aggregate")
     try:
-        report = runner(problem, args)
+        report = _TASKS[kind][1](problem)
     except (ValidationError, DomainError, ContractError) as exc:
         # the library rejected a value the task passed on
         raise SchemaError([f"task: {exc}"]) from None
@@ -697,14 +691,13 @@ def _reproduce_ex31():
     _expect_true(checks, "classify is NotSolid", verdict.status is Solidity.NOT_SOLID)
     witness = falsify_solidity(constraints, space, S, start=autarky)
     _expect_true(checks, "witness found", witness is not None)
+    tables = {"autarky": _allocation_table(autarky)}
     if witness is not None:
         half = 0.5 * S.values
         for i in (0, 1):
             _expect(checks, f"reduction X_{i+1} is S/2",
                     0.0, float(np.max(np.abs(witness.reduction.shares[i].values - half))),
                     1e-12)
-    tables = {"autarky": _allocation_table(autarky)}
-    if witness is not None:
         tables["reduction"] = _allocation_table(witness.reduction)
     return {
         "case": "ex-3.1",
@@ -789,10 +782,8 @@ def _reproduce_fig63():
     )
     for name, agent, s, want in curve_checks:
         _expect_true(checks, name, report.share_at(agent, s) == want)
-    rows = []
     samples = sorted({Fraction(k, 2) for k in range(0, 52)} | set(bps))
-    for s in samples:
-        rows.append([float(s)] + [float(report.share_at(i, s)) for i in range(4)])
+    rows = [[float(s)] + [float(report.share_at(i, s)) for i in range(4)] for s in samples]
     return {
         "case": "fig-6.3",
         "breakpoints": list(bps),
@@ -906,8 +897,6 @@ def _build_parser():
     run.add_argument("path")
     run.add_argument("--format", choices=("json", "csv", "text"), default="json")
     run.add_argument("--out", default=None, help="write the report here as well")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--tol", type=float, default=None)
     rep = sub.add_parser("reproduce", help="rebuild a published example")
     rep.add_argument("case", choices=_REPRODUCE_CASES)
     rep.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -925,9 +914,7 @@ def _error_text(exc):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("run", "reproduce", "-h", "--help"):
         argv.insert(0, "run")
     parser = _build_parser()
@@ -945,7 +932,7 @@ def main(argv=None):
             emit_report(report, args.format)
             return 0
         # the report reaches stdout only once --out holds it
-        text = emit_report(run_problem(args.path, args), args.format, io.StringIO())
+        text = emit_report(run_problem(args.path), args.format, io.StringIO())
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

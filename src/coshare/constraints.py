@@ -273,6 +273,13 @@ class IdiosyncraticRetention(_Kind):
                 f"below deductible {self.deductible:g}")
 
     def solidity(self):
+        # pinned by the band's rule; with no aggregate, the endowment sets the scale
+        z = self.endowment.values
+        if not (z < self.deductible - VALUE_TOL * value_scale(z)).any():
+            return SolidityVerdict(
+                Solidity.SOLID,
+                "pins no state: the endowment is at or above the deductible on "
+                "every atom, so the band is the pathwise floor at the deductible")
         return SolidityVerdict(
             Solidity.NOT_SOLID,
             "couples a share to a variable that is not a function of the "
@@ -431,15 +438,16 @@ def _breaches(tensors, s_values, probs, constraints, tol):
         yield ci, kind, i, value, lower, upper, value < lower - tol, value > upper + tol
 
 
-def feasible_mask(tensors, s_values, probs, constraints, tol=VALUE_TOL):
+def feasible_mask(tensors, s_values, probs, constraints):
     """Rows of the share tensors (one rows x atoms array per agent, over an
-    aggregate s_values) that satisfy every constraint within tol * value_scale(s_values).
+    aggregate s_values) that satisfy every constraint within
+    VALUE_TOL * value_scale(s_values).
 
     Each (constraint, agent) band runs, in constraint order, only on the
     rows that passed every band before it, and none runs once no row is
     left.  Row-wise bands give the same verdicts as on every row; a band
     that takes V @ probs can round a row differently with fewer rows."""
-    tol = tol * value_scale(s_values)
+    tol = VALUE_TOL * value_scale(s_values)
     rows = None  # every row has passed: the bands see the tensors themselves
     for _, kind, i in _bands(constraints, len(tensors), s_values):
         V = tensors[i] if rows is None else tensors[i].take(rows, axis=0)

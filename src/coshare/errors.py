@@ -55,7 +55,5 @@ class SchemaError(CoshareError):
     """
 
     def __init__(self, failures):
-        if isinstance(failures, str):
-            failures = [failures]
         self.failures = list(failures)
         super().__init__("; ".join(self.failures))

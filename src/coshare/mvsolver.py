@@ -71,7 +71,7 @@ def _caps(delta, lower, upper):
     upper = tuple(float(v) for v in upper)
     if not (len(lower) == len(upper) == len(deltas)):
         raise ValidationError("delta, lower, upper must have equal length")
-    if any(l >= u for l, u in zip(lower, upper)):
+    if not all(l < u for l, u in zip(lower, upper)):  # a NaN cap fails too
         raise ValidationError("caps need lower < upper for every agent")
     return deltas, lower, upper
 
@@ -425,8 +425,8 @@ def two_agent_fixed_point(a, C, S):
     C = float(C)
     if not 0.0 < a < 1.0:
         raise DomainError("slope a must lie strictly between 0 and 1")
-    if C <= 0.0:
-        raise DomainError("cap C must be positive")
+    if not 0.0 < C < math.inf:
+        raise DomainError("cap C must be positive and finite")
     values, probs = map(np.array, zip(*distribution_of(S)))
     mean_term = a * float(values @ probs)
 

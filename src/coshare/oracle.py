@@ -18,7 +18,7 @@ import numpy as np
 from .allocation import Allocation, comonotone_mask
 from .constraints import _BLOCK_CELLS, _require_space, feasible_mask
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable
+from .probspace import RandomVariable
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
@@ -169,7 +169,7 @@ def _free_chunks(grid, axes, rows):
             yield block.reshape(shape)
 
 
-def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
+def _enumerate(space, S, objectives, constraints, grid, comonotone):
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     _require_space(constraints, space)
@@ -197,7 +197,7 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
         tensors = [free[:, i, :] for i in range(n - 1)]
         tensors.append(S.values[None, :] - free.sum(axis=1))
         # the block's rows that pass, in grid order
-        idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints, tol))
+        idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints))
         if comonotone and idx.size == free.shape[0]:
             idx = np.flatnonzero(comonotone_mask(tensors, S.values, probs))
         elif comonotone and idx.size:
@@ -228,13 +228,13 @@ def _enumerate(space, S, objectives, constraints, grid, tol, comonotone):
     return Allocation(space, shares, S), value
 
 
-def grid_minimize(space, S, objectives, constraints, grid, tol=VALUE_TOL):
+def grid_minimize(space, S, objectives, constraints, grid):
     """Exhaustive minimum of sum_i objectives[i](X_i) over the grid,
-    subject to the constraints within tol * value_scale(S) (see
+    subject to the constraints within VALUE_TOL * value_scale(S) (see
     feasible_mask); clearing holds by construction."""
-    return _enumerate(space, S, objectives, constraints, grid, tol, comonotone=False)
+    return _enumerate(space, S, objectives, constraints, grid, comonotone=False)
 
 
-def comonotone_minimize(space, S, objectives, constraints, grid, tol=VALUE_TOL):
+def comonotone_minimize(space, S, objectives, constraints, grid):
     """grid_minimize restricted to comonotonic allocations."""
-    return _enumerate(space, S, objectives, constraints, grid, tol, comonotone=True)
+    return _enumerate(space, S, objectives, constraints, grid, comonotone=True)

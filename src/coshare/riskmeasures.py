@@ -40,6 +40,8 @@ def _validate_ladder(ladder):
         alpha, beta, retention, width = (float(x) for x in ladder)
     except (TypeError, ValueError):
         raise ValidationError("ladder parameters must be four reals (alpha, beta, R, B)")
+    if not np.isfinite((alpha, beta, retention, width)).all():
+        raise ValidationError("ladder parameters must be finite")
     if not 0.0 <= alpha <= beta:
         raise ValidationError("ladder slopes need 0 <= alpha <= beta")
     if width < 0.0:
@@ -68,8 +70,10 @@ class RiskMeasureSpec:
             if self.level is None or not 0.0 < self.level < 1.0:
                 raise ValidationError("var/es need a level in (0,1)")
         if self.kind == MEAN_VARIANCE:
-            if self.delta is None or self.delta <= 0.0:
+            if self.delta is None or not self.delta > 0.0:
                 raise ValidationError("mean_variance needs delta > 0")
+            if self.delta == np.inf:
+                raise ValidationError("mean_variance needs a finite delta")
         if self.kind == EXPECTED_CONVEX_LOSS:
             object.__setattr__(self, "ladder", _validate_ladder(self.ladder))
 
@@ -153,8 +157,8 @@ def es(X, alpha):
 
 def mean_variance(X, delta):
     """E[X] + delta * Var(X)."""
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < np.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta!r}")
     return _one_row(RiskMeasureSpec.mean_variance(delta), X)
 
 

@@ -168,10 +168,9 @@ def write(tmp_path, name, doc):
 DELETE = object()
 
 
-def mutated(doc_fn, path, value):
-    """doc_fn()'s document with the node at path (a key sequence) replaced,
-    or removed when value is DELETE."""
-    doc = copy.deepcopy(doc_fn())
+def mutate(doc, path, value):
+    """doc with the node at path (a key sequence) replaced in place, or
+    removed when value is DELETE; a replaced root is returned in its place."""
     if not path:
         return value
     parent = doc
@@ -182,6 +181,11 @@ def mutated(doc_fn, path, value):
     else:
         parent[path[-1]] = value
     return doc
+
+
+def mutated(doc_fn, path, value):
+    """doc_fn()'s document with the node at path replaced, or removed."""
+    return mutate(copy.deepcopy(doc_fn()), path, value)
 
 
 def node_paths(node, path=()):
@@ -196,15 +200,62 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def agent_count(doc):
+    """The agents of a valid document: its agent list, endowments, start or
+    share rows, whichever it gives first."""
+    task = doc.get("task", {})
+    for rows in (doc.get("agents"), doc.get("endowments"), task.get("start"),
+                 task.get("shares")):
+        if rows:
+            return len(rows)
+    return 0
+
+
 FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc, kinds_doc)
 FUZZ_VALUES = (None, True, False, 0, -1, 3, 10 ** 400, "1e400", [], [1, "x"], {},
                {"kind": "es"}, "-1/3", "inf", [0, 1, 2])
+# mutations that no fixed value expresses: a list node reversed (a (lo, hi)
+# pair, a grid triple, the share rows), and a constraint scoped to the agent
+# count, one past the last agent
+REVERSED, AGENT_COUNT = object(), object()
+
+
+def draw_mutation(data, doc, n_agents):
+    """doc with one drawn node replaced by a value of another shape, or
+    reversed, or a constraint's scope set to n_agents; unchanged when the
+    drawn mutation has no node to act on."""
+    value = data.draw(st.sampled_from(FUZZ_VALUES + (REVERSED, AGENT_COUNT)))
+    paths = list(node_paths(doc))
+    if value is REVERSED:
+        paths = [p for p in paths if isinstance(node_at(doc, p), list)]
+    elif value is AGENT_COUNT:
+        constraints = doc.get("constraints") if isinstance(doc, dict) else None
+        paths = [("constraints", k, "scope") for k, c in enumerate(constraints)
+                 if isinstance(c, dict)] if isinstance(constraints, list) else []
+    if not paths:
+        return doc
+    path = data.draw(st.sampled_from(paths))
+    if value is REVERSED:
+        value = node_at(doc, path)[::-1]
+    elif value is AGENT_COUNT:
+        value = n_agents
+    else:  # a copy, which a second mutation may change, not FUZZ_VALUES
+        value = copy.deepcopy(value)
+    return mutate(doc, path, value)
+
+
 # every error line of a fuzzed document names a field of it (a top-level key,
-# then .name or [k] steps), a flag, or the file itself when it is not an
-# object; or it is an iteration error carrying its state, or a write failure
+# then .name or [k] steps), or the file itself when it is not an object; or
+# it is an iteration error carrying its state, or a write failure
 FUZZ_ERROR_LINE = re.compile(
     r"error: ((schema_version|space|aggregate|endowments|agents|constraints|task)"
-    r"(\.\w+|\[\d+\])*|--tol|--seed|p\.json): "
+    r"(\.\w+|\[\d+\])*|p\.json): "
     r"|error: .* \((residual \S+|transfers \d+)\)$"
     r"|error: cannot write "
     r"|infeasible: |mismatch: ")
@@ -215,8 +266,10 @@ class TestLoadProblem:
         problem = load_problem(write(tmp_path, "p.json", solve_doc()))
         assert problem["space"].size == 2
         assert problem["deltas"] == [1.0, 1.0]
-        # the task is kept as written; each task reads its own numbers
+        # the task is kept as written, and its parsed fields sit beside it
         assert problem["task"] == solve_doc()["task"]
+        assert problem["lower"] == [-math.inf, -math.inf]
+        assert problem["upper"] == [0.5, math.inf]
         # "-inf" leaves agent 1 unbounded below, and "1/2" is its cap 0.5
         doc = solve_doc()
         doc["task"]["upper"][0] = "1/2"
@@ -393,18 +446,10 @@ class TestMain:
     def test_seed_tol_and_out(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         code = main(["run", str(write(tmp_path, "p.json", oracle_doc())),
-                     "--seed", "7", "--tol", "1e-9", "--out", str(out_file)])
+                     "--out", str(out_file)])
         capsys.readouterr()
         assert code == 0
         assert json.loads(out_file.read_text())["task"] == "oracle"
-
-    def test_tol_must_be_nonnegative_and_finite(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", oracle_doc())
-        for tol in ("-1", "nan", "inf"):
-            assert main(["run", path, "--tol", tol]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: --tol: expected a nonnegative finite number\n"
 
     def test_run_reproduce_out_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -573,6 +618,30 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("doc_fn, faults, lines", (
+        (solve_doc, {("agents", 0, "delta"): "x", ("task", "lower", 1): "y"},
+         ("agents[0].delta: cannot parse number 'x'",
+          "task.lower[1]: cannot parse number 'y'")),
+        (solidity_doc, {("schema_version",): 2, ("task", "budget"): -1,
+                        ("task", "seed"): "x"},
+         ("schema_version: expected 1", "task.seed: expected a nonnegative integer",
+          "task.budget: expected a nonnegative integer")),
+        (oracle_doc, {("task", "comonotone"): "false", ("task", "grid"): 5},
+         ("task.comonotone: expected true or false",
+          "task.grid: expected an object with 'ranges' or 'family'")),
+    ), ids=("delta-and-lower", "version-budget-and-seed", "comonotone-and-grid"))
+    def test_every_fault_once_at_its_field(self, tmp_path, capsys, doc_fn, faults,
+                                           lines):
+        # faults in the common fields and in the task's own are reported
+        # together, each once; a delta that fails to parse is not also missing
+        doc = copy.deepcopy(doc_fn())
+        for node, value in faults.items():
+            mutate(doc, node, value)
+        assert main([write(tmp_path, "bad.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(f"error: {line}\n" for line in lines)
+
     def test_unparsed_atoms_are_not_a_gamma_space(self, tmp_path, capsys):
         # atoms that fail to parse leave no space, but the retentions on
         # them are not on a gamma space: the probability is the one fault
@@ -636,23 +705,26 @@ class TestMain:
     @settings(max_examples=1000)
     @given(data=st.data())
     def test_mutated_documents_exit_cleanly(self, fuzz_dir, data):
-        # one node of a valid document replaced by a value of another shape:
-        # the CLI answers with a documented exit code, never a traceback
-        doc_fn = data.draw(st.sampled_from(FUZZ_DOCS))
-        path = data.draw(st.sampled_from(list(node_paths(doc_fn()))))
-        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        # one or two nodes of a valid document mutated: the CLI answers with
+        # a documented exit code, never a traceback, and names each fault once
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS))())
+        n_agents = agent_count(doc)
+        for _ in range(data.draw(st.integers(1, 2))):
+            doc = draw_mutation(data, doc, n_agents)
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         os.chdir(fuzz_dir)  # reproduce tasks write their CSV files here
         try:
             with open("p.json", "w", encoding="utf-8") as fh:
-                json.dump(mutated(doc_fn, path, value), fh)
+                json.dump(doc, fh)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["p.json", "--out", "report.json"])
         finally:
             os.chdir(cwd)
         assert code in (0, 1, 2, 3)
-        for line in err.getvalue().splitlines():
+        lines = err.getvalue().splitlines()
+        assert len(set(lines)) == len(lines), lines
+        for line in lines:
             assert FUZZ_ERROR_LINE.match(line), line
 
     def test_usage_error_exit_one(self, capsys):
@@ -664,10 +736,13 @@ class TestMain:
         capsys.readouterr()
 
     def test_reproduce_takes_no_seed_or_tol(self, tmp_path, capsys):
-        # reproduce cases are fixed computations; the flags belong to run
-        for flag in (["--tol", "1"], ["--seed", "7"]):
-            assert main(["reproduce", "ex-3.1", "--out", str(tmp_path)] + flag) == 1
-        capsys.readouterr()
+        # the document is the whole record of a run: the seed is task.seed,
+        # and the oracle's tolerance is VALUE_TOL; neither command takes a flag
+        path = write(tmp_path, "p.json", solidity_doc())
+        for argv in (["run", path], ["reproduce", "ex-3.1", "--out", str(tmp_path)]):
+            for flag in (["--tol", "1"], ["--seed", "7"]):
+                assert main(argv + flag) == 1
+                assert capsys.readouterr().out == ""
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -491,6 +491,29 @@ class TestClassify:
         assert verdict.status is Solidity.NOT_SOLID
         assert "conditioning on the aggregate breaks the tie" in verdict.reason
 
+    @pytest.mark.parametrize("scale", (1.0, 1e8))
+    def test_retention_pinning_no_state_is_solid(self, scale):
+        # z >= d on every atom: the band is the pathwise floor X >= d, which
+        # no convex-order reduction leaves; a value below d within the
+        # tolerance pins nothing, and one beyond it pins its state
+        space = FiniteSpace.uniform(4)
+        d = scale
+        for z in ((d, 2 * d, 3 * d, d), (d * (1 - 1e-10), d, 2 * d, 2 * d)):
+            zeta = RandomVariable(space, z)
+            verdict = classify_constraint(Constraint(IdiosyncraticRetention(zeta, d)))
+            assert verdict.status is Solidity.SOLID
+            assert verdict.reason.startswith("pins no state")
+        zeta = RandomVariable(space, (d * (1 - 1e-6), d, 2 * d, 2 * d))
+        assert classify_constraint(Constraint(IdiosyncraticRetention(
+            zeta, d))).status is Solidity.NOT_SOLID
+        # nor does the falsifier find a witness against the floor
+        S = RandomVariable(space, (2 * d, 3 * d, 4 * d, 5 * d))
+        X1 = RandomVariable(space, (d, 2 * d, 3 * d, d))
+        constraints = (Constraint(IdiosyncraticRetention(X1, d), scope=0),)
+        assert classify_solidity(constraints).status is Solidity.SOLID
+        start = Allocation(space, (X1, S - X1), S)
+        assert falsify_solidity(constraints, space, S, start=start, budget=300) is None
+
     def test_envelope_slope_rule(self):
         steep = AggregateEnvelope(
             ((1.0, 0.25), (2.0, 0.25), (3.0, 0.25)),

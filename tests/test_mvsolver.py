@@ -18,13 +18,16 @@ from coshare import (
     GridSpec,
     InfeasibleError,
     MVProblem,
+    OrliczBound,
     PathwiseBounds,
     RandomVariable,
     RiskMeasureSpec,
     ValidationError,
     distribution_of,
+    expected_convex_loss,
     gamma_quantile,
     grid_minimize,
+    mean_variance,
     moments,
     mv_objective,
     saturation_curve,
@@ -651,3 +654,34 @@ class TestVarScenario:
                                             options={"xatol": xatol, "maxiter": maxfun})
             got = mvsolver_module._minimize_bounded(f, lo, hi, xatol, maxfun)
             assert got == (want.x, want.fun)
+
+
+NAN = math.nan
+AGG = finite_aggregate((0.0, 2.0))
+
+
+@pytest.mark.parametrize("call, error", (
+    (lambda: RiskMeasureSpec.mean_variance(NAN), ValidationError),
+    (lambda: RiskMeasureSpec.mean_variance(INF), ValidationError),
+    (lambda: mean_variance(AGG[1], NAN), DomainError),
+    (lambda: mean_variance(AGG[1], INF), DomainError),
+    (lambda: expected_convex_loss(AGG[1], (0.5, 1.5, NAN, 1.0)), ValidationError),
+    (lambda: expected_convex_loss(AGG[1], (0.5, INF, 0.0, 1.0)), ValidationError),
+    (lambda: OrliczBound((0.5, 1.5, NAN, 1.0), 1.0), ValidationError),
+    (lambda: OrliczBound((0.5, 1.5, 0.0, INF), 1.0), ValidationError),
+    (lambda: MVProblem((1.0, 1.0), (NAN, NEG_INF), (INF,) * 2, AGG), ValidationError),
+    (lambda: solve_capped_mv(MVProblem((1.0, 1.0), (NEG_INF,) * 2, (NAN, INF), AGG)),
+     ValidationError),
+    (lambda: statewise_projection((0.0, 0.0), (1.0, 1.0), (NEG_INF,) * 2, (INF, NAN),
+                                  1.0), ValidationError),
+    (lambda: two_agent_fixed_point(0.5, NAN, AGG[1]), DomainError),
+    (lambda: two_agent_fixed_point(0.5, INF, AGG[1]), DomainError),
+), ids=("spec-delta-nan", "spec-delta-inf", "mean-variance-nan", "mean-variance-inf",
+        "ladder-nan", "ladder-inf", "orlicz-nan", "orlicz-inf", "mv-problem-cap-nan",
+        "solve-cap-nan", "projection-cap-nan", "fixed-point-cap-nan",
+        "fixed-point-cap-inf"))
+def test_non_finite_parameters_are_rejected(call, error):
+    # unchecked, each answered nan or stalled; an infinite cap stays legal
+    # (TestStatewiseProjection.test_interior)
+    with pytest.raises(error):
+        call()
