@@ -76,9 +76,11 @@ class _Kind:
     - band(V, s_values, probs, tol) -> (value, lower, upper) on the rows of
       V (rows x atoms): a row is feasible where lower - tol <= value <=
       upper + tol in every column, tol already times value_scale(S).
-      Statewise kinds give rows x atoms values with scalar or per-atom
-      bounds; the others give a rows x 1 column of per-row values with
-      scalar bounds;
+      Statewise kinds return V itself, with scalar or per-atom bounds that
+      do not depend on the rows, so a share value passes or fails on its
+      own (_statewise_limits reads the bounds from a band of no rows, and
+      the oracle prunes its grid axes by them); the others give a rows x 1
+      column of per-row values with scalar bounds;
     - message(agent, value, bound, below, s): the text of a breach past
       bound, where s is the aggregate at the atom (None unless statewise);
     - solidity(): the kind's SolidityVerdict;
@@ -427,6 +429,26 @@ def _bands(constraints, n_agents, s_values):
         kind.check_aggregate(s_values)
         bands.extend((ci, kind, i) for i in agents)
     return bands
+
+
+def _statewise_limits(constraints, n_agents, s_values, probs):
+    """(floor, ceiling), each n_agents x atoms, that the statewise bands
+    allow a share value at each atom: x fails some band of agent i exactly
+    where x < floor[i, a] or x > ceiling[i, a].  That is feasible_mask's
+    comparison, with floor the largest lower - tol and ceiling the smallest
+    upper + tol over the agent's bands, and +-inf where no band bounds the
+    atom.  The bounds come from a band of no rows (see _Kind); _bands checks
+    every constraint first."""
+    tol = VALUE_TOL * value_scale(s_values)
+    m = s_values.size
+    floor = np.full((n_agents, m), -np.inf)
+    ceiling = np.full((n_agents, m), np.inf)
+    for _, kind, i in _bands(constraints, n_agents, s_values):
+        if kind.statewise:
+            _, lower, upper = kind.band(np.empty((0, m)), s_values, probs, tol)
+            np.maximum(floor[i], lower - tol, out=floor[i])
+            np.minimum(ceiling[i], upper + tol, out=ceiling[i])
+    return floor, ceiling
 
 
 def _breaches(tensors, s_values, probs, constraints, tol):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, comonotone_mask
-from .constraints import _BLOCK_CELLS, _require_space, feasible_mask
+from .constraints import (_BLOCK_CELLS, _require_space, _statewise_limits,
+                          feasible_mask)
 from .errors import DomainError, InfeasibleError, ValidationError
 from .probspace import RandomVariable
 from .riskmeasures import RiskMeasureSpec, measure_values
@@ -52,8 +53,13 @@ class ScalarFamily:
     step: float
 
     def __post_init__(self):
-        base = tuple(tuple(float(v) for v in row) for row in self.base)
-        direction = tuple(tuple(float(v) for v in row) for row in self.direction)
+        try:
+            base = tuple(tuple(float(v) for v in row) for row in self.base)
+            direction = tuple(tuple(float(v) for v in row) for row in self.direction)
+            lo, hi, step = float(self.lo), float(self.hi), float(self.step)
+        except (TypeError, ValueError):
+            raise ValidationError("family base and direction need rows of reals, "
+                                  "and lo, hi and step reals")
         if not base or len(base) != len(direction):
             raise ValidationError("family base and direction need matching agent rows")
         width = len(base[0])
@@ -61,10 +67,10 @@ class ScalarFamily:
             raise ValidationError("family rows must all have the same atom count")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "step", float(self.step))
-        _axis(self.lo, self.hi, self.step)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "step", step)
+        _axis(lo, hi, step)
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,14 @@ class GridSpec:
         if (self.ranges is None) == (self.family is None):
             raise ValidationError("GridSpec needs exactly one of ranges or family")
         if self.ranges is not None:
-            ranges = tuple(
-                tuple((float(l), float(h), float(s)) for (l, h, s) in agent)
-                for agent in self.ranges
-            )
+            try:
+                ranges = tuple(
+                    tuple((float(l), float(h), float(s)) for (l, h, s) in agent)
+                    for agent in self.ranges
+                )
+            except (TypeError, ValueError):
+                raise ValidationError("ranges need one (lo, hi, step) triple of "
+                                      "reals per free agent and atom")
             if not ranges or any(not agent for agent in ranges):
                 raise ValidationError("ranges must list at least one agent and atom")
             width = len(ranges[0])
@@ -138,6 +148,28 @@ def _grid_axes(grid):
     return [_axis(*triple) for agent in grid.ranges for triple in agent]
 
 
+def _prune_axes(axes, n_agents, s_values, probs, constraints):
+    """A ranges grid's axes without the values a statewise band rejects.
+
+    A statewise band tests each atom of a share on its own, so it passes or
+    fails a free agent's axis value alone, and the implied agent's S - x
+    when there is one free agent.  The test is feasible_mask's, on the same
+    floats, so the pruned grid keeps every point feasible_mask would, in
+    grid order.  Every constraint, its scope and its fit to the aggregate
+    are checked first, whether or not an axis ends up empty."""
+    m = s_values.size
+    floor, ceiling = _statewise_limits(constraints, n_agents, s_values, probs)
+    pruned = []
+    for k, axis in enumerate(axes):
+        i, a = divmod(k, m)
+        keep = ~((axis < floor[i, a]) | (axis > ceiling[i, a]))
+        if n_agents == 2:
+            implied = s_values[a] - axis
+            keep &= ~((implied < floor[1, a]) | (implied > ceiling[1, a]))
+        pruned.append(axis[keep])
+    return pruned
+
+
 def _free_chunks(grid, axes, rows):
     """Candidate values for the free agents, in grid order, as blocks shaped
     (points, free, atoms) of at most rows points.  A family slices its
@@ -187,13 +219,19 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     if points > GRID_POINT_LIMIT:
         raise DomainError(f"grid of {points} points exceeds the oracle size limit")
     probs = space.probs
+    block_rows = _chunk_rows(n, space.size)
+    # a grid that fits one block is built once whether pruned or not
+    if grid.ranges is not None and points > block_rows:
+        axes = _prune_axes(axes, n, S.values, probs, constraints)
+    chunks = (_free_chunks(grid, axes, block_rows)
+              if all(ax.size for ax in axes) else ())
     # streaming argmin: the pick is the first grid point within the window
     # vmin + TIE_EPS * (1 + |vmin|), which only shrinks as vmin falls.  kept
     # holds, in grid order, (value, shares) of the points inside the current
     # window whose value is below that of every point kept before them; the
     # pick is one of them, and once every block is seen it is the first.
     vmin, kept = np.inf, []
-    for free in _free_chunks(grid, axes, _chunk_rows(n, space.size)):
+    for free in chunks:
         tensors = [free[:, i, :] for i in range(n - 1)]
         tensors.append(S.values[None, :] - free.sum(axis=1))
         # the block's rows that pass, in grid order
@@ -205,9 +243,11 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
                                       S.values, probs)]
         if not idx.size:
             continue
+        whole = idx.size == free.shape[0]
         values = np.zeros(idx.size)
         for i, spec in enumerate(objectives):
-            values += measure_values(spec, tensors[i].take(idx, axis=0), probs)
+            values += measure_values(
+                spec, tensors[i] if whole else tensors[i].take(idx, axis=0), probs)
         vmin = min(vmin, float(values.min()))
         window = vmin + TIE_EPS * (1.0 + abs(vmin))
         kept = [k for k in kept if k[0] <= window]

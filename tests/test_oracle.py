@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coshare import (
+    AggregateEnvelope,
     Constraint,
     DomainError,
     FiniteSpace,
@@ -24,6 +25,8 @@ from coshare import (
 )
 from coshare import oracle
 from coshare.cli import _example_43_space
+from coshare.constraints import feasible_mask
+from coshare.probspace import VALUE_TOL, value_scale
 from coshare.riskmeasures import measure_values
 
 
@@ -58,6 +61,21 @@ class TestGridSpec:
             ScalarFamily(((0.0,),), ((1.0,), (1.0,)), 0.0, 1.0, 0.5)
         with pytest.raises(ValidationError):
             ScalarFamily(((0.0,), (0.0, 1.0)), ((1.0,), (1.0, 0.0)), 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("ranges", (
+        (((0, 1),),), ((5,),), 5, (((0, 1, "x"),),), (((0, None, 1),),)))
+    def test_malformed_ranges(self, ranges):
+        with pytest.raises(ValidationError, match="triple of reals"):
+            GridSpec(ranges=ranges)
+
+    @pytest.mark.parametrize("args", (
+        (((0, "x"),), ((1, 0),), 0, 1, 1),
+        ((5,), ((1,),), 0, 1, 1),
+        (((0,),), ((1,),), None, 1, 1),
+        (((0,),), ((1,),), 0, "hi", 1)))
+    def test_malformed_family(self, args):
+        with pytest.raises(ValidationError, match="reals"):
+            ScalarFamily(*args)
 
     def test_family_properties(self):
         grid = GridSpec.from_family(((0.0, 0.0),), ((1.0, 0.0),), 0.0, 1.0, 0.5)
@@ -100,11 +118,13 @@ class TestGridMinimize:
         assert np.array_equal(best.shares[0].values, (0.5, 0.0))
 
     def test_size_limit(self):
+        # the limit counts the grid before statewise constraints prune it
         space = FiniteSpace.uniform(4)
         S = RandomVariable(space, (0.0, 1.0, 2.0, 3.0))
         grid = GridSpec.uniform(2, 4, 0.0, 10.0, 0.01)
-        with pytest.raises(DomainError):
-            grid_minimize(space, S, (RiskMeasureSpec.es(0.5),) * 3, (), grid)
+        for cons in ((), (Constraint(PathwiseBounds(upper=0.0)),)):
+            with pytest.raises(DomainError):
+                grid_minimize(space, S, (RiskMeasureSpec.es(0.5),) * 3, cons, grid)
 
     def test_input_validation(self):
         space, S = two_state()
@@ -179,12 +199,12 @@ class TestVectorizedMeasures:
 
 
 def _outcome(minimize, args):
-    """(share values, value) of a minimization, or its InfeasibleError details."""
+    """(share bits, value bits) of a minimization, or its InfeasibleError details."""
     try:
         best, value = minimize(*args)
     except InfeasibleError as exc:
         return exc.details
-    return [share.values.tolist() for share in best.shares], value
+    return [share.values.tobytes() for share in best.shares], np.float64(value).tobytes()
 
 
 def _random_problem(rng):
@@ -215,6 +235,114 @@ def _random_problem(rng):
                                     rng.choice([0.0, 0.5, 1.0], size=(n - 1, m)),
                                     -2.0, 3.0, 0.125)
     return space, S, objectives, tuple(constraints), grid
+
+
+def _statewise_problem(rng):
+    """_random_problem with statewise constraints added, each scoped to one
+    agent or to all: pathwise bounds with an edge on a grid value or up to
+    1.5 tolerances off one, an aggregate envelope through grid values at
+    the aggregate's levels, and a retention."""
+    space, S, objectives, constraints, grid = _random_problem(rng)
+    n, m = len(objectives), space.size
+    scopes = (None,) + tuple(range(n))
+
+    def scoped(kind):
+        return Constraint(kind, scope=scopes[int(rng.integers(0, len(scopes)))])
+
+    extra = []
+    if rng.random() < 0.6:
+        tol = VALUE_TOL * value_scale(S.values)
+        lo = float(rng.choice([-1.0, -0.5, 0.0, 0.5])
+                   + rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5]) * tol)
+        hi = lo + float(rng.choice([1.0, 1.5, 2.5]))
+        extra.append(scoped(PathwiseBounds(lower=lo, upper=hi)))
+    if rng.random() < 0.5:
+        levels = np.unique(S.values)
+        low = rng.choice([-1.0, -0.5, 0.0], size=levels.size)
+        high = low + rng.choice([0.5, 1.0, 2.0], size=levels.size)
+        extra.append(scoped(AggregateEnvelope(tuple(zip(levels, low)),
+                                              tuple(zip(levels, high)))))
+    if rng.random() < 0.4:
+        endowment = RandomVariable(space, rng.choice([0.0, 0.5, 1.0, 1.5], size=m))
+        extra.append(scoped(IdiosyncraticRetention(endowment, float(rng.choice([0.5, 1.0])))))
+    merged = constraints + tuple(extra)
+    return space, S, objectives, tuple(merged[k] for k in rng.permutation(len(merged))), grid
+
+
+def _record_prunes(monkeypatch):
+    """A list that gets the axis sizes before and after each pruning."""
+    prune, sizes = oracle._prune_axes, []
+
+    def recording(axes, *rest):
+        pruned = prune(axes, *rest)
+        sizes.append(([ax.size for ax in axes], [ax.size for ax in pruned]))
+        return pruned
+
+    monkeypatch.setattr(oracle, "_prune_axes", recording)
+    return sizes
+
+
+class TestPruning:
+    @pytest.mark.parametrize("rows", (1, 7, 64))
+    @pytest.mark.parametrize("minimize", (grid_minimize, comonotone_minimize))
+    def test_pruning_changes_nothing(self, rng, monkeypatch, rows, minimize):
+        # statewise constraints drop axis values before the grid is built;
+        # against the whole grid, each minimizer gives the same point and
+        # value bits, or the same InfeasibleError details
+        problems = [_statewise_problem(rng) for _ in range(40)]
+        assert {len(args[2]) for args in problems} == {2, 3}
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)
+        sizes = _record_prunes(monkeypatch)
+        pruned = [_outcome(minimize, args) for args in problems]
+        # some axes shrink, some empty, and some problems stay feasible
+        assert any(before != after and min(after) for before, after in sizes)
+        assert any(min(after) == 0 for _, after in sizes)
+        assert any(not isinstance(p, dict) for p in pruned)
+        monkeypatch.setattr(oracle, "_prune_axes", lambda axes, *rest: axes)
+        assert [_outcome(minimize, args) for args in problems] == pruned
+
+    def test_pruning_drops_only_infeasible_points(self, rng):
+        # on the whole grid of each seeded ranges problem, every point with a
+        # coordinate pruning dropped fails feasible_mask
+        dropped = 0
+        for _ in range(80):
+            space, S, objectives, constraints, grid = _statewise_problem(rng)
+            if grid.ranges is None:
+                continue
+            n, m = len(objectives), space.size
+            axes = oracle._grid_axes(grid)
+            pruned = oracle._prune_axes(axes, n, S.values, space.probs, constraints)
+            mesh = np.meshgrid(*axes, indexing="ij")
+            points = np.stack(mesh, axis=-1).reshape(-1, len(axes))
+            free = points.reshape(-1, n - 1, m)
+            tensors = [free[:, i] for i in range(n - 1)] + [S.values - free.sum(axis=1)]
+            feasible = feasible_mask(tensors, S.values, space.probs, constraints)
+            kept = np.all([np.isin(points[:, k], sub) for k, sub in enumerate(pruned)], axis=0)
+            assert not (feasible & ~kept).any()
+            dropped += int((~kept).sum())
+        assert dropped
+
+    @pytest.mark.parametrize("minimize", (grid_minimize, comonotone_minimize))
+    def test_faults_behind_an_emptied_axis(self, monkeypatch, minimize):
+        # in one-point blocks the grid is pruned, and pruning empties agent
+        # 0's axes; a bad scope or an envelope that does not cover S after
+        # it still raises, and alone it is infeasible with the whole grid's
+        # point count
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: 1)
+        sizes = _record_prunes(monkeypatch)
+        space, S = two_state()
+        grid = GridSpec.uniform(1, 2, 0.0, 1.0, 1.0)
+        empty = Constraint(PathwiseBounds(lower=5.0), scope=0)
+        short = AggregateEnvelope(lower=((0.0, 0.0), (1.0, 0.0)),
+                                  upper=((0.0, 2.0), (1.0, 2.0)))
+        for fault in (Constraint(PathwiseBounds(), scope=2), Constraint(short)):
+            with pytest.raises(ValidationError):
+                minimize(space, S, ES_PAIR, (empty, fault), grid)
+        with pytest.raises(InfeasibleError) as exc:
+            minimize(space, S, ES_PAIR, (empty,), grid)
+        assert exc.value.details == {"points": 4,
+                                     "comonotone": minimize is comonotone_minimize}
+        assert sizes == [([2, 2], [0, 0])]
 
 
 class TestChunking:
@@ -255,15 +383,15 @@ class TestChunking:
         assert best.shares[0].values[0] == first and value == table[first]
 
     def test_memory_bounded_by_chunk(self):
-        # ex-4.3's constrained 33^4 grid traces about 9 MiB in blocks; its
-        # whole mesh with the share tensors and sort temporaries traces 225 MiB
-        space, S, measures, constraints = _example_43_space()
+        # ex-4.3's unconstrained 33^4 grid, which no constraint prunes,
+        # traces about 5 MiB in 33 blocks, and about 110 MiB as one block
+        space, S, measures, _ = _example_43_space()
         grid = GridSpec.uniform(1, 4, 0.0, 4.0, 0.125)
         tracemalloc.start()
         try:
-            _, value = grid_minimize(space, S, measures, constraints, grid)
+            _, value = grid_minimize(space, S, measures, (), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == pytest.approx(25.0 / 12.0, abs=1e-9)
+        assert value == pytest.approx(2.0, abs=1e-9)
         assert peak < 32 * 2 ** 20

@@ -19,6 +19,7 @@ from coshare import (
     moments,
     var,
 )
+from coshare import riskmeasures
 from coshare.probspace import VALUE_MERGE_TOL
 from coshare.riskmeasures import measure_values
 
@@ -196,3 +197,69 @@ class TestAgainstReference:
             expected_convex_loss(skewed, (2.0, 0.5, 0.0, 1.0))
         with pytest.raises(ValidationError):
             expected_convex_loss(skewed, (1.0, 2.0))
+
+
+# every ES and VaR level of the reproduce cases, with 0.5 beside them
+REPRODUCE_LEVELS = (0.2, 1.0 / 3.0, 0.5, 0.99, 0.9925, 0.995)
+
+
+class TestNarrowKernel:
+    """The column kernel for blocks of few atoms and many rows, bit for bit
+    against the stable-argsort path, on values with exact ties, near ties
+    1e-13 apart and both signed zeros."""
+
+    @staticmethod
+    def draw(rng, rows, m):
+        V = rng.choice([-0.0, 0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 2.0], size=(rows, m))
+        V[::3] = rng.normal(size=V[::3].shape)
+        return V
+
+    @staticmethod
+    def masses(rng, m):
+        # equal masses, Dirichlet ones, and Dirichlet ones with a tie
+        tied = rng.dirichlet(np.ones(m))
+        tied[-1] = tied[0]
+        return np.full(m, 1.0 / m), rng.dirichlet(np.ones(m)), tied / tied.sum()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bits_match_argsort(self, rng, monkeypatch, m):
+        # measure_values on both sides of the crossover, and past two spans,
+        # against the argsort path; the kernel runs exactly on the blocks of
+        # at most _NARROW_ATOMS atoms and _NARROW_ROWS rows per atom
+        shapes = []
+        kernel = riskmeasures._narrow_tail
+        monkeypatch.setattr(riskmeasures, "_narrow_tail",
+                            lambda spec, V, probs: shapes.append(V.shape)
+                            or kernel(spec, V, probs))
+        crossover = riskmeasures._NARROW_ROWS * m
+        narrow = m <= riskmeasures._NARROW_ATOMS
+        for probs in self.masses(rng, m):
+            for rows in (1, crossover - 1, crossover, 2 * riskmeasures._NARROW_SPAN + 3):
+                V = self.draw(rng, rows, m)
+                for level in REPRODUCE_LEVELS:
+                    for spec in (RiskMeasureSpec.es(level), RiskMeasureSpec.var(level)):
+                        shapes.clear()
+                        got = measure_values(spec, V, probs)
+                        assert bool(shapes) == (narrow and rows >= crossover)
+                        assert sum(shape[0] for shape in shapes) in (0, rows)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(riskmeasures, "_NARROW_ATOMS", 0)
+                            want = measure_values(spec, V, probs)
+                        assert got.tobytes() == want.tobytes(), (spec, rows)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_kernel_bits_on_any_block(self, rng, monkeypatch, m):
+        # the kernel itself, on blocks the path choice sends to argsort, in
+        # either memory order; it sorts a copy and leaves V as it was
+        monkeypatch.setattr(riskmeasures, "_NARROW_ATOMS", 0)
+        for probs in self.masses(rng, m):
+            for rows in (1, 2, 25, 300):
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    V = layout(self.draw(rng, rows, m))
+                    before = V.tobytes()
+                    for level in REPRODUCE_LEVELS:
+                        for spec in (RiskMeasureSpec.es(level), RiskMeasureSpec.var(level)):
+                            got = riskmeasures._narrow_tail(spec, V, probs)
+                            assert V.tobytes() == before
+                            want = measure_values(spec, V, probs)
+                            assert got.tobytes() == want.tobytes(), (spec, rows)
