@@ -21,20 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
+# read by attribute where a task uses them: the package loads a module at its
+# first attribute access, so a task that does not use one never runs its body
+from . import constraints as cons, mvsolver, oracle
 from .allocation import Allocation, comonotonic_improvement, is_comonotonic
-from .constraints import (
-    AggregateEnvelope,
-    Constraint,
-    ExpectationConstraint,
-    IdiosyncraticRetention,
-    OrliczBound,
-    PathwiseBounds,
-    RiskCeiling,
-    RiskFloor,
-    Solidity,
-    classify_solidity,
-    falsify_solidity,
-)
 from .errors import (
     CoshareError,
     ContractError,
@@ -45,14 +35,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .mvsolver import (
-    MVProblem,
-    mv_objective,
-    saturation_curve,
-    solve_capped_mv,
-    var_scenario,
-)
-from .oracle import GridSpec, ScalarFamily, comonotone_minimize, grid_minimize
 from .probspace import FiniteSpace, RandomVariable
 from .riskmeasures import RiskMeasureSpec, evaluate
 
@@ -188,37 +170,38 @@ def _parse_constraint(obj, path, failures, space, gamma, n_agents):
         elif scope >= n_agents:
             failures.append(f"{path}.scope: expected an agent index below {n_agents}")
     if kind == "pathwise_bounds":
-        body = _build(PathwiseBounds, path, failures,
+        body = _build(cons.PathwiseBounds, path, failures,
                       _parse_number(obj.get("lower", "-inf"), f"{path}.lower", failures, True),
                       _parse_number(obj.get("upper", "inf"), f"{path}.upper", failures, True))
     elif kind == "expectation":
-        body = _build(functools.partial(ExpectationConstraint, obj.get("relation", "<=")),
-                      path, failures,
+        body = _build(functools.partial(cons.ExpectationConstraint,
+                                        obj.get("relation", "<=")), path, failures,
                       _parse_number(obj.get("bound"), f"{path}.bound", failures))
     elif kind == "orlicz":
-        body = _build(OrliczBound, path, failures,
+        body = _build(cons.OrliczBound, path, failures,
                       _parse_number_list(obj.get("ladder"), f"{path}.ladder", failures),
                       _parse_number(obj.get("bound"), f"{path}.bound", failures))
     elif kind in ("risk_ceiling", "risk_floor"):
-        body = _build(RiskCeiling if kind == "risk_ceiling" else RiskFloor, path, failures,
+        body = _build(cons.RiskCeiling if kind == "risk_ceiling" else cons.RiskFloor,
+                      path, failures,
                       _parse_measure(obj.get("measure"), f"{path}.measure", failures),
                       _parse_number(obj.get("bound"), f"{path}.bound", failures))
     elif kind == "retention":
         if gamma:
             failures.append(f"{path}: retention needs a finite space")
             return None
-        body = _build(IdiosyncraticRetention, path, failures,
+        body = _build(cons.IdiosyncraticRetention, path, failures,
                       _parse_variable(obj.get("endowment"), f"{path}.endowment", failures,
                                       space),
                       _parse_number(obj.get("deductible"), f"{path}.deductible", failures))
     elif kind == "envelope":
-        body = _build(AggregateEnvelope, path, failures,
+        body = _build(cons.AggregateEnvelope, path, failures,
                       _parse_rows(obj.get("lower"), f"{path}.lower", failures),
                       _parse_rows(obj.get("upper"), f"{path}.upper", failures))
     else:
         failures.append(f"{path}.kind: unknown constraint kind {kind!r}")
         return None
-    return None if body is None else Constraint(body, scope)
+    return None if body is None else cons.Constraint(body, scope)
 
 
 def load_problem(path):
@@ -455,13 +438,13 @@ def _read_solve_mv(task, problem, failures):
 
 def _task_solve_mv(problem):
     deltas = problem["deltas"]
-    mv = MVProblem(tuple(deltas),
+    mv = mvsolver.MVProblem(tuple(deltas),
                    tuple(problem.get("lower", [-math.inf] * len(deltas))),
                    tuple(problem.get("upper", [math.inf] * len(deltas))),
                    (problem["space"], problem["S"]))
-    allocation, report = solve_capped_mv(mv)
+    allocation, report = mvsolver.solve_capped_mv(mv)
     return {
-        "objective": mv_objective(deltas, allocation),
+        "objective": mvsolver.mv_objective(deltas, allocation),
         "intercepts": list(report.intercepts),
         "residual": report.residual,
         "breakpoints": list(report.breakpoints),
@@ -501,10 +484,10 @@ def _task_improve(problem):
 
 
 def _read_grid(grid, failures):
-    """task.grid as ("family", the ScalarFamily arguments) or ("ranges", one
-    tuple of (lo, hi, step) triples per free agent); None if it is faulty."""
+    """task.grid as an oracle.GridSpec, or None with every fault recorded:
+    the reader checks the grid's shapes and numbers, and the library each
+    (lo, hi, step) triple and the family."""
     flagged = len(failures)
-    spec = None
     if not isinstance(grid, dict):
         failures.append("task.grid: expected an object with 'ranges' or 'family'")
     elif "family" in grid:
@@ -512,28 +495,27 @@ def _read_grid(grid, failures):
         if not isinstance(fam, dict):
             failures.append("task.grid.family: expected an object")
         else:
+            make = oracle.GridSpec.from_family
             args = [_parse_rows(fam.get(k), f"task.grid.family.{k}", failures)
                     for k in ("base", "direction")]
             args += [_parse_number(fam.get(k), f"task.grid.family.{k}", failures)
                      for k in ("lo", "hi", "step")]
-            spec = ("family", tuple(args))
     elif not isinstance(grid.get("ranges"), list) or not grid["ranges"]:
         failures.append("task.grid: need 'ranges' or 'family'")
     else:
+        make = oracle.GridSpec
         ranges = []
         for i, agent in enumerate(grid["ranges"]):
             if not isinstance(agent, list):
                 failures.append(f"task.grid.ranges[{i}]: expected a list of triples")
                 continue
-            row = []
-            for j, triple in enumerate(agent):
-                path = f"task.grid.ranges[{i}][{j}]"
-                row.append(_parse_number_list(triple, path, failures))
-                if row[-1] is not None and len(row[-1]) != 3:
-                    failures.append(f"{path}: need [lo, hi, step]")
-            ranges.append(tuple(row))
-        spec = ("ranges", tuple(ranges))
-    return spec if len(failures) == flagged else None
+            ranges.append(tuple(
+                _parse_number_list(triple, f"task.grid.ranges[{i}][{j}]", failures)
+                for j, triple in enumerate(agent)))
+        args = [tuple(ranges)]
+    if len(failures) > flagged:
+        return None
+    return _build(make, "task.grid", failures, *args)
 
 
 def _read_oracle(task, problem, failures):
@@ -545,12 +527,10 @@ def _read_oracle(task, problem, failures):
 
 def _task_oracle(problem):
     measures = tuple(problem["measures"])
-    form, spec = problem["grid"]
-    grid = (GridSpec(family=ScalarFamily(*spec)) if form == "family"
-            else GridSpec(ranges=spec))
-    minimize = comonotone_minimize if problem["comonotone"] else grid_minimize
+    minimize = (oracle.comonotone_minimize if problem["comonotone"]
+                else oracle.grid_minimize)
     allocation, value = minimize(problem["space"], problem["S"], measures,
-                                 tuple(problem["constraints"]), grid)
+                                 tuple(problem["constraints"]), problem["grid"])
     return {
         "comonotone": problem["comonotone"],
         "value": value,
@@ -573,7 +553,7 @@ def _read_check_solidity(task, problem, failures):
 
 def _task_check_solidity(problem):
     constraints = tuple(problem["constraints"])
-    verdict = classify_solidity(constraints)
+    verdict = cons.classify_solidity(constraints)
     report = {
         "status": verdict.status.value,
         "reason": verdict.reason,
@@ -582,7 +562,7 @@ def _task_check_solidity(problem):
     space, S, rows = problem["space"], problem["S"], problem.get("start")
     if S is not None:
         start = None if rows is None else Allocation(space, tuple(rows), S)
-        witness = falsify_solidity(constraints, space, S, budget=problem["budget"],
+        witness = cons.falsify_solidity(constraints, space, S, budget=problem["budget"],
                                    seed=problem["seed"], start=start)
         report["witness_found"] = witness is not None
         if witness is not None:
@@ -652,12 +632,12 @@ def _example_42():
     space = FiniteSpace((f"s{k}", Fraction(1, 3)) for k in (1, 2, 3))
     S = RandomVariable(space, (1.0, 2.0, 3.0))
     measures = (RiskMeasureSpec.es(0.2), RiskMeasureSpec.es(1.0 / 3.0))
-    envelope = AggregateEnvelope(
+    envelope = cons.AggregateEnvelope(
         lower=((1.0, 0.25), (2.0, 0.25), (3.0, 0.25)),
         upper=((1.0, 0.25), (2.0, 0.25), (3.0, 1.75)))
-    constraints = (Constraint(envelope, scope=0),
-                   Constraint(PathwiseBounds(lower=0.0), scope=None))
-    grid = GridSpec.from_family(
+    constraints = (cons.Constraint(envelope, scope=0),
+                   cons.Constraint(cons.PathwiseBounds(lower=0.0), scope=None))
+    grid = oracle.GridSpec.from_family(
         base=((0.25, 0.25, 0.0),), direction=((0.0, 0.0, 1.0),),
         lo=0.25, hi=1.75, step=0.01)
     return space, S, measures, constraints, grid
@@ -669,8 +649,8 @@ def _example_43_space():
     S = RandomVariable(space, (0.0, 2.0, 2.0, 4.0))
     measures = (RiskMeasureSpec.es(0.99), RiskMeasureSpec.es(0.9925))
     constraints = (
-        Constraint(PathwiseBounds(lower=0.0)),
-        Constraint(RiskCeiling(RiskMeasureSpec.var(0.995), 1.0)),
+        cons.Constraint(cons.PathwiseBounds(lower=0.0)),
+        cons.Constraint(cons.RiskCeiling(RiskMeasureSpec.var(0.995), 1.0)),
     )
     return space, S, measures, constraints
 
@@ -682,14 +662,15 @@ def _reproduce_ex31():
     zeta2 = RandomVariable(space, (0.0, 1.0, 0.0, 1.0))
     S = zeta1 + zeta2
     constraints = (
-        Constraint(IdiosyncraticRetention(zeta1, 1.0), scope=0),
-        Constraint(IdiosyncraticRetention(zeta2, 1.0), scope=1),
+        cons.Constraint(cons.IdiosyncraticRetention(zeta1, 1.0), scope=0),
+        cons.Constraint(cons.IdiosyncraticRetention(zeta2, 1.0), scope=1),
     )
     autarky = Allocation(space, (zeta1, zeta2), S)
     checks = []
-    verdict = classify_solidity(constraints)
-    _expect_true(checks, "classify is NotSolid", verdict.status is Solidity.NOT_SOLID)
-    witness = falsify_solidity(constraints, space, S, start=autarky)
+    verdict = cons.classify_solidity(constraints)
+    _expect_true(checks, "classify is NotSolid",
+                 verdict.status is cons.Solidity.NOT_SOLID)
+    witness = cons.falsify_solidity(constraints, space, S, start=autarky)
     _expect_true(checks, "witness found", witness is not None)
     tables = {"autarky": _allocation_table(autarky)}
     if witness is not None:
@@ -709,8 +690,9 @@ def _reproduce_ex31():
 
 def _reproduce_ex42():
     space, S, measures, constraints, grid = _example_42()
-    best, value = grid_minimize(space, S, measures, constraints, grid)
-    com_best, com_value = comonotone_minimize(space, S, measures, constraints, grid)
+    best, value = oracle.grid_minimize(space, S, measures, constraints, grid)
+    com_best, com_value = oracle.comonotone_minimize(space, S, measures, constraints,
+                                                     grid)
     checks = []
     _expect(checks, "constrained minimum 19/8", 19.0 / 8.0, value, 1e-9)
     _expect(checks, "constrained argmin a = 7/4", 1.75,
@@ -740,10 +722,11 @@ def _reproduce_ex42():
 
 def _reproduce_ex43():
     space, S, measures, constraints = _example_43_space()
-    grid = GridSpec.uniform(1, 4, 0.0, 4.0, 0.125)
-    free, free_value = grid_minimize(space, S, measures, (), grid)
-    best, value = grid_minimize(space, S, measures, constraints, grid)
-    com_best, com_value = comonotone_minimize(space, S, measures, constraints, grid)
+    grid = oracle.GridSpec.uniform(1, 4, 0.0, 4.0, 0.125)
+    free, free_value = oracle.grid_minimize(space, S, measures, (), grid)
+    best, value = oracle.grid_minimize(space, S, measures, constraints, grid)
+    com_best, com_value = oracle.comonotone_minimize(space, S, measures, constraints,
+                                                     grid)
     checks = []
     _expect(checks, "unconstrained 2", 2.0, free_value, 1e-9)
     _expect(checks, "constrained 25/12", 25.0 / 12.0, value, 1e-9)
@@ -767,7 +750,7 @@ def _reproduce_ex43():
 
 
 def _reproduce_fig63():
-    report = saturation_curve((2, 3, 5, 6), (5, 8, 3, math.inf))
+    report = mvsolver.saturation_curve((2, 3, 5, 6), (5, 8, 3, math.inf))
     checks = []
     bps = report.breakpoints
     _expect_true(checks, "three breakpoints", len(bps) == 3)
@@ -795,7 +778,7 @@ def _reproduce_fig63():
 
 
 def _reproduce_sec64():
-    report = var_scenario()
+    report = mvsolver.var_scenario()
     checks = []
     # the paper prints four decimals: each value lies within half a unit of
     # the fourth

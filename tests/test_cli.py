@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coshare
 from coshare import (
     AggregateEnvelope,
     ConvergenceError,
@@ -550,6 +551,8 @@ class TestMain:
         (solidity_doc, ("task", "seed"), "x", "task.seed"),
         (solidity_doc, ("task", "start"), 3, "task.start"),
         (family_doc, ("task", "grid", "family", "base"), 5, "task.grid.family.base"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 1, 2), "x",
+         "task.grid.ranges[0][1][2]"),
         (reproduce_doc, ("task", "case"), ["x"], "task.case"),
         (solve_doc, ("aggregate", 1), "1e400", "aggregate[1]"),
         (solve_doc, ("aggregate", 1), 10 ** 400, "aggregate[1]"),
@@ -563,8 +566,8 @@ class TestMain:
         (improve_doc, ("task", "shares"),
          [["1/4", "1/4", "7/4"], ["3/4", "7/4", "5/4"], [0, 0, 0]], "task.shares"),
     ), ids=("constraints-int", "budget-text", "budget-negative", "seed-text",
-            "start-int", "family-base-int", "case-list", "number-text-1e400",
-            "number-int-1e400", "scope-bool", "scope-past-endowments",
+            "start-int", "family-base-int", "grid-number-text", "case-list",
+            "number-text-1e400", "number-int-1e400", "scope-bool", "scope-past-endowments",
             "scope-at-agents", "scope-past-start", "scope-without-agent-count",
             "shares-past-agents"))
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc_fn, node,
@@ -575,16 +578,17 @@ class TestMain:
         assert captured.err.startswith(f"error: {where}: ")
 
     @pytest.mark.parametrize("doc_fn, node, value, where", (
-        # a value the library rejects inside a task
+        # a value the library rejects: a grid as it is read, the rest as the
+        # task runs
         (solve_doc, ("task", "upper"), [0.5], "task"),
         (solve_doc, ("task", "lower"), [1, "-inf"], "task"),
         (solve_doc, ("agents", 0, "delta"), -1, "task"),
         (oracle_doc, ("constraints",), [{"kind": "envelope", "lower": [[0, -5], [1, -5]],
                                          "upper": [[0, 5], [1, 5]]}], "task"),
-        (family_doc, ("task", "grid", "family", "direction"), [[0, 1, 0]], "task"),
+        (family_doc, ("task", "grid", "family", "direction"), [[0, 1, 0]], "task.grid"),
         (oracle_doc, ("agents",), [{"measure": {"kind": "es", "level": 0.5}}] * 3, "task"),
         (oracle_doc, ("task", "grid", "ranges"), [[[0, 1, 1]]], "task"),
-        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1, 0.3], "task"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1, 0.3], "task.grid"),
         (improve_doc, ("task", "shares"), [[0, 0, 0], [0, 0, 0]], "task"),
         (solidity_doc, ("task", "start"), [[0, 1, 0, 1], [0, 0, 1, 1]], "task"),
         (solidity_doc, ("task", "start", 1), [0, 1, 0, 2], "task"),
@@ -629,7 +633,17 @@ class TestMain:
         (oracle_doc, {("task", "comonotone"): "false", ("task", "grid"): 5},
          ("task.comonotone: expected true or false",
           "task.grid: expected an object with 'ranges' or 'family'")),
-    ), ids=("delta-and-lower", "version-budget-and-seed", "comonotone-and-grid"))
+        (oracle_doc, {("schema_version",): 2,
+                      ("task", "grid", "ranges", 0, 0): [0, 1, 0.3]},
+         ("schema_version: expected 1",
+          "task.grid: grid range must span a whole number of steps")),
+        (oracle_doc, {("task", "comonotone"): 1,
+                      ("task", "grid", "ranges", 0, 1): [0, 1]},
+         ("task.comonotone: expected true or false",
+          "task.grid: ranges need one (lo, hi, step) triple of reals per free agent "
+          "and atom")),
+    ), ids=("delta-and-lower", "version-budget-and-seed", "comonotone-and-grid",
+            "version-and-grid-step", "comonotone-and-grid-triple"))
     def test_every_fault_once_at_its_field(self, tmp_path, capsys, doc_fn, faults,
                                            lines):
         # faults in the common fields and in the task's own are reported
@@ -687,7 +701,7 @@ class TestMain:
         def stalled(problem):
             raise ConvergenceError("intercept fixed point did not converge",
                                    last_iterate=(0.0, 1.0), residual=4.1e-06)
-        monkeypatch.setattr(cli, "solve_capped_mv", stalled)
+        monkeypatch.setattr(coshare.mvsolver, "solve_capped_mv", stalled)
         assert main([write(tmp_path, "p.json", solve_doc())]) == 1
         assert capsys.readouterr().err == (
             "error: intercept fixed point did not converge (residual 4.1e-06)\n")
@@ -745,7 +759,88 @@ class TestMain:
                 assert capsys.readouterr().out == ""
 
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# a fresh interpreter's coshare submodules, each with whether its body ran
+# (a module whose body has not run is still LazyLoader's module subclass)
+MODULES_RUN = ("print(json.dumps({name.split('.')[1]: type(module) is types.ModuleType "
+               "for name, module in sys.modules.items() if name.startswith('coshare.')}))")
+BASE_MODULES = {"errors", "probspace", "stochorder", "riskmeasures", "allocation", "cli"}
+# each command -> the coshare modules whose bodies it runs; every other
+# submodule is registered but never runs
+MODULES_BY_COMMAND = {
+    "run improve": BASE_MODULES,
+    "run solve-mv": BASE_MODULES | {"mvsolver"},
+    "run oracle": BASE_MODULES | {"constraints", "oracle"},
+    "run check-solidity": BASE_MODULES | {"constraints"},
+    "run reproduce": BASE_MODULES | {"constraints"},
+    "reproduce ex-3.1": BASE_MODULES | {"constraints"},
+    "reproduce ex-4.2": BASE_MODULES | {"constraints", "oracle"},
+    "reproduce ex-4.3": BASE_MODULES | {"constraints", "oracle"},
+    "reproduce fig-6.3": BASE_MODULES | {"mvsolver"},
+    "reproduce sec-6.4": BASE_MODULES | {"mvsolver"},
+}
+RUN_DOCS = {"improve": improve_doc, "solve-mv": solve_doc, "oracle": oracle_doc,
+            "check-solidity": solidity_doc, "reproduce": reproduce_doc}
+SUBMODULES = {"errors", "probspace", "stochorder", "riskmeasures", "allocation",
+              "constraints", "mvsolver", "oracle", "cli"}
+
+
+def modules_run(tmp_path, work):
+    """{submodule: whether its body ran} after `work` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"import json, sys, types; {work}; {MODULES_RUN}"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          cwd=tmp_path, check=True, capture_output=True, text=True,
+                          timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestPackage:
+    def test_import_runs_no_module_body(self, tmp_path):
+        ran = modules_run(tmp_path, "import coshare")
+        assert set(ran) == SUBMODULES
+        assert not any(ran.values())
+
+    @pytest.mark.parametrize("command", MODULES_BY_COMMAND)
+    def test_command_runs_only_its_modules(self, tmp_path, command):
+        verb, what = command.split()
+        argv = ["reproduce", what]
+        if verb == "run":
+            argv = ["run", write(tmp_path, "p.json", RUN_DOCS[what]())]
+        ran = modules_run(tmp_path, "from coshare.cli import main; "
+                                    f"assert main({argv!r}) == 0")
+        assert set(ran) == SUBMODULES
+        assert {name for name, body_ran in ran.items() if body_ran} == (
+            MODULES_BY_COMMAND[command])
+
+    def test_public_names_are_their_modules_attributes(self):
+        for name in coshare.__all__:
+            value = getattr(coshare, name)
+            assert value.__module__.startswith("coshare.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_patched_attribute_shows_through(self, monkeypatch):
+        original = coshare.var_scenario
+        replacement = object()
+        monkeypatch.setattr(coshare.mvsolver, "var_scenario", replacement)
+        assert coshare.var_scenario is replacement
+        monkeypatch.undo()
+        assert coshare.var_scenario is original
+
+    def test_dir_and_unknown_names(self):
+        assert set(coshare.__all__) <= set(dir(coshare))
+        assert SUBMODULES <= set(dir(coshare))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            coshare.no_such_name
+        assert not hasattr(coshare, "VALUE_TOL")  # defined, but not exported
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from coshare import *", namespace)
+        for name in coshare.__all__:
+            assert namespace[name] is getattr(coshare, name)
+
+
+GOLDEN =os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def assert_matches_golden(case, report, artifacts):
