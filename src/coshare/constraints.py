@@ -28,6 +28,7 @@ from .allocation import (Allocation, _require_clearing, check_clearing,
 from .errors import ValidationError
 from .probspace import VALUE_TOL, RandomVariable, value_scale
 from .riskmeasures import (
+    VAR,
     Consistency,
     RiskMeasureSpec,
     _ladder_mean,
@@ -517,16 +518,33 @@ def classify_constraint(constraint):
     return _kind_of(constraint).solidity()
 
 
+def _implied_var_ceiling(constraint, constraints):
+    """True for a VaR ceiling that a pathwise upper bound at or below it on
+    the same agents implies: X <= u gives VaR(X) <= u, so the set without
+    the ceiling is the same set."""
+    kind = constraint.kind
+    return (isinstance(kind, RiskCeiling) and kind.measure.kind == VAR
+            and any(isinstance(other.kind, PathwiseBounds)
+                    and other.kind.upper <= kind.bound
+                    and other.scope in (None, constraint.scope)
+                    for other in constraints))
+
+
 def classify_solidity(constraints):
     """Meet of the member verdicts: Solid only if every member is certified,
-    NotSolid as soon as one member is certified breakable."""
+    NotSolid as soon as one member is certified breakable.  A VaR ceiling
+    that a pathwise upper bound implies leaves the set unchanged, so it
+    takes no part in the meet."""
+    constraints = tuple(constraints)
     verdicts = [classify_constraint(c) for c in constraints]
     if not verdicts:
         return SolidityVerdict(Solidity.SOLID, "empty constraint set restricts nothing")
-    status = min((v.status for v in verdicts), key=_MEET_RANK.get)
+    verdicts = [(idx, v) for idx, v in enumerate(verdicts)
+                if not _implied_var_ceiling(constraints[idx], constraints)]
+    status = min((v.status for _, v in verdicts), key=_MEET_RANK.get)
     if status is Solidity.SOLID:
         return SolidityVerdict(status, "every member is certified solid")
-    for idx, v in enumerate(verdicts):
+    for idx, v in verdicts:
         if v.status is status:
             return SolidityVerdict(status, f"constraint {idx}: {v.reason}")
     raise AssertionError("unreachable")

@@ -10,11 +10,14 @@ piecewise moments.
 
 The intercept fixed point can be non-unique when caps bind (the two-agent
 interval above is the simplest case).  solve_capped_mv reports the limit of
-the damped iteration c <- (c + E[X(c)]) / 2 from c = a E[S].  It reaches
-that limit by regime-limit jumps: E[X(c)] - c is piecewise affine in c, so
-within one regime (the agents interior in each state) the damped iteration's
-limit has a closed form, and a jump goes straight there.  A jump that does
-not at least halve the residual is replaced by one damped step.
+the damped iteration c <- (c + E[X(c)]) / 2 from c = a E[S].  E[X(c)] - c is
+piecewise affine in c, so within one regime (the agents interior in each
+state) the damped iteration has a closed form, read from one
+eigendecomposition of the regime's matrix.  Each step first tries a jump
+straight to the regime's limit; if the jump is refused, it takes one damped
+step and, while the regime holds, skips on along the damped path in closed
+form to the first step that leaves the regime.  The solve stops at a residual relative to the
+aggregate's largest magnitude.
 """
 
 from __future__ import annotations
@@ -50,6 +53,22 @@ from .riskmeasures import mean_variance
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITERS = 10 ** 4
 FIXED_POINT_DAMPING = 0.5
+# numpy pinv's default cutoff: eigenvalues up to PINV_RCOND * max |lam| are 0
+PINV_RCOND = 1e-15
+# The skip along the damped path (see _first_exit): the first
+# SKIP_PROBE_STEPS steps are checked at once, later ones by interval bounds,
+# at most SKIP_SEARCH_BUDGET of them per block of states, each block holding
+# at most SKIP_BLOCK_CELLS boundary coefficients (states x agents x modes).
+# A share past its regime's boundary by more than REGIME_EXIT_TOL times
+# max |S| has left the regime; SKIP_HORIZON_DECAY is the log-decay
+# -t log(rho) past which every mode counts as settled, and eigenvalues (at
+# most 1) closer than EIGEN_MERGE_TOL are one repeated eigenvalue.
+SKIP_PROBE_STEPS = 32
+SKIP_SEARCH_BUDGET = 256
+SKIP_BLOCK_CELLS = 2 ** 16
+SKIP_HORIZON_DECAY = 40.0
+REGIME_EXIT_TOL = 1e-13
+EIGEN_MERGE_TOL = 1e-13
 KINK_MERGE_RTOL = 1e-12
 RESIDUAL_ZERO_TOL = 1e-12
 
@@ -233,10 +252,13 @@ class MVProblem:
 class RegimeReport:
     """Piecewise-affine share curves: breakpoints in s, the active set and
     per-agent slope in each regime, anchor share vectors at the breakpoints,
-    the intercepts, the intercept fixed-point residual, and the number of
-    solver steps (regime-limit jumps or damped steps, see solve_capped_mv)
-    that produced them, counting the pass that found the residual below
-    FIXED_POINT_TOL * value_scale(S) (0 where no solve ran).
+    the intercepts, the intercept fixed-point residual, and the solver
+    passes that produced them (0 where no solve ran): iterations counts
+    every pass, the last one being the pass that found the residual at most
+    FIXED_POINT_TOL * max |S|; of the steps before it, jumps were
+    regime-limit jumps, skips were skips of two or more damped steps (see
+    solve_capped_mv), and the other iterations - 1 - jumps - skips were
+    single damped steps.
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -251,6 +273,8 @@ class RegimeReport:
     anchors: tuple = ()
     terminal_s: object = None
     iterations: int = 0
+    jumps: int = 0
+    skips: int = 0
 
     def __post_init__(self):
         k = len(self.breakpoints)
@@ -270,9 +294,10 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations):
+def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, **counts):
     """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    in the arithmetic of the arguments (see _kink_responses).
+    in the arithmetic of the arguments (see _kink_responses), with the
+    solver's step counts.
 
     Float kinks closer than KINK_MERGE_RTOL (relative) are one kink: agents
     that saturate together at solved intercepts give kinks a few ulps
@@ -299,7 +324,7 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations)
         return RegimeReport(
             breakpoints=(), active_sets=(active,), slopes=(slopes_for(active),),
             intercepts=intercepts, residual=residual,
-            anchors=((sum(intercepts), intercepts),), iterations=iterations)
+            anchors=((sum(intercepts), intercepts),), **counts)
 
     probes = np.concatenate(
         ([kinks[0] - 1], (kinks[:-1] + kinks[1:]) / 2, [kinks[-1] + 1]))
@@ -312,7 +337,131 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, iterations)
         slopes=tuple(slopes_for(a) for a in active_sets),
         intercepts=intercepts, residual=residual,
         anchors=tuple(zip(breakpoints, (tuple(row) for row in responses.tolist()))),
-        iterations=iterations)
+        **counts)
+
+
+def _regime_modes(active, probs, inv, root):
+    """(lam, V, P) for the regime of active (A its 0/1 mask, w = 1/delta,
+    root = w^(1/2)): the eigenvalues lam and orthonormal eigenvectors V of
+    the symmetric
+    M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2), with every
+    eigenvalue that pinv drops (|lam| <= PINV_RCOND max |lam|) set to 0,
+    and P = pinv(M) formed from them in the order and memory layout numpy's
+    pinv(M, hermitian=True) uses, so that a jump keeps pinv's bits."""
+    A = active.astype(float)
+    load = A @ inv
+    weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
+    M = (A.T * weight) @ A
+    M *= np.multiply.outer(root, root)
+    M.flat[::M.shape[0] + 1] += 1.0 - probs @ A
+    lam, V = np.linalg.eigh(M)
+    order = np.argsort(np.abs(lam))[::-1]
+    s = np.abs(lam[order])
+    u = np.ascontiguousarray(V[:, order])
+    s = np.divide(1.0, s, out=np.zeros_like(s), where=s > PINV_RCOND * s[0])
+    P = (u * np.copysign(1.0, lam[order])) @ (s[:, None] * u.T)
+    lam[np.abs(lam) <= PINV_RCOND * np.abs(lam).max()] = 0.0
+    return lam, V, P
+
+
+def _damped_weights(lam, steps):
+    """phi_t = (1 - rho^t) / lam per mode, rho = 1 - lam/2 > 0: the weight
+    of each mode after t damped steps, one row per integer t in steps.
+    expm1 and log1p keep it exact for t up to 2^52."""
+    t = np.asarray(steps, dtype=float)[:, None]
+    return -np.expm1(t * np.log1p(-0.5 * lam)) / lam
+
+
+def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
+    """First integer t >= 1 at which the damped path c_t = c + E phi_t
+    leaves the regime of active (E one column per mode, lam > 0 and
+    ascending), or None when a state has every agent capped, no exit comes
+    before every mode has settled, or a block's search runs past
+    SKIP_SEARCH_BUDGET interval bounds.
+
+    In state k the unclipped share v_kj = c_j + eta_k/delta_j moves by
+    h_kj(t) = B_kj phi_t with B_kj = E_j - w_j (A_k E)/(A_k w): a constant
+    plus at most n exponentials in t.  The regime holds while every
+    interior share stays within its caps and every capped share stays past
+    its cap, each within tol.  Eigenvalues within EIGEN_MERGE_TOL are one
+    eigenvalue, so the terms of a repeated one share their phi and cancel
+    where they should.  Steps 1..SKIP_PROBE_STEPS are checked at once; past
+    them each phi is monotone in t, so on an integer interval each term of
+    h is bounded by its endpoint values, and the intervals that cannot be
+    cleared are split, leftmost first, until the first crossing is a single
+    step.  States run in blocks of at most SKIP_BLOCK_CELLS coefficients,
+    each searching only before the best exit so far.
+    """
+    m, n = active.shape
+    if not lam.size:
+        return None
+    starts = np.flatnonzero(np.diff(lam, prepend=-1.0) > EIGEN_MERGE_TOL)
+    lam = np.add.reduceat(lam, starts) / np.diff(starts, append=lam.size)
+    E = np.add.reduceat(E, starts, axis=1)
+    # past the horizon every mode is within exp(-SKIP_HORIZON_DECAY) of its
+    # limit
+    horizon = min(2 ** 52, math.ceil(
+        SKIP_HORIZON_DECAY / -math.log1p(-0.5 * float(lam[0]))))
+    probe = _damped_weights(lam, range(1, SKIP_PROBE_STEPS + 1))
+    rows = max(1, SKIP_BLOCK_CELLS // (n * max(lam.size, SKIP_PROBE_STEPS)))
+    best = horizon + 1
+    for a in range(0, m, rows):
+        A = active[a:a + rows]
+        load = A @ inv
+        if not (load > 0.0).all():
+            return None
+        v0 = c + eta[a:a + rows, None] * inv
+        above = v0 >= upper
+        floor = np.where(A, lower, np.where(above, upper, -math.inf))
+        ceil = np.where(A, upper, np.where(above, math.inf, lower))
+        room_lo = (v0 - floor + tol).ravel()
+        room_hi = (ceil - v0 + tol).ravel()
+        B = (E - inv[:, None] * ((A @ E) / load[:, None])[:, None, :]).reshape(-1, lam.size)
+        k = min(SKIP_PROBE_STEPS, best - 1)
+        h = B @ probe[:k].T
+        out = ((h < -room_lo[:, None]) | (h > room_hi[:, None])).any(axis=0)
+        if out.any():
+            best = int(out.argmax()) + 1
+            if best == 1:
+                return 1
+            continue
+        if best <= SKIP_PROBE_STEPS + 1:
+            continue
+        stack = [(SKIP_PROBE_STEPS + 1, best - 1, np.arange(B.shape[0]))]
+        for _ in range(SKIP_SEARCH_BUDGET):
+            if not stack:
+                break
+            t0, t1, cells = stack.pop()
+            phi0, phi1 = _damped_weights(lam, (t0, t1))
+            rise, fall = np.maximum(B[cells], 0.0), np.minimum(B[cells], 0.0)
+            out = ((rise @ phi0 + fall @ phi1 < -room_lo[cells])
+                   | (rise @ phi1 + fall @ phi0 > room_hi[cells]))
+            if not out.any():
+                continue
+            if t0 == t1:
+                best = t0
+                break
+            cells, mid = cells[out], (t0 + t1) // 2
+            stack += [(mid + 1, t1, cells), (t0, mid, cells)]
+        else:
+            return None
+    return best if best <= horizon else None
+
+
+def _skip(c, f, eta, active, lower, upper, inv, root, lam, V, tol):
+    """(t, c_t) for the first step t >= 1 at which the damped path from c
+    leaves the regime of active, c_t = c + D_w^(1/2) V diag(phi_t) V^T
+    D_w^(-1/2) f with f = F(c); or None where _first_exit finds no exit.
+    Only the modes with lam > 0 move: M's null vectors are D_w^(-1/2) d
+    for the shifts d, sum d = 0, among agents interior in every state, and
+    there F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0."""
+    live = lam > 0.0
+    V, lam = V[:, live], lam[live]
+    E = root[:, None] * V * (V.T @ (f / root))
+    t = _first_exit(c, eta, active, lower, upper, inv, E, lam, tol)
+    if t is None:
+        return None
+    return t, c + E @ _damped_weights(lam, (t,))[0]
 
 
 def solve_capped_mv(problem):
@@ -327,16 +476,30 @@ def solve_capped_mv(problem):
     reported intercepts are the limit of the damped iteration
     c <- (c + E[X(c)]) / 2 from c = a E[S], a the proportional slopes.
 
-    Each step first tries a regime-limit jump.  With A the mask of agents
-    strictly inside their caps in each state and w = 1/delta, F(c) =
-    E[X(c)] - c has slope -J in the regime of A, J = I - E[P] and E[P] =
-    diag(p A) - D_w A^T diag(p/(A w)) A.  The damped iteration, while that
-    regime holds, converges to c + J^# F(c), J^# the group inverse of J; the
-    jump goes there.  It is taken if it at least halves the max-norm
-    residual, or lands on a fixed point in the same regime; otherwise the
-    step is one damped step.  Every step projects all states at once, and
-    the report counts the steps.  ConvergenceError after
-    FIXED_POINT_MAX_ITERS steps.
+    With A the mask of agents strictly inside their caps in each state and
+    w = 1/delta, F(c) = E[X(c)] - c has slope -J in the regime of A,
+    J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A, so
+    J = D_w^(1/2) M D_w^(-1/2) with M = V diag(lam) V^T symmetric; one
+    eigendecomposition serves a step's jump and skip.  While the
+    regime holds, t damped steps from c reach
+    c_t = c + D_w^(1/2) V diag(phi_t) V^T D_w^(-1/2) F(c), with
+    phi_t = (1 - (1 - lam/2)^t) / lam; F has no component along the modes
+    with lam = 0 (nor along those pinv drops).  Each step is:
+
+    1. a jump to the regime's limit c + J^# F(c), J^# the group inverse
+       (phi at t = infinity), if it at least halves the max-norm residual
+       or lands on a fixed point in the same regime;
+    2. otherwise one damped step, to c_1 = (c + E[X(c)]) / 2;
+    3. then, if c_1 is still in the regime, a skip on along the damped
+       path to c_t at the first integer t >= 2 at which some share leaves
+       its side of a cap (see _first_exit), in closed form and still on
+       the exact damped path.  The step ends at c_1 when a state has every
+       agent capped or the search finds no exit within its budget.
+
+    Every step projects all states at once.  The solve stops at a residual
+    at most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
+    point stops it even when S is 0; the report counts the kinds of step.
+    ConvergenceError after FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
@@ -349,46 +512,47 @@ def solve_capped_mv(problem):
     probs = space.probs
     support = S.values
     mean_s = float(support @ probs)
-    fixed_point_tol = FIXED_POINT_TOL * value_scale(support)
+    scale = float(np.abs(support).max())
+    fixed_point_tol = FIXED_POINT_TOL * scale
+    exit_tol = REGIME_EXIT_TOL * scale
     slopes = unconstrained_shares(problem.delta)
     c = np.array([float(a) * mean_s for a in slopes])
 
     def evaluate(c):
-        # E[X(c)] and the mask of agents strictly inside their caps: there
+        # E[X(c)], the mask of agents strictly inside their caps (there
         # x = c + eta/delta, as clipped agents sit exactly on a cap and the
-        # clearing dust goes to an agent well inside its box
-        x = _project_states(c, deltas, inv, lower, upper, support)[1]
-        return probs @ x, (lower < x) & (x < upper)
+        # clearing dust goes to an agent well inside its box) and eta
+        eta, x = _project_states(c, deltas, inv, lower, upper, support)
+        return probs @ x, (lower < x) & (x < upper), eta
 
-    def regime_limit(active, f):
-        # J^# F for the regime of active: J = D_w^(1/2) M D_w^(-1/2) with
-        # M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2)
-        # symmetric, so J^# = D_w^(1/2) pinv(M) D_w^(-1/2)
-        A = active.astype(float)
-        load = A @ inv
-        weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
-        M = (A.T * weight) @ A
-        M *= np.multiply.outer(root, root)
-        M[np.diag_indices_from(M)] += 1.0 - probs @ A
-        return root * (np.linalg.pinv(M, hermitian=True) @ (f / root))
-
-    target, active = evaluate(c)
+    target, active, _ = evaluate(c)
     residual = math.inf
+    jumps = skips = 0
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
         f = target - c
         residual = float(np.max(np.abs(f)))
-        if residual < fixed_point_tol:
+        if residual <= fixed_point_tol:
             c = target
             break
-        jump = c + regime_limit(active, f)
-        target_jump, active_jump = evaluate(jump)
+        lam, V, P = _regime_modes(active, probs, inv, root)
+        jump = c + root * (P @ (f / root))
+        target_jump, active_jump, _ = evaluate(jump)
         r_jump = float(np.max(np.abs(target_jump - jump)))
         if r_jump <= 0.5 * residual or (
-                r_jump < fixed_point_tol and np.array_equal(active_jump, active)):
+                r_jump <= fixed_point_tol and np.array_equal(active_jump, active)):
             c, target, active = jump, target_jump, active_jump
-        else:
-            c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
-            target, active = evaluate(c)
+            jumps += 1
+            continue
+        regime = active
+        c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
+        target, active, eta = evaluate(c)
+        if np.array_equal(active, regime):
+            skip = _skip(c, target - c, eta, active, lower, upper, inv, root,
+                         lam, V, exit_tol)
+            if skip is not None:
+                c = skip[1]
+                target, active, _ = evaluate(c)
+                skips += 1
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",
@@ -398,7 +562,8 @@ def solve_capped_mv(problem):
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
     report = _regimes_from_intercepts(
-        c, deltas, inv, lower, upper, residual, iterations)
+        c, deltas, inv, lower, upper, residual,
+        iterations=iterations, jumps=jumps, skips=skips)
     return allocation, report
 
 
@@ -495,7 +660,7 @@ def saturation_curve(delta, upper):
         report = _regimes_from_intercepts(
             np.array([Fraction(0)] * n, dtype=object), deltas, 1 / deltas,
             np.full(n, -math.inf, dtype=object),
-            np.array(caps, dtype=object), residual=0.0, iterations=0)
+            np.array(caps, dtype=object), residual=0.0)
     if math.inf not in caps:
         report = replace(report, terminal_s=sum(caps))
     return report

@@ -479,6 +479,21 @@ class TestClassify:
         assert verdict.status is Solidity.NOT_SOLID
         assert "not convex-order" in verdict.reason
 
+    def test_var_ceiling_implied_by_pathwise_upper(self):
+        # X <= 1 gives VaR(X) <= 1 <= 2: the set is {X <= 1}, which is Solid
+        var_2 = RiskCeiling(RiskMeasureSpec.var(0.9), 2.0)
+        for scopes in ((None, None), (None, 1), (1, 1)):
+            verdict = classify_solidity((Constraint(PathwiseBounds(upper=1.0), scopes[0]),
+                                         Constraint(var_2, scopes[1])))
+            assert verdict.status is Solidity.SOLID
+        # an upper bound above the ceiling, or on another agent, implies
+        # nothing: the ceiling still cuts the set
+        for upper, scopes in ((3.0, (None, None)), (1.0, (0, 1)), (1.0, (0, None))):
+            verdict = classify_solidity((Constraint(PathwiseBounds(upper=upper), scopes[0]),
+                                         Constraint(var_2, scopes[1])))
+            assert verdict.status is Solidity.NOT_SOLID
+            assert verdict.reason.startswith("constraint 1: ceiling on VaR(0.9)")
+
     def test_floors(self):
         assert classify_constraint(Constraint(
             RiskFloor(RiskMeasureSpec.es(0.9), 1.0))).status is Solidity.NOT_SOLID

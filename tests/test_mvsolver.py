@@ -137,6 +137,46 @@ def crosscheck_problems(seed, count):
                                finite_aggregate(svals, probs))
 
 
+def dirichlet_problems(seed, count, alpha, floor=0.0):
+    """mv-capped-shaped problems with uneven state masses: m in {8, 16} and
+    n in {4, 8} drawn first, then Dirichlet(alpha) masses (each raised to
+    at least floor and renormalised), Gamma(2,1) S, delta in [0.5, 2],
+    lower caps 0, agent 0 uncapped and the others capped at 3/n.  Yields
+    (trial, problem)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m, n = int(rng.choice((8, 16))), int(rng.choice((4, 8)))
+        probs = rng.dirichlet(np.full(m, alpha))
+        if floor:
+            probs = np.maximum(probs, floor)
+            probs /= probs.sum()
+        agg = finite_aggregate(rng.gamma(2.0, 1.0, size=m), probs)
+        yield trial, MVProblem(tuple(np.sort(rng.uniform(0.5, 2.0, size=n))), (0.0,) * n,
+                               (INF,) + (3.0 / n,) * (n - 1), agg)
+
+
+# Dirichlet(0.3) trials (seed 7, masses floored at 1e-9) that raised
+# ConvergenceError at the 10^4 step cap while a refused jump was followed by
+# single damped steps only, which crawl at rate 1 - p_min/2
+SPARSE_MASS_STALLS = (2, 20, 31, 36, 39, 53, 56, 61, 63, 64, 100, 113, 120, 134,
+                      136, 147, 182, 186, 195)
+
+
+def damped_steps(problem, c, steps):
+    """Intercepts and active masks of `steps` plain damped steps from c,
+    c_0 = c first."""
+    space, S = problem.aggregate
+    deltas = np.array(problem.delta)
+    lower, upper = np.array(problem.lower), np.array(problem.upper)
+    path = []
+    for _ in range(steps + 1):
+        x = mvsolver_module._project_states(c, deltas, 1.0 / deltas, lower, upper,
+                                            S.values)[1]
+        path.append((c, (lower < x) & (x < upper)))
+        c = 0.5 * c + 0.5 * (space.probs @ x)
+    return path
+
+
 class TestMVProblem:
     def test_validation(self):
         agg = finite_aggregate((0.0, 2.0))
@@ -332,12 +372,16 @@ class TestSolveCappedMV:
             problems += [mv_capped_problem(rng, int(rng.integers(2, 7)),
                                            int(rng.integers(2, 9)))
                          for _ in range(100)]
+        skips = 0
         for problem in problems:
             best, report = solve_capped_mv(problem)
             ref_shares, ref_c = reference_solve(problem)
             shares = np.array([x.values for x in best.shares])
             assert shares == pytest.approx(ref_shares, abs=1e-10)
             assert report.intercepts == pytest.approx(ref_c, abs=1e-10)
+            skips += report.skips
+        # some damped runs were crossed in closed form
+        assert skips > 0
 
     def test_known_stalls_converge(self):
         # trials on which the damped iteration stopped at its 10^4 step cap
@@ -375,6 +419,15 @@ class TestSolveCappedMV:
         assert max(r.iterations for r in reports) <= 50
         assert max(r.residual for r in reports) < 1e-10
 
+    def test_zero_aggregate_stops_on_its_fixed_point(self):
+        # the stop is relative to max |S| (test_scaling.py checks c < 1), so
+        # with S = 0 it takes an exact fixed point
+        for lower, upper in (((NEG_INF,) * 2, (INF,) * 2), ((0.0, 0.0), (INF, 1.0))):
+            problem = MVProblem((1.0, 2.0), lower, upper, finite_aggregate((0.0,) * 3))
+            _, report = solve_capped_mv(problem)
+            assert report.intercepts == (0.0, 0.0)
+            assert (report.residual, report.iterations) == (0.0, 1)
+
     def test_simultaneous_saturation_is_one_breakpoint(self):
         # both agents reach their lower cap 0 at s = 0, at float kinks an ulp
         # or so apart: one breakpoint, not a second one at 0 or 1.1e-16
@@ -386,6 +439,55 @@ class TestSolveCappedMV:
             assert report.active_sets == ((), (0, 1))
             assert report.share_at(0, 2.0) == pytest.approx(
                 best.shares[0].values[2], abs=1e-12)
+
+
+class TestDirichletMasses:
+    """Uneven state masses: the regimes whose limit lies outside them, where
+    damped steps alone crawl at rate 1 - p_min/2."""
+
+    @staticmethod
+    def solve_all(problems):
+        reports = {}
+        for trial, problem in problems:
+            _, report = solve_capped_mv(problem)
+            scale = float(np.abs(problem.aggregate[1].values).max())
+            assert report.residual <= mvsolver_module.FIXED_POINT_TOL * scale
+            assert report.iterations <= 50
+            assert report.jumps + report.skips < report.iterations
+            reports[trial] = report
+        assert sum(r.skips for r in reports.values()) > 0
+        return reports
+
+    def test_dirichlet_one(self):
+        self.solve_all(dirichlet_problems(5, 100, 1.0))
+
+    def test_dirichlet_sparse(self):
+        reports = self.solve_all(dirichlet_problems(7, 200, 0.3, floor=1e-9))
+        assert all(reports[trial].skips > 0 for trial in SPARSE_MASS_STALLS)
+
+    def test_skip_lands_on_the_damped_path(self, monkeypatch):
+        # each skip of t <= 12 steps: t damped steps reach the same point,
+        # step t - 1 is still in the regime and step t is not
+        skips = []
+
+        def spy(c, f, eta, active, *rest):
+            skip = skip_of(c, f, eta, active, *rest)
+            if skip is not None and skip[0] <= 12:
+                skips.append((problem, c, active, *skip))
+            return skip
+
+        skip_of = mvsolver_module._skip
+        monkeypatch.setattr(mvsolver_module, "_skip", spy)
+        for _, problem in dirichlet_problems(5, 20, 1.0):
+            solve_capped_mv(problem)
+        for _, problem in dirichlet_problems(7, 60, 0.3, floor=1e-9):
+            solve_capped_mv(problem)
+        assert len({t for *_, t, _ in skips}) >= 3
+        for problem, c, active, t, landing in skips:
+            path = damped_steps(problem, c, t)
+            assert landing == pytest.approx(path[t][0], rel=1e-12, abs=1e-12)
+            assert np.array_equal(path[t - 1][1], active)
+            assert not np.array_equal(path[t][1], active)
 
 
 class TestSaturationCurve:
