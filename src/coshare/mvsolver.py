@@ -16,8 +16,8 @@ state) the damped iteration has a closed form, read from one
 eigendecomposition of the regime's matrix.  Each step first tries a jump
 straight to the regime's limit; if the jump is refused, it takes one damped
 step and, while the regime holds, skips on along the damped path in closed
-form to the first step that leaves the regime.  The solve stops at a residual relative to the
-aggregate's largest magnitude.
+form to the first step that leaves the regime.  The solve stops at a
+residual relative to the aggregate's largest magnitude.
 """
 
 from __future__ import annotations
@@ -416,7 +416,8 @@ def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
         ceil = np.where(A, upper, np.where(above, math.inf, lower))
         room_lo = (v0 - floor + tol).ravel()
         room_hi = (ceil - v0 + tol).ravel()
-        B = (E - inv[:, None] * ((A @ E) / load[:, None])[:, None, :]).reshape(-1, lam.size)
+        B = E - inv[:, None] * ((A @ E) / load[:, None])[:, None, :]
+        B = B.reshape(-1, lam.size)
         k = min(SKIP_PROBE_STEPS, best - 1)
         h = B @ probe[:k].T
         out = ((h < -room_lo[:, None]) | (h > room_hi[:, None])).any(axis=0)
@@ -480,8 +481,8 @@ def solve_capped_mv(problem):
     w = 1/delta, F(c) = E[X(c)] - c has slope -J in the regime of A,
     J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A, so
     J = D_w^(1/2) M D_w^(-1/2) with M = V diag(lam) V^T symmetric; one
-    eigendecomposition serves a step's jump and skip.  While the
-    regime holds, t damped steps from c reach
+    eigendecomposition serves a step's jump and skip.  While the regime
+    holds, t damped steps from c reach
     c_t = c + D_w^(1/2) V diag(phi_t) V^T D_w^(-1/2) F(c), with
     phi_t = (1 - (1 - lam/2)^t) / lam; F has no component along the modes
     with lam = 0 (nor along those pinv drops).  Each step is:
