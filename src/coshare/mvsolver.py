@@ -393,8 +393,6 @@ def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
     each searching only before the best exit so far.
     """
     m, n = active.shape
-    if not lam.size:
-        return None
     starts = np.flatnonzero(np.diff(lam, prepend=-1.0) > EIGEN_MERGE_TOL)
     lam = np.add.reduceat(lam, starts) / np.diff(starts, append=lam.size)
     E = np.add.reduceat(E, starts, axis=1)
@@ -455,7 +453,8 @@ def _skip(c, f, eta, active, lower, upper, inv, root, lam, V, tol):
     D_w^(-1/2) f with f = F(c); or None where _first_exit finds no exit.
     Only the modes with lam > 0 move: M's null vectors are D_w^(-1/2) d
     for the shifts d, sum d = 0, among agents interior in every state, and
-    there F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0."""
+    there F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0.  Some mode
+    always moves: M w^(1/2) = w^(1/2)."""
     live = lam > 0.0
     V, lam = V[:, live], lam[live]
     E = root[:, None] * V * (V.T @ (f / root))
