@@ -133,40 +133,29 @@ def comonotone_mask(tensors, s_values, probs):
     Two requirements per share, within VALUE_TOL * value_scale(s_values): (a)
     it is constant on every level set of the aggregate, and (b) across levels
     sorted by value, its probability-weighted level mean is nondecreasing.
-    The work loops over the levels, each step vectorised over the rows, unless
-    the levels outnumber the rows (is_comonotonic's one row); then each share
-    is reordered once into level order and reduced level by level in numpy.
+    Each share is reordered once into level order, atoms x rows, and its
+    level spreads and means are reduceat over the atoms; a level mean is the
+    sum of p * value in level order over the level's mass, whatever the rows
+    beside it.  Every reduction runs along the atoms axis with the rows
+    innermost, so none loops over a short axis one row at a time, and no
+    Python loop runs over atoms or levels.
     """
     tol = VALUE_TOL * value_scale(s_values)
     part = level_partition(s_values, probs)
     mask = np.ones(tensors[0].shape[0], dtype=bool)
-    if mask.size < part.starts.size:
-        p = probs[part.order, None]
-        masses = part.masses[:, None]
-        pooled = part.starts.size < part.order.size  # some level holds several atoms
-        for V in tensors:
-            W = V.T[part.order]  # atoms x rows, in level order
-            if pooled:
-                spread = (np.maximum.reduceat(W, part.starts)
-                          - np.minimum.reduceat(W, part.starts))
-                mask &= (spread <= tol).all(axis=0)
-                rep = np.add.reduceat(W * p, part.starts) / masses
-            else:
-                rep = W * p / masses
-            mask &= (rep[1:] >= rep[:-1] - tol).all(axis=0)
-        return mask
-    levels = [(group, probs[group], mass)
-              for group, mass in zip(np.split(part.order, part.starts[1:]), part.masses)]
+    p = probs[part.order, None]
+    masses = part.masses[:, None]
+    pooled = part.starts.size < part.order.size  # some level holds several atoms
     for V in tensors:
-        prev = None
-        for group, p, mass in levels:
-            block = V[:, group]
-            if len(group) > 1:
-                mask &= (block.max(axis=1) - block.min(axis=1)) <= tol
-            rep = block @ p / mass
-            if prev is not None:
-                mask &= rep >= prev - tol
-            prev = rep
+        W = V.T[part.order]  # atoms x rows, in level order
+        if pooled:
+            spread = (np.maximum.reduceat(W, part.starts)
+                      - np.minimum.reduceat(W, part.starts))
+            mask &= (spread <= tol).all(axis=0)
+            rep = np.add.reduceat(W * p, part.starts) / masses
+        else:
+            rep = W * p / masses
+        mask &= (rep[1:] >= rep[:-1] - tol).all(axis=0)
     return mask
 
 

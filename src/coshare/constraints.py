@@ -26,7 +26,8 @@ import numpy as np
 from .allocation import (Allocation, _require_clearing, check_clearing,
                          comonotonic_improvement, condition_on_aggregate)
 from .errors import ValidationError
-from .probspace import VALUE_TOL, RandomVariable, value_scale
+from .probspace import (VALUE_TOL, RandomVariable, agent_sum, rows_all, rows_any,
+                        value_scale)
 from .riskmeasures import (
     VAR,
     Consistency,
@@ -469,13 +470,15 @@ def feasible_mask(tensors, s_values, probs, constraints):
     Each (constraint, agent) band runs, in constraint order, only on the
     rows that passed every band before it, and none runs once no row is
     left.  Row-wise bands give the same verdicts as on every row; a band
-    that takes V @ probs can round a row differently with fewer rows."""
+    that takes V @ probs can round a row differently with fewer rows.  A
+    breach on any atom is found with probspace.rows_any, a boolean matrix
+    product, not a reduction over the atoms one row at a time."""
     tol = VALUE_TOL * value_scale(s_values)
     rows = None  # every row has passed: the bands see the tensors themselves
     for _, kind, i in _bands(constraints, len(tensors), s_values):
         V = tensors[i] if rows is None else tensors[i].take(rows, axis=0)
         value, lower, upper = kind.band(V, s_values, probs, tol)
-        ok = ~((value < lower - tol) | (value > upper + tol)).any(axis=1)
+        ok = ~rows_any((value < lower - tol) | (value > upper + tol))
         if ok.all():
             continue
         rows = np.flatnonzero(ok) if rows is None else rows[ok]
@@ -565,19 +568,26 @@ def _witness_mask(Y, X, s_values, probs, constraints):
     allocation X (agents x atoms): the row clears s_values within
     VALUE_TOL * value_scale(s_values), is infeasible, and each of its shares
     precedes X's in convex order.  Each check runs only on the rows that
-    passed the ones before it."""
+    passed the ones before it, and a check that every row reaches reads Y
+    itself, not a copy.  The shares are summed with probspace.agent_sum
+    (agent by agent, from 0.0, in one buffer), and "every atom clears" and
+    "every share is a reduction" are probspace.rows_all, so no reduction
+    loops over a short axis row by row and none over the atoms in Python."""
     n, m = X.shape
-    hit = (np.abs(Y.sum(axis=1) - s_values).max(axis=1)
-           <= VALUE_TOL * value_scale(s_values))
+    residual = agent_sum(Y[:, i] for i in range(n))
+    np.subtract(residual, s_values, out=residual)
+    hit = rows_all(np.abs(residual, out=residual) <= VALUE_TOL * value_scale(s_values))
     rows = np.flatnonzero(hit)
     if rows.size:
-        hit[rows] = ~feasible_mask(list(Y[rows].transpose(1, 0, 2)), s_values,
+        Z = Y if rows.size == hit.size else Y[rows]
+        hit[rows] = ~feasible_mask(list(Z.transpose(1, 0, 2)), s_values,
                                    probs, constraints)
         rows = rows[hit[rows]]
     if rows.size:
-        hit[rows] = convex_order_mask(Y[rows].reshape(-1, m), probs,
-                                      np.tile(X, (rows.size, 1)),
-                                      probs).reshape(-1, n).all(axis=1)
+        Z = Y if rows.size == hit.size else Y[rows]
+        hit[rows] = rows_all(convex_order_mask(Z.reshape(-1, m), probs,
+                                               np.tile(X, (rows.size, 1)),
+                                               probs).reshape(-1, n))
     return hit
 
 

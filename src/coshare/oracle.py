@@ -19,7 +19,7 @@ from .allocation import Allocation, comonotone_mask
 from .constraints import (_BLOCK_CELLS, _require_space, _statewise_limits,
                           feasible_mask)
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import RandomVariable
+from .probspace import RandomVariable, agent_sum
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
@@ -202,6 +202,12 @@ def _free_chunks(grid, axes, rows):
 
 
 def _enumerate(space, S, objectives, constraints, grid, comonotone):
+    """(allocation, value) at the first grid point, in grid order, within
+    TIE_EPS * (1 + |min|) of the minimum over the feasible (and, if
+    comonotone, comonotonic) points.  Each block of free shares gets the
+    implied agent's S - sum of the free shares from probspace.agent_sum,
+    agent by agent from 0.0 in the one buffer that becomes that share, which
+    gives np.sum's bits without its row-by-row loop over the agents axis."""
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     _require_space(constraints, space)
@@ -233,7 +239,8 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     vmin, kept = np.inf, []
     for free in chunks:
         tensors = [free[:, i, :] for i in range(n - 1)]
-        tensors.append(S.values[None, :] - free.sum(axis=1))
+        implied = agent_sum(tensors)
+        tensors.append(np.subtract(S.values, implied, out=implied))
         # the block's rows that pass, in grid order
         idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints))
         if comonotone and idx.size == free.shape[0]:

@@ -20,28 +20,28 @@ no aggregate to take a scale from.
 import numpy as np
 
 from .errors import ContractError
-from .probspace import VALUE_TOL, RandomVariable
+from .probspace import VALUE_TOL, RandomVariable, rows_all
 
 WEIGHT_IDENTITY_TOL = 1e-12
 
 
 def _stop_loss_rows(V, w):
-    """(order, sl): each row's atom indices in stable descending order of
-    value, and sl[:, j] = sum_k w_k (V_k - t)^+ at t = V[order[:, j]], for
-    signed atom weights w shared by the rows."""
+    """(order, h, sl): each row's atom indices in stable descending order of
+    value, h = the row's values in that order, and sl[:, j] = sum_k w_k
+    (V_k - t)^+ at t = h[:, j], for signed atom weights w shared by the rows."""
     order = np.argsort(-V, axis=1, kind="stable")
     h = V[np.arange(V.shape[0])[:, None], order]
     above = np.cumsum(w[order], axis=1)  # weight of the sorted atoms up to each
     sl = np.zeros_like(h)
     np.cumsum((h[:, :-1] - h[:, 1:]) * above[:, :-1], axis=1, out=sl[:, 1:])
-    return order, sl
+    return order, h, sl
 
 
 def stop_loss(X, t):
     """E[(X - t)^+]: the kernel's value at t, added as an atom of weight zero."""
     t = min(float(t), X.values.max())  # 0 from the top atom on; inf * 0 is nan
-    order, sl = _stop_loss_rows(np.append(X.values, t)[None, :],
-                                np.append(X.space.probs, 0.0))
+    order, _, sl = _stop_loss_rows(np.append(X.values, t)[None, :],
+                                   np.append(X.space.probs, 0.0))
     return sl[0, order[0] == X.space.size].item()
 
 
@@ -51,13 +51,17 @@ def convex_order_mask(Y, py, X, px):
     Y is rows x atoms with atom probabilities py, X is rows x atoms with its
     own atom count and probabilities px.  Checks |E[Y] - E[X]| <= tol and
     SL_Y <= SL_X + tol at every merged atom of the row pair, with tol =
-    VALUE_TOL * max(1, max |value|) over the row pair.
+    VALUE_TOL * max(1, max |value|) over the row pair.  No reduction loops
+    over a row's atoms one row at a time: max |value| is read from the ends
+    of the kernel's sorted row (nan, sorted last, still gives nan), and
+    "every atom within tol" is probspace.rows_all, a boolean matrix product.
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))
-    _, gaps = _stop_loss_rows(V, w)
-    tol = VALUE_TOL * np.maximum(np.abs(V).max(axis=1), 1.0)
-    return (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
+    _, h, gaps = _stop_loss_rows(V, w)
+    span = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
+    tol = VALUE_TOL * np.maximum(span, 1.0)
+    return (np.abs(V @ w) <= tol) & rows_all(gaps <= tol[:, None])
 
 
 def convex_order_leq(Y, X):

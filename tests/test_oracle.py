@@ -207,15 +207,17 @@ def _outcome(minimize, args):
     return [share.values.tobytes() for share in best.shares], np.float64(value).tobytes()
 
 
-def _random_problem(rng):
+def _random_problem(rng, n=None, m=None):
     """A small seeded oracle problem: coarse grids, so values tie often.
+    Without n and m it has two or three agents on two atoms, or two on three.
 
     Its measures and constraints sort and sum each row on its own.  The
     kernels that take a matrix product with the probabilities (mean-variance,
     expected convex loss, expectation and Orlicz bands) round as BLAS does,
     and BLAS rounds a one-row product differently from a many-row one."""
-    m = int(rng.integers(2, 4))
-    n = int(rng.integers(2, 4)) if m == 2 else 2
+    if m is None:
+        m = int(rng.integers(2, 4))
+        n = int(rng.integers(2, 4)) if m == 2 else 2
     space = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
     S = RandomVariable(space, rng.choice([0.0, 1.0, 1.0, 2.0, 3.0], size=m))
     kinds = (RiskMeasureSpec.es(0.5), RiskMeasureSpec.var(0.6),
@@ -235,6 +237,18 @@ def _random_problem(rng):
                                     rng.choice([0.0, 0.5, 1.0], size=(n - 1, m)),
                                     -2.0, 3.0, 0.125)
     return space, S, objectives, tuple(constraints), grid
+
+
+def _larger_problems(rng):
+    """_random_problem with three free agents on two atoms, and with two or
+    one free agents on four atoms, each on a ranges grid (729, 256 and 2,401
+    points)."""
+    problems = []
+    for n, m, lo, hi in ((4, 2, -0.5, 0.5), (3, 4, 0.0, 0.5), (2, 4, -1.0, 2.0)):
+        space, S, objectives, constraints, _ = _random_problem(rng, n, m)
+        grid = GridSpec.uniform(n - 1, m, lo, hi, 0.5)
+        problems.append((space, S, objectives, constraints, grid))
+    return problems
 
 
 def _statewise_problem(rng):
@@ -352,7 +366,7 @@ class TestChunking:
         # every seeded grid fits one block by default; cut into blocks of
         # rows points, each minimizer gives the same point and value bits,
         # or the same InfeasibleError details
-        problems = [_random_problem(rng) for _ in range(40)]
+        problems = [_random_problem(rng) for _ in range(40)] + _larger_problems(rng)
         whole = [_outcome(minimize, args) for args in problems]
         assert any(isinstance(w, dict) for w in whole)
         monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)

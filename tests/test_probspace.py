@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from coshare import (
@@ -19,7 +21,9 @@ from coshare import (
     moments,
     var,
 )
-from coshare.probspace import _brentq, level_partition
+from coshare.probspace import (VALUE_TOL, _brentq, agent_sum, level_partition, rows_all,
+                               rows_any)
+from coshare.stochorder import _stop_loss_rows, convex_order_mask
 
 
 def make_space(probs, prefix="w"):
@@ -230,3 +234,69 @@ class TestGamma:
         # 1 - (1+q)e^{-q} = 0.95 at q ~ 4.7439
         assert gamma_quantile(GammaAggregate(), 0.95) == pytest.approx(
             4.7439, abs=1e-3)
+
+
+def _planted_block(rows, n, m, seed, density):
+    """rows x n x m floats: quarters that tie and cancel, and normals of
+    several scales, with -0.0, +-inf and nan planted at about density."""
+    rng = np.random.default_rng(seed)
+    F = np.where(rng.random((rows, n, m)) < 0.5,
+                 rng.integers(-8, 9, size=(rows, n, m)) / 4.0,
+                 rng.normal(size=(rows, n, m)) * 10.0 ** rng.integers(-12, 9, size=(rows, n, m)))
+    plant = rng.random(F.shape) < density
+    F[plant] = rng.choice([-0.0, np.inf, -np.inf, np.nan], size=int(plant.sum()))
+    return F
+
+
+def _bits(a):
+    """The bytes of a, with every nan as one nan: which nan an addition
+    returns (its sign) depends on how numpy's loop orders the operands."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestShortAxisReductions:
+    """The kernels' rewritten reductions give numpy's own sum, any, all and
+    max bit for bit: oracle._enumerate and constraints._witness_mask sum over
+    agents with agent_sum; feasible_mask, _witness_mask and convex_order_mask
+    take any/all over atoms (and _witness_mask all over agents) with rows_any
+    and rows_all; convex_order_mask reads max |value| from its sort's ends."""
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 12), m=st.integers(1, 9), rows=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.0, 0.02, 0.3]))
+    @example(n=12, m=1, rows=300, seed=1, density=0.02)
+    @example(n=8, m=1, rows=300, seed=2, density=0.0)
+    def test_same_bits_as_numpy(self, n, m, rows, seed, density):
+        F = _planted_block(rows, n, m, seed, density)
+        s = F[0, 0] if np.isfinite(F[0, 0]).all() else np.zeros(m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = agent_sum(F[:, i] for i in range(n))
+            if m >= 2 or n <= 7:
+                # numpy adds one agent at a time here
+                assert _bits(total) == _bits(F.sum(axis=1))
+            else:
+                # a one-atom stack of eight or more agents numpy sums
+                # pairwise; agent_sum keeps agent order, from 0.0
+                want = [sum(row.tolist(), 0.0) for row in F[:, :, 0]]
+                assert _bits(total[:, 0]) == _bits(np.array(want))
+            # _witness_mask's clearing check: every atom within tol, nan failing
+            residual = np.abs(total - s)
+            assert np.array_equal(rows_all(residual <= 1e-9),
+                                  residual.max(axis=1) <= 1e-9)
+            # feasible_mask's breach over atoms, and an all over agents
+            for B in (F[:, 0] < -0.5, F[:, -1] > 0.5,
+                      F.transpose(0, 2, 1).reshape(-1, n) <= 0.0):
+                assert np.array_equal(rows_any(B), B.any(axis=1))
+                assert np.array_equal(rows_all(B), B.all(axis=1))
+            # convex_order_mask's max |value| over a row of merged atoms, and
+            # its verdicts against the numpy form on first and last agents
+            V = F.reshape(rows, n * m)
+            _, h, _ = _stop_loss_rows(V, np.zeros(n * m))
+            span = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
+            assert _bits(span) == _bits(np.abs(V).max(axis=1))
+            p = np.full(m, 1.0 / m)
+            V, w = np.hstack((F[:, 0], F[:, -1])), np.concatenate((p, -p))
+            _, _, gaps = _stop_loss_rows(V, w)
+            tol = VALUE_TOL * np.maximum(np.abs(V).max(axis=1), 1.0)
+            want = (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
+            assert np.array_equal(convex_order_mask(F[:, 0], p, F[:, -1], p), want)
