@@ -12,12 +12,12 @@ The intercept fixed point can be non-unique when caps bind (the two-agent
 interval above is the simplest case).  solve_capped_mv reports the limit of
 the damped iteration c <- (c + E[X(c)]) / 2 from c = a E[S].  E[X(c)] - c is
 piecewise affine in c, so within one regime (the agents interior in each
-state) the damped iteration has a closed form, read from one
-eigendecomposition of the regime's matrix.  Each step first tries a jump
-straight to the regime's limit; if the jump is refused, it takes one damped
-step and, while the regime holds, skips on along the damped path in closed
-form to the first step that leaves the regime.  The solve stops at a
-residual relative to the aggregate's largest magnitude.
+state) t damped steps have the closed form c + E phi_t, read from one
+eigendecomposition of the regime's matrix.  Each step moves to c + E phi_t:
+at t = infinity, a jump straight to the regime's limit, when the jump is
+accepted; otherwise at the first t that leaves the regime, or at t = 1.
+The solve stops at a residual relative to the aggregate's largest
+magnitude.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .riskmeasures import mean_variance
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITERS = 10 ** 4
-FIXED_POINT_DAMPING = 0.5
-# numpy pinv's default cutoff: eigenvalues up to PINV_RCOND * max |lam| are 0
+# the regime matrix's eigenvalues up to PINV_RCOND * max |lam| count as 0
+# (numpy pinv's default cutoff)
 PINV_RCOND = 1e-15
 # The skip along the damped path (see _first_exit): the first
 # SKIP_PROBE_STEPS steps are checked at once, later ones by interval bounds,
@@ -255,10 +255,9 @@ class RegimeReport:
     the intercepts, the intercept fixed-point residual, and the solver
     passes that produced them (0 where no solve ran): iterations counts
     every pass, the last one being the pass that found the residual at most
-    FIXED_POINT_TOL * max |S|; of the steps before it, jumps were
-    regime-limit jumps, skips were skips of two or more damped steps (see
-    solve_capped_mv), and the other iterations - 1 - jumps - skips were
-    single damped steps.
+    FIXED_POINT_TOL * max |S|; of the steps c + E phi_t before it (see
+    solve_capped_mv), jumps had t = infinity, skips t >= 2, and the other
+    iterations - 1 - jumps - skips were single damped steps, t = 1.
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -340,14 +339,17 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, **counts):
         **counts)
 
 
-def _regime_modes(active, probs, inv, root):
-    """(lam, V, P) for the regime of active (A its 0/1 mask, w = 1/delta,
-    root = w^(1/2)): the eigenvalues lam and orthonormal eigenvectors V of
-    the symmetric
-    M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2), with every
-    eigenvalue that pinv drops (|lam| <= PINV_RCOND max |lam|) set to 0,
-    and P = pinv(M) formed from them in the order and memory layout numpy's
-    pinv(M, hermitian=True) uses, so that a jump keeps pinv's bits."""
+def _regime_modes(active, probs, inv, root, f):
+    """(lam, E) for the regime of active (A its 0/1 mask, w = 1/delta,
+    root = w^(1/2)) and f = F(c): the eigenvalues lam > PINV_RCOND max |lam|
+    (ascending) of the symmetric
+    M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2), and the
+    expansion E = D_w^(1/2) V diag(V^T D_w^(-1/2) f) of f over their
+    orthonormal eigenvectors V, one column per mode.  The modes left out
+    carry no part of f: M's null vectors are D_w^(-1/2) d for the shifts d,
+    sum d = 0, among agents interior in every state, and there
+    F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0.  Some mode is
+    always kept: M w^(1/2) = w^(1/2)."""
     A = active.astype(float)
     load = A @ inv
     weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
@@ -355,13 +357,9 @@ def _regime_modes(active, probs, inv, root):
     M *= np.multiply.outer(root, root)
     M.flat[::M.shape[0] + 1] += 1.0 - probs @ A
     lam, V = np.linalg.eigh(M)
-    order = np.argsort(np.abs(lam))[::-1]
-    s = np.abs(lam[order])
-    u = np.ascontiguousarray(V[:, order])
-    s = np.divide(1.0, s, out=np.zeros_like(s), where=s > PINV_RCOND * s[0])
-    P = (u * np.copysign(1.0, lam[order])) @ (s[:, None] * u.T)
-    lam[np.abs(lam) <= PINV_RCOND * np.abs(lam).max()] = 0.0
-    return lam, V, P
+    live = lam > PINV_RCOND * np.abs(lam).max()
+    V = V[:, live]
+    return lam[live], root[:, None] * V * (V.T @ (f / root))
 
 
 def _damped_weights(lam, steps):
@@ -447,23 +445,6 @@ def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
     return best if best <= horizon else None
 
 
-def _skip(c, f, eta, active, lower, upper, inv, root, lam, V, tol):
-    """(t, c_t) for the first step t >= 1 at which the damped path from c
-    leaves the regime of active, c_t = c + D_w^(1/2) V diag(phi_t) V^T
-    D_w^(-1/2) f with f = F(c); or None where _first_exit finds no exit.
-    Only the modes with lam > 0 move: M's null vectors are D_w^(-1/2) d
-    for the shifts d, sum d = 0, among agents interior in every state, and
-    there F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0.  Some mode
-    always moves: M w^(1/2) = w^(1/2)."""
-    live = lam > 0.0
-    V, lam = V[:, live], lam[live]
-    E = root[:, None] * V * (V.T @ (f / root))
-    t = _first_exit(c, eta, active, lower, upper, inv, E, lam, tol)
-    if t is None:
-        return None
-    return t, c + E @ _damped_weights(lam, (t,))[0]
-
-
 def solve_capped_mv(problem):
     """Capped mean-variance optimum on a finite aggregate.
 
@@ -479,22 +460,20 @@ def solve_capped_mv(problem):
     With A the mask of agents strictly inside their caps in each state and
     w = 1/delta, F(c) = E[X(c)] - c has slope -J in the regime of A,
     J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A, so
-    J = D_w^(1/2) M D_w^(-1/2) with M = V diag(lam) V^T symmetric; one
-    eigendecomposition serves a step's jump and skip.  While the regime
-    holds, t damped steps from c reach
-    c_t = c + D_w^(1/2) V diag(phi_t) V^T D_w^(-1/2) F(c), with
-    phi_t = (1 - (1 - lam/2)^t) / lam; F has no component along the modes
-    with lam = 0 (nor along those pinv drops).  Each step is:
+    J = D_w^(1/2) M D_w^(-1/2) with M = V diag(lam) V^T symmetric.  While
+    the regime holds, t damped steps from c reach c_t = c + E phi_t, with
+    E = D_w^(1/2) V diag(V^T D_w^(-1/2) F(c)) over the modes with lam > 0
+    (F has no part on the others; see _regime_modes) and
+    phi_t = (1 - (1 - lam/2)^t) / lam.  Each step builds E once, from one
+    eigendecomposition, and moves to c + E phi_t with
 
-    1. a jump to the regime's limit c + J^# F(c), J^# the group inverse
-       (phi at t = infinity), if it at least halves the max-norm residual
-       or lands on a fixed point in the same regime;
-    2. otherwise one damped step, to c_1 = (c + E[X(c)]) / 2;
-    3. then, if c_1 is still in the regime, a skip on along the damped
-       path to c_t at the first integer t >= 2 at which some share leaves
-       its side of a cap (see _first_exit), in closed form and still on
-       the exact damped path.  The step ends at c_1 when a state has every
-       agent capped or the search finds no exit within its budget.
+    - t = infinity (phi = 1/lam): a jump to the regime's limit, if it at
+      least halves the max-norm residual or lands on a fixed point in the
+      same regime;
+    - otherwise t = the first integer at which some share leaves its side
+      of a cap (see _first_exit), which for t >= 2 skips along the exact
+      damped path;
+    - t = 1, one damped step, where _first_exit finds no exit.
 
     Every step projects all states at once.  The solve stops at a residual
     at most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
@@ -525,7 +504,7 @@ def solve_capped_mv(problem):
         eta, x = _project_states(c, deltas, inv, lower, upper, support)
         return probs @ x, (lower < x) & (x < upper), eta
 
-    target, active, _ = evaluate(c)
+    target, active, eta = evaluate(c)
     residual = math.inf
     jumps = skips = 0
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
@@ -534,25 +513,19 @@ def solve_capped_mv(problem):
         if residual <= fixed_point_tol:
             c = target
             break
-        lam, V, P = _regime_modes(active, probs, inv, root)
-        jump = c + root * (P @ (f / root))
-        target_jump, active_jump, _ = evaluate(jump)
+        lam, E = _regime_modes(active, probs, inv, root, f)
+        jump = c + E @ _damped_weights(lam, (math.inf,))[0]
+        target_jump, active_jump, eta_jump = evaluate(jump)
         r_jump = float(np.max(np.abs(target_jump - jump)))
         if r_jump <= 0.5 * residual or (
                 r_jump <= fixed_point_tol and np.array_equal(active_jump, active)):
-            c, target, active = jump, target_jump, active_jump
+            c, target, active, eta = jump, target_jump, active_jump, eta_jump
             jumps += 1
             continue
-        regime = active
-        c = (1.0 - FIXED_POINT_DAMPING) * c + FIXED_POINT_DAMPING * target
+        t = _first_exit(c, eta, active, lower, upper, inv, E, lam, exit_tol) or 1
+        skips += t > 1
+        c = c + E @ _damped_weights(lam, (t,))[0]
         target, active, eta = evaluate(c)
-        if np.array_equal(active, regime):
-            skip = _skip(c, target - c, eta, active, lower, upper, inv, root,
-                         lam, V, exit_tol)
-            if skip is not None:
-                c = skip[1]
-                target, active, _ = evaluate(c)
-                skips += 1
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",

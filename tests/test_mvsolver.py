@@ -137,15 +137,15 @@ def crosscheck_problems(seed, count):
                                finite_aggregate(svals, probs))
 
 
-def dirichlet_problems(seed, count, alpha, floor=0.0):
-    """mv-capped-shaped problems with uneven state masses: m in {8, 16} and
-    n in {4, 8} drawn first, then Dirichlet(alpha) masses (each raised to
+def dirichlet_problems(seed, count, alpha, floor=0.0, atoms=(8, 16), agents=(4, 8)):
+    """mv-capped-shaped problems with uneven state masses: m in atoms and
+    n in agents drawn first, then Dirichlet(alpha) masses (each raised to
     at least floor and renormalised), Gamma(2,1) S, delta in [0.5, 2],
     lower caps 0, agent 0 uncapped and the others capped at 3/n.  Yields
     (trial, problem)."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
-        m, n = int(rng.choice((8, 16))), int(rng.choice((4, 8)))
+        m, n = int(rng.choice(atoms)), int(rng.choice(agents))
         probs = rng.dirichlet(np.full(m, alpha))
         if floor:
             probs = np.maximum(probs, floor)
@@ -419,6 +419,46 @@ class TestSolveCappedMV:
         assert max(r.iterations for r in reports) <= 50
         assert max(r.residual for r in reports) < 1e-10
 
+    def test_jump_is_the_pinv_jump(self, monkeypatch):
+        # at every step of the seeded sets, the jump c + E phi_inf over the
+        # modes that _regime_modes keeps is c + D_w^(1/2) pinv(M) D_w^(-1/2) f
+        steps, current = [], []
+
+        def spy_project(c, *rest):
+            # the last point projected before a step is the step's c
+            current[:] = [c]
+            return project(c, *rest)
+
+        def spy_modes(active, probs, inv, root, f):
+            lam, E = modes(active, probs, inv, root, f)
+            steps.append((current[0], active, probs, inv, root, f, lam, E))
+            return lam, E
+
+        project, modes = mvsolver_module._project_states, mvsolver_module._regime_modes
+        monkeypatch.setattr(mvsolver_module, "_project_states", spy_project)
+        monkeypatch.setattr(mvsolver_module, "_regime_modes", spy_modes)
+        rng = np.random.default_rng(404)
+        problems = [mv_capped_problem(rng, m, n)
+                    for m in (4, 8, 16) for n in (2, 4, 8) for _ in range(5)]
+        problems += [problem for _, problem in dirichlet_problems(5, 20, 1.0)]
+        problems += [problem for _, problem in dirichlet_problems(7, 60, 0.3, floor=1e-9)]
+        for problem in problems:
+            solve_capped_mv(problem)
+        assert len(steps) > 500
+        for c, active, probs, inv, root, f, lam, E in steps:
+            A = active.astype(float)
+            load = A @ inv
+            weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
+            M = np.outer(root, root) * ((A.T * weight) @ A) + np.diag(1.0 - probs @ A)
+            want = c + root * (np.linalg.pinv(M, hermitian=True) @ (f / root))
+            jump = c + E @ mvsolver_module._damped_weights(lam, (INF,))[0]
+            # two roundings of one solve: rel 1e-12, widened by the condition
+            # number of the modes pinv keeps (up to ~1e7 on sparse masses)
+            s = np.abs(np.linalg.eigvalsh(M))
+            cond = s.max() / s[s > 1e-15 * s.max()].min()
+            assert np.max(np.abs(jump - want)) <= (
+                1e-12 * np.max(np.abs(want)) + 1e-14 * cond * np.max(np.abs(f)))
+
     def test_zero_aggregate_stops_on_its_fixed_point(self):
         # the stop is relative to max |S| (test_scaling.py checks c < 1), so
         # with S = 0 it takes an exact fixed point
@@ -465,19 +505,40 @@ class TestDirichletMasses:
         reports = self.solve_all(dirichlet_problems(7, 200, 0.3, floor=1e-9))
         assert all(reports[trial].skips > 0 for trial in SPARSE_MASS_STALLS)
 
+    def test_large_sparse_masses(self):
+        # m in {1000, 4000}: the refused jumps leave _first_exit to decide
+        # t = 1 across many blocks of states
+        refused = 0
+        for _, problem in dirichlet_problems(13, 8, 0.3, floor=1e-9, atoms=(1000, 4000),
+                                             agents=(4, 8, 16)):
+            _, report = solve_capped_mv(problem)
+            scale = float(np.abs(problem.aggregate[1].values).max())
+            assert report.residual <= mvsolver_module.FIXED_POINT_TOL * scale
+            assert report.iterations <= 50
+            refused += report.iterations - 1 - report.jumps
+        assert refused > 0
+
     def test_skip_lands_on_the_damped_path(self, monkeypatch):
         # each skip of t <= 12 steps: t damped steps reach the same point,
         # step t - 1 is still in the regime and step t is not
-        skips = []
+        skips, pending = [], []
 
-        def spy(c, f, eta, active, *rest):
-            skip = skip_of(c, f, eta, active, *rest)
-            if skip is not None and skip[0] <= 12:
-                skips.append((problem, c, active, *skip))
-            return skip
+        def spy_exit(c, eta, active, *rest):
+            t = first_exit(c, eta, active, *rest)
+            if t is not None and 2 <= t <= 12:
+                pending.append((problem, c, active, t))
+            return t
 
-        skip_of = mvsolver_module._skip
-        monkeypatch.setattr(mvsolver_module, "_skip", spy)
+        def spy_project(c, *rest):
+            # the solver's first projection after a skip is of its landing
+            if pending:
+                skips.append((*pending.pop(), c))
+            return project(c, *rest)
+
+        first_exit = mvsolver_module._first_exit
+        project = mvsolver_module._project_states
+        monkeypatch.setattr(mvsolver_module, "_first_exit", spy_exit)
+        monkeypatch.setattr(mvsolver_module, "_project_states", spy_project)
         for _, problem in dirichlet_problems(5, 20, 1.0):
             solve_capped_mv(problem)
         for _, problem in dirichlet_problems(7, 60, 0.3, floor=1e-9):
