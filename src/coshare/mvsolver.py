@@ -470,10 +470,11 @@ def solve_capped_mv(problem):
     - t = infinity (phi = 1/lam): a jump to the regime's limit, if it at
       least halves the max-norm residual or lands on a fixed point in the
       same regime;
-    - otherwise t = the first integer at which some share leaves its side
-      of a cap (see _first_exit), which for t >= 2 skips along the exact
-      damped path;
-    - t = 1, one damped step, where _first_exit finds no exit.
+    - otherwise t = 1, one damped step, if its projection leaves the
+      regime;
+    - else t = the first integer at which some share leaves its side of a
+      cap (see _first_exit), which for t >= 2 skips along the exact damped
+      path, or t = 1 where _first_exit finds no exit.
 
     Every step projects all states at once.  The solve stops at a residual
     at most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
@@ -522,10 +523,18 @@ def solve_capped_mv(problem):
             c, target, active, eta = jump, target_jump, active_jump, eta_jump
             jumps += 1
             continue
-        t = _first_exit(c, eta, active, lower, upper, inv, E, lam, exit_tol) or 1
-        skips += t > 1
-        c = c + E @ _damped_weights(lam, (t,))[0]
-        target, active, eta = evaluate(c)
+        step = c + E @ _damped_weights(lam, (1,))[0]
+        target_step, active_step, eta_step = evaluate(step)
+        # search for the first exit only where step 1 keeps the regime
+        t = 1
+        if np.array_equal(active_step, active):
+            t = _first_exit(c, eta, active, lower, upper, inv, E, lam, exit_tol) or 1
+        if t == 1:
+            c, target, active, eta = step, target_step, active_step, eta_step
+        else:
+            c = c + E @ _damped_weights(lam, (t,))[0]
+            target, active, eta = evaluate(c)
+            skips += 1
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",

@@ -506,8 +506,8 @@ class TestDirichletMasses:
         assert all(reports[trial].skips > 0 for trial in SPARSE_MASS_STALLS)
 
     def test_large_sparse_masses(self):
-        # m in {1000, 4000}: the refused jumps leave _first_exit to decide
-        # t = 1 across many blocks of states
+        # m in {1000, 4000}: some jumps are refused, and the damped step
+        # after each projects thousands of states at once
         refused = 0
         for _, problem in dirichlet_problems(13, 8, 0.3, floor=1e-9, atoms=(1000, 4000),
                                              agents=(4, 8, 16)):
