@@ -16,7 +16,10 @@ state) t damped steps have the closed form c + E phi_t, read from one
 eigendecomposition of the regime's matrix.  Each step moves to c + E phi_t:
 at t = infinity, a jump straight to the regime's limit, when the jump is
 accepted; otherwise at the first t that leaves the regime, or at t = 1.
-The solve stops at a residual relative to the aggregate's largest
+A step reads E[X(c)] and the regime from the pieces of the clipped response
+H (at most 2n + 1, and the runs of kinks between them), each state only by
+the piece it falls on; the shares are projected state by state once, at the
+end.  The solve stops at a residual relative to the aggregate's largest
 magnitude.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Integral
@@ -71,6 +75,13 @@ REGIME_EXIT_TOL = 1e-13
 EIGEN_MERGE_TOL = 1e-13
 KINK_MERGE_RTOL = 1e-12
 RESIDUAL_ZERO_TOL = 1e-12
+# Kinks of H closer than RUN_RTOL (relative) are one run of the solver's
+# pieces (see _pieces).  Agents that saturate together give kinks a few ulps
+# apart, and without runs the last bits of eta would decide which of them
+# count as interior in a state between those kinks.  RUN_RTOL covers the
+# rounding of the kinks, no more; KINK_MERGE_RTOL, the report's merge width,
+# is 10^4 times wider and would join kinks that bound real pieces.
+RUN_RTOL = 64 * sys.float_info.epsilon
 
 
 def _positive_deltas(delta):
@@ -339,12 +350,106 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, **counts):
         **counts)
 
 
+_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps")
+_Pieces = namedtuple("_Pieces", "target active mass code anchor level slope")
+
+
+def _aggregate(problem):
+    """The arrays every step of solve_capped_mv reads: the caps, w = 1/delta,
+    the slopes of eta past either end of H (1 over the sum of w over the
+    agents uncapped on that side, or 0 where H is flat there), and the
+    states s with their probabilities p and p s."""
+    space, S = problem.aggregate
+    deltas = np.array(problem.delta)
+    inv = 1.0 / deltas
+    lower = np.array(problem.lower)
+    upper = np.array(problem.upper)
+    below = sum(1.0 / d for d, v in zip(problem.delta, problem.lower) if v == -math.inf)
+    above = sum(1.0 / d for d, v in zip(problem.delta, problem.upper) if v == math.inf)
+    tails = np.array([1.0 / below if below else 0.0, 1.0 / above if above else 0.0])
+    return _Aggregate(deltas, inv, lower, upper, tails, S.values, space.probs,
+                      space.probs * S.values)
+
+
+def _pieces(c, agg):
+    """E[X(c)] and the regime at c, from the pieces of H rather than state
+    by state.
+
+    Kinks of H closer than RUN_RTOL (relative) form a run, bounded by its
+    first and last kink; between the runs, and past either end, lie the open
+    pieces.  A state s gets the code #(runs whose first level is <= s) +
+    #(runs whose last level is < s): even codes are open pieces, odd codes
+    runs, and a state on a flat level of H gets a flat piece.  On each group
+    of states eta is affine in s, eta = anchor + (s - level) * slope (in a
+    run, to within the run's few ulps), and no share crosses a cap inside
+    an open piece, so E[X] sums mass * clip(c + eta/delta, L, U) over the
+    groups, eta taken at the group's mean s.  An open piece's active set is
+    read at its midpoint (a tail's 0.5 past its end kink); a run's is the
+    agents interior on both sides of it.  Returns _Pieces: target = E[X(c)],
+    and active, mass, anchor, level and slope with one row per group, code
+    with one entry per state."""
+    kinks, responses = _kink_responses(c, agg.deltas, agg.inv, agg.lower, agg.upper)
+    if kinks.size == 0:
+        # no finite cap: one kink at 0, where H = sum c; both tails then
+        # give eta = (s - sum c) / sum w
+        kinks, responses = np.zeros(1), c[None, :]
+    levels = np.add.reduce(responses, axis=1)
+    left, right = kinks[:-1], kinks[1:]
+    gap = right - left > RUN_RTOL * np.maximum(-left, right)
+    # the first and last kink of each run, a lone kink twice
+    knots = np.concatenate(([1], gap)) + np.concatenate((gap, [1]))
+    kinks, levels = kinks.repeat(knots), levels.repeat(knots)
+    code = (levels[0::2].searchsorted(agg.s, "right")
+            + levels[1::2].searchsorted(agg.s, "left"))
+    groups = kinks.size + 1
+    mass = np.bincount(code, agg.probs, groups)
+    mean = np.divide(np.bincount(code, agg.ps, groups), mass,
+                     out=np.zeros(groups), where=mass > 0.0)
+    slope = np.zeros(groups)
+    slope[::groups - 1] = agg.tails
+    run = levels[1:] - levels[:-1]
+    np.divide(kinks[1:] - kinks[:-1], run, out=slope[1:-1], where=run > 0.0)
+    anchor = np.concatenate((kinks[:1], kinks))
+    level = np.concatenate((levels[:1], levels))
+    eta = anchor + (mean - level) * slope
+    target = mass @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
+    probes = np.concatenate(([kinks[0] - 1.0], kinks, [kinks[-1] + 1.0]))
+    free = c + (0.5 * (probes[0::2] + probes[1::2]))[:, None] * agg.inv
+    # each open piece's row twice: row g of active is then an open piece's
+    # own (g even) or the AND of a run's two neighbours (g odd)
+    inside = ((agg.lower < free) & (free < agg.upper)).repeat(2, axis=0)
+    active = inside[:-1] & inside[1:]
+    return _Pieces(target, active, mass, code, anchor, level, slope)
+
+
+def _same_regime(a, b):
+    """Whether every state has the same active set in the _Pieces a and b:
+    compared once for each pair of groups that share a state."""
+    width = b.mass.size
+    pairs = np.flatnonzero(np.bincount(a.code * width + b.code,
+                                       minlength=a.mass.size * width))
+    return np.array_equal(a.active[pairs // width], b.active[pairs % width])
+
+
+def _group_ends(pieces, s):
+    """(eta, active) at the smallest and the largest state of each non-empty
+    group, one row each: eta is each state's own, active its group's."""
+    live = np.flatnonzero(pieces.mass)
+    first = np.full(pieces.mass.size, math.inf)
+    last = np.full(pieces.mass.size, -math.inf)
+    np.minimum.at(first, pieces.code, s)
+    np.maximum.at(last, pieces.code, s)
+    g = np.concatenate((live, live))
+    ends = np.concatenate((first[live], last[live]))
+    return pieces.anchor[g] + (ends - pieces.level[g]) * pieces.slope[g], pieces.active[g]
+
+
 def _regime_modes(active, probs, inv, root, f):
-    """(lam, E) for the regime of active (A its 0/1 mask, w = 1/delta,
-    root = w^(1/2)) and f = F(c): the eigenvalues lam > PINV_RCOND max |lam|
-    (ascending) of the symmetric
-    M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2), and the
-    expansion E = D_w^(1/2) V diag(V^T D_w^(-1/2) f) of f over their
+    """(lam, E) for the regime of active (A its 0/1 mask, one row per group
+    of states, p the group masses, w = 1/delta, root = w^(1/2)) and
+    f = F(c): the eigenvalues lam > PINV_RCOND max |lam| (ascending) of the
+    symmetric M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2),
+    and the expansion E = D_w^(1/2) V diag(V^T D_w^(-1/2) f) of f over their
     orthonormal eigenvectors V, one column per mode.  The modes left out
     carry no part of f: M's null vectors are D_w^(-1/2) d for the shifts d,
     sum d = 0, among agents interior in every state, and there
@@ -375,15 +480,20 @@ def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
     leaves the regime of active (E one column per mode, lam > 0 and
     ascending), or None when a state has every agent capped, no exit comes
     before every mode has settled, or a block's search runs past
-    SKIP_SEARCH_BUDGET interval bounds.
+    SKIP_SEARCH_BUDGET interval bounds.  Each row of eta and active is a
+    state: the solver passes the smallest and the largest state of each
+    group (see _group_ends), since the rooms below are affine in eta and a
+    group shares one active set.
 
     In state k the unclipped share v_kj = c_j + eta_k/delta_j moves by
     h_kj(t) = B_kj phi_t with B_kj = E_j - w_j (A_k E)/(A_k w): a constant
     plus at most n exponentials in t.  The regime holds while every
     interior share stays within its caps and every capped share stays past
-    its cap, each within tol.  Eigenvalues within EIGEN_MERGE_TOL are one
-    eigenvalue, so the terms of a repeated one share their phi and cancel
-    where they should.  Steps 1..SKIP_PROBE_STEPS are checked at once; past
+    its cap, the nearer one, each within tol; a run counts an agent whose
+    kink it holds as capped although v may sit a few ulps inside.
+    Eigenvalues within EIGEN_MERGE_TOL are one eigenvalue, so the terms of a
+    repeated one share their phi and cancel where they should.  Steps
+    1..SKIP_PROBE_STEPS are checked at once; past
     them each phi is monotone in t, so on an integer interval each term of
     h is bounded by its endpoint values, and the intervals that cannot be
     cleared are split, leftmost first, until the first crossing is a single
@@ -407,7 +517,7 @@ def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
         if not (load > 0.0).all():
             return None
         v0 = c + eta[a:a + rows, None] * inv
-        above = v0 >= upper
+        above = upper - v0 < v0 - lower
         floor = np.where(A, lower, np.where(above, upper, -math.inf))
         ceil = np.where(A, upper, np.where(above, math.inf, lower))
         room_lo = (v0 - floor + tol).ravel()
@@ -473,78 +583,74 @@ def solve_capped_mv(problem):
     - otherwise t = 1, one damped step, if its projection leaves the
       regime;
     - else t = the first integer at which some share leaves its side of a
-      cap (see _first_exit), which for t >= 2 skips along the exact damped
-      path, or t = 1 where _first_exit finds no exit.
+      cap (see _first_exit, run on the smallest and the largest state of
+      each group), which for t >= 2 skips along the exact damped path, or
+      t = 1 where _first_exit finds no exit.
 
-    Every step projects all states at once.  The solve stops at a residual
-    at most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
+    E[X(c)] and the regime depend on S only through its mass and mean on
+    each piece of H (see _pieces), so a step is O(m) one-dimensional work
+    (two searchsorted calls and two bincounts over the states) plus
+    O(n * pieces), and two points share a regime when every pair of groups
+    that shares a state has one active set.  The states are projected one
+    by one only for the final shares.  The solve stops at a residual at
+    most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
     point stops it even when S is 0; the report counts the kinds of step.
     ConvergenceError after FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
     space, S = problem.aggregate
-    deltas = np.array(problem.delta)
-    inv = 1.0 / deltas
+    agg = _aggregate(problem)
+    inv, lower, upper = agg.inv, agg.lower, agg.upper
     root = np.sqrt(inv)
-    lower = np.array(problem.lower)
-    upper = np.array(problem.upper)
-    probs = space.probs
-    support = S.values
-    mean_s = float(support @ probs)
-    scale = float(np.abs(support).max())
+    mean_s = float(S.values @ space.probs)
+    scale = float(np.abs(S.values).max())
     fixed_point_tol = FIXED_POINT_TOL * scale
     exit_tol = REGIME_EXIT_TOL * scale
     slopes = unconstrained_shares(problem.delta)
     c = np.array([float(a) * mean_s for a in slopes])
 
-    def evaluate(c):
-        # E[X(c)], the mask of agents strictly inside their caps (there
-        # x = c + eta/delta, as clipped agents sit exactly on a cap and the
-        # clearing dust goes to an agent well inside its box) and eta
-        eta, x = _project_states(c, deltas, inv, lower, upper, support)
-        return probs @ x, (lower < x) & (x < upper), eta
-
-    target, active, eta = evaluate(c)
+    at = _pieces(c, agg)
     residual = math.inf
     jumps = skips = 0
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
-        f = target - c
+        f = at.target - c
         residual = float(np.max(np.abs(f)))
         if residual <= fixed_point_tol:
-            c = target
+            c = at.target
             break
-        lam, E = _regime_modes(active, probs, inv, root, f)
+        lam, E = _regime_modes(at.active, at.mass, inv, root, f)
         jump = c + E @ _damped_weights(lam, (math.inf,))[0]
-        target_jump, active_jump, eta_jump = evaluate(jump)
-        r_jump = float(np.max(np.abs(target_jump - jump)))
+        at_jump = _pieces(jump, agg)
+        r_jump = float(np.max(np.abs(at_jump.target - jump)))
         if r_jump <= 0.5 * residual or (
-                r_jump <= fixed_point_tol and np.array_equal(active_jump, active)):
-            c, target, active, eta = jump, target_jump, active_jump, eta_jump
+                r_jump <= fixed_point_tol and _same_regime(at_jump, at)):
+            c, at = jump, at_jump
             jumps += 1
             continue
         step = c + E @ _damped_weights(lam, (1,))[0]
-        target_step, active_step, eta_step = evaluate(step)
+        at_step = _pieces(step, agg)
         # search for the first exit only where step 1 keeps the regime
         t = 1
-        if np.array_equal(active_step, active):
+        if _same_regime(at_step, at):
+            eta, active = _group_ends(at, agg.s)
             t = _first_exit(c, eta, active, lower, upper, inv, E, lam, exit_tol) or 1
         if t == 1:
-            c, target, active, eta = step, target_step, active_step, eta_step
+            c, at = step, at_step
         else:
             c = c + E @ _damped_weights(lam, (t,))[0]
-            target, active, eta = evaluate(c)
+            at = _pieces(c, agg)
             skips += 1
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",
             last_iterate=tuple(c), residual=residual)
 
-    shares = _project_states(c, deltas, inv, lower, upper, support)[1]
+    shares = _project_states(c, agg.deltas, inv, lower, upper, agg.s)[1]
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
     report = _regimes_from_intercepts(
-        c, deltas, inv, lower, upper, residual,
+        c, agg.deltas, inv, lower, upper, residual,
         iterations=iterations, jumps=jumps, skips=skips)
     return allocation, report
 

@@ -367,11 +367,14 @@ class TestSolveCappedMV:
                               finite_aggregate(rng.gamma(2.0, 1.0, size=m),
                                                rng.dirichlet(np.ones(m))))
                     for _ in range(3)]
-        # 100 more cells of 2-8 agents on 2-6 atoms
+        # 100 more cells of 2-8 agents on 2-6 atoms, and Dirichlet(0.3)
+        # trial 53, where a jump that left the damped path ended 5.9e-4 from
+        # Picard while the regimes were read state by state
         if (m, n) == (4, 2):
             problems += [mv_capped_problem(rng, int(rng.integers(2, 7)),
                                            int(rng.integers(2, 9)))
                          for _ in range(100)]
+            problems.append(dict(dirichlet_problems(7, 54, 0.3, floor=1e-9))[53])
         skips = 0
         for problem in problems:
             best, report = solve_capped_mv(problem)
@@ -424,18 +427,18 @@ class TestSolveCappedMV:
         # modes that _regime_modes keeps is c + D_w^(1/2) pinv(M) D_w^(-1/2) f
         steps, current = [], []
 
-        def spy_project(c, *rest):
-            # the last point projected before a step is the step's c
+        def spy_pieces(c, *rest):
+            # the last point evaluated before a step is the step's c
             current[:] = [c]
-            return project(c, *rest)
+            return pieces(c, *rest)
 
         def spy_modes(active, probs, inv, root, f):
             lam, E = modes(active, probs, inv, root, f)
             steps.append((current[0], active, probs, inv, root, f, lam, E))
             return lam, E
 
-        project, modes = mvsolver_module._project_states, mvsolver_module._regime_modes
-        monkeypatch.setattr(mvsolver_module, "_project_states", spy_project)
+        pieces, modes = mvsolver_module._pieces, mvsolver_module._regime_modes
+        monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
         monkeypatch.setattr(mvsolver_module, "_regime_modes", spy_modes)
         rng = np.random.default_rng(404)
         problems = [mv_capped_problem(rng, m, n)
@@ -481,6 +484,142 @@ class TestSolveCappedMV:
                 best.shares[0].values[2], abs=1e-12)
 
 
+def piece_problems(seed, count):
+    """(c, aggregate arrays) for the grouped evaluation: n <= 8 agents,
+    m <= 40 states with ties in S, Dirichlet masses, each cap finite or
+    infinite, flat stretches of H and states placed on H's kink levels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+        delta = rng.uniform(0.2, 3.0, size=n)
+        base = rng.uniform(-1.0, 0.5, size=n)
+        lower = np.where(rng.random(n) < 0.3, NEG_INF, base)
+        upper = np.where(rng.random(n) < 0.3, INF, base + rng.uniform(0.1, 2.0, size=n))
+        if rng.random() < 0.3:
+            # every cap finite: H is flat past both ends
+            lower, upper = base, base + rng.uniform(0.1, 2.0, size=n)
+        twins = n > 1 and rng.random() < 0.3
+        if twins:
+            delta[1], lower[1], upper[1] = delta[0], lower[0], upper[0]
+        lo_sum, up_sum = max(np.sum(lower), -8.0), min(np.sum(upper), 8.0)
+        if rng.random() < 0.5:
+            s = rng.uniform(lo_sum, up_sum, size=m)
+        else:  # ties
+            s = lo_sum + (up_sum - lo_sum) * rng.integers(0, 5, size=m) / 4.0
+        c = rng.uniform(-1.0, 1.0, size=n) + float(np.mean(s)) / n
+        if twins:
+            # agents 0 and 1 saturate together: their kinks are a few ulps
+            # apart
+            c[1] = c[0] + float(rng.integers(1, 8)) * np.spacing(c[0])
+        kinks, responses = mvsolver_module._kink_responses(c, delta, 1.0 / delta, lower, upper)
+        if kinks.size and rng.random() < 0.5:
+            # states on kink levels, flat ones included
+            levels = responses.sum(axis=1)
+            on = rng.random(m) < 0.5
+            s[on] = rng.choice(levels, size=int(on.sum()))
+        probs = rng.dirichlet(np.full(m, float(rng.choice((0.3, 1.0)))))
+        probs = np.maximum(probs, 1e-12)
+        probs /= probs.sum()
+        space, S = finite_aggregate(s, probs)
+        agg = mvsolver_module._aggregate(MVProblem(tuple(delta), tuple(lower), tuple(upper),
+                                                   (space, S)))
+        yield c, agg
+
+
+class TestPieces:
+    """The solver's steps read E[X(c)] and the regime from H's pieces."""
+
+    def test_expectation_matches_every_state(self):
+        flat = ties = on_level = together = 0
+        for c, agg in piece_problems(24, 600):
+            at = mvsolver_module._pieces(c, agg)
+            x = mvsolver_module._project_states(c, agg.deltas, agg.inv, agg.lower,
+                                                agg.upper, agg.s)[1]
+            want = agg.probs @ x
+            assert np.max(np.abs(at.target - want)) <= 1e-14 * np.max(np.abs(agg.s))
+            # a state on a kink level of H sits in a run (odd code), or on a
+            # flat piece where every agent is capped, and no agent with a
+            # kink within RUN_RTOL of that one counts as interior there
+            kinks, responses = mvsolver_module._kink_responses(c, agg.deltas, agg.inv,
+                                                               agg.lower, agg.upper)
+            levels = responses.sum(axis=1)
+            on = np.isin(agg.s, levels)
+            code = at.code[on]
+            assert ((code % 2 == 1) | ~at.active[code].any(axis=1)).all()
+            k = kinks[levels.searchsorted(agg.s[on])][:, None]
+            tol = mvsolver_module.RUN_RTOL * np.abs(k)
+            own = ((np.abs(agg.deltas * (agg.lower - c) - k) <= tol)
+                   | (np.abs(agg.deltas * (agg.upper - c) - k) <= tol))
+            assert not (at.active[code] & own).any()
+            together += bool(own.sum(axis=1).max(initial=0) > 1)
+            flat += bool((agg.tails == 0.0).any())
+            ties += len(set(agg.s.tolist())) < agg.s.size
+            on_level += code.size > 0
+        assert flat > 50 and ties > 100 and on_level > 100 and together > 20
+
+    def test_one_projection_per_solve(self, monkeypatch):
+        # every step works on the pieces; only the final shares are
+        # projected state by state
+        calls = []
+
+        def spy_project(*args):
+            calls.append(args[-1].size)
+            return project(*args)
+
+        project = mvsolver_module._project_states
+        monkeypatch.setattr(mvsolver_module, "_project_states", spy_project)
+        problem = mv_capped_problem(np.random.default_rng(24), 10_000, 32)
+        _, report = solve_capped_mv(problem)
+        assert calls == [10_000]
+        assert report.iterations > 1
+
+    def test_first_exit_on_group_ends_matches_every_state(self, monkeypatch):
+        # the rooms are affine in eta, so a group's first exit falls at its
+        # smallest or largest state
+        calls, evaluated = [], {}
+
+        def spy_pieces(c, agg):
+            at = pieces(c, agg)
+            evaluated[id(c)] = c, at, agg  # holding c keeps its id unique
+            return at
+
+        def spy_exit(c, eta, active, *rest):
+            t = first_exit(c, eta, active, *rest)
+            _, at, agg = evaluated[id(c)]
+            every = at.anchor[at.code] + (agg.s - at.level[at.code]) * at.slope[at.code]
+            calls.append((t, first_exit(c, every, at.active[at.code], *rest)))
+            return t
+
+        pieces, first_exit = mvsolver_module._pieces, mvsolver_module._first_exit
+        monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
+        monkeypatch.setattr(mvsolver_module, "_first_exit", spy_exit)
+        for _, problem in dirichlet_problems(5, 100, 1.0):
+            solve_capped_mv(problem)
+        for _, problem in dirichlet_problems(7, 200, 0.3, floor=1e-9):
+            solve_capped_mv(problem)
+        assert len(calls) > 100
+        assert len({t for t, _ in calls}) >= 3
+        assert all(t == t_every for t, t_every in calls)
+
+    def test_no_exit_reads_only_group_ends(self):
+        # at the first regime of the m = 10^4, n = 32 cell with F scaled by
+        # 1e-6 no share leaves before every mode settles; the search reads
+        # two rows for each of at most 4n + 1 groups, not 10^4 states in 157
+        # blocks
+        problem = mv_capped_problem(np.random.default_rng(24), 10_000, 32)
+        agg = mvsolver_module._aggregate(problem)
+        space, S = problem.aggregate
+        c = np.array(unconstrained_shares(problem.delta)) * float(S.values @ space.probs)
+        at = mvsolver_module._pieces(c, agg)
+        lam, E = mvsolver_module._regime_modes(at.active, at.mass, agg.inv,
+                                               np.sqrt(agg.inv), 1e-6 * (at.target - c))
+        eta, active = mvsolver_module._group_ends(at, agg.s)
+        assert active.shape[0] <= 2 * (4 * problem.n_agents + 1)
+        tol = mvsolver_module.REGIME_EXIT_TOL * float(np.abs(S.values).max())
+        assert mvsolver_module._first_exit(c, eta, active, agg.lower, agg.upper, agg.inv,
+                                           E, lam, tol) is None
+
+
 class TestDirichletMasses:
     """Uneven state masses: the regimes whose limit lies outside them, where
     damped steps alone crawl at rate 1 - p_min/2."""
@@ -521,24 +660,29 @@ class TestDirichletMasses:
     def test_skip_lands_on_the_damped_path(self, monkeypatch):
         # each skip of t <= 12 steps: t damped steps reach the same point,
         # step t - 1 is still in the regime and step t is not
-        skips, pending = [], []
+        skips, pending, evaluated = [], [], {}
 
         def spy_exit(c, eta, active, *rest):
             t = first_exit(c, eta, active, *rest)
             if t is not None and 2 <= t <= 12:
-                pending.append((problem, c, active, t))
+                # the active set of every state at c, from the solver's
+                # evaluation of c
+                at = evaluated[id(c)][1]
+                pending.append((problem, c, at.active[at.code], t))
             return t
 
-        def spy_project(c, *rest):
-            # the solver's first projection after a skip is of its landing
+        def spy_pieces(c, *rest):
+            # the solver's first evaluation after a skip is of its landing
             if pending:
                 skips.append((*pending.pop(), c))
-            return project(c, *rest)
+            at = pieces(c, *rest)
+            evaluated[id(c)] = c, at  # holding c keeps its id unique
+            return at
 
         first_exit = mvsolver_module._first_exit
-        project = mvsolver_module._project_states
+        pieces = mvsolver_module._pieces
         monkeypatch.setattr(mvsolver_module, "_first_exit", spy_exit)
-        monkeypatch.setattr(mvsolver_module, "_project_states", spy_project)
+        monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
         for _, problem in dirichlet_problems(5, 20, 1.0):
             solve_capped_mv(problem)
         for _, problem in dirichlet_problems(7, 60, 0.3, floor=1e-9):
