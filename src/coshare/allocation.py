@@ -30,18 +30,25 @@ witness; the run aborts with a diagnostic if the transfer cap is exceeded.
 Schedule.  Sweeps visit the level pairs (k, l), k < l, in order; on each
 pair, transfers repeat with the first violating agent and the first agent
 of largest rise until no agent falls by more than LEVEL_GAP_EPS from k to l.
-Sweeps repeat until one makes no transfer.  The loop runs on one Python
-float list per level, with the float operations of a numpy pair loop in the
-same order, so every transfer and output bit is that loop's.  Before row k
-of a sweep, one numpy test on a level-matrix mirror asks whether any agent
-lies more than LEVEL_GAP_EPS above its minimum over the levels after k; if
-none does, the row is skipped.  The skip is exact: x_i(k) - min_l x_i(l) is
-the largest of the row's gaps (rounding is monotone), and a row's transfers
-touch only level k and levels after it, so a skipped row would have made no
-transfer.  The mirror is rewritten for every level a pair changed.
+Sweeps repeat until one makes no transfer; a pair whose violator has no
+partner moves nothing and does not count, or the sweeps would never end.
+The loop runs on one Python float list per level, with the float operations
+of a numpy pair loop in the same order, so every transfer and output bit is
+that loop's.  A pair is tested by the largest of its gaps x_i(k) - x_i(l),
+taken without building a list; only a pair with a violator builds its gap
+list, and after a transfer only the gaps of the two agents that moved are
+recomputed, by the same subtraction, so the list equals a fresh one.
+Before row k of a sweep, one numpy test on a level-matrix mirror asks
+whether any agent lies more than LEVEL_GAP_EPS above its minimum over the
+levels after k; if none does, the row is skipped.  The skip is exact:
+x_i(k) - min_l x_i(l) is the largest of the row's gaps (rounding is
+monotone), and a row's transfers touch only level k and levels after it, so
+a skipped row would have made no transfer.  The mirror is rewritten for
+every level a pair changed.
 """
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -171,14 +178,15 @@ def _level_means(values, part, probs):
     """Phase one on share rows: each share, on each level of part where it is
     not constant, becomes its probability-weighted mean on that level."""
     out = values.copy()
-    for group, mass in zip(np.split(part.order, part.starts[1:]), part.masses):
-        if len(group) > 1:
-            block = values[:, group]
-            p = probs[group]
-            # constant blocks stay as they are (p*v/p would cost an ulp); the
-            # dot takes a contiguous copy, as a strided one can round otherwise
-            for i in np.flatnonzero(block.max(axis=1) != block.min(axis=1)):
-                out[i, group] = float(p @ values[i, group] / mass)
+    bounds = np.append(part.starts, part.order.size)
+    for k in (np.diff(bounds) > 1).nonzero()[0].tolist():  # pooled levels only
+        group = part.order[bounds[k]:bounds[k + 1]]
+        block = values[:, group]
+        p = probs[group]
+        # constant blocks stay as they are (p*v/p would cost an ulp); the
+        # dot takes a contiguous copy, as a strided one can round otherwise
+        for i in np.flatnonzero(block.max(axis=1) != block.min(axis=1)):
+            out[i, group] = float(p @ values[i, group] / part.masses[k])
     return out
 
 
@@ -228,16 +236,21 @@ def comonotonic_improvement(A, measures=None):
             if not ((x[:, k] - x[:, k + 1:].min(axis=1)) > LEVEL_GAP_EPS).any():
                 continue  # no pair (k, l) has a violator
             ck = cols[k]
+            p_k = masses[k]
             row_moved = False
-            for l in range(k + 1, m):
-                cl = cols[l]
+            for l, cl in enumerate(cols[k + 1:], k + 1):
+                if max(map(sub, ck, cl)) <= LEVEL_GAP_EPS:
+                    continue  # no violator on this pair
+                p_l = masses[l]
+                equal = abs(p_k - p_l) <= LEVEL_GAP_EPS
+                gaps = list(map(sub, ck, cl))
                 pair_moved = False
                 while True:
-                    gaps = [a - b for a, b in zip(ck, cl)]
-                    if max(gaps) <= LEVEL_GAP_EPS:
-                        break
-                    i = next(t for t, g in enumerate(gaps) if g > LEVEL_GAP_EPS)
-                    gap_i = gaps[i]
+                    for i, gap_i in enumerate(gaps):
+                        if gap_i > LEVEL_GAP_EPS:
+                            break
+                    else:
+                        break  # no violator left
                     low = min(gaps)
                     j = gaps.index(low)  # first agent with the largest rise
                     gap_j = -low
@@ -249,8 +262,7 @@ def comonotonic_improvement(A, measures=None):
                                 "no transfer partner found; clearing must have been violated"
                             )
                         break
-                    p_k, p_l = masses[k], masses[l]
-                    if abs(p_k - p_l) <= LEVEL_GAP_EPS:
+                    if equal:
                         amount = min(gap_i, gap_j / 2.0)
                         down, up = amount, amount
                         # 2 p t (g - t) per agent with t <= g; positive for both
@@ -270,6 +282,9 @@ def comonotonic_improvement(A, measures=None):
                     cl[i] += up
                     ck[j] += down
                     cl[j] -= up
+                    # only agents i and j moved (i != j: gap_i > 0 > gaps[j])
+                    gaps[i] = ck[i] - cl[i]
+                    gaps[j] = ck[j] - cl[j]
                     transfers += 1
                     pair_moved = True
                     if transfers > max_transfers:

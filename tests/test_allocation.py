@@ -1,5 +1,8 @@
 """Allocations, aggregate conditioning, and the comonotonic improvement."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,22 @@ def capped_improvement(A, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation_module, "MAX_TRANSFERS", cap)
         return comonotonic_improvement(A)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the enclosed block with TimeoutError after ``seconds`` of wall
+    time, so that a loop that never ends fails the test rather than hangs."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -279,6 +298,42 @@ class TestImprovement:
                 expected[:, group] = x[:, [k]]
             assert cert.transfers == transfers
             assert np.array_equal(improved.share_matrix(), expected)
+
+    @pytest.mark.parametrize("n_agents", [2, 4, 8])
+    def test_matches_reference_loop_at_benchmark_shapes(self, rng, reference, n_agents):
+        # m = 100 as in the improve-certify cells: distinct aggregate values on
+        # equal masses (the equal-mass transfer), then few tied levels on
+        # Dirichlet masses (the mass-weighted transfer)
+        m = 100
+        for tied in (False, True):
+            if tied:
+                probs = rng.dirichlet(np.ones(m))
+                s = 0.5 * rng.integers(0, 24, size=m)
+                rows = rng.normal(size=(n_agents - 1, m))
+                rows = np.vstack([rows, s - rows.sum(axis=0)])
+            else:
+                probs = np.full(m, 1.0 / m)
+                rows = rng.normal(size=(n_agents, m))
+            A = alloc(probs, *rows)
+            improved, cert = comonotonic_improvement(A)
+            x, transfers = reference.repair(A)
+            expected = np.empty((n_agents, m))
+            for k, group in enumerate(reference.levels(A.aggregate.values)):
+                expected[:, group] = x[:, [k]]
+            assert transfers > 0
+            assert cert.transfers == transfers
+            assert np.array_equal(improved.share_matrix(), expected)
+
+    def test_violator_without_partner_ends(self):
+        # agent 0 falls by 5e-10 from S = 0 to S = 1e-10 and agent 1 is flat:
+        # the violation is within the comonotonicity tolerance and nobody can
+        # absorb it, so the pair makes no transfer and the sweeps must stop
+        A = alloc((0.5, 0.5), (5e-10, 0.0), (0.0, 0.0), aggregate=(0.0, 1e-10))
+        with deadline(5.0):
+            improved, cert = comonotonic_improvement(A)
+        assert cert.transfers == 0
+        assert np.array_equal(improved.share_matrix(), A.share_matrix())
+        assert cert.all_verified
 
     def test_random_instances(self, rng):
         # the heavier 200+ instance loop lives in the acceptance suite
