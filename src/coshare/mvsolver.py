@@ -8,19 +8,18 @@ arithmetic, the two-agent intercept fixed-point interval, and the two-agent
 value-at-risk ceiling scenario on a Gamma(2,1) aggregate with closed-form
 piecewise moments.
 
-The intercept fixed point can be non-unique when caps bind (the two-agent
-interval above is the simplest case).  solve_capped_mv reports the limit of
-the damped iteration c <- (c + E[X(c)]) / 2 from c = a E[S].  E[X(c)] - c is
-piecewise affine in c, so within one regime (the agents interior in each
-state) t damped steps have the closed form c + E phi_t, read from one
-eigendecomposition of the regime's matrix.  Each step moves to c + E phi_t:
-at t = infinity, a jump straight to the regime's limit, when the jump is
-accepted; otherwise at the first t that leaves the regime, or at t = 1.
-A step reads E[X(c)] and the regime from the pieces of the clipped response
-H (at most 2n + 1, and the runs of kinks between them), each state only by
-the piece it falls on; the shares are projected state by state once, at the
-end.  The solve stops at a residual relative to the aggregate's largest
-magnitude.
+The intercept fixed points are the minimisers of a convex, piecewise
+quadratic potential G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2], whose
+gradient is -2 D_delta (E[X(c)] - c).  solve_capped_mv takes Newton steps
+on G, each ended by an exact line search where G starts to rise before the
+full step.  A step reads E[X(c)] and the regime (the agents interior in each
+state) from the pieces of the clipped response H (at most 2n + 1, and the
+runs of kinks between them), each state only by the piece it falls on.  The
+solve stops at a residual relative to the aggregate's largest magnitude.
+The fixed points form a continuum where caps leave room for a constant
+shift among agents (the two-agent interval above is the simplest case);
+solve_capped_mv reports the one nearest the proportional intercepts a E[S].
+The shares are projected state by state once, at the end of the solve.
 """
 
 from __future__ import annotations
@@ -59,20 +58,6 @@ FIXED_POINT_MAX_ITERS = 10 ** 4
 # the regime matrix's eigenvalues up to PINV_RCOND * max |lam| count as 0
 # (numpy pinv's default cutoff)
 PINV_RCOND = 1e-15
-# The skip along the damped path (see _first_exit): the first
-# SKIP_PROBE_STEPS steps are checked at once, later ones by interval bounds,
-# at most SKIP_SEARCH_BUDGET of them per block of states, each block holding
-# at most SKIP_BLOCK_CELLS boundary coefficients (states x agents x modes).
-# A share past its regime's boundary by more than REGIME_EXIT_TOL times
-# max |S| has left the regime; SKIP_HORIZON_DECAY is the log-decay
-# -t log(rho) past which every mode counts as settled, and eigenvalues (at
-# most 1) closer than EIGEN_MERGE_TOL are one repeated eigenvalue.
-SKIP_PROBE_STEPS = 32
-SKIP_SEARCH_BUDGET = 256
-SKIP_BLOCK_CELLS = 2 ** 16
-SKIP_HORIZON_DECAY = 40.0
-REGIME_EXIT_TOL = 1e-13
-EIGEN_MERGE_TOL = 1e-13
 KINK_MERGE_RTOL = 1e-12
 RESIDUAL_ZERO_TOL = 1e-12
 # Kinks of H closer than RUN_RTOL (relative) are one run of the solver's
@@ -147,9 +132,10 @@ def _kink_responses(c, deltas, inv, lower, upper):
     return kinks, np.clip(c + kinks[:, None] * inv, lower, upper)
 
 
-def _project_states(c, deltas, inv, lower, upper, s):
+def _project_states(c, deltas, inv, lower, upper, s, kinks=None):
     """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
-    sum x[k] = s[k], for every state value in s at once.
+    sum x[k] = s[k], for every state value in s at once; kinks is
+    _kink_responses at c when the caller has it.
 
     H is nondecreasing and piecewise linear, so one sort of its kinks and
     two searchsorted calls over H at the kinks locate every state.
@@ -159,7 +145,7 @@ def _project_states(c, deltas, inv, lower, upper, s):
     midpoint of the flat kink run.  Returns eta with shape (m,) and x with
     shape (m, n).
     """
-    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    kinks, responses = kinks or _kink_responses(c, deltas, inv, lower, upper)
     if kinks.size == 0:
         eta = (s - c.sum()) / inv.sum()
     else:
@@ -266,9 +252,8 @@ class RegimeReport:
     the intercepts, the intercept fixed-point residual, and the solver
     passes that produced them (0 where no solve ran): iterations counts
     every pass, the last one being the pass that found the residual at most
-    FIXED_POINT_TOL * max |S|; of the steps c + E phi_t before it (see
-    solve_capped_mv), jumps had t = infinity, skips t >= 2, and the other
-    iterations - 1 - jumps - skips were single damped steps, t = 1.
+    FIXED_POINT_TOL * max |S|; searches counts the Newton steps before it
+    that a line search cut short (see solve_capped_mv).
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -283,8 +268,7 @@ class RegimeReport:
     anchors: tuple = ()
     terminal_s: object = None
     iterations: int = 0
-    jumps: int = 0
-    skips: int = 0
+    searches: int = 0
 
     def __post_init__(self):
         k = len(self.breakpoints)
@@ -304,10 +288,11 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, **counts):
+def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, kinks=None,
+                             **counts):
     """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    in the arithmetic of the arguments (see _kink_responses), with the
-    solver's step counts.
+    in the arithmetic of the arguments (see _kink_responses; kinks is its
+    result at c when the caller has it), with the solver's step counts.
 
     Float kinks closer than KINK_MERGE_RTOL (relative) are one kink: agents
     that saturate together at solved intercepts give kinks a few ulps
@@ -316,7 +301,7 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, **counts):
     (Fraction) kinks are never merged.
     """
     n = len(deltas)
-    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    kinks, responses = kinks or _kink_responses(c, deltas, inv, lower, upper)
     if kinks.dtype != object and kinks.size > 1:
         gaps = kinks[1:] - kinks[:-1]
         keep = np.concatenate(
@@ -431,19 +416,6 @@ def _same_regime(a, b):
     return np.array_equal(a.active[pairs // width], b.active[pairs % width])
 
 
-def _group_ends(pieces, s):
-    """(eta, active) at the smallest and the largest state of each non-empty
-    group, one row each: eta is each state's own, active its group's."""
-    live = np.flatnonzero(pieces.mass)
-    first = np.full(pieces.mass.size, math.inf)
-    last = np.full(pieces.mass.size, -math.inf)
-    np.minimum.at(first, pieces.code, s)
-    np.maximum.at(last, pieces.code, s)
-    g = np.concatenate((live, live))
-    ends = np.concatenate((first[live], last[live]))
-    return pieces.anchor[g] + (ends - pieces.level[g]) * pieces.slope[g], pieces.active[g]
-
-
 def _regime_modes(active, probs, inv, root, f):
     """(lam, E) for the regime of active (A its 0/1 mask, one row per group
     of states, p the group masses, w = 1/delta, root = w^(1/2)) and
@@ -467,92 +439,62 @@ def _regime_modes(active, probs, inv, root, f):
     return lam[live], root[:, None] * V * (V.T @ (f / root))
 
 
-def _damped_weights(lam, steps):
-    """phi_t = (1 - rho^t) / lam per mode, rho = 1 - lam/2 > 0: the weight
-    of each mode after t damped steps, one row per integer t in steps.
-    expm1 and log1p keep it exact for t up to 2^52."""
-    t = np.asarray(steps, dtype=float)[:, None]
-    return -np.expm1(t * np.log1p(-0.5 * lam)) / lam
+def _curvature(at, d, agg):
+    """d^T D_delta J d in the regime of the _Pieces at (J as in
+    solve_capped_mv): minus the slope of psi(t) = d^T D_delta F(c + t d)
+    while that regime holds.  A state with active set A adds
+    sum_A delta d^2 - (sum_A d)^2 / sum_A w to d^T D_delta E[P] d."""
+    A = at.active.astype(float)
+    load = A @ agg.inv
+    inside = A @ d
+    spread = np.divide(inside * inside, load, out=np.zeros_like(load), where=load > 0.0)
+    dd = agg.deltas * d * d
+    return float(dd.sum() - at.mass @ (A @ dd - spread))
 
 
-def _first_exit(c, eta, active, lower, upper, inv, E, lam, tol):
-    """First integer t >= 1 at which the damped path c_t = c + E phi_t
-    leaves the regime of active (E one column per mode, lam > 0 and
-    ascending), or None when a state has every agent capped, no exit comes
-    before every mode has settled, or a block's search runs past
-    SKIP_SEARCH_BUDGET interval bounds.  Each row of eta and active is a
-    state: the solver passes the smallest and the largest state of each
-    group (see _group_ends), since the rooms below are affine in eta and a
-    group shares one active set.
+_End = namedtuple("_End", "t point at psi line")
 
-    In state k the unclipped share v_kj = c_j + eta_k/delta_j moves by
-    h_kj(t) = B_kj phi_t with B_kj = E_j - w_j (A_k E)/(A_k w): a constant
-    plus at most n exponentials in t.  The regime holds while every
-    interior share stays within its caps and every capped share stays past
-    its cap, the nearer one, each within tol; a run counts an agent whose
-    kink it holds as capped although v may sit a few ulps inside.
-    Eigenvalues within EIGEN_MERGE_TOL are one eigenvalue, so the terms of a
-    repeated one share their phi and cancel where they should.  Steps
-    1..SKIP_PROBE_STEPS are checked at once; past
-    them each phi is monotone in t, so on an integer interval each term of
-    h is bounded by its endpoint values, and the intervals that cannot be
-    cleared are split, leftmost first, until the first crossing is a single
-    step.  States run in blocks of at most SKIP_BLOCK_CELLS coefficients,
-    each searching only before the best exit so far.
-    """
-    m, n = active.shape
-    starts = np.flatnonzero(np.diff(lam, prepend=-1.0) > EIGEN_MERGE_TOL)
-    lam = np.add.reduceat(lam, starts) / np.diff(starts, append=lam.size)
-    E = np.add.reduceat(E, starts, axis=1)
-    # past the horizon every mode is within exp(-SKIP_HORIZON_DECAY) of its
-    # limit
-    horizon = min(2 ** 52, math.ceil(
-        SKIP_HORIZON_DECAY / -math.log1p(-0.5 * float(lam[0]))))
-    probe = _damped_weights(lam, range(1, SKIP_PROBE_STEPS + 1))
-    rows = max(1, SKIP_BLOCK_CELLS // (n * max(lam.size, SKIP_PROBE_STEPS)))
-    best = horizon + 1
-    for a in range(0, m, rows):
-        A = active[a:a + rows]
-        load = A @ inv
-        if not (load > 0.0).all():
-            return None
-        v0 = c + eta[a:a + rows, None] * inv
-        above = upper - v0 < v0 - lower
-        floor = np.where(A, lower, np.where(above, upper, -math.inf))
-        ceil = np.where(A, upper, np.where(above, math.inf, lower))
-        room_lo = (v0 - floor + tol).ravel()
-        room_hi = (ceil - v0 + tol).ravel()
-        B = E - inv[:, None] * ((A @ E) / load[:, None])[:, None, :]
-        B = B.reshape(-1, lam.size)
-        k = min(SKIP_PROBE_STEPS, best - 1)
-        h = B @ probe[:k].T
-        out = ((h < -room_lo[:, None]) | (h > room_hi[:, None])).any(axis=0)
-        if out.any():
-            best = int(out.argmax()) + 1
-            if best == 1:
-                return 1
-            continue
-        if best <= SKIP_PROBE_STEPS + 1:
-            continue
-        stack = [(SKIP_PROBE_STEPS + 1, best - 1, np.arange(B.shape[0]))]
-        for _ in range(SKIP_SEARCH_BUDGET):
-            if not stack:
-                break
-            t0, t1, cells = stack.pop()
-            phi0, phi1 = _damped_weights(lam, (t0, t1))
-            rise, fall = np.maximum(B[cells], 0.0), np.minimum(B[cells], 0.0)
-            out = ((rise @ phi0 + fall @ phi1 < -room_lo[cells])
-                   | (rise @ phi1 + fall @ phi0 > room_hi[cells]))
-            if not out.any():
-                continue
-            if t0 == t1:
-                best = t0
-                break
-            cells, mid = cells[out], (t0 + t1) // 2
-            stack += [(mid + 1, t1, cells), (t0, mid, cells)]
+
+def _line_search(c, d, at0, at1, psi1, agg):
+    """(c + t d, its _Pieces) at the root t in (0, 1) of
+    psi(t) = d^T D_delta F(c + t d), from the _Pieces at t = 0 and t = 1 and
+    psi1 = psi(1), where psi(0) > 0 > psi(1).
+
+    psi is minus half G's slope along d: piecewise linear and
+    nonincreasing, with slope -_curvature while a regime holds.  A regime is
+    convex in c, so between two points of one regime psi is one line.  The
+    search keeps a bracket lo < root < hi and tries the root of psi's line
+    through the end whose line puts it nearer; landing in that end's regime,
+    it is psi's root.  Any other landing narrows the bracket, and a line root
+    outside the bracket gives way to the bracket's midpoint.  The search also
+    ends at psi = 0, and where the bracket, or the step from the nearer end,
+    no longer splits in floats (then at the end with the smaller |psi|)."""
+    def end(t, point, at, psi):
+        q = _curvature(at, d, agg)
+        return _End(t, point, at, psi, t + psi / q if q > 0.0 else math.copysign(math.inf, psi))
+
+    # d is the Newton step of the regime at t = 0, so that line's root is 1
+    lo = _End(0.0, c, at0, float(d @ (agg.deltas * (at0.target - c))), 1.0)
+    hi = end(1.0, c + d, at1, psi1)
+    while True:
+        near = lo if lo.line - lo.t <= hi.t - hi.line else hi
+        t = near.line
+        if t == near.t:
+            return near.point, near.at
+        if not lo.t < t < hi.t:
+            near, t = None, 0.5 * (lo.t + hi.t)
+        if not lo.t < t < hi.t:
+            best = lo if lo.psi <= -hi.psi else hi
+            return best.point, best.at
+        point = c + t * d
+        at = _pieces(point, agg)
+        psi = float(d @ (agg.deltas * (at.target - point)))
+        if psi == 0.0 or near is not None and _same_regime(at, near.at):
+            return point, at
+        if psi > 0.0:
+            lo = end(t, point, at, psi)
         else:
-            return None
-    return best if best <= horizon else None
+            hi = end(t, point, at, psi)
 
 
 def solve_capped_mv(problem):
@@ -562,30 +504,32 @@ def solve_capped_mv(problem):
     L_i, U_i) where eta(s) is the statewise shadow price; the intercepts
     satisfy c_i = E[X_i].  Returns (Allocation, RegimeReport).
 
-    The intercept fixed point need not be unique: with caps binding, a
-    continuum of intercepts can reach the same objective.  The rule is: the
-    reported intercepts are the limit of the damped iteration
-    c <- (c + E[X(c)]) / 2 from c = a E[S], a the proportional slopes.
+    The optimum need not be unique.  The objective is strictly convex in
+    the centred shares, so the optima are X* + y for the constant vectors y
+    with sum y = 0 and L_i - min X*_i <= y_i <= U_i - max X*_i, and their
+    intercepts are c* + y.  The rule is: the reported intercepts are the
+    ones nearest a E[S], a the proportional slopes, in the norm
+    sum_i delta_i (.)^2.  From any optimum they are c* + y with
+    y = clip(a E[S] - c* + eta/delta, L - min X*, U - max X*) and sum y = 0,
+    one more projection (of a single state 0, see _project_states), which
+    is skipped when c* passes the optimality test min delta_i (c_i - a_i
+    E[S]) over the agents with room to rise >= max over the agents with room
+    to fall.  The shares then are X* + y, clipped to the caps against
+    rounding: X(c* + y) without a second projection of every state.
 
-    With A the mask of agents strictly inside their caps in each state and
-    w = 1/delta, F(c) = E[X(c)] - c has slope -J in the regime of A,
-    J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A, so
-    J = D_w^(1/2) M D_w^(-1/2) with M = V diag(lam) V^T symmetric.  While
-    the regime holds, t damped steps from c reach c_t = c + E phi_t, with
-    E = D_w^(1/2) V diag(V^T D_w^(-1/2) F(c)) over the modes with lam > 0
-    (F has no part on the others; see _regime_modes) and
-    phi_t = (1 - (1 - lam/2)^t) / lam.  Each step builds E once, from one
-    eigendecomposition, and moves to c + E phi_t with
+    The fixed points minimise G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2],
+    convex and piecewise quadratic with gradient -2 D_delta F(c),
+    F(c) = E[X(c)] - c.  With A the mask of agents strictly inside their
+    caps in each state and w = 1/delta, F has slope -J in the regime of A,
+    J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A.  From
+    c = a E[S], each step builds the Newton direction d = pinv(J) F(c) from
+    one eigendecomposition (see _regime_modes) and moves to c + t d:
 
-    - t = infinity (phi = 1/lam): a jump to the regime's limit, if it at
-      least halves the max-norm residual or lands on a fixed point in the
-      same regime;
-    - otherwise t = 1, one damped step, if its projection leaves the
-      regime;
-    - else t = the first integer at which some share leaves its side of a
-      cap (see _first_exit, run on the smallest and the largest state of
-      each group), which for t >= 2 skips along the exact damped path, or
-      t = 1 where _first_exit finds no exit.
+    - t = 1 when psi(t) = d^T D_delta F(c + t d), minus half G's slope
+      along d, is still >= 0 there, or when c + d is a fixed point by the
+      stop below;
+    - otherwise t = the root of psi in (0, 1), from an exact line search
+      (see _line_search), which the report counts.
 
     E[X(c)] and the regime depend on S only through its mass and mean on
     each piece of H (see _pieces), so a step is O(m) one-dimensional work
@@ -594,25 +538,23 @@ def solve_capped_mv(problem):
     that shares a state has one active set.  The states are projected one
     by one only for the final shares.  The solve stops at a residual at
     most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
-    point stops it even when S is 0; the report counts the kinds of step.
-    ConvergenceError after FIXED_POINT_MAX_ITERS steps.
+    point stops it even when S is 0.  ConvergenceError after
+    FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
     space, S = problem.aggregate
     agg = _aggregate(problem)
-    inv, lower, upper = agg.inv, agg.lower, agg.upper
+    deltas, inv, lower, upper = agg.deltas, agg.inv, agg.lower, agg.upper
     root = np.sqrt(inv)
     mean_s = float(S.values @ space.probs)
-    scale = float(np.abs(S.values).max())
-    fixed_point_tol = FIXED_POINT_TOL * scale
-    exit_tol = REGIME_EXIT_TOL * scale
-    slopes = unconstrained_shares(problem.delta)
-    c = np.array([float(a) * mean_s for a in slopes])
+    fixed_point_tol = FIXED_POINT_TOL * float(np.abs(S.values).max())
+    proportional = np.array([float(a) * mean_s for a in unconstrained_shares(problem.delta)])
 
+    c = proportional
     at = _pieces(c, agg)
     residual = math.inf
-    jumps = skips = 0
+    searches = 0
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
         f = at.target - c
         residual = float(np.max(np.abs(f)))
@@ -620,38 +562,33 @@ def solve_capped_mv(problem):
             c = at.target
             break
         lam, E = _regime_modes(at.active, at.mass, inv, root, f)
-        jump = c + E @ _damped_weights(lam, (math.inf,))[0]
-        at_jump = _pieces(jump, agg)
-        r_jump = float(np.max(np.abs(at_jump.target - jump)))
-        if r_jump <= 0.5 * residual or (
-                r_jump <= fixed_point_tol and _same_regime(at_jump, at)):
-            c, at = jump, at_jump
-            jumps += 1
-            continue
-        step = c + E @ _damped_weights(lam, (1,))[0]
+        d = E @ (1.0 / lam)
+        step = c + d
         at_step = _pieces(step, agg)
-        # search for the first exit only where step 1 keeps the regime
-        t = 1
-        if _same_regime(at_step, at):
-            eta, active = _group_ends(at, agg.s)
-            t = _first_exit(c, eta, active, lower, upper, inv, E, lam, exit_tol) or 1
-        if t == 1:
-            c, at = step, at_step
-        else:
-            c = c + E @ _damped_weights(lam, (t,))[0]
-            at = _pieces(c, agg)
-            skips += 1
+        psi = float(d @ (deltas * (at_step.target - step)))
+        if psi < 0.0 and np.max(np.abs(at_step.target - step)) > fixed_point_tol:
+            step, at_step = _line_search(c, d, at, at_step, psi, agg)
+            searches += 1
+        c, at = step, at_step
     else:
         raise ConvergenceError(
             "intercept fixed point did not converge",
             last_iterate=tuple(c), residual=residual)
 
-    shares = _project_states(c, agg.deltas, inv, lower, upper, agg.s)[1]
+    kinks = _kink_responses(c, deltas, inv, lower, upper)
+    shares = _project_states(c, deltas, inv, lower, upper, agg.s, kinks)[1]
+    low, high = shares.min(axis=0), shares.max(axis=0)
+    gap = deltas * (c - proportional)
+    if gap[high < upper].min(initial=math.inf) < gap[low > lower].max(initial=-math.inf):
+        y = _project_states(proportional - c, deltas, inv, lower - low, upper - high,
+                            np.zeros(1))[1][0]
+        c, kinks = c + y, None
+        shares = np.clip(shares + y, lower, upper)
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
     report = _regimes_from_intercepts(
-        c, agg.deltas, inv, lower, upper, residual,
-        iterations=iterations, jumps=jumps, skips=skips)
+        c, deltas, inv, lower, upper, residual, kinks,
+        iterations=iterations, searches=searches)
     return allocation, report
 
 
