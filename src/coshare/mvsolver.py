@@ -19,7 +19,9 @@ solve stops at a residual relative to the aggregate's largest magnitude.
 The fixed points form a continuum where caps leave room for a constant
 shift among agents (the two-agent interval above is the simplest case);
 solve_capped_mv reports the one nearest the proportional intercepts a E[S].
-The shares are projected state by state once, at the end of the solve.
+The pieces are the only place a state is located on H: the final shares are
+read from the last step's pieces, and statewise_projection reads one
+state's from its own.
 """
 
 from __future__ import annotations
@@ -58,14 +60,13 @@ FIXED_POINT_MAX_ITERS = 10 ** 4
 # the regime matrix's eigenvalues up to PINV_RCOND * max |lam| count as 0
 # (numpy pinv's default cutoff)
 PINV_RCOND = 1e-15
-KINK_MERGE_RTOL = 1e-12
 RESIDUAL_ZERO_TOL = 1e-12
 # Kinks of H closer than RUN_RTOL (relative) are one run of the solver's
 # pieces (see _pieces).  Agents that saturate together give kinks a few ulps
 # apart, and without runs the last bits of eta would decide which of them
 # count as interior in a state between those kinks.  RUN_RTOL covers the
-# rounding of the kinks, no more; KINK_MERGE_RTOL, the report's merge width,
-# is 10^4 times wider and would join kinks that bound real pieces.
+# rounding of the kinks, no more; the report's merge width, the solve's own
+# precision, is far wider and would join kinks that bound real pieces.
 RUN_RTOL = 64 * sys.float_info.epsilon
 
 
@@ -132,69 +133,13 @@ def _kink_responses(c, deltas, inv, lower, upper):
     return kinks, np.clip(c + kinks[:, None] * inv, lower, upper)
 
 
-def _project_states(c, deltas, inv, lower, upper, s, kinks=None):
-    """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
-    sum x[k] = s[k], for every state value in s at once; kinks is
-    _kink_responses at c when the caller has it.
-
-    H is nondecreasing and piecewise linear, so one sort of its kinks and
-    two searchsorted calls over H at the kinks locate every state.
-    Strictly between two kinks eta is interpolated; past either end the
-    agents with an infinite cap on that side drive H, and eta stops at the
-    end kink when there are none; exactly on kink levels eta is the
-    midpoint of the flat kink run.  Returns eta with shape (m,) and x with
-    shape (m, n).
-    """
-    kinks, responses = kinks or _kink_responses(c, deltas, inv, lower, upper)
-    if kinks.size == 0:
-        eta = (s - c.sum()) / inv.sum()
-    else:
-        levels = responses.sum(axis=1)
-        # piece j holds the states above j kink levels; on it eta =
-        # kinks[a] + (s - levels[a]) * rise / run with a = max(j - 1, 0).
-        # The tails rise 1 over the slope of the agents uncapped on that
-        # side, or 0 over 1 when H is flat there.
-        below = inv[lower == -math.inf].sum()
-        above = inv[upper == math.inf].sum()
-        rise = np.concatenate(
-            ([float(below > 0.0)], kinks[1:] - kinks[:-1], [float(above > 0.0)]))
-        run = np.concatenate(([below or 1.0], levels[1:] - levels[:-1], [above or 1.0]))
-        piece = levels.searchsorted(s)
-        a = np.maximum(piece - 1, 0)
-        eta = kinks[a] + (s - levels[a]) * rise[piece] / run[piece]
-        end = levels.searchsorted(s, "right")
-        flat = piece < end
-        if flat.any():
-            eta[flat] = 0.5 * (kinks[piece[flat]] + kinks[end[flat] - 1])
-
-    x = np.clip(c + eta[:, None] * inv, lower, upper)
-    residual = s - x.sum(axis=1)
-    rows = np.flatnonzero(residual)
-    if rows.size:
-        # exact clearing: hand the float dust to the first agent strictly
-        # inside its box
-        dust = residual[rows]
-        margin = np.maximum(2.0 * np.abs(dust), 1e-12)[:, None]
-        inside = (x[rows] - margin > lower) & (x[rows] + margin < upper)
-        agent = inside.argmax(axis=1)
-        fixed = inside[np.arange(rows.size), agent]
-        x[rows[fixed], agent[fixed]] += dust[fixed]
-        if not fixed.all():
-            lost = dust[~fixed]
-            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(s)]
-            if lost.size:
-                raise ContractError(
-                    f"projection residual {lost[0]:g} with every agent at a cap")
-    return eta, x
-
-
 def statewise_projection(c, delta, lower, upper, s):
     """Shadow price eta and shares x_i = clip(c_i + eta/delta_i, L_i, U_i)
     with sum x_i = s.
 
     The clipped response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i) is
     nondecreasing and piecewise linear with kinks where a clip activates;
-    eta is found by exact inversion over the sorted kink set, taking the
+    eta is read from the piece of H that s falls on (see _pieces), the
     midpoint of the solution interval when H is flat at level s.
     """
     deltas, lower, upper = _caps(delta, lower, upper)
@@ -207,9 +152,10 @@ def statewise_projection(c, delta, lower, upper, s):
     if s < total_lower - 1e-12 or s > total_upper + 1e-12:
         raise InfeasibleError(
             f"s = {s:g} outside the feasible cap range [{total_lower:g}, {total_upper:g}]")
-    deltas = np.array(deltas)
-    eta, x = _project_states(np.array(c), deltas, 1.0 / deltas, np.array(lower),
-                             np.array(upper), np.array([s]))
+    agg = _aggregate(np.array(deltas), np.array(lower), np.array(upper), np.array([s]),
+                     np.ones(1))
+    c = np.array(c)
+    eta, x = _shares(c, _pieces(c, agg), agg)
     return float(eta[0]), x[0]
 
 
@@ -288,24 +234,21 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, kinks=None,
-                             **counts):
+def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, width=0.0, **counts):
     """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    in the arithmetic of the arguments (see _kink_responses; kinks is its
-    result at c when the caller has it), with the solver's step counts.
+    in the arithmetic of the arguments (see _kink_responses), with the
+    solver's step counts.
 
-    Float kinks closer than KINK_MERGE_RTOL (relative) are one kink: agents
-    that saturate together at solved intercepts give kinks a few ulps
-    apart, which would open regimes of width ~1e-16 whose active sets
+    Kinks closer than width are one kink: at solved intercepts, known to
+    within the solve's precision, agents that saturate together give kinks
+    a rounding apart, which would open regimes whose active sets that
     rounding decides.  Each run of close kinks keeps its first.  Exact
-    (Fraction) kinks are never merged.
+    (Fraction) kinks come with width 0 and are never merged.
     """
     n = len(deltas)
-    kinks, responses = kinks or _kink_responses(c, deltas, inv, lower, upper)
-    if kinks.dtype != object and kinks.size > 1:
-        gaps = kinks[1:] - kinks[:-1]
-        keep = np.concatenate(
-            ([True], gaps > KINK_MERGE_RTOL * np.maximum(1.0, np.abs(kinks[1:]))))
+    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
+    if width and kinks.size > 1:
+        keep = np.concatenate(([True], kinks[1:] - kinks[:-1] > width))
         kinks, responses = kinks[keep], responses[keep]
     intercepts = tuple(c.tolist())
     weights = inv.tolist()
@@ -339,21 +282,16 @@ _Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps")
 _Pieces = namedtuple("_Pieces", "target active mass code anchor level slope")
 
 
-def _aggregate(problem):
-    """The arrays every step of solve_capped_mv reads: the caps, w = 1/delta,
-    the slopes of eta past either end of H (1 over the sum of w over the
-    agents uncapped on that side, or 0 where H is flat there), and the
-    states s with their probabilities p and p s."""
-    space, S = problem.aggregate
-    deltas = np.array(problem.delta)
+def _aggregate(deltas, lower, upper, s, probs):
+    """The arrays _pieces reads: the caps (float arrays, one entry per
+    agent), w = 1/delta, the slopes of eta past either end of H (1 over the
+    sum of w over the agents uncapped on that side, or 0 where H is flat
+    there), and the states s with their probabilities p and p s."""
     inv = 1.0 / deltas
-    lower = np.array(problem.lower)
-    upper = np.array(problem.upper)
-    below = sum(1.0 / d for d, v in zip(problem.delta, problem.lower) if v == -math.inf)
-    above = sum(1.0 / d for d, v in zip(problem.delta, problem.upper) if v == math.inf)
+    below = sum(inv[lower == -math.inf].tolist())
+    above = sum(inv[upper == math.inf].tolist())
     tails = np.array([1.0 / below if below else 0.0, 1.0 / above if above else 0.0])
-    return _Aggregate(deltas, inv, lower, upper, tails, S.values, space.probs,
-                      space.probs * S.values)
+    return _Aggregate(deltas, inv, lower, upper, tails, s, probs, probs * s)
 
 
 def _pieces(c, agg):
@@ -366,11 +304,12 @@ def _pieces(c, agg):
     #(runs whose last level is < s): even codes are open pieces, odd codes
     runs, and a state on a flat level of H gets a flat piece.  On each group
     of states eta is affine in s, eta = anchor + (s - level) * slope (in a
-    run, to within the run's few ulps), and no share crosses a cap inside
-    an open piece, so E[X] sums mass * clip(c + eta/delta, L, U) over the
-    groups, eta taken at the group's mean s.  An open piece's active set is
-    read at its midpoint (a tail's 0.5 past its end kink); a run's is the
-    agents interior on both sides of it.  Returns _Pieces: target = E[X(c)],
+    run, to within the run's few ulps; on a flat piece, its midpoint), and
+    no share crosses a cap inside an open piece, so E[X] sums
+    mass * clip(c + eta/delta, L, U) over the groups, eta taken at the
+    group's mean s.  An open piece's active set is read at its midpoint (a
+    tail's 0.5 past its end kink); a run's is the agents interior on both
+    sides of it.  Returns _Pieces: target = E[X(c)],
     and active, mass, anchor, level and slope with one row per group, code
     with one entry per state."""
     kinks, responses = _kink_responses(c, agg.deltas, agg.inv, agg.lower, agg.upper)
@@ -394,7 +333,8 @@ def _pieces(c, agg):
     slope[::groups - 1] = agg.tails
     run = levels[1:] - levels[:-1]
     np.divide(kinks[1:] - kinks[:-1], run, out=slope[1:-1], where=run > 0.0)
-    anchor = np.concatenate((kinks[:1], kinks))
+    anchor = np.concatenate((kinks[:1], np.where(run > 0.0, kinks[:-1],
+                                                 0.5 * (kinks[:-1] + kinks[1:])), kinks[-1:]))
     level = np.concatenate((levels[:1], levels))
     eta = anchor + (mean - level) * slope
     target = mass @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
@@ -405,6 +345,34 @@ def _pieces(c, agg):
     inside = ((agg.lower < free) & (free < agg.upper)).repeat(2, axis=0)
     active = inside[:-1] & inside[1:]
     return _Pieces(target, active, mass, code, anchor, level, slope)
+
+
+def _shares(c, at, agg):
+    """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
+    sum x[k] = s[k] for every state of agg, read from the _Pieces at of c:
+    eta = anchor + (s - level) * slope on the state's group.  Returns eta
+    with shape (m,) and x with shape (m, n)."""
+    code = at.code
+    eta = at.anchor[code] + (agg.s - at.level[code]) * at.slope[code]
+    x = np.clip(c + eta[:, None] * agg.inv, agg.lower, agg.upper)
+    residual = agg.s - x.sum(axis=1)
+    rows = np.flatnonzero(residual)
+    if rows.size:
+        # exact clearing: hand the float dust to the first agent strictly
+        # inside its box
+        dust = residual[rows]
+        margin = np.maximum(2.0 * np.abs(dust), 1e-12)[:, None]
+        inside = (x[rows] - margin > agg.lower) & (x[rows] + margin < agg.upper)
+        agent = inside.argmax(axis=1)
+        fixed = inside[np.arange(rows.size), agent]
+        x[rows[fixed], agent[fixed]] += dust[fixed]
+        if not fixed.all():
+            lost = dust[~fixed]
+            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(agg.s)]
+            if lost.size:
+                raise ContractError(
+                    f"projection residual {lost[0]:g} with every agent at a cap")
+    return eta, x
 
 
 def _same_regime(a, b):
@@ -510,12 +478,13 @@ def solve_capped_mv(problem):
     intercepts are c* + y.  The rule is: the reported intercepts are the
     ones nearest a E[S], a the proportional slopes, in the norm
     sum_i delta_i (.)^2.  From any optimum they are c* + y with
-    y = clip(a E[S] - c* + eta/delta, L - min X*, U - max X*) and sum y = 0,
-    one more projection (of a single state 0, see _project_states), which
-    is skipped when c* passes the optimality test min delta_i (c_i - a_i
-    E[S]) over the agents with room to rise >= max over the agents with room
-    to fall.  The shares then are X* + y, clipped to the caps against
-    rounding: X(c* + y) without a second projection of every state.
+    y = clip(a E[S] - c* + eta/delta, L - min X*, U - max X*) and sum y = 0:
+    the pieces of one more H, of a single state 0.  They are skipped when c*
+    passes the optimality test min delta_i (c_i - a_i E[S]) over the agents
+    with room to rise >= max over the agents with room to fall, less the
+    solve's own slack FIXED_POINT_TOL * max |S| * max delta (c* is known
+    only that well).  The shares then are X* + y, clipped to the caps
+    against rounding: X(c* + y) without reading every state again.
 
     The fixed points minimise G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2],
     convex and piecewise quadratic with gradient -2 D_delta F(c),
@@ -535,17 +504,19 @@ def solve_capped_mv(problem):
     each piece of H (see _pieces), so a step is O(m) one-dimensional work
     (two searchsorted calls and two bincounts over the states) plus
     O(n * pieces), and two points share a regime when every pair of groups
-    that shares a state has one active set.  The states are projected one
-    by one only for the final shares.  The solve stops at a residual at
-    most FIXED_POINT_TOL * max |S|, so at every scale, and an exact fixed
-    point stops it even when S is 0.  ConvergenceError after
-    FIXED_POINT_MAX_ITERS steps.
+    that shares a state has one active set.  The solve stops at the first
+    iterate whose residual is at most FIXED_POINT_TOL * max |S|, so at
+    every scale, and an exact fixed point stops it even when S is 0; the
+    final shares are read state by state from that iterate's own pieces
+    (see _shares), and the report's kinks merge within the solve's slack
+    above.  ConvergenceError after FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
     space, S = problem.aggregate
-    agg = _aggregate(problem)
-    deltas, inv, lower, upper = agg.deltas, agg.inv, agg.lower, agg.upper
+    deltas, lower, upper = map(np.array, (problem.delta, problem.lower, problem.upper))
+    agg = _aggregate(deltas, lower, upper, S.values, space.probs)
+    inv = agg.inv
     root = np.sqrt(inv)
     mean_s = float(S.values @ space.probs)
     fixed_point_tol = FIXED_POINT_TOL * float(np.abs(S.values).max())
@@ -559,7 +530,6 @@ def solve_capped_mv(problem):
         f = at.target - c
         residual = float(np.max(np.abs(f)))
         if residual <= fixed_point_tol:
-            c = at.target
             break
         lam, E = _regime_modes(at.active, at.mass, inv, root, f)
         d = E @ (1.0 / lam)
@@ -575,19 +545,20 @@ def solve_capped_mv(problem):
             "intercept fixed point did not converge",
             last_iterate=tuple(c), residual=residual)
 
-    kinks = _kink_responses(c, deltas, inv, lower, upper)
-    shares = _project_states(c, deltas, inv, lower, upper, agg.s, kinks)[1]
+    shares = _shares(c, at, agg)[1]
     low, high = shares.min(axis=0), shares.max(axis=0)
     gap = deltas * (c - proportional)
-    if gap[high < upper].min(initial=math.inf) < gap[low > lower].max(initial=-math.inf):
-        y = _project_states(proportional - c, deltas, inv, lower - low, upper - high,
-                            np.zeros(1))[1][0]
-        c, kinks = c + y, None
+    slack = fixed_point_tol * float(deltas.max())
+    if (gap[high < upper].min(initial=math.inf)
+            < gap[low > lower].max(initial=-math.inf) - slack):
+        box = _aggregate(deltas, lower - low, upper - high, np.zeros(1), np.ones(1))
+        y = _shares(proportional - c, _pieces(proportional - c, box), box)[1][0]
+        c = c + y
         shares = np.clip(shares + y, lower, upper)
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
     report = _regimes_from_intercepts(
-        c, deltas, inv, lower, upper, residual, kinks,
+        c, deltas, inv, lower, upper, residual, slack,
         iterations=iterations, searches=searches)
     return allocation, report
 
