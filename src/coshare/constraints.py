@@ -471,8 +471,9 @@ def feasible_mask(tensors, s_values, probs, constraints):
     rows that passed every band before it, and none runs once no row is
     left.  Row-wise bands give the same verdicts as on every row; a band
     that takes V @ probs can round a row differently with fewer rows.  A
-    breach on any atom is found with probspace.rows_any, a boolean matrix
-    product, not a reduction over the atoms one row at a time."""
+    breach on any atom is found with probspace.rows_any (the OR of a short
+    row's columns, or a boolean matrix product), not a reduction over the
+    atoms one row at a time."""
     tol = VALUE_TOL * value_scale(s_values)
     rows = None  # every row has passed: the bands see the tensors themselves
     for _, kind, i in _bands(constraints, len(tensors), s_values):
@@ -571,8 +572,9 @@ def _witness_mask(Y, X, s_values, probs, constraints):
     passed the ones before it, and a check that every row reaches reads Y
     itself, not a copy.  The shares are summed with probspace.agent_sum
     (agent by agent, from 0.0, in one buffer), and "every atom clears" and
-    "every share is a reduction" are probspace.rows_all, so no reduction
-    loops over a short axis row by row and none over the atoms in Python."""
+    "every share is a reduction" are probspace.rows_all (column by column
+    on a short row, a boolean matrix product on a long one), so no
+    reduction loops over a short axis row by row."""
     n, m = X.shape
     residual = agent_sum(Y[:, i] for i in range(n))
     np.subtract(residual, s_values, out=residual)

@@ -26,7 +26,8 @@ GRID_POINT_LIMIT = 2 * 10 ** 7
 TIE_EPS = 1e-12
 
 
-def _axis(lo, hi, step):
+def _axis_points(lo, hi, step):
+    """Points on the axis lo, lo + step, ..., hi, counted without building it."""
     lo, hi, step = float(lo), float(hi), float(step)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValidationError("grid ranges must be finite")
@@ -35,10 +36,12 @@ def _axis(lo, hi, step):
     if hi < lo:
         raise ValidationError("grid range needs lo <= hi")
     span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValidationError("grid range must span a finite number of steps")
     count = int(round(span))
     if abs(span - count) > 1e-6:
         raise ValidationError("grid range must span a whole number of steps")
-    return np.linspace(lo, hi, count + 1)
+    return count + 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class ScalarFamily:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "step", step)
-        _axis(lo, hi, step)
+        _axis_points(lo, hi, step)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class GridSpec:
                 raise ValidationError("every free agent needs one range per atom")
             for agent in ranges:
                 for triple in agent:
-                    _axis(*triple)
+                    _axis_points(*triple)
             object.__setattr__(self, "ranges", ranges)
         elif not isinstance(self.family, ScalarFamily):
             raise ValidationError("family must be a ScalarFamily")
@@ -141,11 +144,18 @@ def _chunk_rows(n_agents, n_atoms):
 
 def _grid_axes(grid):
     """The grid's axes in grid (C) order: the family's scalar, or one per
-    free agent and atom; the grid's points are their product."""
+    free agent and atom; the grid's points are their product.  A grid of
+    more than GRID_POINT_LIMIT points is refused before any axis is built."""
     if grid.family is not None:
         fam = grid.family
-        return [_axis(fam.lo, fam.hi, fam.step)]
-    return [_axis(*triple) for agent in grid.ranges for triple in agent]
+        triples = [(fam.lo, fam.hi, fam.step)]
+    else:
+        triples = [triple for agent in grid.ranges for triple in agent]
+    counts = [_axis_points(*triple) for triple in triples]
+    points = math.prod(counts)
+    if points > GRID_POINT_LIMIT:
+        raise DomainError(f"grid of {points} points exceeds the oracle size limit")
+    return [np.linspace(lo, hi, count) for (lo, hi, _), count in zip(triples, counts)]
 
 
 def _prune_axes(axes, n_agents, s_values, probs, constraints):
@@ -171,43 +181,60 @@ def _prune_axes(axes, n_agents, s_values, probs, constraints):
 
 
 def _free_chunks(grid, axes, rows):
-    """Candidate values for the free agents, in grid order, as blocks shaped
-    (points, free, atoms) of at most rows points.  A family slices its
-    scalar axis.  A ranges grid fixes one value of each leading axis per
-    block and slices the mesh of the trailing axes, which is built once; a
-    grid that fits one block is that mesh."""
-    shape = (-1, grid.n_free_agents, grid.n_atoms)
+    """Candidate values for the free agents, in grid order, in blocks of at
+    most rows points; a block is a list of one C-contiguous (points, atoms)
+    array per free agent.  A family slices its scalar axis.  A ranges grid
+    fixes one value of each leading axis per block and slices the product of
+    the trailing axes.  That product is written once, straight from the
+    axes, into one array per agent that holds the agent's trailing columns,
+    so a grid that fits one block is built with no intermediate mesh."""
     if grid.family is not None:
         base = np.array(grid.family.base)
         direction = np.array(grid.family.direction)
         for part in _slices(axes[0].size, rows):
-            yield base[None, :, :] + axes[0][part, None, None] * direction[None, :, :]
+            scalar = axes[0][part, None]
+            yield [b + scalar * d for b, d in zip(base, direction)]
         return
+    m = grid.n_atoms
     lead = len(axes) - 1
     while lead > 0 and math.prod(len(ax) for ax in axes[lead - 1:]) <= rows:
         lead -= 1
-    # no name holds the mesh, so the paused generator keeps only its stack
-    tail = np.column_stack([g.reshape(-1)
-                            for g in np.meshgrid(*axes[lead:], indexing="ij")])
-    parts = _slices(tail.shape[0], rows)
+    sizes = [len(ax) for ax in axes[lead:]]
+    total = math.prod(sizes)
+    # agent i's first fixed[i] atoms are leading axes
+    fixed = [min(max(lead - i * m, 0), m) for i in range(grid.n_free_agents)]
+    tail = [np.empty((total, m - c)) for c in fixed]
+    for t, axis in enumerate(axes[lead:]):
+        i, a = divmod(lead + t, m)
+        cols = tail[i]
+        stride = math.prod(sizes[t + 1:])
+        cols.reshape(-1, axis.size, stride, cols.shape[1])[:, :, :, a - fixed[i]] = axis[:, None]
+    for cols in tail:
+        cols.setflags(write=False)
+    parts = _slices(total, rows)
     for head in itertools.product(*axes[:lead]):
         for part in parts:
-            if lead:
-                block = np.empty((part.stop - part.start, len(axes)))
-                block[:, :lead] = head
-                block[:, lead:] = tail[part]
-            else:
-                block = tail[part]
-            yield block.reshape(shape)
+            block = []
+            for i, (c, cols) in enumerate(zip(fixed, tail)):
+                if c:
+                    free = np.empty((part.stop - part.start, m))
+                    free[:, :c] = head[i * m:i * m + c]
+                    free[:, c:] = cols[part]
+                    block.append(free)
+                else:
+                    block.append(cols[part])
+            yield block
 
 
 def _enumerate(space, S, objectives, constraints, grid, comonotone):
     """(allocation, value) at the first grid point, in grid order, within
     TIE_EPS * (1 + |min|) of the minimum over the feasible (and, if
-    comonotone, comonotonic) points.  Each block of free shares gets the
-    implied agent's S - sum of the free shares from probspace.agent_sum,
-    agent by agent from 0.0 in the one buffer that becomes that share, which
-    gives np.sum's bits without its row-by-row loop over the agents axis."""
+    comonotone, comonotonic) points.  A block's tensors are _free_chunks'
+    arrays, one per free agent, and the implied agent's S - sum of the free
+    shares: probspace.agent_sum adds the free shares agent by agent from 0.0
+    (np.sum's bits without its row-by-row loop over the agents axis) into
+    the one buffer that becomes that share, and S is subtracted from it atom
+    by atom, a column at a time rather than a broadcast over a short row."""
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     _require_space(constraints, space)
@@ -222,8 +249,6 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
             raise ValidationError("objectives must be RiskMeasureSpec instances")
     axes = _grid_axes(grid)
     points = math.prod(len(ax) for ax in axes)
-    if points > GRID_POINT_LIMIT:
-        raise DomainError(f"grid of {points} points exceeds the oracle size limit")
     probs = space.probs
     block_rows = _chunk_rows(n, space.size)
     # a grid that fits one block is built once whether pruned or not
@@ -237,20 +262,22 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     # window whose value is below that of every point kept before them; the
     # pick is one of them, and once every block is seen it is the first.
     vmin, kept = np.inf, []
-    for free in chunks:
-        tensors = [free[:, i, :] for i in range(n - 1)]
+    for tensors in chunks:
+        total = tensors[0].shape[0]
         implied = agent_sum(tensors)
-        tensors.append(np.subtract(S.values, implied, out=implied))
+        for a, s in enumerate(S.values):
+            np.subtract(s, implied[:, a], out=implied[:, a])
+        tensors.append(implied)
         # the block's rows that pass, in grid order
         idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints))
-        if comonotone and idx.size == free.shape[0]:
+        if comonotone and idx.size == total:
             idx = np.flatnonzero(comonotone_mask(tensors, S.values, probs))
         elif comonotone and idx.size:
             idx = idx[comonotone_mask([V.take(idx, axis=0) for V in tensors],
                                       S.values, probs)]
         if not idx.size:
             continue
-        whole = idx.size == free.shape[0]
+        whole = idx.size == total
         values = np.zeros(idx.size)
         for i, spec in enumerate(objectives):
             values += measure_values(

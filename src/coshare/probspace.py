@@ -32,6 +32,9 @@ VALUE_MERGE_TOL = 1e-12
 CUM_PROB_TOL = 1e-12
 GAMMA_ROOT_TOL = 1e-10
 VALUE_TOL = 1e-9
+# rows_any ORs the columns of a block of more rows than atoms, each row of at
+# most this many atoms
+_SHORT_ROW = 8
 
 
 class FiniteSpace:
@@ -207,12 +210,21 @@ def agent_sum(parts):
 
 
 def rows_any(B):
-    """B.any(axis=1) for a boolean rows x k block, as the boolean matrix
-    product with ones(k): exact, with no call per row, where numpy's any
-    reduces a short axis one row at a time (3 to 4x slower at k = 3 to 4).
-    A row stops at its first True; a long row with none is scanned cell by
-    cell, a few times slower than numpy's vector loop."""
-    return B @ np.ones(B.shape[1], dtype=bool)
+    """B.any(axis=1) for a boolean rows x k block, with no call per row,
+    where numpy's any reduces a short axis one row at a time (3 to 4x slower
+    at k = 3 to 4).  A block of more rows than atoms, each of at most
+    _SHORT_ROW atoms, is the OR of its columns, one vector operation per
+    column.  Any other block is the boolean matrix product with ones(k),
+    which costs less than k operations on a few rows; a row stops at its
+    first True, and a long row with none is scanned cell by cell, a few
+    times slower than numpy's vector loop."""
+    rows, k = B.shape
+    if k > _SHORT_ROW or rows <= k:
+        return B @ np.ones(k, dtype=bool)
+    hit = np.zeros(rows, dtype=bool)
+    for column in B.T:
+        np.logical_or(hit, column, out=hit)
+    return hit
 
 
 def rows_all(B):

@@ -54,7 +54,8 @@ def convex_order_mask(Y, py, X, px):
     VALUE_TOL * max(1, max |value|) over the row pair.  No reduction loops
     over a row's atoms one row at a time: max |value| is read from the ends
     of the kernel's sorted row (nan, sorted last, still gives nan), and
-    "every atom within tol" is probspace.rows_all, a boolean matrix product.
+    "every atom within tol" is probspace.rows_all (column by column on a
+    short row, a boolean matrix product on a long one).
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))

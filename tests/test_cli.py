@@ -589,6 +589,12 @@ class TestMain:
         (oracle_doc, ("agents",), [{"measure": {"kind": "es", "level": 0.5}}] * 3, "task"),
         (oracle_doc, ("task", "grid", "ranges"), [[[0, 1, 1]]], "task"),
         (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1, 0.3], "task.grid"),
+        # an axis too long to build is counted, never built
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1e12, 1e-3], "task"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1, 1e-300], "task"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [0, 1e308, 1e-10], "task.grid"),
+        (oracle_doc, ("task", "grid", "ranges", 0, 0), [-1e308, 1e308, 1], "task.grid"),
+        (oracle_doc, ("task", "grid", "ranges", 0), [[0, 1e8, 1], [0, 1e8, 1]], "task"),
         (improve_doc, ("task", "shares"), [[0, 0, 0], [0, 0, 0]], "task"),
         (solidity_doc, ("task", "start"), [[0, 1, 0, 1], [0, 0, 1, 1]], "task"),
         (solidity_doc, ("task", "start", 1), [0, 1, 0, 2], "task"),
@@ -609,7 +615,8 @@ class TestMain:
     ), ids=("caps-unequal-length", "lower-above-upper",
             "delta-negative", "envelope-uncovered", "family-direction-width",
             "grid-too-few-agents", "grid-atom-count", "grid-step-off-range",
-            "shares-not-clearing", "start-infeasible", "start-not-clearing",
+            "grid-axis-1e15-points", "grid-axis-1e300-points", "grid-axis-inf-steps",
+            "grid-axis-inf-span", "grid-1e16-points", "shares-not-clearing", "start-infeasible", "start-not-clearing",
             "share-row-length", "agent-without-delta", "agent-without-measure",
             "oracle-without-grid", "improve-on-gamma", "aggregate-and-endowments",
             "neither-aggregate-nor-endowments", "expectation-bound-inf",

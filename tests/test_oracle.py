@@ -51,6 +51,12 @@ class TestGridSpec:
                     (0.0, 1.0, 0.3)):
             with pytest.raises(ValidationError):
                 GridSpec(ranges=((bad,),))
+        # a span of more steps than a float counts
+        for bad in ((0.0, 1e308, 1e-10), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValidationError, match="finite number of steps"):
+                GridSpec(ranges=((bad,),))
+            with pytest.raises(ValidationError, match="finite number of steps"):
+                ScalarFamily(((0.0,),), ((1.0,),), *bad)
 
     def test_shapes(self):
         grid = GridSpec.uniform(2, 3, 0.0, 1.0, 0.5)
@@ -125,6 +131,20 @@ class TestGridMinimize:
         for cons in ((), (Constraint(PathwiseBounds(upper=0.0)),)):
             with pytest.raises(DomainError):
                 grid_minimize(space, S, (RiskMeasureSpec.es(0.5),) * 3, cons, grid)
+
+    def test_size_limit_before_any_axis(self):
+        # the limit is checked on the product of the axis counts, so a grid
+        # of 1e16 points (two axes of 1e8 + 1) allocates no axis
+        space, S = two_state()
+        tracemalloc.start()
+        try:
+            grid = GridSpec(ranges=(((0.0, 1e8, 1.0), (0.0, 1e8, 1.0)),))
+            with pytest.raises(DomainError, match="grid of 10000000200000001 points"):
+                grid_minimize(space, S, ES_PAIR, (), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_input_validation(self):
         space, S = two_state()
@@ -409,3 +429,61 @@ class TestChunking:
             tracemalloc.stop()
         assert value == pytest.approx(2.0, abs=1e-9)
         assert peak < 32 * 2 ** 20
+
+
+def _mesh_points(grid):
+    """Every point of the grid in grid order, (points, free, atoms), from
+    np.meshgrid of its axes (a family: base + a * direction)."""
+    axes = oracle._grid_axes(grid)
+    if grid.family is not None:
+        base, direction = np.array(grid.family.base), np.array(grid.family.direction)
+        return base[None] + axes[0][:, None, None] * direction[None]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    return points.reshape(-1, grid.n_free_agents, grid.n_atoms)
+
+
+# two free agents on three atoms, axes of 3, 5, 2, 2, 3 and 4 values (720
+# points), so a block's leading axes can end inside either agent
+UNEVEN = GridSpec(ranges=(((0.0, 1.0, 0.5), (0.0, 1.0, 0.25), (-1.0, 0.0, 1.0)),
+                          ((0.0, 0.5, 0.5), (1.0, 2.0, 0.5), (0.0, 3.0, 1.0))))
+FAMILY = GridSpec.from_family(((0.0, 0.5, 1.0), (1.0, 0.0, -0.25)),
+                              ((1.0, 0.0, 0.5), (-0.5, 0.25, 1.0)), -1.0, 1.5, 0.25)
+
+
+class TestFreeChunks:
+    @pytest.mark.parametrize("grid, rows", (
+        (UNEVEN, None), (UNEVEN, 1), (UNEVEN, 7), (UNEVEN, 64), (UNEVEN, 500),
+        (FAMILY, None), (FAMILY, 4)),
+        ids=("one-block", "rows-1", "rows-7", "rows-64", "rows-500", "family-one-block",
+             "family-rows-4"))
+    def test_blocks_match_meshgrid(self, monkeypatch, grid, rows):
+        # the blocks _enumerate gets hold every grid point once, bit for bit
+        # and in grid order, as one C-contiguous (points, atoms) array per
+        # free agent; a grid that fits one block (rows None) is one block
+        blocks = []
+        chunks = oracle._free_chunks
+
+        def recording(*args):
+            for block in chunks(*args):
+                blocks.append(list(block))
+                yield block
+
+        monkeypatch.setattr(oracle, "_free_chunks", recording)
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)
+        m = grid.n_atoms
+        space = FiniteSpace.uniform(m)
+        S = RandomVariable(space, np.arange(m, dtype=float))
+        grid_minimize(space, S, (RiskMeasureSpec.es(0.5),) * (grid.n_free_agents + 1),
+                      (), grid)
+        want = _mesh_points(grid)
+        assert len(blocks) == 1 if rows is None else len(blocks) > 1
+        for block in blocks:
+            assert len(block) == grid.n_free_agents
+            assert rows is None or block[0].shape[0] <= rows
+            for V in block:
+                assert V.dtype == np.float64 and V.flags.c_contiguous
+                assert V.shape == (block[0].shape[0], m)
+        got = np.concatenate([np.stack(block, axis=1) for block in blocks])
+        assert got.tobytes() == want.tobytes()

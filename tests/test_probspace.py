@@ -21,8 +21,8 @@ from coshare import (
     moments,
     var,
 )
-from coshare.probspace import (VALUE_TOL, _brentq, agent_sum, level_partition, rows_all,
-                               rows_any)
+from coshare.probspace import (_SHORT_ROW, VALUE_TOL, _brentq, agent_sum, level_partition,
+                               rows_all, rows_any)
 from coshare.stochorder import _stop_loss_rows, convex_order_mask
 
 
@@ -259,7 +259,25 @@ class TestShortAxisReductions:
     max bit for bit: oracle._enumerate and constraints._witness_mask sum over
     agents with agent_sum; feasible_mask, _witness_mask and convex_order_mask
     take any/all over atoms (and _witness_mask all over agents) with rows_any
-    and rows_all; convex_order_mask reads max |value| from its sort's ends."""
+    and rows_all, in either of their forms (the OR of the columns of a block
+    of more rows than atoms, each row of at most _SHORT_ROW atoms, and the
+    boolean matrix product otherwise); convex_order_mask reads max |value|
+    from its sort's ends."""
+
+    @pytest.mark.parametrize("rows", (0, 1, 8, 9, 300))
+    @pytest.mark.parametrize("k", (1, 8, 9))
+    def test_both_any_forms(self, k, rows):
+        # widths on both sides of _SHORT_ROW, and zero-row, one-row and
+        # as-many-rows-as-atoms blocks, which take the matrix product
+        assert _SHORT_ROW == 8
+        rng = np.random.default_rng([k, rows])
+        for density in (0.0, 0.05, 0.5, 1.0):
+            B = rng.random((rows, k)) < density
+            for block in (B, np.asfortranarray(B), B[:, ::-1]):
+                got = rows_any(block)
+                assert got.dtype == bool and np.array_equal(got, block.any(axis=1))
+                got = rows_all(block)
+                assert got.dtype == bool and np.array_equal(got, block.all(axis=1))
 
     @settings(max_examples=40)
     @given(n=st.integers(1, 12), m=st.integers(1, 9), rows=st.integers(1, 300),
