@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ContractError, NonterminationError, ValidationError
 from .probspace import VALUE_TOL, RandomVariable, level_partition, value_scale
-from .riskmeasures import evaluate
+from .riskmeasures import RiskMeasureSpec, evaluate
 from .stochorder import convex_order_mask
 
 LEVEL_GAP_EPS = 1e-12
@@ -213,8 +213,11 @@ def comonotonic_improvement(A, measures=None):
     objective deltas are reported.
     """
     _require_clearing(A)
-    if measures is not None and len(measures) != A.n_agents:
-        raise ContractError("need one measure per agent")
+    if measures is not None:
+        if len(measures) != A.n_agents:
+            raise ContractError("need one measure per agent")
+        if not all(isinstance(spec, RiskMeasureSpec) for spec in measures):
+            raise ValidationError("measures must be RiskMeasureSpec instances")
 
     probs = A.space.probs
     part = level_partition(A.aggregate.values, probs)

@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -337,7 +338,9 @@ class AggregateEnvelope(_Kind):
         grid = sorted({p[0] for p in self.lower} | {p[0] for p in self.upper})
         lo = _pl_eval(self.lower, grid)
         hi = _pl_eval(self.upper, grid)
-        if np.any(lo > hi + 1e-12):
+        # within rounding of the breakpoint values: an upper envelope that
+        # pins the lower one has interpolated points a rounding off it
+        if np.any(lo > hi + VALUE_TOL * value_scale(np.concatenate((lo, hi)))):
             raise ValidationError("lower envelope exceeds upper envelope")
 
     def check_aggregate(self, s_values):
@@ -682,7 +685,11 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     chain-major draw order is returned.  Returns a verified SolidityWitness
     or None; None is absence of evidence, not a proof.  Without a start,
     only a set with a scoped retention is searched, from _feasible_seed.
+    budget and seed are nonnegative integers (a bool is not one).
     """
+    for name, value in (("budget", budget), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+            raise ValidationError(f"{name} must be a nonnegative integer")
     _require_space(constraints, space)
     if start is not None:
         if start.space != space:

@@ -19,9 +19,9 @@ solve stops at a residual relative to the aggregate's largest magnitude.
 The fixed points form a continuum where caps leave room for a constant
 shift among agents (the two-agent interval above is the simplest case);
 solve_capped_mv reports the one nearest the proportional intercepts a E[S].
-The pieces are the only place a state is located on H: the final shares are
-read from the last step's pieces, and statewise_projection reads one
-state's from its own.
+One locator, _locate, sorts H's kinks, in float or exact arithmetic: the
+final shares and the report are read from the last step's pieces, and
+statewise_projection, the shift and saturation_curve locate once each.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import bisect
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
@@ -62,7 +62,7 @@ FIXED_POINT_MAX_ITERS = 10 ** 4
 PINV_RCOND = 1e-15
 RESIDUAL_ZERO_TOL = 1e-12
 # Kinks of H closer than RUN_RTOL (relative) are one run of the solver's
-# pieces (see _pieces).  Agents that saturate together give kinks a few ulps
+# pieces (see _locate).  Agents that saturate together give kinks a few ulps
 # apart, and without runs the last bits of eta would decide which of them
 # count as interior in a state between those kinks.  RUN_RTOL covers the
 # rounding of the kinks, no more; the report's merge width, the solve's own
@@ -109,37 +109,13 @@ def unconstrained_shares(delta):
     return tuple(w / total for w in weights)
 
 
-def _extended_sum(values):
-    if any(v == -math.inf for v in values):
-        return -math.inf
-    if any(v == math.inf for v in values):
-        return math.inf
-    return math.fsum(values)
-
-
-def _kink_responses(c, deltas, inv, lower, upper):
-    """Sorted distinct kinks delta_i (L_i - c_i), delta_i (U_i - c_i) of the
-    clipped response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i), and
-    the clipped responses at each kink, one row per kink; H at the kinks is
-    their row sum.  Arguments have one entry per agent and are either float
-    arrays or object arrays of Fractions (infinite caps as float infinities),
-    and the results keep that arithmetic."""
-    kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
-    # an infinite cap puts its kink at infinity: no kink.  So does the nan
-    # of a Fraction weight that rounds to float 0 times an infinite cap.
-    # np.isfinite rejects object arrays, so filter in Python.
-    kinks = np.array(sorted({k for k in kinks.tolist() if -math.inf < k < math.inf}),
-                     dtype=c.dtype)
-    return kinks, np.clip(c + kinks[:, None] * inv, lower, upper)
-
-
 def statewise_projection(c, delta, lower, upper, s):
     """Shadow price eta and shares x_i = clip(c_i + eta/delta_i, L_i, U_i)
     with sum x_i = s.
 
     The clipped response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i) is
     nondecreasing and piecewise linear with kinks where a clip activates;
-    eta is read from the piece of H that s falls on (see _pieces), the
+    eta is read from the piece of H that s falls on (see _place), the
     midpoint of the solution interval when H is flat at level s.
     """
     deltas, lower, upper = _caps(delta, lower, upper)
@@ -147,15 +123,17 @@ def statewise_projection(c, delta, lower, upper, s):
     if len(c) != len(deltas):
         raise ValidationError("one intercept per agent")
     s = float(s)
-    total_lower = _extended_sum(lower)
-    total_upper = _extended_sum(upper)
+    if not all(map(math.isfinite, c + (s,))):
+        raise ValidationError("intercepts and the state must be finite")
+    # no lower cap is +inf and no upper cap -inf (see _caps)
+    total_lower, total_upper = math.fsum(lower), math.fsum(upper)
     if s < total_lower - 1e-12 or s > total_upper + 1e-12:
         raise InfeasibleError(
             f"s = {s:g} outside the feasible cap range [{total_lower:g}, {total_upper:g}]")
     agg = _aggregate(np.array(deltas), np.array(lower), np.array(upper), np.array([s]),
                      np.ones(1))
     c = np.array(c)
-    eta, x = _shares(c, _pieces(c, agg), agg)
+    eta, x = _shares(c, _place(c, agg), agg)
     return float(eta[0]), x[0]
 
 
@@ -181,9 +159,9 @@ class MVProblem:
         if S.space != space:
             raise ValidationError("aggregate S must live on the given space")
         s_min, s_max = float(S.values.min()), float(S.values.max())
-        if _extended_sum(self.lower) > s_min + 1e-12:
+        if math.fsum(self.lower) > s_min + 1e-12:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
-        if _extended_sum(self.upper) < s_max - 1e-12:
+        if math.fsum(self.upper) < s_max - 1e-12:
             raise ValidationError("sum of upper caps is below the largest aggregate value")
 
     @property
@@ -234,22 +212,62 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, width=0.0, **counts):
-    """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    in the arithmetic of the arguments (see _kink_responses), with the
-    solver's step counts.
+_Located = namedtuple("_Located", "kinks levels inside kinkless")
+_Placed = namedtuple("_Placed", "located code anchor level slope")
+_Pieces = namedtuple("_Pieces", _Placed._fields + ("mass", "target", "active"))
+_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps")
 
-    Kinks closer than width are one kink: at solved intercepts, known to
-    within the solve's precision, agents that saturate together give kinks
-    a rounding apart, which would open regimes whose active sets that
-    rounding decides.  Each run of close kinks keeps its first.  Exact
-    (Fraction) kinks come with width 0 and are never merged.
+
+def _locate(c, deltas, inv, lower, upper):
+    """The kinks delta_i (L_i - c_i), delta_i (U_i - c_i) of the clipped
+    response H(eta) = sum_i clip(c_i + eta/delta_i, L_i, U_i), sorted and
+    grouped into runs, and the open pieces between the runs and past either
+    end: the only code that sorts H's kinks.
+
+    Arguments have one entry per agent, float arrays or object arrays of
+    Fractions (infinite caps as float infinities), and the results keep that
+    arithmetic.  Float kinks closer than RUN_RTOL (relative to the larger
+    magnitude) form a run; exact kinks form no runs.  Returns _Located:
+    kinks and levels (H, the sum of the clipped shares) at each run's first
+    and last kink, a lone kink twice; inside, the agents strictly inside
+    their caps at the midpoint of each open piece (a tail's 0.5 past its
+    end); and kinkless, True when no kink is finite, where one kink at 0
+    stands in (H = sum c there, and both tails give eta = (s - sum c) / sum w).
     """
-    n = len(deltas)
-    kinks, responses = _kink_responses(c, deltas, inv, lower, upper)
-    if width and kinks.size > 1:
-        keep = np.concatenate(([True], kinks[1:] - kinks[:-1] > width))
-        kinks, responses = kinks[keep], responses[keep]
+    exact = c.dtype == object
+    kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
+    # an infinite cap puts its kink at infinity: no kink.  So does the nan
+    # of a Fraction weight that rounds to float 0 times an infinite cap.
+    # np.isfinite rejects object arrays, so filter in Python.
+    kinks = np.array(sorted({k for k in kinks.tolist() if -math.inf < k < math.inf}),
+                     dtype=c.dtype)
+    kinkless = kinks.size == 0
+    if kinkless:
+        kinks, responses = np.array([Fraction(0) if exact else 0.0], dtype=c.dtype), c[None, :]
+    else:
+        responses = np.clip(c + kinks[:, None] * inv, lower, upper)
+    levels = np.add.reduce(responses, axis=1)
+    left, right = kinks[:-1], kinks[1:]
+    gap = right - left > (0 if exact else RUN_RTOL) * np.maximum(-left, right)
+    knots = np.concatenate(([1], gap)) + np.concatenate((gap, [1]))
+    kinks = kinks.repeat(knots)
+    probes = np.concatenate(([kinks[0] - 1], kinks, [kinks[-1] + 1]))
+    free = c + ((probes[0::2] + probes[1::2]) / 2)[:, None] * inv
+    return _Located(kinks, levels.repeat(knots), (lower < free) & (free < upper), kinkless)
+
+
+def _report(c, located, inv, lower, upper, width=0.0, **fields):
+    """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
+    read from the _Located of c in its arithmetic, with the solver's
+    residual and step counts as fields.
+
+    Runs whose gap is at most width are one group: at solved intercepts,
+    known to within the solve's precision, agents that saturate together
+    give kinks a rounding apart, which would open regimes whose active sets
+    that rounding decides.  A group's breakpoint and anchor are H and the
+    shares x at its first kink, and the regime after it is the open piece
+    after its last run.  Exact kinks come with width 0: no group merges.
+    """
     intercepts = tuple(c.tolist())
     weights = inv.tolist()
 
@@ -257,35 +275,27 @@ def _regimes_from_intercepts(c, deltas, inv, lower, upper, residual, width=0.0, 
         total = sum(weights[i] for i in active)
         return tuple(w / total if i in active else 0 * w for i, w in enumerate(weights))
 
-    if kinks.size == 0:
-        active = tuple(range(n))
+    if located.kinkless:
+        active = tuple(range(len(weights)))
         return RegimeReport(
             breakpoints=(), active_sets=(active,), slopes=(slopes_for(active),),
-            intercepts=intercepts, residual=residual,
-            anchors=((sum(intercepts), intercepts),), **counts)
-
-    probes = np.concatenate(
-        ([kinks[0] - 1], (kinks[:-1] + kinks[1:]) / 2, [kinks[-1] + 1]))
-    free = c + probes[:, None] * inv
+            intercepts=intercepts, anchors=((sum(intercepts), intercepts),), **fields)
+    first, last = located.kinks[0::2], located.kinks[1::2]
+    starts = np.flatnonzero(np.concatenate(([True], first[1:] - last[:-1] > width)))
     active_sets = tuple(tuple(i for i, inside in enumerate(row) if inside)
-                        for row in ((lower < free) & (free < upper)).tolist())
-    breakpoints = tuple(responses.sum(axis=1).tolist())
+                        for row in located.inside[np.append(starts, first.size)].tolist())
+    breakpoints = tuple(located.levels[0::2][starts].tolist())
+    responses = np.clip(c + first[starts][:, None] * inv, lower, upper)
     return RegimeReport(
         breakpoints=breakpoints, active_sets=active_sets,
-        slopes=tuple(slopes_for(a) for a in active_sets),
-        intercepts=intercepts, residual=residual,
-        anchors=tuple(zip(breakpoints, (tuple(row) for row in responses.tolist()))),
-        **counts)
-
-
-_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps")
-_Pieces = namedtuple("_Pieces", "target active mass code anchor level slope")
+        slopes=tuple(map(slopes_for, active_sets)), intercepts=intercepts,
+        anchors=tuple(zip(breakpoints, map(tuple, responses.tolist()))), **fields)
 
 
 def _aggregate(deltas, lower, upper, s, probs):
-    """The arrays _pieces reads: the caps (float arrays, one entry per
-    agent), w = 1/delta, the slopes of eta past either end of H (1 over the
-    sum of w over the agents uncapped on that side, or 0 where H is flat
+    """The arrays _place and _pieces read: the caps (float arrays, one entry
+    per agent), w = 1/delta, the slopes of eta past either end of H (1 over
+    the sum of w over the agents uncapped on that side, or 0 where H is flat
     there), and the states s with their probabilities p and p s."""
     inv = 1.0 / deltas
     below = sum(inv[lower == -math.inf].tolist())
@@ -294,41 +304,19 @@ def _aggregate(deltas, lower, upper, s, probs):
     return _Aggregate(deltas, inv, lower, upper, tails, s, probs, probs * s)
 
 
-def _pieces(c, agg):
-    """E[X(c)] and the regime at c, from the pieces of H rather than state
-    by state.
-
-    Kinks of H closer than RUN_RTOL (relative) form a run, bounded by its
-    first and last kink; between the runs, and past either end, lie the open
-    pieces.  A state s gets the code #(runs whose first level is <= s) +
-    #(runs whose last level is < s): even codes are open pieces, odd codes
-    runs, and a state on a flat level of H gets a flat piece.  On each group
-    of states eta is affine in s, eta = anchor + (s - level) * slope (in a
-    run, to within the run's few ulps; on a flat piece, its midpoint), and
-    no share crosses a cap inside an open piece, so E[X] sums
-    mass * clip(c + eta/delta, L, U) over the groups, eta taken at the
-    group's mean s.  An open piece's active set is read at its midpoint (a
-    tail's 0.5 past its end kink); a run's is the agents interior on both
-    sides of it.  Returns _Pieces: target = E[X(c)],
-    and active, mass, anchor, level and slope with one row per group, code
-    with one entry per state."""
-    kinks, responses = _kink_responses(c, agg.deltas, agg.inv, agg.lower, agg.upper)
-    if kinks.size == 0:
-        # no finite cap: one kink at 0, where H = sum c; both tails then
-        # give eta = (s - sum c) / sum w
-        kinks, responses = np.zeros(1), c[None, :]
-    levels = np.add.reduce(responses, axis=1)
-    left, right = kinks[:-1], kinks[1:]
-    gap = right - left > RUN_RTOL * np.maximum(-left, right)
-    # the first and last kink of each run, a lone kink twice
-    knots = np.concatenate(([1], gap)) + np.concatenate((gap, [1]))
-    kinks, levels = kinks.repeat(knots), levels.repeat(knots)
+def _place(c, agg):
+    """Each state's group of H's pieces at c (see _locate): the code
+    #(runs whose first level is <= s) + #(runs whose last level is < s) of
+    a state s is even on an open piece, odd in a run, and a state on a flat
+    level of H gets a flat piece.  On each group eta is affine in s,
+    eta = anchor + (s - level) * slope (in a run, to within the run's few
+    ulps; on a flat piece, its midpoint).  Returns _Placed: the _Located,
+    code per state, and anchor, level and slope per group."""
+    located = _locate(c, agg.deltas, agg.inv, agg.lower, agg.upper)
+    kinks, levels = located.kinks, located.levels
     code = (levels[0::2].searchsorted(agg.s, "right")
             + levels[1::2].searchsorted(agg.s, "left"))
     groups = kinks.size + 1
-    mass = np.bincount(code, agg.probs, groups)
-    mean = np.divide(np.bincount(code, agg.ps, groups), mass,
-                     out=np.zeros(groups), where=mass > 0.0)
     slope = np.zeros(groups)
     slope[::groups - 1] = agg.tails
     run = levels[1:] - levels[:-1]
@@ -336,22 +324,35 @@ def _pieces(c, agg):
     anchor = np.concatenate((kinks[:1], np.where(run > 0.0, kinks[:-1],
                                                  0.5 * (kinks[:-1] + kinks[1:])), kinks[-1:]))
     level = np.concatenate((levels[:1], levels))
+    return _Placed(located, code, anchor, level, slope)
+
+
+def _pieces(c, agg):
+    """E[X(c)] and the regime at c, from the groups of states of _place.
+    No share crosses a cap inside an open piece, so E[X] sums
+    mass * clip(c + eta/delta, L, U) over the groups, eta taken at the
+    group's mean s.  A run's active set is the agents interior on both sides
+    of it.  Returns _Pieces: the _Placed fields, and mass, target = E[X(c)]
+    and active per group."""
+    located, code, anchor, level, slope = _place(c, agg)
+    groups = slope.size
+    mass = np.bincount(code, agg.probs, groups)
+    mean = np.divide(np.bincount(code, agg.ps, groups), mass,
+                     out=np.zeros(groups), where=mass > 0.0)
     eta = anchor + (mean - level) * slope
     target = mass @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
-    probes = np.concatenate(([kinks[0] - 1.0], kinks, [kinks[-1] + 1.0]))
-    free = c + (0.5 * (probes[0::2] + probes[1::2]))[:, None] * agg.inv
     # each open piece's row twice: row g of active is then an open piece's
     # own (g even) or the AND of a run's two neighbours (g odd)
-    inside = ((agg.lower < free) & (free < agg.upper)).repeat(2, axis=0)
-    active = inside[:-1] & inside[1:]
-    return _Pieces(target, active, mass, code, anchor, level, slope)
+    inside = located.inside.repeat(2, axis=0)
+    return _Pieces(located, code, anchor, level, slope, mass, target,
+                   inside[:-1] & inside[1:])
 
 
 def _shares(c, at, agg):
     """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
-    sum x[k] = s[k] for every state of agg, read from the _Pieces at of c:
-    eta = anchor + (s - level) * slope on the state's group.  Returns eta
-    with shape (m,) and x with shape (m, n)."""
+    sum x[k] = s[k] for every state of agg, read from the _Placed (or
+    _Pieces) at of c: eta = anchor + (s - level) * slope on the state's
+    group.  Returns eta with shape (m,) and x with shape (m, n)."""
     code = at.code
     eta = at.anchor[code] + (agg.s - at.level[code]) * at.slope[code]
     x = np.clip(c + eta[:, None] * agg.inv, agg.lower, agg.upper)
@@ -479,7 +480,7 @@ def solve_capped_mv(problem):
     ones nearest a E[S], a the proportional slopes, in the norm
     sum_i delta_i (.)^2.  From any optimum they are c* + y with
     y = clip(a E[S] - c* + eta/delta, L - min X*, U - max X*) and sum y = 0:
-    the pieces of one more H, of a single state 0.  They are skipped when c*
+    one more H, of a single state 0, read by _place.  They are skipped when c*
     passes the optimality test min delta_i (c_i - a_i E[S]) over the agents
     with room to rise >= max over the agents with room to fall, less the
     solve's own slack FIXED_POINT_TOL * max |S| * max delta (c* is known
@@ -506,10 +507,12 @@ def solve_capped_mv(problem):
     O(n * pieces), and two points share a regime when every pair of groups
     that shares a state has one active set.  The solve stops at the first
     iterate whose residual is at most FIXED_POINT_TOL * max |S|, so at
-    every scale, and an exact fixed point stops it even when S is 0; the
+    every scale, and an exact fixed point stops it even when S is 0.  The
     final shares are read state by state from that iterate's own pieces
-    (see _shares), and the report's kinks merge within the solve's slack
-    above.  ConvergenceError after FIXED_POINT_MAX_ITERS steps.
+    (see _shares), and so is the report (see _report), whose runs of kinks
+    merge within the solve's slack above; after a shift the report reads
+    one _locate at the shifted intercepts.  ConvergenceError after
+    FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
@@ -546,21 +549,21 @@ def solve_capped_mv(problem):
             last_iterate=tuple(c), residual=residual)
 
     shares = _shares(c, at, agg)[1]
+    located = at.located
     low, high = shares.min(axis=0), shares.max(axis=0)
     gap = deltas * (c - proportional)
     slack = fixed_point_tol * float(deltas.max())
     if (gap[high < upper].min(initial=math.inf)
             < gap[low > lower].max(initial=-math.inf) - slack):
         box = _aggregate(deltas, lower - low, upper - high, np.zeros(1), np.ones(1))
-        y = _shares(proportional - c, _pieces(proportional - c, box), box)[1][0]
+        y = _shares(proportional - c, _place(proportional - c, box), box)[1][0]
         c = c + y
         shares = np.clip(shares + y, lower, upper)
+        located = _locate(c, deltas, inv, lower, upper)
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
-    report = _regimes_from_intercepts(
-        c, deltas, inv, lower, upper, residual, slack,
-        iterations=iterations, searches=searches)
-    return allocation, report
+    return allocation, _report(c, located, inv, lower, upper, slack, residual=residual,
+                               iterations=iterations, searches=searches)
 
 
 def mv_objective(delta, allocation):
@@ -568,10 +571,7 @@ def mv_objective(delta, allocation):
     deltas = _positive_deltas(delta)
     if len(deltas) != allocation.n_agents:
         raise ValidationError("one variance weight per agent")
-    total = 0.0
-    for d, share in zip(deltas, allocation.shares):
-        total += mean_variance(share, d)
-    return total
+    return sum(mean_variance(share, d) for d, share in zip(deltas, allocation.shares))
 
 
 def two_agent_fixed_point(a, C, S):
@@ -652,14 +652,12 @@ def saturation_curve(delta, upper):
         raise ValidationError("every cap must be positive")
 
     deltas = np.array(deltas, dtype=object)
+    c = np.array([Fraction(0)] * n, dtype=object)
+    lower, upper = np.full(n, -math.inf, dtype=object), np.array(caps, dtype=object)
     with np.errstate(invalid="ignore"):  # the nan kinks of tiny weights
-        report = _regimes_from_intercepts(
-            np.array([Fraction(0)] * n, dtype=object), deltas, 1 / deltas,
-            np.full(n, -math.inf, dtype=object),
-            np.array(caps, dtype=object), residual=0.0)
-    if math.inf not in caps:
-        report = replace(report, terminal_s=sum(caps))
-    return report
+        located = _locate(c, deltas, 1 / deltas, lower, upper)
+    return _report(c, located, 1 / deltas, lower, upper,
+                   terminal_s=None if math.inf in caps else sum(caps))
 
 
 # Gamma(2,1) partial moments: G_m(x) = integral_0^x t^m e^(-t) dt for the

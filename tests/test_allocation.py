@@ -255,6 +255,17 @@ class TestImprovement:
         with pytest.raises(ContractError):
             comonotonic_improvement(three_state, measures=(RiskMeasureSpec.es(0.2),))
 
+    def test_measure_entries_checked_before_the_loop(self, three_state, monkeypatch):
+        # each entry must be a RiskMeasureSpec, checked before any level
+        # partition or transfer runs
+        def refuse(*args):
+            raise AssertionError("the improvement ran")
+
+        monkeypatch.setattr(allocation_module, "level_partition", refuse)
+        for measures in ([None, None], ["es", "es"], (RiskMeasureSpec.es(0.2), None)):
+            with pytest.raises(ValidationError, match="RiskMeasureSpec"):
+                comonotonic_improvement(three_state, measures=measures)
+
     def test_nonclearing_rejected(self):
         A = alloc((0.5, 0.5), (1.0, 2.0), aggregate=(9.0, 9.0))
         with pytest.raises(ContractError):

@@ -67,6 +67,17 @@ def solve_doc():
     }
 
 
+def capped_solve_doc():
+    """Five breakpoints; agents 1 and 2 reach both caps together."""
+    doc = solve_doc()
+    doc["space"]["atoms"] = [{"label": f"w{k + 1}", "prob": p}
+                             for k, p in enumerate(("1/8", "1/8", "1/4", "1/8", "1/8", "1/4"))]
+    doc["aggregate"] = [0, 1, 2, 3, 5, 8]
+    doc["agents"] = [{"delta": 1}, {"delta": 1}, {"delta": 2}, {"delta": 4}]
+    doc["task"].update(lower=[0, 0, 0, 0], upper=[1.5, 1.5, 2.5, "inf"])
+    return doc
+
+
 def oracle_doc():
     return {
         "schema_version": 1,
@@ -367,6 +378,14 @@ class TestRunProblem:
         assert report["comonotonic"] is True
         rows = report["tables"]["allocation"]["rows"]
         assert [r[3] for r in rows] == pytest.approx((-0.5, 0.5), abs=1e-9)
+
+    def test_capped_solve_report_golden(self, tmp_path, capsys):
+        # breakpoints, active sets and slopes end to end, as `coshare run`
+        # prints them
+        assert main(["run", write(tmp_path, "p.json", capped_solve_doc()),
+                     "--format", "json"]) == 0
+        with open(os.path.join(GOLDEN, "run-solve-mv.json"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_oracle(self, tmp_path):
         report = run_problem(write(tmp_path, "p.json", oracle_doc()))

@@ -97,6 +97,20 @@ class TestDescriptors:
         with pytest.raises(ValidationError):
             AggregateEnvelope(((0.0, 2.0), (1.0, 2.0)), ((0.0, 1.0), (1.0, 3.0)))
 
+    def test_pinned_envelope_within_rounding(self):
+        # upper = lower plus one breakpoint on the same segment: lower,
+        # interpolated there, exceeds it by 1.2e-7 from rounding alone
+        lower = ((40973523.93619469, 16527635.528529095),
+                 (269786713.7638703, 813270239.2002723))
+        upper = (lower[0], (230935255.05489585, 677986900.020629), lower[1])
+        assert AggregateEnvelope(lower, upper).upper == upper
+        # a real crossing at that scale is still refused
+        crossed = (lower[0], (230935255.05489585, 677986800.0), lower[1])
+        with pytest.raises(ValidationError, match="lower envelope exceeds upper"):
+            AggregateEnvelope(lower, crossed)
+        with pytest.raises(ValidationError, match="lower envelope exceeds upper"):
+            AggregateEnvelope(((0.0, 0.0), (1.0, 1e-6)), ((0.0, 0.0), (1.0, 0.0)))
+
     def test_constraint_wrapper(self):
         box = PathwiseBounds(lower=0.0)
         with pytest.raises(ValidationError):
@@ -668,6 +682,17 @@ class TestFalsify:
         constraints = (Constraint(PathwiseBounds(lower=0.0)),)
         with pytest.raises(ValidationError, match="feasible"):
             falsify_solidity(constraints, space, S, start=start)
+
+    def test_budget_and_seed_must_be_counts(self):
+        space = FiniteSpace.uniform(2)
+        S = RandomVariable(space, (0.0, 2.0))
+        for budget in (1e4, 2.5, -1, True, "10"):
+            with pytest.raises(ValidationError, match="budget must be a nonnegative integer"):
+                falsify_solidity((), space, S, budget=budget)
+        for seed in (-1, 0.5, False, None):
+            with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+                falsify_solidity((), space, S, seed=seed)
+        assert falsify_solidity((), space, S, budget=np.int64(10), seed=np.uint8(3)) is None
 
     @pytest.mark.parametrize("kind", (PathwiseBounds(-5.0, 5.0),
                                       RiskFloor(RiskMeasureSpec.es(0.5), -5.0)))
