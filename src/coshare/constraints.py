@@ -381,11 +381,11 @@ class Constraint:
     def __post_init__(self):
         if not isinstance(self.kind, _Kind):
             raise ValidationError(f"unsupported constraint kind {type(self.kind).__name__}")
-        if self.scope is not None:
-            scope = int(self.scope)
-            if scope < 0:
+        scope = self.scope
+        if scope is not None:
+            if isinstance(scope, bool) or not isinstance(scope, Integral) or scope < 0:
                 raise ValidationError("scope must be a nonnegative agent index or None")
-            object.__setattr__(self, "scope", scope)
+            object.__setattr__(self, "scope", int(scope))
 
     def agents(self, n_agents):
         if self.scope is None:

@@ -92,6 +92,13 @@ def _caps(delta, lower, upper):
     return deltas, lower, upper
 
 
+def _outside_caps(lower, upper, s_min, s_max):
+    """(s_min < sum L, s_max > sum U), each beyond VALUE_TOL * value_scale(S)."""
+    below, above = math.fsum(lower) - s_min, s_max - math.fsum(upper)
+    tol = VALUE_TOL * value_scale((s_min, s_max)) if max(below, above) > 0.0 else 0.0
+    return below > tol, above > tol
+
+
 def unconstrained_shares(delta):
     """Proportional slopes a_i = (1/delta_i) / sum_j (1/delta_j).
 
@@ -126,12 +133,10 @@ def statewise_projection(c, delta, lower, upper, s):
     if not all(map(math.isfinite, c + (s,))):
         raise ValidationError("intercepts and the state must be finite")
     # no lower cap is +inf and no upper cap -inf (see _caps)
-    total_lower, total_upper = math.fsum(lower), math.fsum(upper)
-    if s < total_lower - 1e-12 or s > total_upper + 1e-12:
-        raise InfeasibleError(
-            f"s = {s:g} outside the feasible cap range [{total_lower:g}, {total_upper:g}]")
-    agg = _aggregate(np.array(deltas), np.array(lower), np.array(upper), np.array([s]),
-                     np.ones(1))
+    if any(_outside_caps(lower, upper, s, s)):
+        raise InfeasibleError(f"s = {s:g} outside the feasible cap range "
+                              f"[{math.fsum(lower):g}, {math.fsum(upper):g}]")
+    agg = _aggregate(*map(np.array, (deltas, lower, upper, [s])), np.ones(1))
     c = np.array(c)
     eta, x = _shares(c, _place(c, agg), agg)
     return float(eta[0]), x[0]
@@ -158,10 +163,10 @@ class MVProblem:
             raise ValidationError("aggregate must be a (FiniteSpace, RandomVariable) pair")
         if S.space != space:
             raise ValidationError("aggregate S must live on the given space")
-        s_min, s_max = float(S.values.min()), float(S.values.max())
-        if math.fsum(self.lower) > s_min + 1e-12:
+        below, above = _outside_caps(self.lower, self.upper, S.values.min(), S.values.max())
+        if below:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
-        if math.fsum(self.upper) < s_max - 1e-12:
+        if above:
             raise ValidationError("sum of upper caps is below the largest aggregate value")
 
     @property
@@ -215,7 +220,7 @@ class RegimeReport:
 _Located = namedtuple("_Located", "kinks levels inside kinkless")
 _Placed = namedtuple("_Placed", "located code anchor level slope")
 _Pieces = namedtuple("_Pieces", _Placed._fields + ("mass", "target", "active"))
-_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps")
+_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps values")
 
 
 def _locate(c, deltas, inv, lower, upper):
@@ -292,16 +297,18 @@ def _report(c, located, inv, lower, upper, width=0.0, **fields):
         anchors=tuple(zip(breakpoints, map(tuple, responses.tolist()))), **fields)
 
 
-def _aggregate(deltas, lower, upper, s, probs):
+def _aggregate(deltas, lower, upper, s, probs, values=None):
     """The arrays _place and _pieces read: the caps (float arrays, one entry
     per agent), w = 1/delta, the slopes of eta past either end of H (1 over
     the sum of w over the agents uncapped on that side, or 0 where H is flat
-    there), and the states s with their probabilities p and p s."""
+    there), the states s with their probabilities p and p s, and the values
+    whose scale _shares measures the clearing dust by (by default s)."""
     inv = 1.0 / deltas
     below = sum(inv[lower == -math.inf].tolist())
     above = sum(inv[upper == math.inf].tolist())
     tails = np.array([1.0 / below if below else 0.0, 1.0 / above if above else 0.0])
-    return _Aggregate(deltas, inv, lower, upper, tails, s, probs, probs * s)
+    return _Aggregate(deltas, inv, lower, upper, tails, s, probs, probs * s,
+                      s if values is None else values)
 
 
 def _place(c, agg):
@@ -369,7 +376,7 @@ def _shares(c, at, agg):
         x[rows[fixed], agent[fixed]] += dust[fixed]
         if not fixed.all():
             lost = dust[~fixed]
-            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(agg.s)]
+            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(agg.values)]
             if lost.size:
                 raise ContractError(
                     f"projection residual {lost[0]:g} with every agent at a cap")
@@ -385,61 +392,53 @@ def _same_regime(a, b):
     return np.array_equal(a.active[pairs // width], b.active[pairs % width])
 
 
-def _regime_modes(active, probs, inv, root, f):
-    """(lam, E) for the regime of active (A its 0/1 mask, one row per group
-    of states, p the group masses, w = 1/delta, root = w^(1/2)) and
-    f = F(c): the eigenvalues lam > PINV_RCOND max |lam| (ascending) of the
-    symmetric M = diag(1 - p A) + D_w^(1/2) A^T diag(p/(A w)) A D_w^(1/2),
-    and the expansion E = D_w^(1/2) V diag(V^T D_w^(-1/2) f) of f over their
-    orthonormal eigenvectors V, one column per mode.  The modes left out
-    carry no part of f: M's null vectors are D_w^(-1/2) d for the shifts d,
-    sum d = 0, among agents interior in every state, and there
-    F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0.  Some mode is
-    always kept: M w^(1/2) = w^(1/2)."""
-    A = active.astype(float)
+def _regime_matrix(at, inv, root):
+    """The symmetric M = D_w^(-1/2) J D_w^(1/2) = diag(1 - p A) + D_w^(1/2)
+    A^T diag(p/(A w)) A D_w^(1/2) of the regime of the _Pieces at (J as in
+    solve_capped_mv, A its mask per group, p the masses, w = inv, root = w^(1/2))."""
+    A = at.active.astype(float)
     load = A @ inv
-    weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
+    weight = np.divide(at.mass, load, out=np.zeros_like(load), where=load > 0.0)
     M = (A.T * weight) @ A
     M *= np.multiply.outer(root, root)
-    M.flat[::M.shape[0] + 1] += 1.0 - probs @ A
-    lam, V = np.linalg.eigh(M)
+    M.flat[::M.shape[0] + 1] += 1.0 - at.mass @ A
+    return M
+
+
+def _newton_step(at, f, inv, root):
+    """d = pinv(J) f = D_w^(1/2) pinv(M) D_w^(-1/2) f for f = F(c) in the
+    regime of the _Pieces at, over M's eigenvalues above PINV_RCOND max |lam|.
+    The rest carry no part of f: M's null vectors are D_w^(-1/2) d for the
+    shifts d, sum d = 0, among agents interior in every state, where
+    F_j = w_j E[eta], so d^T D_w^(-1) F = E[eta] sum d = 0.  M w^(1/2) =
+    w^(1/2) is always kept."""
+    lam, V = np.linalg.eigh(_regime_matrix(at, inv, root))
     live = lam > PINV_RCOND * np.abs(lam).max()
     V = V[:, live]
-    return lam[live], root[:, None] * V * (V.T @ (f / root))
-
-
-def _curvature(at, d, agg):
-    """d^T D_delta J d in the regime of the _Pieces at (J as in
-    solve_capped_mv): minus the slope of psi(t) = d^T D_delta F(c + t d)
-    while that regime holds.  A state with active set A adds
-    sum_A delta d^2 - (sum_A d)^2 / sum_A w to d^T D_delta E[P] d."""
-    A = at.active.astype(float)
-    load = A @ agg.inv
-    inside = A @ d
-    spread = np.divide(inside * inside, load, out=np.zeros_like(load), where=load > 0.0)
-    dd = agg.deltas * d * d
-    return float(dd.sum() - at.mass @ (A @ dd - spread))
+    return (root[:, None] * V * (V.T @ (f / root))) @ (1.0 / lam[live])
 
 
 _End = namedtuple("_End", "t point at psi line")
 
 
-def _line_search(c, d, at0, at1, psi1, agg):
+def _line_search(c, d, at0, at1, psi1, agg, sqrt_w):
     """(c + t d, its _Pieces) at the root t in (0, 1) of
     psi(t) = d^T D_delta F(c + t d), from the _Pieces at t = 0 and t = 1 and
     psi1 = psi(1), where psi(0) > 0 > psi(1).
 
-    psi is minus half G's slope along d: piecewise linear and
-    nonincreasing, with slope -_curvature while a regime holds.  A regime is
-    convex in c, so between two points of one regime psi is one line.  The
-    search keeps a bracket lo < root < hi and tries the root of psi's line
-    through the end whose line puts it nearer; landing in that end's regime,
-    it is psi's root.  Any other landing narrows the bracket, and a line root
-    outside the bracket gives way to the bracket's midpoint.  The search also
-    ends at psi = 0, and where the bracket, or the step from the nearer end,
-    no longer splits in floats (then at the end with the smaller |psi|)."""
+    psi is minus half G's slope along d: piecewise linear and nonincreasing,
+    with slope -d^T D_delta J d = -e^T M e, e = d/sqrt_w (w^(1/2)), while a
+    regime holds (M its _regime_matrix).  A regime is convex in c, so
+    between two points of one regime psi is one line.  The search keeps a
+    bracket lo < root < hi and tries the root of psi's line through the end
+    whose line puts it nearer; landing in that end's regime, it is psi's
+    root.  Any other landing narrows the bracket, and a line root outside
+    the bracket gives way to the bracket's midpoint.  The search also ends
+    at psi = 0, and where the bracket, or the step from the nearer end, no
+    longer splits in floats (then at the end with the smaller |psi|)."""
     def end(t, point, at, psi):
-        q = _curvature(at, d, agg)
+        e = d / sqrt_w
+        q = float(e @ _regime_matrix(at, agg.inv, sqrt_w) @ e)
         return _End(t, point, at, psi, t + psi / q if q > 0.0 else math.copysign(math.inf, psi))
 
     # d is the Newton step of the regime at t = 0, so that line's root is 1
@@ -492,8 +491,8 @@ def solve_capped_mv(problem):
     F(c) = E[X(c)] - c.  With A the mask of agents strictly inside their
     caps in each state and w = 1/delta, F has slope -J in the regime of A,
     J = I - E[P] and E[P] = diag(p A) - D_w A^T diag(p/(A w)) A.  From
-    c = a E[S], each step builds the Newton direction d = pinv(J) F(c) from
-    one eigendecomposition (see _regime_modes) and moves to c + t d:
+    c = a E[S], each step takes the Newton direction d = pinv(J) F(c) from
+    one eigendecomposition (see _newton_step) and moves to c + t d:
 
     - t = 1 when psi(t) = d^T D_delta F(c + t d), minus half G's slope
       along d, is still >= 0 there, or when c + d is a fixed point by the
@@ -503,44 +502,39 @@ def solve_capped_mv(problem):
 
     E[X(c)] and the regime depend on S only through its mass and mean on
     each piece of H (see _pieces), so a step is O(m) one-dimensional work
-    (two searchsorted calls and two bincounts over the states) plus
-    O(n * pieces), and two points share a regime when every pair of groups
-    that shares a state has one active set.  The solve stops at the first
-    iterate whose residual is at most FIXED_POINT_TOL * max |S|, so at
-    every scale, and an exact fixed point stops it even when S is 0.  The
-    final shares are read state by state from that iterate's own pieces
-    (see _shares), and so is the report (see _report), whose runs of kinks
-    merge within the solve's slack above; after a shift the report reads
-    one _locate at the shifted intercepts.  ConvergenceError after
-    FIXED_POINT_MAX_ITERS steps.
+    plus O(n pieces), and two points share a regime when every pair of
+    groups that shares a state has one active set.  The solve stops at the
+    first iterate whose residual is at most FIXED_POINT_TOL * max |S|, at
+    every scale; an exact fixed point stops it even when S is 0.  The final
+    shares and the report are read from that iterate's own pieces (see
+    _shares and _report); the report's runs of kinks merge within the
+    solve's slack above, and after a shift it reads one _locate at the
+    shifted intercepts.  ConvergenceError after FIXED_POINT_MAX_ITERS steps.
     """
     if not isinstance(problem, MVProblem):
         raise ValidationError("solve_capped_mv needs an MVProblem")
     space, S = problem.aggregate
     deltas, lower, upper = map(np.array, (problem.delta, problem.lower, problem.upper))
     agg = _aggregate(deltas, lower, upper, S.values, space.probs)
-    inv = agg.inv
-    root = np.sqrt(inv)
+    root = np.sqrt(agg.inv)
     mean_s = float(S.values @ space.probs)
     fixed_point_tol = FIXED_POINT_TOL * float(np.abs(S.values).max())
     proportional = np.array([float(a) * mean_s for a in unconstrained_shares(problem.delta)])
 
     c = proportional
     at = _pieces(c, agg)
-    residual = math.inf
     searches = 0
     for iterations in range(1, FIXED_POINT_MAX_ITERS + 1):
         f = at.target - c
         residual = float(np.max(np.abs(f)))
         if residual <= fixed_point_tol:
             break
-        lam, E = _regime_modes(at.active, at.mass, inv, root, f)
-        d = E @ (1.0 / lam)
+        d = _newton_step(at, f, agg.inv, root)
         step = c + d
         at_step = _pieces(step, agg)
         psi = float(d @ (deltas * (at_step.target - step)))
         if psi < 0.0 and np.max(np.abs(at_step.target - step)) > fixed_point_tol:
-            step, at_step = _line_search(c, d, at, at_step, psi, agg)
+            step, at_step = _line_search(c, d, at, at_step, psi, agg, root)
             searches += 1
         c, at = step, at_step
     else:
@@ -555,14 +549,14 @@ def solve_capped_mv(problem):
     slack = fixed_point_tol * float(deltas.max())
     if (gap[high < upper].min(initial=math.inf)
             < gap[low > lower].max(initial=-math.inf) - slack):
-        box = _aggregate(deltas, lower - low, upper - high, np.zeros(1), np.ones(1))
+        box = _aggregate(deltas, lower - low, upper - high, np.zeros(1), np.ones(1), S.values)
         y = _shares(proportional - c, _place(proportional - c, box), box)[1][0]
         c = c + y
         shares = np.clip(shares + y, lower, upper)
-        located = _locate(c, deltas, inv, lower, upper)
+        located = _locate(c, deltas, agg.inv, lower, upper)
     allocation = Allocation(
         space, tuple(RandomVariable(space, col.copy()) for col in shares.T), S)
-    return allocation, _report(c, located, inv, lower, upper, slack, residual=residual,
+    return allocation, _report(c, located, agg.inv, lower, upper, slack, residual=residual,
                                iterations=iterations, searches=searches)
 
 
@@ -581,6 +575,8 @@ def two_agent_fixed_point(a, C, S):
     the solution set is a closed interval, returned as (beta_minus,
     beta_plus) with both endpoints solving the fixed point within 1e-10 at unit
     scale; kink residuals within RESIDUAL_ZERO_TOL * value_scale(S) count as zero.
+    The scan runs exactly on S and C over the power of two above
+    value_scale(S), so products of residuals and kink gaps cannot overflow.
     """
     a = float(a)
     C = float(C)
@@ -589,14 +585,17 @@ def two_agent_fixed_point(a, C, S):
     if not 0.0 < C < math.inf:
         raise DomainError("cap C must be positive and finite")
     values, probs = map(np.array, zip(*distribution_of(S)))
+    scale = value_scale(values)
+    unit = math.ldexp(1.0, math.frexp(scale)[1])
+    tol = RESIDUAL_ZERO_TOL * scale / unit
+    values, C = values / unit, C / unit
     mean_term = a * float(values @ probs)
 
     def residual(beta):
         return float(np.clip(a * values + beta, 0.0, C) @ probs) - mean_term - beta
 
-    kinks = sorted({-a * v for v in values} | {C - a * v for v in values})
+    kinks = sorted({-a * v for v in values.tolist()} | {C - a * v for v in values.tolist()})
     r_vals = [residual(k) for k in kinks]
-    tol = RESIDUAL_ZERO_TOL * value_scale(values)
     last = len(kinks) - 1
 
     def root(j):
@@ -616,7 +615,7 @@ def two_agent_fixed_point(a, C, S):
     j1 = j0 - 1
     while j1 < last and r_vals[j1 + 1] >= -tol:
         j1 += 1
-    return root(j0 - 1), root(j1)
+    return root(j0 - 1) * unit, root(j1) * unit
 
 
 def _as_fraction(x, name):

@@ -22,6 +22,7 @@ Conventions fixed here and used throughout:
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -66,7 +67,10 @@ class FiniteSpace:
 
     @classmethod
     def uniform(cls, n):
-        """n equally likely atoms labelled w0, w1, ..."""
+        """n equally likely atoms labelled w0, w1, ... (n an integer, not a
+        bool)."""
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ValidationError("the atom count must be an integer")
         if n < 1:
             raise ValidationError("need at least one atom")
         return cls((f"w{k}", 1.0 / n) for k in range(n))

@@ -14,6 +14,7 @@ functions are its one-row calls.
 import enum
 import itertools
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -42,6 +43,13 @@ MEAN_VARIANCE = "mean_variance"
 EXPECTED_CONVEX_LOSS = "expected_convex_loss"
 
 _KINDS = (VAR, ES, MEAN_VARIANCE, EXPECTED_CONVEX_LOSS)
+
+
+def _real(name, value):
+    """value, unless it is a bool or not a real number (ValidationError)."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise ValidationError(f"{name} must be a real number")
+    return value
 
 
 def _validate_ladder(ladder):
@@ -75,6 +83,9 @@ class RiskMeasureSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown measure kind {self.kind!r}")
+        for name, value in (("level", self.level), ("delta", self.delta)):
+            if value is not None:
+                _real(name, value)
         if self.kind in (VAR, ES):
             if self.level is None or not 0.0 < self.level < 1.0:
                 raise ValidationError("var/es need a level in (0,1)")
@@ -88,15 +99,15 @@ class RiskMeasureSpec:
 
     @classmethod
     def var(cls, level):
-        return cls(VAR, level=float(level))
+        return cls(VAR, level=float(_real("level", level)))
 
     @classmethod
     def es(cls, level):
-        return cls(ES, level=float(level))
+        return cls(ES, level=float(_real("level", level)))
 
     @classmethod
     def mean_variance(cls, delta):
-        return cls(MEAN_VARIANCE, delta=float(delta))
+        return cls(MEAN_VARIANCE, delta=float(_real("delta", delta)))
 
     @classmethod
     def expected_convex_loss(cls, alpha, beta, retention, width):

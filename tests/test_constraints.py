@@ -111,12 +111,30 @@ class TestDescriptors:
         with pytest.raises(ValidationError, match="lower envelope exceeds upper"):
             AggregateEnvelope(((0.0, 0.0), (1.0, 1e-6)), ((0.0, 0.0), (1.0, 0.0)))
 
+    def test_envelope_slope_in_the_reason(self):
+        # a slope within 1e-9 of a fraction of denominator <= 10^6 prints as
+        # that fraction (sqrt 2 as its convergent 665857/470832), any other
+        # to six digits
+        lower = ((0.0, -10.0), (2.0, -10.0))
+        for slope, text in ((3.0 / 2.0, "3/2"), (math.sqrt(2.0), "665857/470832"),
+                            (1.5 + 1e-7, "1.5"), (2.0, "2")):
+            upper = ((0.0, 0.0), (2.0, 2.0 * slope))
+            verdict = AggregateEnvelope(lower, upper).solidity()
+            assert verdict.status is Solidity.NOT_SOLID
+            assert f"slope {text} > 1" in verdict.reason
+
     def test_constraint_wrapper(self):
         box = PathwiseBounds(lower=0.0)
         with pytest.raises(ValidationError):
             Constraint("not a kind")
         with pytest.raises(ValidationError):
             Constraint(box, scope=-1)
+        # a scope is an integer count, not a bool, float or string that
+        # int() would truncate or parse to agent 1
+        for bad in (1.5, True, "1"):
+            with pytest.raises(ValidationError, match="nonnegative agent index"):
+                Constraint(box, scope=bad)
+        assert Constraint(box, scope=np.int64(1)).scope == 1
         assert tuple(Constraint(box).agents(3)) == (0, 1, 2)
         assert Constraint(box, scope=1).agents(3) == (1,)
         with pytest.raises(ValidationError):

@@ -14,6 +14,7 @@ from scipy import optimize
 import coshare.mvsolver as mvsolver_module
 from coshare import (
     Constraint,
+    ContractError,
     ConvergenceError,
     DomainError,
     FiniteSpace,
@@ -39,6 +40,7 @@ from coshare import (
     two_agent_fixed_point,
     unconstrained_shares,
 )
+from coshare.probspace import VALUE_TOL
 
 F = Fraction
 NEG_INF = -math.inf
@@ -267,6 +269,38 @@ class TestStatewiseProjection:
         for s in (-1.0, 3.0):
             assert statewise_projection(*caps, s)[1].sum() == pytest.approx(s, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", (1.0, 1e9))
+    def test_cap_range_follows_the_scale_rule(self, scale):
+        # the caps admit sums in [-scale, 3 scale], each end within
+        # VALUE_TOL * value_scale(s), the clearing dust _shares drops (1e-7
+        # past 1e9 was refused by an absolute 1e-12)
+        caps = ((0.0, 0.0), (1.0, 1.0), (-scale, 0.0), (scale, 2.0 * scale))
+        tol = VALUE_TOL * scale
+        for s in (-scale - 0.5 * tol, 3 * scale + 1.5 * tol):
+            assert statewise_projection(*caps, s)[1].sum() == pytest.approx(s, abs=2 * tol)
+        for s in (-scale - 10 * tol, 3 * scale + 30 * tol):
+            with pytest.raises(InfeasibleError, match="outside the feasible cap range"):
+                statewise_projection(*caps, s)
+
+    def test_dust_with_every_agent_at_a_cap(self):
+        # past the cap range, the rows every agent is capped in keep a
+        # residual: dropped within VALUE_TOL * value_scale(S), a
+        # ContractError beyond (statewise_projection refuses such states
+        # first, so _shares is called here directly)
+        delta, lower, upper = np.ones(2), np.zeros(2), np.array([1.0, 2.0])
+        for dust, fails in ((0.5, False), (2.0, True)):
+            s = np.array([1.0, 3.0 + dust * 3 * VALUE_TOL])
+            agg = mvsolver_module._aggregate(delta, lower, upper, s, np.full(2, 0.5))
+            c = np.zeros(2)
+            at = mvsolver_module._place(c, agg)
+            if fails:
+                with pytest.raises(ContractError, match="with every agent at a cap"):
+                    mvsolver_module._shares(c, at, agg)
+            else:
+                x = mvsolver_module._shares(c, at, agg)[1]
+                assert x[1].tolist() == [1.0, 2.0]
+                assert x[0].sum() == 1.0
+
     def test_flat_interval_midpoint(self):
         # H is flat at level 4 for eta in [1, 3]; the midpoint is reported
         eta, x = statewise_projection((0.0, 0.0), (1.0, 1.0),
@@ -417,6 +451,23 @@ class TestSolveCappedMV:
             assert np.max(np.abs(c - nearest)) <= 1e-9 * scale
             assert mv_objective(problem.delta, best) == pytest.approx(objective, rel=1e-12)
 
+    def test_shift_measures_its_dust_by_the_aggregate(self):
+        # upper caps summing to max S at scale 1e8: every agent reaches its
+        # cap in the top state, so the shift's box has no room above, and
+        # its one-state projection keeps the problem's rounding (-1.5e-8).
+        # That dust is measured by max |S|, not by the shift's state 0; it
+        # was a ContractError
+        space, S = finite_aggregate((179977310.10010237, 270133456.78660804,
+                                     243515902.15522307, 347489389.07930756,
+                                     260760562.59768313))
+        upper = np.array([4350762.173411705, 79477550.34052108,
+                          79836744.70633402, 183824331.85904077])
+        allocation, _ = solve_capped_mv(MVProblem((1.0,) * 4, (0.0,) * 4, tuple(upper),
+                                                  (space, S)))
+        X = np.array([share.values for share in allocation.shares])
+        assert np.max(np.abs(X.sum(axis=0) - S.values)) <= VALUE_TOL * S.values.max()
+        assert np.all((X >= 0.0) & (X <= upper[:, None]))
+
     def test_known_stalls_converge(self):
         # trials on which the damped iteration stopped at its 10^4 step cap
         # with residuals 4.1e-6 and 1.5e-7
@@ -454,18 +505,18 @@ class TestSolveCappedMV:
         assert max(r.residual for r in reports) < 1e-10
 
     def test_jump_is_the_pinv_jump(self, monkeypatch):
-        # at every step of the seeded sets, the Newton direction E (1/lam)
-        # over the modes that _regime_modes keeps is
+        # at every step of the seeded sets, the direction _newton_step takes
+        # over the eigenvalues it keeps is
         # D_w^(1/2) pinv(M) D_w^(-1/2) f = pinv(J) F
         steps = []
 
-        def spy_modes(active, probs, inv, root, f):
-            lam, E = modes(active, probs, inv, root, f)
-            steps.append((active, probs, inv, root, f, lam, E))
-            return lam, E
+        def spy_step(at, f, inv, root):
+            d = newton_step(at, f, inv, root)
+            steps.append((at.active, at.mass, inv, root, f, d))
+            return d
 
-        modes = mvsolver_module._regime_modes
-        monkeypatch.setattr(mvsolver_module, "_regime_modes", spy_modes)
+        newton_step = mvsolver_module._newton_step
+        monkeypatch.setattr(mvsolver_module, "_newton_step", spy_step)
         rng = np.random.default_rng(404)
         problems = [mv_capped_problem(rng, m, n)
                     for m in (4, 8, 16) for n in (2, 4, 8) for _ in range(5)]
@@ -474,17 +525,17 @@ class TestSolveCappedMV:
         for problem in problems:
             solve_capped_mv(problem)
         assert len(steps) > 300
-        for active, probs, inv, root, f, lam, E in steps:
+        for active, probs, inv, root, f, d in steps:
             A = active.astype(float)
             load = A @ inv
             weight = np.divide(probs, load, out=np.zeros_like(load), where=load > 0.0)
             M = np.outer(root, root) * ((A.T * weight) @ A) + np.diag(1.0 - probs @ A)
             want = root * (np.linalg.pinv(M, hermitian=True) @ (f / root))
             # two roundings of one solve: rel 1e-12, widened by the condition
-            # number of the modes pinv keeps (up to ~1e7 on sparse masses)
+            # number of the eigenvalues pinv keeps (up to ~1e7 on sparse masses)
             s = np.abs(np.linalg.eigvalsh(M))
             cond = s.max() / s[s > 1e-15 * s.max()].min()
-            assert np.max(np.abs(E @ (1.0 / lam) - want)) <= (
+            assert np.max(np.abs(d - want)) <= (
                 1e-12 * np.max(np.abs(want)) + 1e-14 * cond * np.max(np.abs(f)))
 
     def test_zero_aggregate_stops_on_its_fixed_point(self):
@@ -982,6 +1033,7 @@ class TestTwoAgentFixedPoint:
         lo, hi = two_agent_fixed_point(0.5, 3.0, S)
         assert lo == pytest.approx(-1.0, abs=1e-10)
         assert hi == pytest.approx(-1.0, abs=1e-10)
+        assert type(lo) is float and type(hi) is float
 
     def test_flat_interval(self):
         # every beta in [-0.1, 9.8] is a fixed point

@@ -42,6 +42,10 @@ class TestFiniteSpace:
         assert np.allclose(sp.probs, 0.25)
         with pytest.raises(ValidationError):
             FiniteSpace.uniform(0)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValidationError, match="atom count must be an integer"):
+                FiniteSpace.uniform(bad)
+        assert FiniteSpace.uniform(np.int64(2)).size == 2
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """VaR, expected shortfall, mean-variance, and convex-ladder loads."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestSpec:
         for bad in (0.0, -1.0, None):
             with pytest.raises(ValidationError):
                 RiskMeasureSpec("mean_variance", delta=bad)
+        # reals only: a string or a bool is refused before any comparison
+        for bad in ("0.5", True):
+            for make in (lambda v: RiskMeasureSpec("var", level=v), RiskMeasureSpec.var,
+                         RiskMeasureSpec.es):
+                with pytest.raises(ValidationError, match="level must be a real number"):
+                    make(bad)
+        for bad in ("2", True):
+            for make in (lambda v: RiskMeasureSpec("mean_variance", delta=v),
+                         RiskMeasureSpec.mean_variance):
+                with pytest.raises(ValidationError, match="delta must be a real number"):
+                    make(bad)
+        assert RiskMeasureSpec("es", level=Fraction(1, 2)).level == Fraction(1, 2)
         with pytest.raises(ValidationError):
             RiskMeasureSpec.expected_convex_loss(2.0, 0.5, 0.0, 1.0)  # alpha > beta
         with pytest.raises(ValidationError):

@@ -20,12 +20,14 @@ from coshare import (
     MVProblem,
     PathwiseBounds,
     RandomVariable,
+    ValidationError,
     check_feasible,
     comonotonic_improvement,
     falsify_solidity,
     solve_capped_mv,
     two_agent_fixed_point,
 )
+from coshare.probspace import VALUE_TOL, value_scale
 
 INF = math.inf
 
@@ -115,7 +117,34 @@ def test_no_false_witness_against_a_solid_set():
                                 seed=seed, start=A) is None
 
 
-@pytest.mark.parametrize("c", (1e4, 1e8))
+@pytest.mark.parametrize("c", (1e-6, 1.0, 1e4, 1e8))
+def test_cap_range_verdicts_do_not_change(c):
+    # caps w max S (upper) or w min S (lower), w from a Dirichlet, sum to
+    # the end of S's range up to rounding: -6e-8 at c = 1e8, refused by an
+    # absolute 1e-12 before.  Caps 10 tolerances short are still refused.
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        n = int(rng.integers(2, 6))
+        s = rng.gamma(2.0, 1.0, size=5) * c
+        sp = FiniteSpace.uniform(5)
+        S = RandomVariable(sp, s)
+        tol = VALUE_TOL * value_scale(s)
+        upper = rng.dirichlet(np.ones(n)) * s.max()
+        lower = rng.dirichlet(np.ones(n)) * s.min()
+        step = np.zeros(n)
+        step[upper.argmax()] = 10 * tol
+        for lo, up, short, message in (
+                (np.zeros(n), upper, (np.zeros(n), upper - step), "upper caps"),
+                (lower, np.full(n, INF), (lower + step, np.full(n, INF)), "lower caps")):
+            allocation, _ = solve_capped_mv(MVProblem((1.0,) * n, tuple(lo), tuple(up), (sp, S)))
+            X = np.array([share.values for share in allocation.shares])
+            assert np.max(np.abs(X.sum(axis=0) - s)) <= tol
+            assert np.all((X >= lo[:, None]) & (X <= up[:, None]))
+            with pytest.raises(ValidationError, match=message):
+                MVProblem((1.0,) * n, *map(tuple, short), (sp, S))
+
+
+@pytest.mark.parametrize("c", (1e4, 1e8, 1e200))
 def test_two_agent_interval_scales(c):
     rng = np.random.default_rng(3)
     for _ in range(300):
