@@ -60,7 +60,6 @@ FIXED_POINT_MAX_ITERS = 10 ** 4
 # the regime matrix's eigenvalues up to PINV_RCOND * max |lam| count as 0
 # (numpy pinv's default cutoff)
 PINV_RCOND = 1e-15
-RESIDUAL_ZERO_TOL = 1e-12
 # Kinks of H closer than RUN_RTOL (relative) are one run of the solver's
 # pieces (see _locate).  Agents that saturate together give kinks a few ulps
 # apart, and without runs the last bits of eta would decide which of them
@@ -90,6 +89,28 @@ def _caps(delta, lower, upper):
     if not all(l < u for l, u in zip(lower, upper)):  # a NaN cap fails too
         raise ValidationError("caps need lower < upper for every agent")
     return deltas, lower, upper
+
+
+def _float_range(deltas, lower, upper, r):
+    """ValidationError unless H's kinks delta_i (cap_i - c_i), every share
+    c_j + eta/delta_j at a kink eta and every partial sum of those shares
+    clipped to their caps, which makes H's levels (see _locate), stay in the
+    float range at every intercept vector with |c_i| <= r, and so do the
+    differences of kinks: a bound from the variance weights, the finite caps
+    and r (max |S| for the solver).  Two levels may still lie up to twice
+    the float maximum apart, and _place halves them.  The error names the
+    side whose kinks or levels reach further."""
+    caps = [(d, cap) for d, l, u in zip(deltas, lower, upper) for cap in (l, u)
+            if abs(cap) < math.inf]
+    top = max((d * (cap + r) for d, cap in caps), default=0.0)
+    bottom = min((d * (cap - r) for d, cap in caps), default=0.0)
+    high = sum(max(0.0, min(u, r + top / d)) for d, u in zip(deltas, upper))
+    low = sum(min(0.0, max(l, bottom / d - r)) for d, l in zip(deltas, lower))
+    reach = max(top, -bottom) / min(deltas) + r
+    if not max(top - bottom, reach, high, -low) <= sys.float_info.max:
+        side = "upper" if max(top, high) >= max(-bottom, -low) else "lower"
+        raise ValidationError(f"{side} caps too far from the aggregate at these variance "
+                              f"weights: the kinks or levels of the clipped response overflow")
 
 
 def _outside_caps(lower, upper, s_min, s_max):
@@ -132,6 +153,7 @@ def statewise_projection(c, delta, lower, upper, s):
     s = float(s)
     if not all(map(math.isfinite, c + (s,))):
         raise ValidationError("intercepts and the state must be finite")
+    _float_range(deltas, lower, upper, max(map(abs, c + (s,))))
     # no lower cap is +inf and no upper cap -inf (see _caps)
     if any(_outside_caps(lower, upper, s, s)):
         raise InfeasibleError(f"s = {s:g} outside the feasible cap range "
@@ -163,7 +185,9 @@ class MVProblem:
             raise ValidationError("aggregate must be a (FiniteSpace, RandomVariable) pair")
         if S.space != space:
             raise ValidationError("aggregate S must live on the given space")
-        below, above = _outside_caps(self.lower, self.upper, S.values.min(), S.values.max())
+        s_min, s_max = S.values.min(), S.values.max()
+        _float_range(self.delta, self.lower, self.upper, float(max(-s_min, s_max)))
+        below, above = _outside_caps(self.lower, self.upper, s_min, s_max)
         if below:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
         if above:
@@ -235,9 +259,10 @@ def _locate(c, deltas, inv, lower, upper):
     magnitude) form a run; exact kinks form no runs.  Returns _Located:
     kinks and levels (H, the sum of the clipped shares) at each run's first
     and last kink, a lone kink twice; inside, the agents strictly inside
-    their caps at the midpoint of each open piece (a tail's 0.5 past its
-    end); and kinkless, True when no kink is finite, where one kink at 0
-    stands in (H = sum c there, and both tails give eta = (s - sum c) / sum w).
+    their caps at the midpoint of each open piece (on a tail, the agents
+    whose cap on that side is infinite); and kinkless, True when no kink is
+    finite, where one kink at 0 stands in (H = sum c there, and both tails
+    give eta = (s - sum c) / sum w).
     """
     exact = c.dtype == object
     kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
@@ -256,9 +281,12 @@ def _locate(c, deltas, inv, lower, upper):
     gap = right - left > (0 if exact else RUN_RTOL) * np.maximum(-left, right)
     knots = np.concatenate(([1], gap)) + np.concatenate((gap, [1]))
     kinks = kinks.repeat(knots)
-    probes = np.concatenate(([kinks[0] - 1], kinks, [kinks[-1] + 1]))
-    free = c + ((probes[0::2] + probes[1::2]) / 2)[:, None] * inv
-    return _Located(kinks, levels.repeat(knots), (lower < free) & (free < upper), kinkless)
+    # past every finite kink an agent is inside exactly where its cap on
+    # that side is infinite; a probe there would land on a kink past 2^53
+    free = c + (kinks[1:-1:2] / 2 + kinks[2::2] / 2)[:, None] * inv
+    inside = np.concatenate(([lower == -math.inf], (lower < free) & (free < upper),
+                             [upper == math.inf]))
+    return _Located(kinks, levels.repeat(knots), inside, kinkless)
 
 
 def _report(c, located, inv, lower, upper, width=0.0, **fields):
@@ -326,10 +354,13 @@ def _place(c, agg):
     groups = kinks.size + 1
     slope = np.zeros(groups)
     slope[::groups - 1] = agg.tails
-    run = levels[1:] - levels[:-1]
-    np.divide(kinks[1:] - kinks[:-1], run, out=slope[1:-1], where=run > 0.0)
-    anchor = np.concatenate((kinks[:1], np.where(run > 0.0, kinks[:-1],
-                                                 0.5 * (kinks[:-1] + kinks[1:])), kinks[-1:]))
+    # two levels may lie up to twice the float maximum apart: halve both
+    half = levels / 2
+    run = half[1:] - half[:-1]
+    rising = run > 0.0
+    np.divide((kinks[1:] - kinks[:-1]) / 2, run, out=slope[1:-1], where=rising)
+    anchor = np.concatenate((kinks[:1], np.where(rising, kinks[:-1],
+                                                 0.5 * kinks[:-1] + 0.5 * kinks[1:]), kinks[-1:]))
     level = np.concatenate((levels[:1], levels))
     return _Placed(located, code, anchor, level, slope)
 
@@ -344,8 +375,9 @@ def _pieces(c, agg):
     located, code, anchor, level, slope = _place(c, agg)
     groups = slope.size
     mass = np.bincount(code, agg.probs, groups)
+    # an empty group reads eta at its anchor, whatever its level's magnitude
     mean = np.divide(np.bincount(code, agg.ps, groups), mass,
-                     out=np.zeros(groups), where=mass > 0.0)
+                     out=level.copy(), where=mass > 0.0)
     eta = anchor + (mean - level) * slope
     target = mass @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
     # each open piece's row twice: row g of active is then an open piece's
@@ -421,10 +453,19 @@ def _newton_step(at, f, inv, root):
 _End = namedtuple("_End", "t point at psi line")
 
 
-def _line_search(c, d, at0, at1, psi1, agg, sqrt_w):
+def _psi(du, f, deltas, unit):
+    """psi = d^T D_delta f over unit^2, from du = d / unit.  unit is a power
+    of two, so the divisions are exact: psi keeps its sign, and its ratio to
+    a curvature read on du (see _line_search), to every bit, while the
+    product of two values neither overflows nor underflows."""
+    return float(du @ (deltas * (f / unit)))
+
+
+def _line_search(c, d, at0, at1, psi1, agg, sqrt_w, unit):
     """(c + t d, its _Pieces) at the root t in (0, 1) of
-    psi(t) = d^T D_delta F(c + t d), from the _Pieces at t = 0 and t = 1 and
-    psi1 = psi(1), where psi(0) > 0 > psi(1).
+    psi(t) = d^T D_delta F(c + t d) (see _psi: every psi and curvature here
+    is over unit^2), from the _Pieces at t = 0 and t = 1 and psi1 = psi(1),
+    where psi(0) > 0 > psi(1).
 
     psi is minus half G's slope along d: piecewise linear and nonincreasing,
     with slope -d^T D_delta J d = -e^T M e, e = d/sqrt_w (w^(1/2)), while a
@@ -436,13 +477,15 @@ def _line_search(c, d, at0, at1, psi1, agg, sqrt_w):
     the bracket gives way to the bracket's midpoint.  The search also ends
     at psi = 0, and where the bracket, or the step from the nearer end, no
     longer splits in floats (then at the end with the smaller |psi|)."""
+    du = d / unit
+    e = du / sqrt_w
+
     def end(t, point, at, psi):
-        e = d / sqrt_w
         q = float(e @ _regime_matrix(at, agg.inv, sqrt_w) @ e)
         return _End(t, point, at, psi, t + psi / q if q > 0.0 else math.copysign(math.inf, psi))
 
     # d is the Newton step of the regime at t = 0, so that line's root is 1
-    lo = _End(0.0, c, at0, float(d @ (agg.deltas * (at0.target - c))), 1.0)
+    lo = _End(0.0, c, at0, _psi(du, at0.target - c, agg.deltas, unit), 1.0)
     hi = end(1.0, c + d, at1, psi1)
     while True:
         near = lo if lo.line - lo.t <= hi.t - hi.line else hi
@@ -456,7 +499,7 @@ def _line_search(c, d, at0, at1, psi1, agg, sqrt_w):
             return best.point, best.at
         point = c + t * d
         at = _pieces(point, agg)
-        psi = float(d @ (agg.deltas * (at.target - point)))
+        psi = _psi(du, at.target - point, agg.deltas, unit)
         if psi == 0.0 or near is not None and _same_regime(at, near.at):
             return point, at
         if psi > 0.0:
@@ -518,7 +561,9 @@ def solve_capped_mv(problem):
     agg = _aggregate(deltas, lower, upper, S.values, space.probs)
     root = np.sqrt(agg.inv)
     mean_s = float(S.values @ space.probs)
-    fixed_point_tol = FIXED_POINT_TOL * float(np.abs(S.values).max())
+    top = float(np.abs(S.values).max())
+    fixed_point_tol = FIXED_POINT_TOL * top
+    unit = math.ldexp(1.0, math.frexp(top)[1])
     proportional = np.array([float(a) * mean_s for a in unconstrained_shares(problem.delta)])
 
     c = proportional
@@ -532,9 +577,10 @@ def solve_capped_mv(problem):
         d = _newton_step(at, f, agg.inv, root)
         step = c + d
         at_step = _pieces(step, agg)
-        psi = float(d @ (deltas * (at_step.target - step)))
-        if psi < 0.0 and np.max(np.abs(at_step.target - step)) > fixed_point_tol:
-            step, at_step = _line_search(c, d, at, at_step, psi, agg, root)
+        f_step = at_step.target - step
+        psi = _psi(d / unit, f_step, deltas, unit)
+        if psi < 0.0 and np.max(np.abs(f_step)) > fixed_point_tol:
+            step, at_step = _line_search(c, d, at, at_step, psi, agg, root, unit)
             searches += 1
         c, at = step, at_step
     else:
@@ -571,12 +617,14 @@ def mv_objective(delta, allocation):
 def two_agent_fixed_point(a, C, S):
     """All intercepts beta with beta = E[clip(a S + beta, 0, C)] - a E[S].
 
-    The residual is continuous, nonincreasing, and piecewise linear in beta;
-    the solution set is a closed interval, returned as (beta_minus,
-    beta_plus) with both endpoints solving the fixed point within 1e-10 at unit
-    scale; kink residuals within RESIDUAL_ZERO_TOL * value_scale(S) count as zero.
-    The scan runs exactly on S and C over the power of two above
-    value_scale(S), so products of residuals and kink gaps cannot overflow.
+    The residual is continuous, nonincreasing, and piecewise linear in beta,
+    and the solution set is a closed interval, returned as (beta_minus,
+    beta_plus).  It is solve_capped_mv's reading at n = 2: agent 0 uncapped
+    with delta_0 = 1/(1 - a), agent 1 in [0, C] with delta_1 = 1/a, so that
+    X_1 = clip(a S + beta, 0, C) with beta = c_1 - a (c_0 + c_1), and the
+    optima X* + y of the solver's docstring put beta in
+    [beta - min X*_1, beta + C - max X*_1].  Both ends solve the fixed point
+    to the solver's stop, FIXED_POINT_TOL relative to max |S|.
     """
     a = float(a)
     C = float(C)
@@ -584,38 +632,12 @@ def two_agent_fixed_point(a, C, S):
         raise DomainError("slope a must lie strictly between 0 and 1")
     if not 0.0 < C < math.inf:
         raise DomainError("cap C must be positive and finite")
-    values, probs = map(np.array, zip(*distribution_of(S)))
-    scale = value_scale(values)
-    unit = math.ldexp(1.0, math.frexp(scale)[1])
-    tol = RESIDUAL_ZERO_TOL * scale / unit
-    values, C = values / unit, C / unit
-    mean_term = a * float(values @ probs)
-
-    def residual(beta):
-        return float(np.clip(a * values + beta, 0.0, C) @ probs) - mean_term - beta
-
-    kinks = sorted({-a * v for v in values.tolist()} | {C - a * v for v in values.tolist()})
-    r_vals = [residual(k) for k in kinks]
-    last = len(kinks) - 1
-
-    def root(j):
-        # zero of the residual on the piece right of kink j (j = -1: left
-        # of every kink); both tails have slope -1
-        if j < 0:
-            return kinks[0] + r_vals[0]
-        if j == last:
-            return kinks[-1] + r_vals[-1]
-        r_a, r_b = r_vals[j], r_vals[j + 1]
-        k_a, k_b = kinks[j], kinks[j + 1]
-        return k_a + r_a * (k_b - k_a) / (r_a - r_b)
-
-    # the roots run from the piece before the first kink with r <= tol to
-    # the piece after the last kink of the run that follows with r >= -tol
-    j0 = next((j for j, r in enumerate(r_vals) if r <= tol), len(kinks))
-    j1 = j0 - 1
-    while j1 < last and r_vals[j1 + 1] >= -tol:
-        j1 += 1
-    return root(j0 - 1) * unit, root(j1) * unit
+    allocation, report = solve_capped_mv(
+        MVProblem((1.0 / (1.0 - a), 1.0 / a), (-math.inf, 0.0), (math.inf, C), (S.space, S)))
+    c0, c1 = report.intercepts
+    beta = c1 - a * (c0 + c1)
+    x = allocation.shares[1].values
+    return beta - float(x.min()), beta + (C - float(x.max()))
 
 
 def _as_fraction(x, name):

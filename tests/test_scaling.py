@@ -160,3 +160,65 @@ def test_two_agent_interval_scales(c):
         scale = max(1.0, abs(lo), abs(hi))
         assert abs(lo_c / c - lo) <= 1e-9 * scale
         assert abs(hi_c / c - hi) <= 1e-9 * scale
+
+
+def far_scale_problem(rng, c):
+    """Agent 0 uncapped and the others in [0, U c], U uniform on (0, 8),
+    with S uniform on (0, 8 c) and delta in [0.3, 3]: kinks and intercepts
+    scale with c, and the fixed point's potential with c^2."""
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+    sp = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+    S = RandomVariable(sp, rng.uniform(0.0, 8.0, size=m) * c)
+    delta = tuple(rng.uniform(0.3, 3.0, size=n))
+    upper = (INF,) + tuple(rng.uniform(0.0, 8.0, size=n - 1) * c)
+    return MVProblem(delta, (-INF,) + (0.0,) * (n - 1), upper, (sp, S))
+
+
+@pytest.mark.parametrize("c", (1e-250, 1e17, 1e100, 1e300))
+def test_capped_mv_solves_at_far_scales(c):
+    # past 2^53 a kink plus one is the kink itself, and past about 1e154
+    # (below about 1e-154) the line search's products of two values
+    # overflow (underflow): the solve still matches the unit solve
+    unit_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        unit = np.array(solve_capped_mv(far_scale_problem(unit_rng, 1.0))[1].intercepts)
+        got = np.array(solve_capped_mv(far_scale_problem(rng, c))[1].intercepts)
+        assert np.max(np.abs(got / c - unit)) <= 1e-10 * max(1.0, np.abs(unit).max())
+
+
+def two_agent_residual(a, C, S, beta):
+    p, v = S.space.probs, S.values
+    return float(np.clip(a * v + beta, 0.0, C) @ p) - a * float(v @ p) - beta
+
+
+def test_two_agent_interval_with_caps_far_above_s():
+    # the cap's kinks C - a v round to C itself once ulp(C) passes a v: the
+    # interval still runs from the lower kinks' root to about C
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        sp = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+        S = RandomVariable(sp, rng.uniform(0.0, 8.0, size=m))
+        C = 10.0 ** rng.uniform(150.0, 307.0)
+        lo, hi = two_agent_fixed_point(0.3, C, S)
+        assert lo <= hi
+        for beta in (lo, hi):
+            assert abs(two_agent_residual(0.3, C, S, beta)) <= 1e-10 * max(1.0, abs(beta))
+
+
+@pytest.mark.parametrize("a", (0.05, 0.5, 0.99))
+def test_two_agent_cap_near_float_max(a):
+    # C = 1.7e308: the cap's kink C/a is a float only for a above about
+    # 0.95; below, the cap is refused by name rather than solved wrongly
+    sp = FiniteSpace.uniform(4)
+    S = RandomVariable(sp, np.random.default_rng(0).uniform(1.0, 2.0, size=4))
+    C = 1.7e308
+    if C / a == INF:
+        with pytest.raises(ValidationError, match="upper caps"):
+            two_agent_fixed_point(a, C, S)
+        return
+    lo, hi = two_agent_fixed_point(a, C, S)
+    assert lo == pytest.approx(two_agent_fixed_point(a, 100.0, S)[0], abs=1e-12)
+    assert hi == pytest.approx(C, rel=1e-15)
+    for beta in (lo, hi):
+        assert abs(two_agent_residual(a, C, S, beta)) <= 1e-10 * max(1.0, abs(beta))
