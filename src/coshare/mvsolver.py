@@ -14,8 +14,11 @@ gradient is -2 D_delta (E[X(c)] - c).  solve_capped_mv takes Newton steps
 on G, each ended by an exact line search where G starts to rise before the
 full step.  A step reads E[X(c)] and the regime (the agents interior in each
 state) from the pieces of the clipped response H (at most 2n + 1, and the
-runs of kinks between them), each state only by the piece it falls on.  The
-solve stops at a residual relative to the aggregate's largest magnitude.
+runs of kinks between them), each state only by the piece it falls on,
+and reads eta there off that piece's own affine form of H, never between
+two kinks: a cap that never binds costs no precision however far out it
+lies, and kinks and levels past the float range read +-inf.  The solve
+stops at a residual relative to the aggregate's largest magnitude.
 The fixed points form a continuum where caps leave room for a constant
 shift among agents (the two-agent interval above is the simplest case);
 solve_capped_mv reports the one nearest the proportional intercepts a E[S].
@@ -49,7 +52,6 @@ from .probspace import (
     FiniteSpace,
     GammaAggregate,
     RandomVariable,
-    distribution_of,
     gamma_quantile,
     value_scale,
 )
@@ -91,31 +93,18 @@ def _caps(delta, lower, upper):
     return deltas, lower, upper
 
 
-def _float_range(deltas, lower, upper, r):
-    """ValidationError unless H's kinks delta_i (cap_i - c_i), every share
-    c_j + eta/delta_j at a kink eta and every partial sum of those shares
-    clipped to their caps, which makes H's levels (see _locate), stay in the
-    float range at every intercept vector with |c_i| <= r, and so do the
-    differences of kinks: a bound from the variance weights, the finite caps
-    and r (max |S| for the solver).  Two levels may still lie up to twice
-    the float maximum apart, and _place halves them.  The error names the
-    side whose kinks or levels reach further."""
-    caps = [(d, cap) for d, l, u in zip(deltas, lower, upper) for cap in (l, u)
-            if abs(cap) < math.inf]
-    top = max((d * (cap + r) for d, cap in caps), default=0.0)
-    bottom = min((d * (cap - r) for d, cap in caps), default=0.0)
-    high = sum(max(0.0, min(u, r + top / d)) for d, u in zip(deltas, upper))
-    low = sum(min(0.0, max(l, bottom / d - r)) for d, l in zip(deltas, lower))
-    reach = max(top, -bottom) / min(deltas) + r
-    if not max(top - bottom, reach, high, -low) <= sys.float_info.max:
-        side = "upper" if max(top, high) >= max(-bottom, -low) else "lower"
-        raise ValidationError(f"{side} caps too far from the aggregate at these variance "
-                              f"weights: the kinks or levels of the clipped response overflow")
+def _cap_sum(caps):
+    """The caps' sum, exactly rounded, or +-inf past the float range (where
+    math.fsum raises OverflowError on a partial sum)."""
+    try:
+        return math.fsum(caps)
+    except OverflowError:
+        return sum(caps)
 
 
 def _outside_caps(lower, upper, s_min, s_max):
     """(s_min < sum L, s_max > sum U), each beyond VALUE_TOL * value_scale(S)."""
-    below, above = math.fsum(lower) - s_min, s_max - math.fsum(upper)
+    below, above = _cap_sum(lower) - s_min, s_max - _cap_sum(upper)
     tol = VALUE_TOL * value_scale((s_min, s_max)) if max(below, above) > 0.0 else 0.0
     return below > tol, above > tol
 
@@ -153,14 +142,14 @@ def statewise_projection(c, delta, lower, upper, s):
     s = float(s)
     if not all(map(math.isfinite, c + (s,))):
         raise ValidationError("intercepts and the state must be finite")
-    _float_range(deltas, lower, upper, max(map(abs, c + (s,))))
     # no lower cap is +inf and no upper cap -inf (see _caps)
     if any(_outside_caps(lower, upper, s, s)):
         raise InfeasibleError(f"s = {s:g} outside the feasible cap range "
-                              f"[{math.fsum(lower):g}, {math.fsum(upper):g}]")
+                              f"[{_cap_sum(lower):g}, {_cap_sum(upper):g}]")
     agg = _aggregate(*map(np.array, (deltas, lower, upper, [s])), np.ones(1))
     c = np.array(c)
-    eta, x = _shares(c, _place(c, agg), agg)
+    with np.errstate(over="ignore"):  # kinks and levels past the float range read +-inf
+        eta, x = _shares(c, _place(c, agg), agg)
     return float(eta[0]), x[0]
 
 
@@ -185,9 +174,7 @@ class MVProblem:
             raise ValidationError("aggregate must be a (FiniteSpace, RandomVariable) pair")
         if S.space != space:
             raise ValidationError("aggregate S must live on the given space")
-        s_min, s_max = S.values.min(), S.values.max()
-        _float_range(self.delta, self.lower, self.upper, float(max(-s_min, s_max)))
-        below, above = _outside_caps(self.lower, self.upper, s_min, s_max)
+        below, above = _outside_caps(self.lower, self.upper, S.values.min(), S.values.max())
         if below:
             raise ValidationError("sum of lower caps exceeds the smallest aggregate value")
         if above:
@@ -241,10 +228,9 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-_Located = namedtuple("_Located", "kinks levels inside kinkless")
-_Placed = namedtuple("_Placed", "located code anchor level slope")
-_Pieces = namedtuple("_Pieces", _Placed._fields + ("mass", "target", "active"))
-_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper tails s probs ps values")
+_Pieces = namedtuple("_Pieces", "kinks levels inside kinkless code hold base width ends "
+                                "mass target active", defaults=(None,) * 3)
+_Aggregate = namedtuple("_Aggregate", "deltas inv lower upper s probs ps values")
 
 
 def _locate(c, deltas, inv, lower, upper):
@@ -256,51 +242,62 @@ def _locate(c, deltas, inv, lower, upper):
     Arguments have one entry per agent, float arrays or object arrays of
     Fractions (infinite caps as float infinities), and the results keep that
     arithmetic.  Float kinks closer than RUN_RTOL (relative to the larger
-    magnitude) form a run; exact kinks form no runs.  Returns _Located:
-    kinks and levels (H, the sum of the clipped shares) at each run's first
-    and last kink, a lone kink twice; inside, the agents strictly inside
-    their caps at the midpoint of each open piece (on a tail, the agents
-    whose cap on that side is infinite); and kinkless, True when no kink is
-    finite, where one kink at 0 stands in (H = sum c there, and both tails
-    give eta = (s - sum c) / sum w).
+    magnitude) form a run; exact kinks form no runs.  The kink of an
+    infinite cap, or a float kink past the float range, is +-inf: no kink
+    of H.  Returns (kinks, levels, inside, kinkless, mids, base): kinks and
+    levels (H, the sum of the clipped shares) at each run's first and last
+    kink, a lone kink twice; inside, the agents strictly inside their caps
+    on each open piece, delta_i (L_i - c_i) < mid < delta_i (U_i - c_i) at
+    its midpoint (on a tail, -+ the float maximum or the outermost kink,
+    whichever lies further out); kinkless, True when no kink is finite,
+    where one kink at 0 stands in; mids, the midpoint of each group of
+    _place (a tail's at its end kink); and base on each open piece, the
+    inside agents' c plus every other agent's cap on the side it has passed.
     """
+    low, high = deltas * (lower - c), deltas * (upper - c)
     exact = c.dtype == object
-    kinks = np.concatenate((deltas * (lower - c), deltas * (upper - c)))
-    # an infinite cap puts its kink at infinity: no kink.  So does the nan
-    # of a Fraction weight that rounds to float 0 times an infinite cap.
-    # np.isfinite rejects object arrays, so filter in Python.
-    kinks = np.array(sorted({k for k in kinks.tolist() if -math.inf < k < math.inf}),
-                     dtype=c.dtype)
+    if exact:
+        # a Fraction weight that rounds to float 0 times an infinite cap is nan
+        low = np.where(lower == -math.inf, lower, low)
+        high = np.where(upper == math.inf, upper, high)
+    kinks = np.array(sorted({k for k in np.concatenate((low, high)).tolist()
+                             if -math.inf < k < math.inf}), dtype=c.dtype)
     kinkless = kinks.size == 0
     if kinkless:
         kinks, responses = np.array([Fraction(0) if exact else 0.0], dtype=c.dtype), c[None, :]
     else:
-        responses = np.clip(c + kinks[:, None] * inv, lower, upper)
+        responses = np.minimum(np.maximum(c + kinks[:, None] * inv, lower), upper)
     levels = np.add.reduce(responses, axis=1)
     left, right = kinks[:-1], kinks[1:]
     gap = right - left > (0 if exact else RUN_RTOL) * np.maximum(-left, right)
     knots = np.concatenate(([1], gap)) + np.concatenate((gap, [1]))
     kinks = kinks.repeat(knots)
-    # past every finite kink an agent is inside exactly where its cap on
-    # that side is infinite; a probe there would land on a kink past 2^53
-    free = c + (kinks[1:-1:2] / 2 + kinks[2::2] / 2)[:, None] * inv
-    inside = np.concatenate(([lower == -math.inf], (lower < free) & (free < upper),
-                             [upper == math.inf]))
-    return _Located(kinks, levels.repeat(knots), inside, kinkless)
+    half = kinks / 2
+    mids = np.concatenate((kinks[:1], half[:-1] + half[1:], kinks[-1:]))
+    bound = max(sys.float_info.max, -kinks[0], kinks[-1])
+    probe = mids[0::2, None].copy()
+    probe[0], probe[-1] = -bound, bound
+    below_upper = probe < high
+    inside = (low < probe) & below_upper
+    base = np.where(inside, c, np.where(below_upper, lower, upper)).sum(axis=1)
+    return kinks, levels.repeat(knots), inside, kinkless, mids, base
 
 
 def _report(c, located, inv, lower, upper, width=0.0, **fields):
     """RegimeReport of the share curves x(s) = clip(c + eta(s)/delta, L, U),
-    read from the _Located of c in its arithmetic, with the solver's
+    read from the kinks, levels, inside and kinkless of c (the first fields
+    of _locate's tuple, or a _Pieces) in its arithmetic, with the solver's
     residual and step counts as fields.
 
     Runs whose gap is at most width are one group: at solved intercepts,
     known to within the solve's precision, agents that saturate together
     give kinks a rounding apart, which would open regimes whose active sets
     that rounding decides.  A group's breakpoint and anchor are H and the
-    shares x at its first kink, and the regime after it is the open piece
-    after its last run.  Exact kinks come with width 0: no group merges.
+    shares x at its first kink (+-inf past the float range), and the regime
+    after it is the open piece after its last run.  Exact kinks come with
+    width 0: no group merges.
     """
+    kinks, levels, inside, kinkless = located[:4]
     intercepts = tuple(c.tolist())
     weights = inv.tolist()
 
@@ -308,16 +305,16 @@ def _report(c, located, inv, lower, upper, width=0.0, **fields):
         total = sum(weights[i] for i in active)
         return tuple(w / total if i in active else 0 * w for i, w in enumerate(weights))
 
-    if located.kinkless:
+    if kinkless:
         active = tuple(range(len(weights)))
         return RegimeReport(
             breakpoints=(), active_sets=(active,), slopes=(slopes_for(active),),
             intercepts=intercepts, anchors=((sum(intercepts), intercepts),), **fields)
-    first, last = located.kinks[0::2], located.kinks[1::2]
+    first, last = kinks[0::2], kinks[1::2]
     starts = np.flatnonzero(np.concatenate(([True], first[1:] - last[:-1] > width)))
     active_sets = tuple(tuple(i for i, inside in enumerate(row) if inside)
-                        for row in located.inside[np.append(starts, first.size)].tolist())
-    breakpoints = tuple(located.levels[0::2][starts].tolist())
+                        for row in inside[np.append(starts, first.size)].tolist())
+    breakpoints = tuple(levels[0::2][starts].tolist())
     responses = np.clip(c + first[starts][:, None] * inv, lower, upper)
     return RegimeReport(
         breakpoints=breakpoints, active_sets=active_sets,
@@ -327,15 +324,10 @@ def _report(c, located, inv, lower, upper, width=0.0, **fields):
 
 def _aggregate(deltas, lower, upper, s, probs, values=None):
     """The arrays _place and _pieces read: the caps (float arrays, one entry
-    per agent), w = 1/delta, the slopes of eta past either end of H (1 over
-    the sum of w over the agents uncapped on that side, or 0 where H is flat
-    there), the states s with their probabilities p and p s, and the values
-    whose scale _shares measures the clearing dust by (by default s)."""
-    inv = 1.0 / deltas
-    below = sum(inv[lower == -math.inf].tolist())
-    above = sum(inv[upper == math.inf].tolist())
-    tails = np.array([1.0 / below if below else 0.0, 1.0 / above if above else 0.0])
-    return _Aggregate(deltas, inv, lower, upper, tails, s, probs, probs * s,
+    per agent), w = 1/delta, the states s with their probabilities p and
+    p s, and the values whose scale _shares measures the clearing dust by
+    (by default s)."""
+    return _Aggregate(deltas, 1.0 / deltas, lower, upper, s, probs, probs * s,
                       s if values is None else values)
 
 
@@ -343,57 +335,63 @@ def _place(c, agg):
     """Each state's group of H's pieces at c (see _locate): the code
     #(runs whose first level is <= s) + #(runs whose last level is < s) of
     a state s is even on an open piece, odd in a run, and a state on a flat
-    level of H gets a flat piece.  On each group eta is affine in s,
-    eta = anchor + (s - level) * slope (in a run, to within the run's few
-    ulps; on a flat piece, its midpoint).  Returns _Placed: the _Located,
-    code per state, and anchor, level and slope per group."""
-    located = _locate(c, agg.deltas, agg.inv, agg.lower, agg.upper)
-    kinks, levels = located.kinks, located.levels
+    level of H gets a flat piece.  On an open piece between kinks k_a < k_b
+    whose inside agents' weights sum to W > 0, H = base + eta W, so
+    eta = (s - base) / W, clipped to [k_a, k_b] against rounding; a run, or
+    a piece where every agent is at a cap, holds eta at its midpoint, a flat
+    tail at its end kink.  Returns a _Pieces without the state sums: the
+    fields of _locate but mids, code per state, and per group hold, base and
+    width of eta = hold + (s - base) / width (width infinite where eta is
+    held), and ends, the kinks with -inf and inf around them, so that
+    group g lies between ends[g] and ends[g + 1] (see _eta)."""
+    kinks, levels, inside, kinkless, hold, base = _locate(
+        c, agg.deltas, agg.inv, agg.lower, agg.upper)
     code = (levels[0::2].searchsorted(agg.s, "right")
             + levels[1::2].searchsorted(agg.s, "left"))
-    groups = kinks.size + 1
-    slope = np.zeros(groups)
-    slope[::groups - 1] = agg.tails
-    # two levels may lie up to twice the float maximum apart: halve both
-    half = levels / 2
-    run = half[1:] - half[:-1]
-    rising = run > 0.0
-    np.divide((kinks[1:] - kinks[:-1]) / 2, run, out=slope[1:-1], where=rising)
-    anchor = np.concatenate((kinks[:1], np.where(rising, kinks[:-1],
-                                                 0.5 * kinks[:-1] + 0.5 * kinks[1:]), kinks[-1:]))
-    level = np.concatenate((levels[:1], levels))
-    return _Placed(located, code, anchor, level, slope)
+    weight = inside @ agg.inv
+    flat = weight == 0.0
+    weight[flat] = math.inf
+    hold[0::2] *= flat  # a rising piece reads eta off its form alone
+    width = np.full(hold.size, math.inf)
+    width[0::2] = weight
+    offset = np.zeros(hold.size)
+    offset[0::2] = base
+    ends = np.concatenate(([-math.inf], kinks, [math.inf]))
+    return _Pieces(kinks, levels, inside, kinkless, code, hold, offset, width, ends)
+
+
+def _eta(s, at, g):
+    """eta at the states s on the groups g of the _Pieces at (see _place)."""
+    eta = at.hold[g] + (s - at.base[g]) / at.width[g]
+    return np.minimum(np.maximum(eta, at.ends[:-1][g]), at.ends[1:][g])
 
 
 def _pieces(c, agg):
     """E[X(c)] and the regime at c, from the groups of states of _place.
     No share crosses a cap inside an open piece, so E[X] sums
-    mass * clip(c + eta/delta, L, U) over the groups, eta taken at the
-    group's mean s.  A run's active set is the agents interior on both sides
-    of it.  Returns _Pieces: the _Placed fields, and mass, target = E[X(c)]
-    and active per group."""
-    located, code, anchor, level, slope = _place(c, agg)
-    groups = slope.size
-    mass = np.bincount(code, agg.probs, groups)
-    # an empty group reads eta at its anchor, whatever its level's magnitude
-    mean = np.divide(np.bincount(code, agg.ps, groups), mass,
-                     out=level.copy(), where=mass > 0.0)
-    eta = anchor + (mean - level) * slope
-    target = mass @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
+    mass * clip(c + eta/delta, L, U) over the groups with states, eta taken
+    at the group's mean s.  A run's active set is the agents interior on
+    both sides of it.  Returns the _Pieces of _place with mass,
+    target = E[X(c)] and active per group."""
+    at = _place(c, agg)
+    groups = at.hold.size
+    mass = np.bincount(at.code, agg.probs, groups)
+    live = np.flatnonzero(mass)
+    eta = _eta(np.bincount(at.code, agg.ps, groups)[live] / mass[live], at, live)
+    target = mass[live] @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower),
+                                     agg.upper)
     # each open piece's row twice: row g of active is then an open piece's
     # own (g even) or the AND of a run's two neighbours (g odd)
-    inside = located.inside.repeat(2, axis=0)
-    return _Pieces(located, code, anchor, level, slope, mass, target,
-                   inside[:-1] & inside[1:])
+    inside = at.inside.repeat(2, axis=0)
+    return _Pieces(*at[:-3], mass, target, inside[:-1] & inside[1:])
 
 
 def _shares(c, at, agg):
     """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
-    sum x[k] = s[k] for every state of agg, read from the _Placed (or
-    _Pieces) at of c: eta = anchor + (s - level) * slope on the state's
-    group.  Returns eta with shape (m,) and x with shape (m, n)."""
-    code = at.code
-    eta = at.anchor[code] + (agg.s - at.level[code]) * at.slope[code]
+    sum x[k] = s[k] for every state of agg, read from the _Pieces at of c
+    on each state's group (see _eta).  Returns eta with shape (m,) and x
+    with shape (m, n)."""
+    eta = _eta(agg.s, at, at.code)
     x = np.clip(c + eta[:, None] * agg.inv, agg.lower, agg.upper)
     residual = agg.s - x.sum(axis=1)
     rows = np.flatnonzero(residual)
@@ -508,6 +506,7 @@ def _line_search(c, d, at0, at1, psi1, agg, sqrt_w, unit):
             hi = end(t, point, at, psi)
 
 
+@np.errstate(over="ignore")  # kinks, levels and anchors past the float range read +-inf
 def solve_capped_mv(problem):
     """Capped mean-variance optimum on a finite aggregate.
 
@@ -589,7 +588,7 @@ def solve_capped_mv(problem):
             last_iterate=tuple(c), residual=residual)
 
     shares = _shares(c, at, agg)[1]
-    located = at.located
+    located = at
     low, high = shares.min(axis=0), shares.max(axis=0)
     gap = deltas * (c - proportional)
     slack = fixed_point_tol * float(deltas.max())

@@ -387,6 +387,30 @@ class TestRunProblem:
         with open(os.path.join(GOLDEN, "run-solve-mv.json"), encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
+    @pytest.mark.parametrize("lower, upper", (([0, 0], [1e308, 1e308]),
+                                              ([0, "-inf"], [1e308, "inf"])))
+    def test_caps_at_the_float_maximum_solve(self, tmp_path, capsys, lower, upper):
+        # the caps never bind: X = S/2 each, objective E[S] + Var(S)/2 =
+        # 1.625; H's level at the cap's kink is past the float range
+        doc = solve_doc()
+        doc["aggregate"] = [1, 2]
+        doc["task"].update(lower=lower, upper=upper)
+        assert main(["run", write(tmp_path, "p.json", doc), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["objective"] == 1.625
+        assert "inf" in report["breakpoints"]
+
+    def test_stand_in_caps_solve_as_no_caps(self, tmp_path, capsys):
+        # caps +-1e17 on agent 2 never bind: the objective is 101/24, as
+        # with no caps
+        doc = solve_doc()
+        doc["space"]["atoms"] = [{"label": f"w{k}", "prob": 0.25} for k in range(4)]
+        doc["aggregate"] = [1, 2, 3, 5]
+        doc["agents"] = [{"delta": 1}, {"delta": 2}]
+        doc["task"].update(lower=["-inf", -1e17], upper=["inf", 1e17])
+        assert main(["run", write(tmp_path, "p.json", doc), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == 4.20833333333
+
     def test_oracle(self, tmp_path):
         report = run_problem(write(tmp_path, "p.json", oracle_doc()))
         assert report["task"] == "oracle"

@@ -327,7 +327,7 @@ class TestStatewiseProjection:
                  (INF, 1.0, 2.0))
         cases += [tails + (-10.0,), tails + (20.0,)]
         # clipped shares miss s by float dust, which goes to agent 0
-        dust = ((0.1, 0.1), (1.0, 3.0), (NEG_INF, 0.0), (INF, 1.0), 0.3)
+        dust = ((0.1, 0.2), (1.0, 3.0), (NEG_INF, 0.0), (INF, 1.0), 0.1)
         cases.append(dust)
 
         for c, delta, lower, upper, s in cases:
@@ -655,7 +655,7 @@ class TestPieces:
                    | (np.abs(agg.deltas * (agg.upper - c) - k) <= tol))
             assert not (at.active[code] & own).any()
             together += bool(own.sum(axis=1).max(initial=0) > 1)
-            flat += bool((agg.tails == 0.0).any())
+            flat += bool(np.isfinite(agg.lower).all() or np.isfinite(agg.upper).all())
             ties += len(set(agg.s.tolist())) < agg.s.size
             on_level += code.size > 0
         assert flat > 50 and ties > 100 and on_level > 100 and together > 20
@@ -768,7 +768,8 @@ class TestPieces:
         for s in (-10.0, 0.5, 20.0):
             eta, x = statewise_projection(*tails, s)
             want_eta, want_x = reference_projection(*tails, s)
-            assert (eta, x.tolist()) == (want_eta, want_x.tolist())
+            assert eta == pytest.approx(want_eta, abs=1e-12)
+            assert x == pytest.approx(want_x, abs=1e-12)
 
 
 def reference_regimes(c, deltas, inv, lower, upper, width=0.0, **fields):
@@ -905,6 +906,72 @@ class TestDirichletMasses:
         # m in {1000, 4000}: each step reads thousands of states
         self.solve_all(dirichlet_problems(13, 8, 0.3, floor=1e-9, atoms=(1000, 4000),
                                           agents=(4, 8, 16)))
+
+
+def far_cap_problems(seed, count):
+    """Caps far out or within S's range, and kinks past the float range:
+    m <= 6 atoms with Dirichlet masses, n <= 4 agents, delta = 10^U(-8, 8),
+    S uniform on (0, 8) times 10^U(-3, 150), each lower cap -10^U(100, 308)
+    or 0 and each upper cap 10^U(100, 308) or within S's range, agent 0's
+    upper cap infinite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        scale = 10.0 ** rng.uniform(-3.0, 150.0)
+        agg = finite_aggregate(scale * rng.uniform(0.0, 8.0, size=m), rng.dirichlet(np.ones(m)))
+        delta = tuple(10.0 ** rng.uniform(-8.0, 8.0, size=n))
+        lower = [-10.0 ** rng.uniform(100.0, 308.0) if rng.random() < 0.5 else 0.0
+                 for _ in range(n)]
+        upper = [10.0 ** rng.uniform(100.0, 308.0) if rng.random() < 0.5
+                 else scale * rng.uniform(0.5, 8.0) for _ in range(n)]
+        upper[0] = INF
+        yield MVProblem(delta, tuple(lower), tuple(upper), agg)
+
+
+class TestFarCaps:
+    """A cap that never binds costs the solver no precision, however far
+    out it lies: eta on each piece of H is read off that piece's own form,
+    not between the kinks at its ends."""
+
+    @pytest.mark.parametrize("bound", (1e8, 1e12, 1e17, 1e300))
+    def test_stand_in_cap_leaves_the_proportional_rule(self, bound):
+        # caps +-bound never bind, so X_2 = S/3 and the objective is
+        # E[S] + (2/3) Var(S) = 101/24, as with no caps
+        sp, S = finite_aggregate((1.0, 2.0, 3.0, 5.0))
+        problem = MVProblem((1.0, 2.0), (NEG_INF, -bound), (INF, bound), (sp, S))
+        allocation, _ = solve_capped_mv(problem)
+        assert np.max(np.abs(allocation.shares[1].values - S.values / 3)) <= 1e-12
+        assert mv_objective(problem.delta, allocation) == pytest.approx(101 / 24, rel=1e-15)
+
+    @pytest.mark.parametrize("bound", (1e9, 1e15))
+    def test_stand_in_caps_match_infinite_caps(self, bound):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            m, n = int(rng.choice((4, 8, 16))), int(rng.choice((2, 4, 8)))
+            problem = mv_capped_problem(rng, m, n)
+            far = replace(problem, lower=(-bound,) + problem.lower[1:],
+                          upper=(bound,) + problem.upper[1:])
+            want, want_report = solve_capped_mv(problem)
+            got, report = solve_capped_mv(far)
+            scale = float(np.abs(problem.aggregate[1].values).max())
+            for x, y in zip(got.shares, want.shares):
+                assert np.max(np.abs(x.values - y.values)) <= 1e-12 * scale
+            assert (report.iterations, report.searches) == (want_report.iterations,
+                                                            want_report.searches)
+
+    def test_far_cap_sweep(self):
+        for problem in far_cap_problems(1, 300):
+            allocation, report = solve_capped_mv(problem)
+            S = problem.aggregate[1].values
+            X = np.array([x.values for x in allocation.shares])
+            top = float(np.abs(S).max())
+            assert np.max(np.abs(X.sum(axis=0) - S)) <= VALUE_TOL * value_scale(S)
+            assert report.residual <= mvsolver_module.FIXED_POINT_TOL * top
+            mean = X @ problem.aggregate[0].probs
+            assert np.max(np.abs(mean - report.intercepts)) <= (
+                mvsolver_module.FIXED_POINT_TOL * top)
+            assert (X >= np.array(problem.lower)[:, None]).all()
+            assert (X <= np.array(problem.upper)[:, None]).all()
 
 
 class TestSaturationCurve:
