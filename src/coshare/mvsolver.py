@@ -11,10 +11,11 @@ piecewise moments.
 The intercept fixed points are the minimisers of a convex, piecewise
 quadratic potential G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2], whose
 gradient is -2 D_delta (E[X(c)] - c).  solve_capped_mv takes Newton steps
-on G, each ended by an exact line search where G starts to rise before the
-full step.  A step reads E[X(c)] and the regime (the agents interior in each
-state) from the pieces of the clipped response H (at most 2n + 1, and the
-runs of kinks between them), each state only by the piece it falls on,
+on G, keeps the whole step wherever G falls there, and ends it by an exact
+line search only where G starts to rise before the full step and does not
+fall at its end.  A step reads E[X(c)] and the regime (the agents interior
+in each state) from the pieces of the clipped response H (at most 2n + 1,
+and the runs of kinks between them), each state only by the piece it falls on,
 and reads eta there off that piece's own affine form of H, never between
 two kinks: a cap that never binds costs no precision however far out it
 lies, and kinks and levels past the float range read +-inf.  The solve
@@ -58,7 +59,9 @@ from .probspace import (
 from .riskmeasures import mean_variance
 
 FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITERS = 10 ** 4
+# 10x the most Newton steps a seeded test solve takes: a stall raises in well
+# under a second
+FIXED_POINT_MAX_ITERS = 100
 # the regime matrix's eigenvalues up to PINV_RCOND * max |lam| count as 0
 # (numpy pinv's default cutoff)
 PINV_RCOND = 1e-15
@@ -193,7 +196,8 @@ class RegimeReport:
     passes that produced them (0 where no solve ran): iterations counts
     every pass, the last one being the pass that found the residual at most
     FIXED_POINT_TOL * max |S|; searches counts the Newton steps before it
-    that a line search cut short (see solve_capped_mv).
+    that a line search cut short, where G rose before the whole step and
+    did not fall at its end (see solve_capped_mv).
 
     Regime r covers s between breakpoints r-1 and r; there is one more
     regime than breakpoints.  anchors holds (s, shares) pairs; with no
@@ -229,7 +233,7 @@ class RegimeReport:
 
 
 _Pieces = namedtuple("_Pieces", "kinks levels inside kinkless code hold base width ends "
-                                "mass target active", defaults=(None,) * 3)
+                                "mass mean shares target active", defaults=(None,) * 5)
 _Aggregate = namedtuple("_Aggregate", "deltas inv lower upper s probs ps values")
 
 
@@ -371,19 +375,23 @@ def _pieces(c, agg):
     No share crosses a cap inside an open piece, so E[X] sums
     mass * clip(c + eta/delta, L, U) over the groups with states, eta taken
     at the group's mean s.  A run's active set is the agents interior on
-    both sides of it.  Returns the _Pieces of _place with mass,
-    target = E[X(c)] and active per group."""
+    both sides of it.  Returns the _Pieces of _place with mass and mean s
+    per group (mean 0 where a group holds no state), shares = the clipped
+    shares at the means of the groups with states, target = E[X(c)] and
+    active per group."""
     at = _place(c, agg)
     groups = at.hold.size
     mass = np.bincount(at.code, agg.probs, groups)
     live = np.flatnonzero(mass)
-    eta = _eta(np.bincount(at.code, agg.ps, groups)[live] / mass[live], at, live)
-    target = mass[live] @ np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower),
-                                     agg.upper)
+    mean = np.zeros(groups)
+    mean[live] = np.bincount(at.code, agg.ps, groups)[live] / mass[live]
+    eta = _eta(mean[live], at, live)
+    shares = np.minimum(np.maximum(c + eta[:, None] * agg.inv, agg.lower), agg.upper)
     # each open piece's row twice: row g of active is then an open piece's
     # own (g even) or the AND of a run's two neighbours (g odd)
     inside = at.inside.repeat(2, axis=0)
-    return _Pieces(*at[:-3], mass, target, inside[:-1] & inside[1:])
+    return _Pieces(*at[:-5], mass, mean, shares, mass[live] @ shares,
+                   inside[:-1] & inside[1:])
 
 
 def _shares(c, at, agg):
@@ -411,6 +419,21 @@ def _shares(c, at, agg):
                 raise ContractError(
                     f"projection residual {lost[0]:g} with every agent at a cap")
     return eta, x
+
+
+def _potential(c, at, agg, unit):
+    """G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2] over unit^2 (see _psi),
+    from the _Pieces at of c.  On a group of states x - c is the shares at
+    the group's mean s less c, plus (s - mean) / (W delta_i) for each inside
+    agent on a rising piece of width W: G sums mass * sum_i delta_i
+    (shares_i - c_i)^2 over the groups with states, and
+    p (s - mean)^2 / W over the states of the rising pieces, the spread
+    taken about each group's own mean (width is infinite elsewhere)."""
+    gap = (at.shares - c) / unit
+    spread = agg.s / unit - (at.mean / unit)[at.code]
+    return float(at.mass[at.mass > 0.0] @ (gap * gap @ agg.deltas)
+                 + np.bincount(at.code, agg.probs * spread * spread, at.mass.size)
+                 @ (1.0 / at.width))
 
 
 def _same_regime(a, b):
@@ -537,10 +560,13 @@ def solve_capped_mv(problem):
     one eigendecomposition (see _newton_step) and moves to c + t d:
 
     - t = 1 when psi(t) = d^T D_delta F(c + t d), minus half G's slope
-      along d, is still >= 0 there, or when c + d is a fixed point by the
-      stop below;
+      along d, is still >= 0 there, when c + d is a fixed point by the
+      stop below, or when G(c + d) < G(c), read from the pieces both points
+      already have (see _potential) only where the first two fail;
     - otherwise t = the root of psi in (0, 1), from an exact line search
       (see _line_search), which the report counts.
+
+    Every step so lowers G.
 
     E[X(c)] and the regime depend on S only through its mass and mean on
     each piece of H (see _pieces), so a step is O(m) one-dimensional work
@@ -578,7 +604,8 @@ def solve_capped_mv(problem):
         at_step = _pieces(step, agg)
         f_step = at_step.target - step
         psi = _psi(d / unit, f_step, deltas, unit)
-        if psi < 0.0 and np.max(np.abs(f_step)) > fixed_point_tol:
+        if (psi < 0.0 and np.max(np.abs(f_step)) > fixed_point_tol
+                and _potential(step, at_step, agg, unit) >= _potential(c, at, agg, unit)):
             step, at_step = _line_search(c, d, at, at_step, psi, agg, root, unit)
             searches += 1
         c, at = step, at_step

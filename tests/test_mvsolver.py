@@ -4,6 +4,7 @@ import bisect
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -660,7 +661,8 @@ class TestPieces:
             on_level += code.size > 0
         assert flat > 50 and ties > 100 and on_level > 100 and together > 20
 
-    def test_one_projection_per_solve(self, monkeypatch):
+    @staticmethod
+    def check_one_projection(monkeypatch, problem):
         # _pieces runs over the states only at the start, once per step and
         # once per line-search probe; the final shares are read once, from
         # the pieces of the iterate whose residual passed the stop
@@ -686,10 +688,9 @@ class TestPieces:
         monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
         monkeypatch.setattr(mvsolver_module, "_line_search", spy_search)
         monkeypatch.setattr(mvsolver_module, "_shares", spy_shares)
-        m = 10_000
-        problem = mv_capped_problem(np.random.default_rng(24), m, 32)
+        m = problem.aggregate[1].values.size
         _, report = solve_capped_mv(problem)
-        assert report.iterations > 1 and report.searches == len(probes) > 0
+        assert report.iterations > 1 and report.searches == len(probes)
         every = [(c, at) for c, size, at in pieces if size == m]
         assert len(every) == report.iterations + sum(probes)
         [(c, at)] = [(c, at) for c, size, at in reads if size == m]
@@ -697,6 +698,17 @@ class TestPieces:
         assert np.max(np.abs(at.target - c)) == report.residual
         scale = float(np.abs(problem.aggregate[1].values).max())
         assert report.residual <= mvsolver_module.FIXED_POINT_TOL * scale
+        return report
+
+    def test_one_projection_per_solve(self, monkeypatch):
+        # m = 10^4: G falls at every whole step, so no line search runs
+        problem = mv_capped_problem(np.random.default_rng(24), 10_000, 32)
+        assert self.check_one_projection(monkeypatch, problem).searches == 0
+
+    def test_one_projection_per_searching_solve(self, monkeypatch):
+        # a Dirichlet(0.3) draw where G rises at six whole steps
+        problem = dict(dirichlet_problems(7, 21, 0.3, floor=1e-9))[20]
+        assert self.check_one_projection(monkeypatch, problem).searches == 6
 
     def test_nearest_point_test_allows_the_solve_slack(self, monkeypatch):
         # the single-state shift to the optimum nearest a E[S] runs only
@@ -810,14 +822,20 @@ def reference_regimes(c, deltas, inv, lower, upper, width=0.0, **fields):
         **fields)
 
 
-def perfbench_mv_problems(seed, rounds):
-    """The benchmark's mv-capped problems of the given rounds, generated by
-    its own workload module."""
+def perfbench_workloads():
+    """The benchmark's own workload module."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                         "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     wl = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)
+    return wl
+
+
+def perfbench_mv_problems(seed, rounds):
+    """The benchmark's mv-capped problems of the given rounds, generated by
+    its own workload module."""
+    wl = perfbench_workloads()
     for r in range(rounds):
         rng = wl.round_rng(seed, r)
         for m in wl.MV_CELLS:
@@ -880,7 +898,7 @@ class TestReportFromPieces:
 class TestDirichletMasses:
     """Uneven state masses: regimes whose Newton step lands outside them,
     where damped steps alone crawl at rate 1 - p_min/2 and a line search
-    cuts the step short."""
+    cuts the step short where G does not fall at its end."""
 
     @staticmethod
     def solve_all(problems):
@@ -892,15 +910,16 @@ class TestDirichletMasses:
             assert report.iterations <= 50
             assert report.searches < report.iterations
             reports[trial] = report
-        # the line search runs somewhere in each suite
-        assert sum(r.searches for r in reports.values()) > 0
         return reports
 
     def test_dirichlet_one(self):
-        self.solve_all(dirichlet_problems(5, 100, 1.0))
+        reports = self.solve_all(dirichlet_problems(5, 100, 1.0))
+        # the line search runs somewhere in the suite
+        assert sum(r.searches for r in reports.values()) > 0
 
     def test_dirichlet_sparse(self):
-        self.solve_all(dirichlet_problems(7, 200, 0.3, floor=1e-9))
+        reports = self.solve_all(dirichlet_problems(7, 200, 0.3, floor=1e-9))
+        assert sum(r.searches for r in reports.values()) > 0
 
     def test_large_sparse_masses(self):
         # m in {1000, 4000}: each step reads thousands of states
@@ -972,6 +991,99 @@ class TestFarCaps:
                 mvsolver_module.FIXED_POINT_TOL * top)
             assert (X >= np.array(problem.lower)[:, None]).all()
             assert (X <= np.array(problem.upper)[:, None]).all()
+
+
+class TestWholeSteps:
+    """The solver keeps the whole Newton step c + d wherever the potential
+    G(c) = E[sum_i delta_i (x_i(c, S) - c_i)^2] falls there, and runs the
+    exact line search only where it does not."""
+
+    def test_few_searches_on_the_benchmark_problems(self):
+        # 464 line searches over these 500 solves when every step on which
+        # G rose before its end was searched
+        reports = [solve_capped_mv(problem)[1] for _, problem in SOLVER_SETS["perfbench"]()]
+        assert sum(r.searches for r in reports) <= 50
+        assert max(r.iterations for r in reports) <= 12
+
+    def test_stretch_solves_keep_every_whole_step(self):
+        # the benchmark's m = 10^4, n = 32 problems: two searches each before
+        wl = perfbench_workloads()
+        for seed in (1, 2, 3):
+            _, report = solve_capped_mv(wl.mv_problem(np.random.default_rng(seed), *wl.MV_STRETCH))
+            assert report.searches == 0
+
+    def test_every_step_lowers_the_potential(self, monkeypatch):
+        # G summed state by state, from each state's own shares, at every
+        # accepted iterate: the iterates whose pieces a Newton step starts
+        # from, and the one whose pieces the final shares are read from.  A
+        # step from a residual above 1e-8 * max |S| lowers G by more than
+        # its rounding (by 6e-14 relative at least here); the last steps,
+        # from just above the stop, move G by less than that
+        pieces, starts, finals = {}, [], []
+
+        def spy_pieces(c, agg):
+            at = locate(c, agg)
+            pieces[id(at)] = (c.copy(), at)
+            return at
+
+        def spy_step(at, *args):
+            starts.append(pieces[id(at)][0])
+            return step(at, *args)
+
+        def spy_shares(c, at, agg):
+            finals.append(c.copy())
+            return read(c, at, agg)
+
+        locate, step, read = (mvsolver_module._pieces, mvsolver_module._newton_step,
+                              mvsolver_module._shares)
+        monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
+        monkeypatch.setattr(mvsolver_module, "_newton_step", spy_step)
+        monkeypatch.setattr(mvsolver_module, "_shares", spy_shares)
+
+        def potential(agg, c):
+            x = read(c, mvsolver_module._place(c, agg), agg)[1]
+            return float(agg.probs @ ((x - c) ** 2 @ agg.deltas)), float(
+                np.max(np.abs(agg.probs @ x - c)))
+
+        problems = [problem for _, problem in dirichlet_problems(5, 100, 1.0)]
+        problems += [problem for _, problem in dirichlet_problems(7, 200, 0.3, floor=1e-9)]
+        problems += list(far_cap_problems(1, 300))
+        falls = 0
+        for problem in problems:
+            for spied in (pieces, starts, finals):
+                spied.clear()
+            solve_capped_mv(problem)
+            space, S = problem.aggregate
+            agg = mvsolver_module._aggregate(
+                *map(np.array, (problem.delta, problem.lower, problem.upper)),
+                S.values, space.probs)
+            top = float(np.abs(S.values).max())
+            with np.errstate(over="ignore"):
+                trail = [potential(agg, c) for c in starts + finals[:1]]
+            for (before, residual), (after, _) in zip(trail, trail[1:]):
+                if residual > 1e-8 * top:
+                    assert after < before
+                    falls += 1
+                else:
+                    assert after <= before * (1.0 + 4.0 * sys.float_info.epsilon)
+        assert falls > 1000
+
+    def test_a_stalled_solve_stops_within_the_step_budget(self, monkeypatch):
+        # steps that never move: ConvergenceError after FIXED_POINT_MAX_ITERS
+        # of them, one _pieces each, in well under a second
+        calls = []
+
+        def spy_pieces(c, agg):
+            calls.append(None)
+            return locate(c, agg)
+
+        locate = mvsolver_module._pieces
+        monkeypatch.setattr(mvsolver_module, "_pieces", spy_pieces)
+        monkeypatch.setattr(mvsolver_module, "_newton_step", lambda at, f, inv, root: 0.0 * f)
+        problem = dict(dirichlet_problems(7, 21, 0.3, floor=1e-9))[20]
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_capped_mv(problem)
+        assert len(calls) == mvsolver_module.FIXED_POINT_MAX_ITERS + 1 <= 101
 
 
 class TestSaturationCurve:
