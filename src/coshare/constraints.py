@@ -65,6 +65,8 @@ class SolidityVerdict:
 
 
 def _format_slope(slope):
+    if not math.isfinite(slope):
+        return f"{slope:.6g}"
     frac = Fraction(slope).limit_denominator(10 ** 6)
     if abs(float(frac) - slope) <= 1e-9:
         if frac.denominator == 1:
@@ -456,15 +458,6 @@ def _statewise_limits(constraints, n_agents, s_values, probs):
     return floor, ceiling
 
 
-def _breaches(tensors, s_values, probs, constraints, tol):
-    """(constraint index, kind, agent, value, lower, upper, below, above) per
-    constrained agent: kind.band's output and where value < lower - tol and
-    value > upper + tol."""
-    for ci, kind, i in _bands(constraints, len(tensors), s_values):
-        value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
-        yield ci, kind, i, value, lower, upper, value < lower - tol, value > upper + tol
-
-
 def feasible_mask(tensors, s_values, probs, constraints):
     """Rows of the share tensors (one rows x atoms array per agent, over an
     aggregate s_values) that satisfy every constraint within
@@ -504,12 +497,13 @@ def check_feasible(A, constraints):
     _require_space(constraints, A.space)
     labels = A.space.labels
     s_values = A.aggregate.values
-    rows = [share.values[None, :] for share in A.shares]
+    tol = VALUE_TOL * value_scale(s_values)
     violations = []
-    for ci, kind, i, value, lower, upper, below, above in _breaches(
-            rows, s_values, A.space.probs, constraints, VALUE_TOL * value_scale(s_values)):
-        row, below = value[0], below[0]
-        for a in np.flatnonzero(below | above[0]):
+    for ci, kind, i in _bands(constraints, A.n_agents, s_values):
+        value, lower, upper = kind.band(A.shares[i].values[None, :], s_values,
+                                        A.space.probs, tol)
+        row, below, above = value[0], (value < lower - tol)[0], (value > upper + tol)[0]
+        for a in np.flatnonzero(below | above):
             v = float(row[a])
             bound = float(np.broadcast_to(lower if below[a] else upper, row.shape)[a])
             violations.append(Violation(

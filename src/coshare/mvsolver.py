@@ -78,8 +78,9 @@ def _positive_deltas(delta):
     out = tuple(float(d) for d in delta)
     if not out:
         raise ValidationError("need at least one agent")
-    if any(d <= 0.0 or not math.isfinite(d) for d in out):
-        raise DomainError("every variance weight must be positive and finite")
+    if not all(0.0 < d < math.inf and 1.0 / d < math.inf for d in out):
+        raise DomainError("every variance weight must be positive and finite, "
+                          "and so must its reciprocal")
     return out
 
 
@@ -122,8 +123,9 @@ def unconstrained_shares(delta):
     exact = all(isinstance(d, (Integral, Fraction)) and not isinstance(d, bool)
                 for d in delta)
     deltas = [Fraction(d) if exact else float(d) for d in delta]
-    if not all(0 < d < math.inf for d in deltas):
-        raise DomainError("every variance weight must be positive and finite")
+    if not all(0 < d < math.inf and 1 / d < math.inf for d in deltas):
+        raise DomainError("every variance weight must be positive and finite, "
+                          "and so must its reciprocal")
     weights = [1 / d for d in deltas]
     total = sum(weights)
     return tuple(w / total for w in weights)
@@ -232,7 +234,7 @@ class RegimeReport:
         return shares0[agent] + self.slopes[r][agent] * (s - s0)
 
 
-_Pieces = namedtuple("_Pieces", "kinks levels inside kinkless code hold base width ends "
+_Pieces = namedtuple("_Pieces", "kinks levels inside kinkless code hold base width "
                                 "mass mean shares target active", defaults=(None,) * 5)
 _Aggregate = namedtuple("_Aggregate", "deltas inv lower upper s probs ps values")
 
@@ -339,15 +341,13 @@ def _place(c, agg):
     """Each state's group of H's pieces at c (see _locate): the code
     #(runs whose first level is <= s) + #(runs whose last level is < s) of
     a state s is even on an open piece, odd in a run, and a state on a flat
-    level of H gets a flat piece.  On an open piece between kinks k_a < k_b
-    whose inside agents' weights sum to W > 0, H = base + eta W, so
-    eta = (s - base) / W, clipped to [k_a, k_b] against rounding; a run, or
-    a piece where every agent is at a cap, holds eta at its midpoint, a flat
-    tail at its end kink.  Returns a _Pieces without the state sums: the
-    fields of _locate but mids, code per state, and per group hold, base and
-    width of eta = hold + (s - base) / width (width infinite where eta is
-    held), and ends, the kinks with -inf and inf around them, so that
-    group g lies between ends[g] and ends[g + 1] (see _eta)."""
+    level of H gets a flat piece.  On an open piece whose inside agents'
+    weights sum to W > 0, H = base + eta W, so eta = (s - base) / W, that
+    piece's own form; a run, or a piece where every agent is at a cap, holds
+    eta at its midpoint, a flat tail at its end kink.  Returns a _Pieces
+    without the state sums: the fields of _locate but mids, code per state,
+    and per group hold, base and width of eta = hold + (s - base) / width
+    (width infinite where eta is held; see _eta)."""
     kinks, levels, inside, kinkless, hold, base = _locate(
         c, agg.deltas, agg.inv, agg.lower, agg.upper)
     code = (levels[0::2].searchsorted(agg.s, "right")
@@ -360,14 +360,13 @@ def _place(c, agg):
     width[0::2] = weight
     offset = np.zeros(hold.size)
     offset[0::2] = base
-    ends = np.concatenate(([-math.inf], kinks, [math.inf]))
-    return _Pieces(kinks, levels, inside, kinkless, code, hold, offset, width, ends)
+    return _Pieces(kinks, levels, inside, kinkless, code, hold, offset, width)
 
 
 def _eta(s, at, g):
-    """eta at the states s on the groups g of the _Pieces at (see _place)."""
-    eta = at.hold[g] + (s - at.base[g]) / at.width[g]
-    return np.minimum(np.maximum(eta, at.ends[:-1][g]), at.ends[1:][g])
+    """eta at the states s on the groups g of the _Pieces at, off each
+    group's own form (see _place)."""
+    return at.hold[g] + (s - at.base[g]) / at.width[g]
 
 
 def _pieces(c, agg):
@@ -658,6 +657,8 @@ def two_agent_fixed_point(a, C, S):
         raise DomainError("slope a must lie strictly between 0 and 1")
     if not 0.0 < C < math.inf:
         raise DomainError("cap C must be positive and finite")
+    if not isinstance(S, RandomVariable):
+        raise ValidationError("S must be a RandomVariable")
     allocation, report = solve_capped_mv(
         MVProblem((1.0 / (1.0 - a), 1.0 / a), (-math.inf, 0.0), (math.inf, C), (S.space, S)))
     c0, c1 = report.intercepts
@@ -729,8 +730,10 @@ def _g3(x):
     return 6.0 - math.exp(-x) * (6.0 + 6.0 * x + 3.0 * x * x + x ** 3)
 
 
-def _piece_moments(lo, hi, u, v):
-    """(E[h 1], E[h^2 1], E[s h 1]) over S in [lo, hi) for h(s) = u + v s."""
+def _piece_moments(lo, hi, y0, v, x0):
+    """(E[h 1], E[h^2 1], E[s h 1]) over S in [lo, hi) for the piece
+    h(s) = y0 + v (s - x0) = u + v s, u = y0 - v x0."""
+    u = y0 - v * x0
     i0 = _g1(hi) - _g1(lo)
     i1 = _g2(hi) - _g2(lo)
     i2 = _g3(hi) - _g3(lo)
@@ -741,10 +744,11 @@ def _piece_moments(lo, hi, u, v):
 
 
 def _variance_pair(pieces):
-    """(Var h(S), Var(S - h(S))) for a piecewise-affine h covering [0, inf)."""
+    """(Var h(S), Var(S - h(S))) for a piecewise-affine h covering [0, inf),
+    a table of pieces (lo, hi, y0, v, x0) (see _piece_moments)."""
     e = e2 = es = 0.0
-    for lo, hi, u, v in pieces:
-        de, de2, des = _piece_moments(lo, hi, u, v)
+    for piece in pieces:
+        de, de2, des = _piece_moments(*piece)
         e += de
         e2 += de2
         es += des
@@ -784,37 +788,39 @@ class VarScenarioReport:
 
     def constrained_shares(self, s):
         """(X_1, X_2) under the optimal four-regime rule; vectorized."""
-        s = np.asarray(s, dtype=float)
-        f = np.where(
-            s <= self.a, s,
-            np.where(s <= self.r, self.m_star + self.lam * s,
-                     np.where(s <= self.q, s - self.ceiling,
-                              self.m_star + self.lam * s)))
+        f = _read_pieces(_four_regime_pieces(self.m_star, self.lam, self.q, self.ceiling), s)
         return s - f, f
 
     def comonotone_shares(self, s):
         """(X_1, X_2) under the best comonotone rule found; vectorized."""
-        s_c, k1, k2 = self.com_params
-        s0 = s_c - self.ceiling / k1
-        s = np.asarray(s, dtype=float)
-        g = np.where(
-            s <= s0, 0.0,
-            np.where(s <= s_c, k1 * (s - s0),
-                     np.where(s <= self.q, self.ceiling,
-                              self.ceiling + k2 * (s - self.q))))
+        g = _read_pieces(_comonotone_pieces(*self.com_params, self.q, self.ceiling), s)
         return g, s - g
 
 
+def _read_pieces(pieces, s):
+    """h(s) = y0 + v (s - x0) on the first piece (lo, hi, y0, v, x0) of the
+    table with s <= hi; vectorized."""
+    _, hi, y0, v, x0 = np.array(pieces).T
+    k = hi[:-1].searchsorted(s)
+    return y0[k] + v[k] * (s - x0[k])
+
+
 def _four_regime_pieces(m, lam, q, ceiling):
-    one_minus = 1.0 - lam
-    a = m / one_minus
-    r = (ceiling + m) / one_minus
-    return a, r, (
-        (0.0, a, 0.0, 1.0),
-        (a, r, m, lam),
-        (r, q, -ceiling, 1.0),
-        (q, math.inf, m, lam),
-    )
+    """Agent 2's share under the four-regime rule of intercept m: s, then
+    m + lam s from a, s - ceiling from r (agent 1 at the ceiling) and
+    m + lam s again from q."""
+    a, r = m / (1.0 - lam), (ceiling + m) / (1.0 - lam)
+    return ((0.0, a, 0.0, 1.0, 0.0), (a, r, m, lam, 0.0),
+            (r, q, -ceiling, 1.0, 0.0), (q, math.inf, m, lam, 0.0))
+
+
+def _comonotone_pieces(s_c, k1, k2, q, ceiling):
+    """Agent 1's share under the comonotone family: zero until s0, slope k1
+    up to the ceiling at s_c <= q, flat at the ceiling until q, slope k2
+    after."""
+    s0 = s_c - ceiling / k1
+    return ((0.0, s0, 0.0, 0.0, 0.0), (s0, s_c, 0.0, k1, s0),
+            (s_c, q, ceiling, 0.0, 0.0), (q, math.inf, ceiling, k2, q))
 
 
 def _minimize_bounded(func, lo, hi, xatol, maxfun=500):
@@ -910,27 +916,17 @@ def var_scenario():
     autarky = float(2 + d1_frac + d2_frac)
 
     def constrained_value(m):
-        _, _, pieces = _four_regime_pieces(m, lam, q, ceiling)
-        var_f, var_rest = _variance_pair(pieces)
+        var_f, var_rest = _variance_pair(_four_regime_pieces(m, lam, q, ceiling))
         return 2.0 + d1 * var_rest + d2 * var_f
 
     m_hi = (1.0 - lam) * q - ceiling
     m_star, constrained = _minimize_bounded(
         constrained_value, 1e-9, m_hi - 1e-9, 1e-10)
     m_star, constrained = float(m_star), float(constrained)
-    a, r, _ = _four_regime_pieces(m_star, lam, q, ceiling)
+    a, r = (hi for _, hi, *_ in _four_regime_pieces(m_star, lam, q, ceiling)[:2])
 
-    # comonotone family for agent 1: zero until s0, slope k1 up to the
-    # ceiling at s_c <= q, flat at the ceiling until q, slope k2 after
     def com_value(s_c, k1, k2):
-        s0 = s_c - ceiling / k1
-        pieces = (
-            (0.0, s0, 0.0, 0.0),
-            (s0, s_c, -k1 * s0, k1),
-            (s_c, q, ceiling, 0.0),
-            (q, math.inf, ceiling - k2 * q, k2),
-        )
-        var_g, var_rest = _variance_pair(pieces)
+        var_g, var_rest = _variance_pair(_comonotone_pieces(s_c, k1, k2, q, ceiling))
         return 2.0 + d1 * var_g + d2 * var_rest
 
     def best_k2(s_c, k1):

@@ -483,6 +483,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert json.loads(out)["all_verified"] is True
 
+    def test_overflowing_envelope_slope_exits_zero(self, tmp_path, capsys):
+        # the upper envelope's first slope, 1e300 over 1e-300, overflows to
+        # inf: the verdict names it and the run ends cleanly
+        doc = aggregate_solidity_doc()
+        doc["constraints"] = [{"kind": "envelope", "lower": [[0, 0], [2, 0]],
+                               "upper": [[0, 0], [1e-300, 1e300], [2, 1e300]]}]
+        assert main(["run", write(tmp_path, "p.json", doc), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["status"] == "NotSolid"
+        assert "slope inf > 1" in report["reason"]
+
     def test_bare_path_implies_run(self, tmp_path, capsys):
         assert main([str(write(tmp_path, "p.json", improve_doc()))]) == 0
         assert json.loads(capsys.readouterr().out)["transfers"] == 1
@@ -626,6 +639,7 @@ class TestMain:
         (solve_doc, ("task", "upper"), [0.5], "task"),
         (solve_doc, ("task", "lower"), [1, "-inf"], "task"),
         (solve_doc, ("agents", 0, "delta"), -1, "task"),
+        (solve_doc, ("agents", 0, "delta"), 1e-320, "task"),
         (oracle_doc, ("constraints",), [{"kind": "envelope", "lower": [[0, -5], [1, -5]],
                                          "upper": [[0, 5], [1, 5]]}], "task"),
         (family_doc, ("task", "grid", "family", "direction"), [[0, 1, 0]], "task.grid"),
@@ -656,7 +670,8 @@ class TestMain:
         (solidity_doc, ("constraints", 0, "endowment", 1), "x",
          "constraints[0].endowment[1]"),
     ), ids=("caps-unequal-length", "lower-above-upper",
-            "delta-negative", "envelope-uncovered", "family-direction-width",
+            "delta-negative", "delta-reciprocal-inf", "envelope-uncovered",
+            "family-direction-width",
             "grid-too-few-agents", "grid-atom-count", "grid-step-off-range",
             "grid-axis-1e15-points", "grid-axis-1e300-points", "grid-axis-inf-steps",
             "grid-axis-inf-span", "grid-1e16-points", "shares-not-clearing", "start-infeasible", "start-not-clearing",

@@ -123,6 +123,13 @@ class TestDescriptors:
             assert verdict.status is Solidity.NOT_SOLID
             assert f"slope {text} > 1" in verdict.reason
 
+    def test_overflowing_envelope_slope_in_the_reason(self):
+        # 1e300 over 1e-300 overflows to inf, which no fraction can print
+        verdict = classify_solidity([Constraint(AggregateEnvelope(
+            ((0, 0), (1e-300, 1)), ((0, 0), (1e-300, 1e300))))])
+        assert verdict.status is Solidity.NOT_SOLID
+        assert "slope inf > 1" in verdict.reason
+
     def test_constraint_wrapper(self):
         box = PathwiseBounds(lower=0.0)
         with pytest.raises(ValidationError):
@@ -397,10 +404,11 @@ def row_wise(constraint):
 
 def unstaged_mask(tensors, s_values, probs, constraints):
     """The AND of every band's own verdict over all rows."""
+    tol = VALUE_TOL * value_scale(s_values)
     mask = np.ones(tensors[0].shape[0], dtype=bool)
-    for *_, below, above in constraints_module._breaches(
-            tensors, s_values, probs, constraints, VALUE_TOL * value_scale(s_values)):
-        mask &= ~(below | above).any(axis=1)
+    for _, kind, i in constraints_module._bands(constraints, len(tensors), s_values):
+        value, lower, upper = kind.band(tensors[i], s_values, probs, tol)
+        mask &= ~((value < lower - tol) | (value > upper + tol)).any(axis=1)
     return mask
 
 

@@ -230,6 +230,8 @@ class TestUnconstrainedShares:
     def test_exact_fractions(self):
         assert unconstrained_shares((F(1), F(2))) == (F(2, 3), F(1, 3))
         assert unconstrained_shares((1, 1, 2)) == (F(2, 5), F(2, 5), F(1, 5))
+        # an exact weight has an exact reciprocal, however small
+        assert unconstrained_shares((F(1, 10 ** 400), 1))[1] == F(1, 10 ** 400 + 1)
 
     def test_floats(self):
         a = unconstrained_shares((0.5, 1.0))
@@ -660,6 +662,18 @@ class TestPieces:
             ties += len(set(agg.s.tolist())) < agg.s.size
             on_level += code.size > 0
         assert flat > 50 and ties > 100 and on_level > 100 and together > 20
+
+    def test_shares_match_every_state(self):
+        # each state's shares, read off its piece's own form of H, are the
+        # one-state reference's (the largest gap was 4.2e-16 of the scale)
+        states = 0
+        for c, agg in piece_problems(24, 600):
+            x = mvsolver_module._shares(c, mvsolver_module._place(c, agg), agg)[1]
+            want = np.array([reference_projection(c, agg.deltas, agg.lower, agg.upper, s)[1]
+                             for s in agg.s])
+            assert np.max(np.abs(x - want)) <= 1e-15 * max(1.0, np.max(np.abs(agg.s)))
+            states += agg.s.size
+        assert states == 12_258
 
     @staticmethod
     def check_one_projection(monkeypatch, problem):
@@ -1291,6 +1305,9 @@ class TestTwoAgentFixedPoint:
             two_agent_fixed_point(1.0, 1.0, S)
         with pytest.raises(DomainError):
             two_agent_fixed_point(0.5, 0.0, S)
+        # S must be a RandomVariable, not its values
+        with pytest.raises(ValidationError):
+            two_agent_fixed_point(0.3, 1.0, [1, 2, 3])
 
 
 class TestVarScenario:
@@ -1344,6 +1361,24 @@ class TestVarScenario:
         g_at = report.comonotone_shares(np.array([s_c, report.q]))[0]
         assert g_at == pytest.approx((report.ceiling, report.ceiling), abs=1e-9)
 
+    def test_curves_carry_the_reported_objectives(self, gamma_scenario):
+        # each share curve is the rule whose objective the report gives:
+        # E[X_1 + X_2] + delta_1 Var X_1 + delta_2 Var X_2 under Gamma(2,1),
+        # summed on a grid of step 1e-4 (off by 7e-7 at most)
+        report, _ = gamma_scenario
+        s = np.linspace(0.0, 60.0, 600_001)
+        p = s * np.exp(-s)
+        p /= p.sum()
+
+        def value(x1, x2):
+            return (p @ (x1 + x2) + report.delta[0] * (p @ x1 ** 2 - (p @ x1) ** 2)
+                    + report.delta[1] * (p @ x2 ** 2 - (p @ x2) ** 2))
+
+        assert value(*report.constrained_shares(s)) == pytest.approx(
+            report.constrained, abs=1e-5)
+        assert value(*report.comonotone_shares(s)) == pytest.approx(
+            report.comonotone_restricted, abs=1e-5)
+
     def test_bounded_minimizer_matches_scipy(self):
         """The private bounded minimizer repeats scipy's
         minimize_scalar(method="bounded") bit for bit, also when it stops at
@@ -1366,7 +1401,7 @@ class TestVarScenario:
                     return math.cos(k * x) + w * x * x
             else:  # var_scenario's own objective, at a random intercept
                 def f(m, s=float(rng.uniform(4.0, 5.0))):
-                    _, _, pieces = mvsolver_module._four_regime_pieces(m, 1 / 101, s, 3.0)
+                    pieces = mvsolver_module._four_regime_pieces(m, 1 / 101, s, 3.0)
                     var_f, var_rest = mvsolver_module._variance_pair(pieces)
                     return 2.0 + 0.01 * var_rest + var_f
                 lo, hi = 1e-9, float(rng.uniform(0.5, 1.5))
@@ -1406,12 +1441,18 @@ AGG = finite_aggregate((0.0, 2.0))
                                   1.0), ValidationError),
     (lambda: two_agent_fixed_point(0.5, NAN, AGG[1]), DomainError),
     (lambda: two_agent_fixed_point(0.5, INF, AGG[1]), DomainError),
+    # weights whose reciprocal overflows
+    (lambda: unconstrained_shares((1e-320, 1.0)), DomainError),
+    (lambda: MVProblem((1e-320, 1.0), (NEG_INF,) * 2, (INF,) * 2, AGG), DomainError),
+    (lambda: statewise_projection((0.0, 0.0), (1.0, 5e-324), (NEG_INF,) * 2, (INF,) * 2,
+                                  1.0), DomainError),
 ), ids=("spec-delta-nan", "spec-delta-inf", "mean-variance-nan", "mean-variance-inf",
         "ladder-nan", "ladder-inf", "orlicz-nan", "orlicz-inf", "mv-problem-cap-nan",
         "solve-cap-nan", "projection-cap-nan", "projection-state-nan",
         "projection-state-inf", "projection-intercept-nan", "projection-intercept-inf",
         "fixed-point-cap-nan",
-        "fixed-point-cap-inf"))
+        "fixed-point-cap-inf", "proportional-reciprocal-inf", "mv-problem-reciprocal-inf",
+        "projection-reciprocal-inf"))
 def test_non_finite_parameters_are_rejected(call, error):
     # unchecked, each answered nan or stalled; an infinite cap stays legal
     # (TestStatewiseProjection.test_interior)
