@@ -44,7 +44,17 @@ levels after k; if none does, the row is skipped.  The skip is exact:
 x_i(k) - min_l x_i(l) is the largest of the row's gaps (rounding is
 monotone), and a row's transfers touch only level k and levels after it, so
 a skipped row would have made no transfer.  The mirror is rewritten for
-every level a pair changed.
+every level a pair changed.  Within a row, after CLEAN_RUN clean pairs in a
+row, the loop jumps to the next level l at which some agent lies more than
+LEVEL_GAP_EPS below its value at k, by numpy tests on windows of the mirror
+that double from SKIP_WINDOW levels to the row's end.  The jump is exact
+too: level k's values cannot change before the next pair that moves; the
+mirror holds every later level's current values, as the row has not yet
+reached them; and each test x_i(k) - x_i(l) > LEVEL_GAP_EPS is the visit's
+own subtraction and comparison.  So the levels jumped over are exactly the
+ones whose pairs the loop would have found clean, and the jump costs in
+proportion to them, not to the row.  A row with fewer than CLEAN_RUN levels
+left after its run visits them instead.
 """
 
 from dataclasses import dataclass
@@ -59,6 +69,10 @@ from .stochorder import convex_order_mask
 
 LEVEL_GAP_EPS = 1e-12
 MAX_TRANSFERS = 10 ** 6
+# a row jumps past its clean levels after CLEAN_RUN clean pairs in a row, by
+# numpy tests on windows of SKIP_WINDOW levels and more (see _next_violated)
+CLEAN_RUN = 16
+SKIP_WINDOW = 32
 
 
 class Allocation:
@@ -80,8 +94,9 @@ class Allocation:
                 raise ValidationError("all shares must live on the allocation's space")
         if aggregate is None:
             total = np.zeros(space.size)
-            for share in shares:
-                total = total + share.values
+            with np.errstate(over="ignore"):  # RandomVariable reports the overflow
+                for share in shares:
+                    total = total + share.values
             aggregate = RandomVariable(space, total)
         elif aggregate.space != space:
             raise ValidationError("aggregate must live on the allocation's space")
@@ -120,9 +135,11 @@ class ImprovementCertificate:
 
 def check_clearing(A):
     """(clears, worst atom residual) for sum_i X_i = S; clears means a
-    residual within VALUE_TOL * value_scale(S)."""
+    residual within VALUE_TOL * value_scale(S).  A sum of shares past the
+    float range reads +-inf, and does not clear."""
     S_values = A.aggregate.values
-    residual = float(np.abs(A.share_matrix().sum(axis=0) - S_values).max())
+    with np.errstate(over="ignore"):
+        residual = float(np.abs(A.share_matrix().sum(axis=0) - S_values).max())
     return residual <= VALUE_TOL * value_scale(S_values), residual
 
 
@@ -202,6 +219,22 @@ def condition_on_aggregate(A):
     return Allocation(A.space, tuple(RandomVariable(A.space, v) for v in values), A.aggregate)
 
 
+@np.errstate(over="ignore")  # a gap past the float range reads +-inf, as in Python
+def _next_violated(here, x, l):
+    """The first level l' >= l at which some agent lies more than
+    LEVEL_GAP_EPS below its value here, or x.shape[1] if none does: windows
+    of x from l, doubling from SKIP_WINDOW, each one numpy test."""
+    m = x.shape[1]
+    width = SKIP_WINDOW
+    while l < m:
+        hits = ((here - x[:, l:l + width]) > LEVEL_GAP_EPS).any(axis=0)
+        if hits.any():
+            return l + int(hits.argmax())
+        l += width
+        width *= 2
+    return m
+
+
 def comonotonic_improvement(A, measures=None):
     """Comonotonic allocation dominating A componentwise in convex order.
 
@@ -224,13 +257,15 @@ def comonotonic_improvement(A, measures=None):
     m = part.starts.size
     masses = part.masses.tolist()
     # x[i, k] = share i on level k after phase one; the loop works on
-    # cols[k][i] and keeps x as a mirror for the row test
+    # cols[k][i] and keeps x as a mirror for the row test and the jumps
     values = A.share_matrix()
     x = _level_means(values, part, probs)[:, part.order[part.starts]]
     cols = x.T.tolist()
 
     partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
-    max_transfers = MAX_TRANSFERS  # read once per call; a local in the loop
+    max_transfers = MAX_TRANSFERS  # read once per call; locals in the loop
+    clean_run = CLEAN_RUN
+    last_run = m - clean_run  # a run ending here or later leaves too few levels to skip
     transfers = 0
     changed = True
     while changed:
@@ -241,64 +276,80 @@ def comonotonic_improvement(A, measures=None):
             ck = cols[k]
             p_k = masses[k]
             row_moved = False
-            for l, cl in enumerate(cols[k + 1:], k + 1):
-                if max(map(sub, ck, cl)) <= LEVEL_GAP_EPS:
-                    continue  # no violator on this pair
-                p_l = masses[l]
-                equal = abs(p_k - p_l) <= LEVEL_GAP_EPS
-                gaps = list(map(sub, ck, cl))
-                pair_moved = False
-                while True:
-                    for i, gap_i in enumerate(gaps):
-                        if gap_i > LEVEL_GAP_EPS:
-                            break
-                    else:
-                        break  # no violator left
-                    low = min(gaps)
-                    j = gaps.index(low)  # first agent with the largest rise
-                    gap_j = -low
-                    if gap_j <= 0.0:
-                        # no partner left: a real breach unless the residual
-                        # violation is below the comonotonicity tolerance
-                        if gap_i > partner_tol:
-                            raise ContractError(
-                                "no transfer partner found; clearing must have been violated"
-                            )
+            here = None  # ck as a numpy column, until ck next moves
+            l = k + 1
+            while l < m:
+                run = l + clean_run - 1  # where a clean run from l ends
+                for l, cl in enumerate(cols[l:], l):
+                    if max(map(sub, ck, cl)) <= LEVEL_GAP_EPS:
+                        if l < run or l >= last_run:
+                            continue  # no violator on this pair
                         break
-                    if equal:
-                        amount = min(gap_i, gap_j / 2.0)
-                        down, up = amount, amount
-                        # 2 p t (g - t) per agent with t <= g; positive for both
-                        drop = 2.0 * p_k * amount * (gap_i + gap_j - 2.0 * amount)
-                    else:
-                        amount = min(gap_i, gap_j)
-                        down = amount * p_l / (p_k + p_l)
-                        up = amount * p_k / (p_k + p_l)
-                        moved = amount * p_k * p_l / (p_k + p_l)
-                        drop = moved * (2.0 * gap_i - amount) + moved * (2.0 * gap_j - amount)
-                    if drop <= 0.0:
-                        raise NonterminationError(
-                            "variance potential failed to decrease",
-                            state={"levels": (k, l), "agents": (i, j), "transfers": transfers},
-                        )
-                    ck[i] -= down
-                    cl[i] += up
-                    ck[j] += down
-                    cl[j] -= up
-                    # only agents i and j moved (i != j: gap_i > 0 > gaps[j])
-                    gaps[i] = ck[i] - cl[i]
-                    gaps[j] = ck[j] - cl[j]
-                    transfers += 1
-                    pair_moved = True
-                    if transfers > max_transfers:
-                        raise NonterminationError(
-                            f"transfer cap {max_transfers} exceeded",
-                            state={"level_values": np.array(cols).T.copy(),
-                                   "transfers": transfers},
-                        )
-                if pair_moved:
-                    x[:, l] = cl
-                    row_moved = True
+                    run = l + clean_run
+                    p_l = masses[l]
+                    equal = abs(p_k - p_l) <= LEVEL_GAP_EPS
+                    gaps = list(map(sub, ck, cl))
+                    pair_moved = False
+                    while True:
+                        for i, gap_i in enumerate(gaps):
+                            if gap_i > LEVEL_GAP_EPS:
+                                break
+                        else:
+                            break  # no violator left
+                        low = min(gaps)
+                        j = gaps.index(low)  # first agent with the largest rise
+                        gap_j = -low
+                        if gap_j <= 0.0:
+                            # no partner left: a real breach unless the residual
+                            # violation is below the comonotonicity tolerance
+                            if gap_i > partner_tol:
+                                raise ContractError(
+                                    "no transfer partner found; clearing must have been violated"
+                                )
+                            break
+                        if equal:
+                            amount = min(gap_i, gap_j / 2.0)
+                            down, up = amount, amount
+                            # 2 p t (g - t) per agent with t <= g; positive for both
+                            drop = 2.0 * p_k * amount * (gap_i + gap_j - 2.0 * amount)
+                        else:
+                            amount = min(gap_i, gap_j)
+                            down = amount * p_l / (p_k + p_l)
+                            up = amount * p_k / (p_k + p_l)
+                            moved = amount * p_k * p_l / (p_k + p_l)
+                            drop = moved * (2.0 * gap_i - amount) + moved * (2.0 * gap_j - amount)
+                        if drop <= 0.0:
+                            raise NonterminationError(
+                                "variance potential failed to decrease",
+                                state={"levels": (k, l), "agents": (i, j),
+                                       "transfers": transfers},
+                            )
+                        ck[i] -= down
+                        cl[i] += up
+                        ck[j] += down
+                        cl[j] -= up
+                        # only agents i and j moved (i != j: gap_i > 0 > gaps[j])
+                        gaps[i] = ck[i] - cl[i]
+                        gaps[j] = ck[j] - cl[j]
+                        transfers += 1
+                        pair_moved = True
+                        if transfers > max_transfers:
+                            raise NonterminationError(
+                                f"transfer cap {max_transfers} exceeded",
+                                state={"level_values": np.array(cols).T.copy(),
+                                       "transfers": transfers},
+                            )
+                    if pair_moved:
+                        x[:, l] = cl
+                        row_moved = True
+                        here = None
+                else:
+                    break  # the row's last pair is done
+                # clean_run clean pairs in a row: on to the next level that ck
+                # violates, by numpy tests on the mirror
+                if here is None:
+                    here = np.array(ck)[:, None]
+                l = _next_violated(here, x, l + 1)
             if row_moved:
                 x[:, k] = ck
                 changed = True

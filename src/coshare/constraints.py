@@ -341,8 +341,11 @@ class AggregateEnvelope(_Kind):
         lo = _pl_eval(self.lower, grid)
         hi = _pl_eval(self.upper, grid)
         # within rounding of the breakpoint values: an upper envelope that
-        # pins the lower one has interpolated points a rounding off it
-        if np.any(lo > hi + VALUE_TOL * value_scale(np.concatenate((lo, hi)))):
+        # pins the lower one has interpolated points a rounding off it; past
+        # the float range, hi plus that rounding reads inf
+        with np.errstate(over="ignore"):
+            crossed = lo > hi + VALUE_TOL * value_scale(np.concatenate((lo, hi)))
+        if np.any(crossed):
             raise ValidationError("lower envelope exceeds upper envelope")
 
     def check_aggregate(self, s_values):

@@ -75,12 +75,15 @@ RUN_RTOL = 64 * sys.float_info.epsilon
 
 
 def _positive_deltas(delta):
+    """delta as floats, each positive and finite with a reciprocal that is a
+    finite normal float: a weight past 1 / sys.float_info.min (about
+    4.5e307) has a subnormal reciprocal, which the solve cannot carry."""
     out = tuple(float(d) for d in delta)
     if not out:
         raise ValidationError("need at least one agent")
-    if not all(0.0 < d < math.inf and 1.0 / d < math.inf for d in out):
+    if not all(0.0 < d and sys.float_info.min <= 1.0 / d < math.inf for d in out):
         raise DomainError("every variance weight must be positive and finite, "
-                          "and so must its reciprocal")
+                          "and its reciprocal a finite normal float")
     return out
 
 
@@ -122,10 +125,9 @@ def unconstrained_shares(delta):
         raise ValidationError("need at least one agent")
     exact = all(isinstance(d, (Integral, Fraction)) and not isinstance(d, bool)
                 for d in delta)
-    deltas = [Fraction(d) if exact else float(d) for d in delta]
-    if not all(0 < d < math.inf and 1 / d < math.inf for d in deltas):
-        raise DomainError("every variance weight must be positive and finite, "
-                          "and so must its reciprocal")
+    deltas = [Fraction(d) for d in delta] if exact else _positive_deltas(delta)
+    if not all(d > 0 for d in deltas):  # an exact weight has an exact reciprocal
+        raise DomainError("every variance weight must be positive")
     weights = [1 / d for d in deltas]
     total = sum(weights)
     return tuple(w / total for w in weights)
@@ -587,7 +589,7 @@ def solve_capped_mv(problem):
     mean_s = float(S.values @ space.probs)
     top = float(np.abs(S.values).max())
     fixed_point_tol = FIXED_POINT_TOL * top
-    unit = math.ldexp(1.0, math.frexp(top)[1])
+    unit = math.ldexp(1.0, min(math.frexp(top)[1], sys.float_info.max_exp - 1))
     proportional = np.array([float(a) * mean_s for a in unconstrained_shares(problem.delta)])
 
     c = proportional

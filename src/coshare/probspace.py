@@ -58,7 +58,8 @@ class FiniteSpace:
         probs = np.array([float(p) for _, p in atoms], dtype=float)
         if not np.isfinite(probs).all() or (probs <= 0.0).any():
             raise ValidationError("atom probabilities must be finite and strictly positive")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # a sum past the float range reads inf
+            total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"atom probabilities sum to {total!r}, expected 1 within 1e-12")
         probs.setflags(write=False)
@@ -245,10 +246,12 @@ def distribution_of(X):
 
 
 def moments(X):
-    """Probability-weighted (mean, variance) of X; variance is never negative."""
+    """Probability-weighted (mean, variance) of X; variance is never
+    negative, and reads inf where it passes the float range."""
     p = X.space.probs
     mean = float(p @ X.values)
-    var = float(p @ (X.values - mean) ** 2)
+    with np.errstate(over="ignore"):
+        var = float(p @ (X.values - mean) ** 2)
     return mean, max(var, 0.0)
 
 

@@ -125,7 +125,8 @@ class RiskMeasureSpec:
 
 def measure_values(spec, V, probs):
     """spec evaluated on every row of V (rows x atoms) under the atom
-    probabilities probs.  Mean-variance uses the centred variance.
+    probabilities probs.  Mean-variance uses the centred variance, which
+    reads inf where it passes the float range.
 
     VaR and ES sort each row with its probabilities, stably, then take the
     cumulative masses and either the first value whose mass reaches the
@@ -135,7 +136,8 @@ def measure_values(spec, V, probs):
     argsort; both give the same bits."""
     if spec.kind == MEAN_VARIANCE:
         mean = V @ probs
-        return mean + spec.delta * (((V - mean[:, None]) ** 2) @ probs)
+        with np.errstate(over="ignore"):
+            return mean + spec.delta * (((V - mean[:, None]) ** 2) @ probs)
     if spec.kind == EXPECTED_CONVEX_LOSS:
         return _ladder_mean(V, probs, spec.ladder)
     rows, atoms = V.shape

@@ -85,6 +85,14 @@ class TestAllocation:
         ok, residual = check_clearing(A)
         assert not ok and residual == pytest.approx(0.5)
 
+    def test_share_sum_past_the_float_range(self):
+        # the sum reads inf, with no overflow warning: it does not clear,
+        # and as a default aggregate it is refused
+        big = (1.7976931348623157e308, 1.0)
+        assert check_clearing(alloc((0.5, 0.5), big, big, aggregate=(1.0, 2.0))) == (False, np.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            alloc((0.5, 0.5), big, big)
+
     def test_clearing_tolerance_scales_with_aggregate(self, rng):
         # float dust on shares of size 1e8 clears; at scale <= 1 the
         # tolerance stays 1e-9
@@ -334,6 +342,44 @@ class TestImprovement:
             assert transfers > 0
             assert cert.transfers == transfers
             assert np.array_equal(improved.share_matrix(), expected)
+
+    @pytest.mark.parametrize("case", ["past-a-long-run", "clean-to-the-end", "last-level",
+                                      "after-a-move"])
+    def test_skip_over_clean_levels_matches_reference(self, monkeypatch, reference, case):
+        # shares (1, 2, 3) * k on levels k = 0..m-1, comonotone but for a
+        # few values moved between two agents at one level each, so that row
+        # 0 passes runs of CLEAN_RUN clean pairs and jumps (from, to): past a
+        # long run, to the row's end, or to its last level, each in a second
+        # window that the row's end cuts short; or, after a transfer raised
+        # agent 1 at level 0, to a level that only the raised value violates
+        run = allocation_module.CLEAN_RUN
+        m, moves, want = {
+            "past-a-long-run": (80, [(0, 1, 70, 150.0)], [(1 + run, 70)]),
+            "clean-to-the-end": (60, [(0, 1, 1, 1.5)], [(2 + run, 60)]),
+            "last-level": (60, [(0, 1, 59, 70.0)], [(1 + run, 59)]),
+            "after-a-move": (80, [(0, 1, 20, 20.5), (1, 2, 60, 119.75)],
+                             [(1 + run, 20), (21 + run, 60)]),
+        }[case]
+        x = np.outer((1.0, 2.0, 3.0), np.arange(m))
+        for giver, taker, level, amount in moves:
+            x[giver, level] -= amount
+            x[taker, level] += amount
+        probs = np.full(m, 1.0 / m)
+        if case == "past-a-long-run":  # the mass-weighted transfer
+            probs = np.random.default_rng(3).dirichlet(np.ones(m))
+        find, jumps = allocation_module._next_violated, []
+
+        def spy(here, mirror, l):
+            jumps.append((l, find(here, mirror, l)))
+            return jumps[-1][1]
+
+        monkeypatch.setattr(allocation_module, "_next_violated", spy)
+        A = alloc(probs, *x)
+        improved, cert = comonotonic_improvement(A)
+        x_ref, transfers = reference.repair(A)
+        assert cert.transfers == transfers > 0
+        assert np.array_equal(improved.share_matrix(), x_ref)  # one atom per level
+        assert jumps[:len(want)] == want
 
     def test_violator_without_partner_ends(self):
         # agent 0 falls by 5e-10 from S = 0 to S = 1e-10 and agent 1 is flat:

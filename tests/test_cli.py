@@ -231,7 +231,10 @@ def agent_count(doc):
 
 FUZZ_DOCS = (improve_doc, solve_doc, oracle_doc, solidity_doc, reproduce_doc, kinds_doc)
 FUZZ_VALUES = (None, True, False, 0, -1, 3, 10 ** 400, "1e400", [], [1, "x"], {},
-               {"kind": "es"}, "-1/3", "inf", [0, 1, 2])
+               {"kind": "es"}, "-1/3", "inf", [0, 1, 2],
+               # finite extremes: the least subnormal and normal, and far, near
+               # and at the float maximum
+               5e-324, 2.2e-308, 1e-300, 1e300, 8.99e307, 1.7976931348623157e308)
 # mutations that no fixed value expresses: a list node reversed (a (lo, hi)
 # pair, a grid triple, the share rows), and a constraint scoped to the agent
 # count, one past the last agent
@@ -495,6 +498,18 @@ class TestMain:
         report = json.loads(captured.out)
         assert report["status"] == "NotSolid"
         assert "slope inf > 1" in report["reason"]
+
+    def test_aggregate_past_two_to_the_1023_exits_zero(self, tmp_path, capsys):
+        # max |S| = 1e308: the solve runs, with no RuntimeWarning, and the
+        # objective, whose variances pass the float range, reads inf
+        doc = solve_doc()
+        doc["aggregate"] = [0, 1e308]
+        assert main(["run", write(tmp_path, "p.json", doc), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["objective"] == "inf"
+        assert report["intercepts"] == [-2.5e307, 7.5e307]
 
     def test_bare_path_implies_run(self, tmp_path, capsys):
         assert main([str(write(tmp_path, "p.json", improve_doc()))]) == 0

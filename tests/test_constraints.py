@@ -111,6 +111,15 @@ class TestDescriptors:
         with pytest.raises(ValidationError, match="lower envelope exceeds upper"):
             AggregateEnvelope(((0.0, 0.0), (1.0, 1e-6)), ((0.0, 0.0), (1.0, 0.0)))
 
+    def test_envelope_at_the_float_maximum(self):
+        # the upper value plus its rounding allowance passes the float range:
+        # no crossing, and no overflow warning
+        top = 1.7976931348623157e308
+        upper = ((1.0, top), (3.0, 3.5))
+        assert AggregateEnvelope(((1.0, -0.25), (3.0, 0.0)), upper).upper == upper
+        with pytest.raises(ValidationError, match="lower envelope exceeds upper"):
+            AggregateEnvelope(((1.0, top), (3.0, 0.0)), ((1.0, 0.0), (3.0, top)))
+
     def test_envelope_slope_in_the_reason(self):
         # a slope within 1e-9 of a fraction of denominator <= 10^6 prints as
         # that fraction (sqrt 2 as its convergent 665857/470832), any other

@@ -237,6 +237,16 @@ class TestUnconstrainedShares:
         a = unconstrained_shares((0.5, 1.0))
         assert a == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
 
+    def test_largest_float_weight_solves(self):
+        # the largest weight with a normal reciprocal: agent 0 moves only
+        # where agent 1 sits at a cap, so X_1 = (0, 1/4, 1)
+        delta = 1.0 / sys.float_info.min
+        assert unconstrained_shares((delta, 1.0))[0] == pytest.approx(1.0 / delta, rel=1e-15)
+        allocation, report = solve_capped_mv(MVProblem(
+            (delta, 1.0), (0.0, 0.0), (INF, 1.0), finite_aggregate((0.5, 1.0, 2.0))))
+        assert report.intercepts == pytest.approx((0.75, 5 / 12), abs=1e-15)
+        assert allocation.shares[1].values == pytest.approx((0.0, 0.25, 1.0), abs=1e-15)
+
 
 class TestStatewiseProjection:
     def test_interior(self):
@@ -1446,13 +1456,21 @@ AGG = finite_aggregate((0.0, 2.0))
     (lambda: MVProblem((1e-320, 1.0), (NEG_INF,) * 2, (INF,) * 2, AGG), DomainError),
     (lambda: statewise_projection((0.0, 0.0), (1.0, 5e-324), (NEG_INF,) * 2, (INF,) * 2,
                                   1.0), DomainError),
+    # weights whose reciprocal is subnormal: unchecked, the capped solve
+    # warned of an invalid value and raised ConvergenceError
+    (lambda: unconstrained_shares((1.7976931348623157e308, 1.0)), DomainError),
+    (lambda: MVProblem((1.7976931348623157e308, 1.0), (0.0, 0.0), (INF, 1.0),
+                       finite_aggregate((0.5, 1.0, 2.0))), DomainError),
+    (lambda: statewise_projection((0.0, 0.0), (1.0, 1e308), (NEG_INF,) * 2, (INF,) * 2,
+                                  1.0), DomainError),
 ), ids=("spec-delta-nan", "spec-delta-inf", "mean-variance-nan", "mean-variance-inf",
         "ladder-nan", "ladder-inf", "orlicz-nan", "orlicz-inf", "mv-problem-cap-nan",
         "solve-cap-nan", "projection-cap-nan", "projection-state-nan",
         "projection-state-inf", "projection-intercept-nan", "projection-intercept-inf",
         "fixed-point-cap-nan",
         "fixed-point-cap-inf", "proportional-reciprocal-inf", "mv-problem-reciprocal-inf",
-        "projection-reciprocal-inf"))
+        "projection-reciprocal-inf", "proportional-reciprocal-subnormal",
+        "mv-problem-reciprocal-subnormal", "projection-reciprocal-subnormal"))
 def test_non_finite_parameters_are_rejected(call, error):
     # unchecked, each answered nan or stalled; an infinite cap stays legal
     # (TestStatewiseProjection.test_interior)

@@ -58,6 +58,9 @@ class TestFiniteSpace:
             make_space((0.5, 0.0, 0.5))
         with pytest.raises(ValidationError):
             FiniteSpace((("a", 0.5), ("a", 0.5)))
+        # a sum past the float range reads inf, with no overflow warning
+        with pytest.raises(ValidationError, match="sum to inf"):
+            make_space((1e300, 1.7976931348623157e308))
 
     def test_fraction_probs_accepted(self):
         sp = make_space((Fraction(1, 3),) * 3)

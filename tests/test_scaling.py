@@ -186,6 +186,26 @@ def test_capped_mv_solves_at_far_scales(c):
         assert np.max(np.abs(got / c - unit)) <= 1e-10 * max(1.0, np.abs(unit).max())
 
 
+@pytest.mark.parametrize("top", (2.0 ** 1023, 1e308))
+def test_capped_mv_solves_at_the_top_binade(top):
+    # max |S| in [2^1023, 2^1024): the solve's power-of-two unit is 2^1023,
+    # not 2^1024 (which overflowed), and S = (top, 1, 1) solves as
+    # (1, 1/top, 1/top) does
+    sp = FiniteSpace.uniform(3)
+    for upper in ((INF,) * 3, (INF, 0.25, 0.5), (INF, 0.05, 0.5)):
+        got, unit = (
+            np.array(solve_capped_mv(MVProblem(
+                (1.0, 2.0, 3.0), (0.0,) * 3, tuple(np.multiply(upper, c)),
+                (sp, RandomVariable(sp, np.array((1.0, 1.0 / top, 1.0 / top)) * c))))[1]
+                .intercepts)
+            for c in (top, 1.0))
+        assert np.max(np.abs(got / top - unit)) <= 1e-10 * max(1.0, np.abs(unit).max())
+    for C in (0.1, 0.5):
+        got = two_agent_fixed_point(0.3, C * top, RandomVariable(sp, (top, 1.0, 1.0)))
+        unit = two_agent_fixed_point(0.3, C, RandomVariable(sp, (1.0, 1.0 / top, 1.0 / top)))
+        assert np.max(np.abs(np.divide(got, top) - unit)) <= 1e-10
+
+
 def two_agent_residual(a, C, S, beta):
     p, v = S.space.probs, S.values
     return float(np.clip(a * v + beta, 0.0, C) @ p) - a * float(v @ p) - beta
