@@ -62,7 +62,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ContractError, NonterminationError, ValidationError
+from .errors import ContractError, DomainError, NonterminationError, ValidationError
 from .probspace import VALUE_TOL, RandomVariable, level_partition, value_scale
 from .riskmeasures import RiskMeasureSpec, evaluate
 from .stochorder import convex_order_mask
@@ -241,7 +241,9 @@ def comonotonic_improvement(A, measures=None):
     Returns (improved allocation, certificate).  The output clears S, passes
     is_comonotonic at tolerance VALUE_TOL * value_scale(S), and every output
     share precedes its input share in convex order; the certificate records
-    the verdicts.
+    the verdicts.  Shares so large that the transfers round the aggregate
+    away (S of 1 against shares of 1e308) raise DomainError: the input
+    clears and the output would not.
     ``measures`` optionally supplies one RiskMeasureSpec per agent whose
     objective deltas are reported.
     """
@@ -359,7 +361,11 @@ def comonotonic_improvement(A, measures=None):
                           A.aggregate)
 
     cx_ok = tuple(convex_order_mask(atom_values, probs, values, probs).tolist())
-    residual = _require_clearing(improved)
+    clears, residual = check_clearing(improved)
+    if not clears:
+        raise DomainError(
+            f"improved allocation lost clearing at the shares' scale (residual "
+            f"{residual:g}, max |share| {float(np.abs(values).max()):g})")
     deltas = None
     if measures is not None:
         deltas = tuple(

@@ -471,8 +471,8 @@ def feasible_mask(tensors, s_values, probs, constraints):
     left.  Row-wise bands give the same verdicts as on every row; a band
     that takes V @ probs can round a row differently with fewer rows.  A
     breach on any atom is found with probspace.rows_any (the OR of a short
-    row's columns, or a boolean matrix product), not a reduction over the
-    atoms one row at a time."""
+    row's columns on a block of more rows than atoms, numpy's any on any
+    other), not a reduction over a short row one row at a time."""
     tol = VALUE_TOL * value_scale(s_values)
     rows = None  # every row has passed: the bands see the tensors themselves
     for _, kind, i in _bands(constraints, len(tensors), s_values):
@@ -573,8 +573,8 @@ def _witness_mask(Y, X, s_values, probs, constraints):
     itself, not a copy.  The shares are summed with probspace.agent_sum
     (agent by agent, from 0.0, in one buffer), and "every atom clears" and
     "every share is a reduction" are probspace.rows_all (column by column
-    on a short row, a boolean matrix product on a long one), so no
-    reduction loops over a short axis row by row."""
+    on a short row, numpy's all on a long one), so no reduction loops over
+    a short axis row by row."""
     n, m = X.shape
     residual = agent_sum(Y[:, i] for i in range(n))
     np.subtract(residual, s_values, out=residual)
@@ -620,10 +620,15 @@ def _transfer_witness(base, s_values, probs, constraints, budget, seed):
     """Stage 3 of falsify_solidity from the start share matrix base (agents
     x atoms): the first verified candidate's share matrix, or None.
 
-    Each block of chains runs in lockstep, one lane per chain, and every
-    step draws all its lanes with one integers and one uniform call.  A
-    block's candidates are verified together, so the search stops at the
-    first block that holds a witness."""
+    Each block of chains runs in lockstep, one lane per chain.  A block
+    draws all of its steps at once, with one integers and one uniform call
+    whose leading axes are (FALSIFY_CHAIN_LIMIT, lanes); step t of lane c
+    reads entry [t, c].  A step moves a lane's four cells (i, a), (i, b),
+    (j, a) and (j, b) by flat index into the block's state, lane c's cells
+    starting at c * n * m; they are distinct since i != j and a != b, so no
+    in-place update hits a cell twice.  A block's candidates
+    are verified together, so the search stops at the first block that
+    holds a witness."""
     n, m = base.shape
     if n < 2 or m < 2:
         return None
@@ -636,30 +641,34 @@ def _transfer_witness(base, s_values, probs, constraints, budget, seed):
         # short, so the lanes still drawing at a step are a prefix
         block_draws = min(lanes * length, budget - first * length)
         width = -(-block_draws // length)
+        draws = rng.integers(0, (n, n - 1, m, m - 1), size=(length, width, 4))
+        uniforms = rng.uniform(0.25, 1.0, size=(length, width))
+        i, a = draws[..., 0], draws[..., 2]
+        j = (i + 1 + draws[..., 1]) % n
+        b = (a + 1 + draws[..., 3]) % m
         state = np.repeat(base[None], width, axis=0)
+        flat = state.reshape(-1)
         candidates = np.empty((width, length, n, m))
         moved = np.zeros((width, length), dtype=bool)
+        offset = np.arange(width) * (n * m)
         for step in range(min(length, block_draws)):
             live = -(-(block_draws - step) // length)
-            ijab = rng.integers(0, (n, n - 1, m, m - 1), size=(live, 4))
-            u = rng.uniform(0.25, 1.0, size=live)
-            lane = np.arange(live)
-            i, a = ijab[:, 0], ijab[:, 2]
-            j = (i + 1 + ijab[:, 1]) % n
-            b = (a + 1 + ijab[:, 3]) % m
-            gap_i = state[lane, i, a] - state[lane, i, b]
-            gap_j = state[lane, j, b] - state[lane, j, a]
-            useful = (gap_i > min_gap) & (gap_j > min_gap)
-            lane, i, j, a, b = lane[useful], i[useful], j[useful], a[useful], b[useful]
-            p_a, p_b = probs[a], probs[b]
+            row_i = offset[:live] + i[step, :live] * m
+            row_j = offset[:live] + j[step, :live] * m
+            a_s, b_s = a[step, :live], b[step, :live]
+            ia, ib, ja, jb = row_i + a_s, row_i + b_s, row_j + a_s, row_j + b_s
+            gap_i = flat[ia] - flat[ib]
+            gap_j = flat[jb] - flat[ja]
+            lane = np.flatnonzero((gap_i > min_gap) & (gap_j > min_gap))
+            p_a, p_b = probs[a_s[lane]], probs[b_s[lane]]
             # no-crossing cap keeps the step a contraction for both agents
-            down = (np.minimum(gap_i, gap_j)[useful] * p_b / (p_a + p_b)
-                    * u[useful])
+            down = (np.minimum(gap_i, gap_j)[lane] * p_b / (p_a + p_b)
+                    * uniforms[step, lane])
             up = down * p_a / p_b
-            state[lane, i, a] -= down
-            state[lane, i, b] += up
-            state[lane, j, a] += down
-            state[lane, j, b] -= up
+            flat[ia[lane]] -= down
+            flat[ib[lane]] += up
+            flat[ja[lane]] += down
+            flat[jb[lane]] -= up
             candidates[lane, step] = state[lane]
             moved[lane, step] = True
         rows = candidates[moved]

@@ -74,11 +74,20 @@ PINV_RCOND = 1e-15
 RUN_RTOL = 64 * sys.float_info.epsilon
 
 
+def _floats(values, what):
+    """values as a float tuple; DomainError for one past the float range,
+    such as an int or Fraction that float() cannot convert."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise DomainError(f"{what} must lie within the float range") from None
+
+
 def _positive_deltas(delta):
     """delta as floats, each positive and finite with a reciprocal that is a
     finite normal float: a weight past 1 / sys.float_info.min (about
     4.5e307) has a subnormal reciprocal, which the solve cannot carry."""
-    out = tuple(float(d) for d in delta)
+    out = _floats(delta, "every variance weight")
     if not out:
         raise ValidationError("need at least one agent")
     if not all(0.0 < d and sys.float_info.min <= 1.0 / d < math.inf for d in out):
@@ -91,8 +100,8 @@ def _caps(delta, lower, upper):
     """(deltas, lower, upper) as float tuples: positive finite variance
     weights and one cap pair with lower < upper per agent."""
     deltas = _positive_deltas(delta)
-    lower = tuple(float(v) for v in lower)
-    upper = tuple(float(v) for v in upper)
+    lower = _floats(lower, "every lower cap")
+    upper = _floats(upper, "every upper cap")
     if not (len(lower) == len(upper) == len(deltas)):
         raise ValidationError("delta, lower, upper must have equal length")
     if not all(l < u for l, u in zip(lower, upper)):  # a NaN cap fails too
@@ -143,10 +152,10 @@ def statewise_projection(c, delta, lower, upper, s):
     midpoint of the solution interval when H is flat at level s.
     """
     deltas, lower, upper = _caps(delta, lower, upper)
-    c = tuple(float(v) for v in c)
+    c = _floats(c, "every intercept")
     if len(c) != len(deltas):
         raise ValidationError("one intercept per agent")
-    s = float(s)
+    s, = _floats((s,), "the state")
     if not all(map(math.isfinite, c + (s,))):
         raise ValidationError("intercepts and the state must be finite")
     # no lower cap is +inf and no upper cap -inf (see _caps)
@@ -653,8 +662,7 @@ def two_agent_fixed_point(a, C, S):
     [beta - min X*_1, beta + C - max X*_1].  Both ends solve the fixed point
     to the solver's stop, FIXED_POINT_TOL relative to max |S|.
     """
-    a = float(a)
-    C = float(C)
+    a, C = _floats((a, C), "slope a and cap C")
     if not 0.0 < a < 1.0:
         raise DomainError("slope a must lie strictly between 0 and 1")
     if not 0.0 < C < math.inf:

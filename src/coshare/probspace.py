@@ -215,17 +215,14 @@ def agent_sum(parts):
 
 
 def rows_any(B):
-    """B.any(axis=1) for a boolean rows x k block, with no call per row,
-    where numpy's any reduces a short axis one row at a time (3 to 4x slower
-    at k = 3 to 4).  A block of more rows than atoms, each of at most
-    _SHORT_ROW atoms, is the OR of its columns, one vector operation per
-    column.  Any other block is the boolean matrix product with ones(k),
-    which costs less than k operations on a few rows; a row stops at its
-    first True, and a long row with none is scanned cell by cell, a few
-    times slower than numpy's vector loop."""
+    """B.any(axis=1) for a boolean rows x k block.  numpy's any reduces a
+    short axis one row at a time (3 to 4x slower at k = 3 to 4), so a block
+    of more rows than atoms, each of at most _SHORT_ROW atoms, is the OR of
+    its columns, one vector operation per column.  Any other block, of few
+    rows or long ones, is B.any(axis=1) itself."""
     rows, k = B.shape
     if k > _SHORT_ROW or rows <= k:
-        return B @ np.ones(k, dtype=bool)
+        return B.any(axis=1)
     hit = np.zeros(rows, dtype=bool)
     for column in B.T:
         np.logical_or(hit, column, out=hit)

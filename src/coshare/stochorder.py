@@ -55,7 +55,7 @@ def convex_order_mask(Y, py, X, px):
     over a row's atoms one row at a time: max |value| is read from the ends
     of the kernel's sorted row (nan, sorted last, still gives nan), and
     "every atom within tol" is probspace.rows_all (column by column on a
-    short row, a boolean matrix product on a long one).
+    short row, numpy's all on a long one).
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))

@@ -315,9 +315,9 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
 def reference_transfers(X, constraints, budget, seed):
     """Stage 3 of falsify_solidity from the start X, one lane at a time: the
     share matrix of the first verified candidate, or None.  It makes the
-    library's rng calls per block and step, moves each chain in Python
-    floats, and checks each candidate on its own with check_clearing,
-    check_feasible and convex_order_leq."""
+    library's two rng calls per block, one row per step and lane, moves each
+    chain in Python floats, and checks each candidate on its own with
+    check_clearing, check_feasible and convex_order_leq."""
     space, S = X.space, X.aggregate
     n, m = X.n_agents, space.size
     if n < 2 or m < 2:
@@ -333,13 +333,12 @@ def reference_transfers(X, constraints, budget, seed):
         block = range(first, min(first + lanes, chains))
         states = [X.share_matrix().tolist() for _ in block]
         moved = [[] for _ in block]
+        draws = rng.integers(0, (n, n - 1, m, m - 1), size=(length, len(block), 4)).tolist()
+        uniforms = rng.uniform(0.25, 1.0, size=(length, len(block))).tolist()
         for step in range(length):
             live = [c for c, chain in enumerate(block) if chain * length + step < budget]
-            if not live:
-                break
-            ijab = rng.integers(0, (n, n - 1, m, m - 1), size=(len(live), 4))
-            u = rng.uniform(0.25, 1.0, size=len(live))
-            for c, (i, dj, a, db), uc in zip(live, ijab.tolist(), u.tolist()):
+            for c in live:
+                (i, dj, a, db), uc = draws[step][c], uniforms[step][c]
                 j, b = (i + 1 + dj) % n, (a + 1 + db) % m
                 x = states[c]
                 gap_i = x[i][a] - x[i][b]

@@ -9,6 +9,7 @@ import pytest
 from coshare import (
     Allocation,
     ContractError,
+    DomainError,
     FiniteSpace,
     NonterminationError,
     RandomVariable,
@@ -92,6 +93,15 @@ class TestAllocation:
         assert check_clearing(alloc((0.5, 0.5), big, big, aggregate=(1.0, 2.0))) == (False, np.inf)
         with pytest.raises(ValidationError, match="finite"):
             alloc((0.5, 0.5), big, big)
+
+    def test_improvement_that_loses_clearing_names_its_output(self):
+        # the input clears S = (0, 0, 1) exactly; transfers at 1e308 round
+        # the unit away, and the error says so instead of blaming the input
+        A = alloc((1 / 3,) * 3, (1.5e308, -1.5e308, 0.0), (-1.5e308, 1.5e308, 1.0))
+        assert check_clearing(A) == (True, 0.0)
+        with pytest.raises(DomainError, match=r"improved allocation lost clearing at the "
+                           r"shares' scale \(residual 1, max \|share\| 1.5e\+308\)"):
+            comonotonic_improvement(A)
 
     def test_clearing_tolerance_scales_with_aggregate(self, rng):
         # float dust on shares of size 1e8 clears; at scale <= 1 the

@@ -870,6 +870,33 @@ class TestTransferStage:
         # each both finds and misses a witness
         assert {(b, f) for b in (L - 1, L + 1, 3 * L + 5) for f in (True, False)} <= outcomes
 
+    def test_two_rng_calls_per_block(self, monkeypatch):
+        monkeypatch.setattr(constraints_module, "_BLOCK_CELLS", self.SMALL_BLOCKS)
+        calls = {"integers": 0, "uniform": 0}
+        default_rng = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                calls["integers"] += 1
+                return self.rng.integers(*args, **kwargs)
+
+            def uniform(self, *args, **kwargs):
+                calls["uniform"] += 1
+                return self.rng.uniform(*args, **kwargs)
+
+        # a Solid set, so the search runs every block
+        X = alloc((0.25, 0.25, 0.25, 0.25), (0.0, 1.0, 2.0, 3.0), (3.0, 1.0, 0.0, 0.0))
+        constraints = (Constraint(PathwiseBounds(-10.0, 10.0)),)
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        L = FALSIFY_CHAIN_LIMIT
+        for budget, blocks in ((1, 1), (3 * L, 1), (3 * L + 1, 2), (7 * L - 3, 3)):
+            calls.update(integers=0, uniform=0)
+            assert transfer_stage(X, constraints, budget, 0) is None
+            assert calls == {"integers": blocks, "uniform": blocks}, budget
+
     def test_memory_does_not_grow_with_budget(self, monkeypatch):
         # a Solid set: every one of the 10^4 draws is searched.  Kept as one
         # array, its 2,600 candidates of 8 x 4000 cells would take 670 MB

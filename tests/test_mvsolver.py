@@ -230,8 +230,9 @@ class TestUnconstrainedShares:
     def test_exact_fractions(self):
         assert unconstrained_shares((F(1), F(2))) == (F(2, 3), F(1, 3))
         assert unconstrained_shares((1, 1, 2)) == (F(2, 5), F(2, 5), F(1, 5))
-        # an exact weight has an exact reciprocal, however small
+        # an exact weight has an exact reciprocal, however small or large
         assert unconstrained_shares((F(1, 10 ** 400), 1))[1] == F(1, 10 ** 400 + 1)
+        assert unconstrained_shares((10 ** 400, 1))[0] == F(1, 10 ** 400 + 1)
 
     def test_floats(self):
         a = unconstrained_shares((0.5, 1.0))
@@ -1463,6 +1464,17 @@ AGG = finite_aggregate((0.0, 2.0))
                        finite_aggregate((0.5, 1.0, 2.0))), DomainError),
     (lambda: statewise_projection((0.0, 0.0), (1.0, 1e308), (NEG_INF,) * 2, (INF,) * 2,
                                   1.0), DomainError),
+    # an int or Fraction that float() cannot convert: each raised a bare
+    # OverflowError
+    (lambda: MVProblem((10 ** 400, 1.0), (0, 0), (INF, 1), AGG), DomainError),
+    (lambda: MVProblem((1.0, 1.0), (-10 ** 400, 0), (INF, 1), AGG), DomainError),
+    (lambda: MVProblem((1.0, 1.0), (0, 0), (INF, F(10 ** 400)), AGG), DomainError),
+    (lambda: unconstrained_shares((10 ** 400, 1.0)), DomainError),
+    (lambda: two_agent_fixed_point(0.5, 10 ** 400, AGG[1]), DomainError),
+    (lambda: statewise_projection((10 ** 400, 0), (1, 1), (NEG_INF,) * 2, (INF,) * 2,
+                                  1.0), DomainError),
+    (lambda: statewise_projection((0, 0), (1, 1), (NEG_INF,) * 2, (INF,) * 2,
+                                  10 ** 400), DomainError),
 ), ids=("spec-delta-nan", "spec-delta-inf", "mean-variance-nan", "mean-variance-inf",
         "ladder-nan", "ladder-inf", "orlicz-nan", "orlicz-inf", "mv-problem-cap-nan",
         "solve-cap-nan", "projection-cap-nan", "projection-state-nan",
@@ -1470,9 +1482,14 @@ AGG = finite_aggregate((0.0, 2.0))
         "fixed-point-cap-nan",
         "fixed-point-cap-inf", "proportional-reciprocal-inf", "mv-problem-reciprocal-inf",
         "projection-reciprocal-inf", "proportional-reciprocal-subnormal",
-        "mv-problem-reciprocal-subnormal", "projection-reciprocal-subnormal"))
+        "mv-problem-reciprocal-subnormal", "projection-reciprocal-subnormal",
+        "mv-problem-weight-past-float", "mv-problem-lower-past-float",
+        "mv-problem-upper-past-float", "proportional-weight-past-float",
+        "fixed-point-cap-past-float", "projection-intercept-past-float",
+        "projection-state-past-float"))
 def test_non_finite_parameters_are_rejected(call, error):
     # unchecked, each answered nan or stalled; an infinite cap stays legal
     # (TestStatewiseProjection.test_interior)
     with pytest.raises(error):
         call()
+

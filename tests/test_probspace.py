@@ -267,15 +267,15 @@ class TestShortAxisReductions:
     agents with agent_sum; feasible_mask, _witness_mask and convex_order_mask
     take any/all over atoms (and _witness_mask all over agents) with rows_any
     and rows_all, in either of their forms (the OR of the columns of a block
-    of more rows than atoms, each row of at most _SHORT_ROW atoms, and the
-    boolean matrix product otherwise); convex_order_mask reads max |value|
+    of more rows than atoms, each row of at most _SHORT_ROW atoms, and
+    numpy's any otherwise); convex_order_mask reads max |value|
     from its sort's ends."""
 
     @pytest.mark.parametrize("rows", (0, 1, 8, 9, 300))
     @pytest.mark.parametrize("k", (1, 8, 9))
     def test_both_any_forms(self, k, rows):
         # widths on both sides of _SHORT_ROW, and zero-row, one-row and
-        # as-many-rows-as-atoms blocks, which take the matrix product
+        # as-many-rows-as-atoms blocks, which take numpy's any
         assert _SHORT_ROW == 8
         rng = np.random.default_rng([k, rows])
         for density in (0.0, 0.05, 0.5, 1.0):
@@ -285,6 +285,21 @@ class TestShortAxisReductions:
                 assert got.dtype == bool and np.array_equal(got, block.any(axis=1))
                 got = rows_all(block)
                 assert got.dtype == bool and np.array_equal(got, block.all(axis=1))
+
+    def test_any_over_a_shape_sweep(self):
+        # short and long rows, few and many of them, up to 3000 x 5000 cells
+        # less the largest corner; random, all-False and last-atom-only blocks
+        rng = np.random.default_rng(3)
+        for rows in (1, 2, 8, 9, 300, 3000):
+            for k in (1, 3, 8, 9, 500, 5000):
+                if rows * k > 2 * 10 ** 6:
+                    continue
+                last = np.zeros((rows, k), dtype=bool)
+                last[::2, -1] = True
+                for B in (rng.random((rows, k)) < 1.0 / k, np.zeros((rows, k), dtype=bool),
+                          last):
+                    assert np.array_equal(rows_any(B), B.any(axis=1)), (rows, k)
+                    assert np.array_equal(rows_all(~B), (~B).all(axis=1)), (rows, k)
 
     @settings(max_examples=40)
     @given(n=st.integers(1, 12), m=st.integers(1, 9), rows=st.integers(1, 300),
