@@ -464,18 +464,30 @@ def _statewise_limits(constraints, n_agents, s_values, probs):
 def feasible_mask(tensors, s_values, probs, constraints):
     """Rows of the share tensors (one rows x atoms array per agent, over an
     aggregate s_values) that satisfy every constraint within
-    VALUE_TOL * value_scale(s_values).
+    VALUE_TOL * value_scale(s_values): _band_rows over every band."""
+    rows = _band_rows(_bands(constraints, len(tensors), s_values), tensors,
+                      s_values, probs, VALUE_TOL * value_scale(s_values))
+    mask = np.full(tensors[0].shape[0], rows is None)
+    if rows is not None:
+        mask[rows] = True
+    return mask
 
-    Each (constraint, agent) band runs, in constraint order, only on the
-    rows that passed every band before it, and none runs once no row is
-    left.  Row-wise bands give the same verdicts as on every row; a band
-    that takes V @ probs can round a row differently with fewer rows.  A
-    breach on any atom is found with probspace.rows_any (the OR of a short
-    row's columns on a block of more rows than atoms, numpy's any on any
-    other), not a reduction over a short row one row at a time."""
-    tol = VALUE_TOL * value_scale(s_values)
+
+def _band_rows(bands, tensors, s_values, probs, tol):
+    """The rows, in order, of the share tensors that pass the (constraint
+    index, kind, agent) bands, as _bands lists them, where tensors[agent] is
+    the agent's rows x atoms array and tol is VALUE_TOL *
+    value_scale(s_values); None when every row passes.
+
+    Each band runs, in the order given, only on the rows that passed every
+    band before it, and none runs once no row is left.  Row-wise bands give
+    the same verdicts as on every row; a band that takes V @ probs can round
+    a row differently with fewer rows.  A breach on any atom is found with
+    probspace.rows_any (the OR of a short row's columns on a block of more
+    rows than atoms, numpy's any on any other), not a reduction over a short
+    row one row at a time."""
     rows = None  # every row has passed: the bands see the tensors themselves
-    for _, kind, i in _bands(constraints, len(tensors), s_values):
+    for _, kind, i in bands:
         V = tensors[i] if rows is None else tensors[i].take(rows, axis=0)
         value, lower, upper = kind.band(V, s_values, probs, tol)
         ok = ~rows_any((value < lower - tol) | (value > upper + tol))
@@ -484,10 +496,7 @@ def feasible_mask(tensors, s_values, probs, constraints):
         rows = np.flatnonzero(ok) if rows is None else rows[ok]
         if not rows.size:
             break
-    mask = np.full(tensors[0].shape[0], rows is None)
-    if rows is not None:
-        mask[rows] = True
-    return mask
+    return rows
 
 
 def check_feasible(A, constraints):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Allocation, comonotone_mask
-from .constraints import (_BLOCK_CELLS, _require_space, _statewise_limits,
-                          feasible_mask)
+from .constraints import (_BLOCK_CELLS, _band_rows, _bands, _require_space,
+                          _statewise_limits)
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import RandomVariable, agent_sum
+from .probspace import VALUE_TOL, RandomVariable, value_scale
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
@@ -180,61 +180,122 @@ def _prune_axes(axes, n_agents, s_values, probs, constraints):
     return pruned
 
 
+class _Slice:
+    """Candidate shares of the free agents first, first + 1, ... that vary
+    together in a block, one C-contiguous (rows, atoms) array per agent: a
+    family's every free agent, or one agent of a ranges grid.  tested is
+    _test_slice's [shares of the rows that pass, their objective values],
+    filled once, however many blocks hold the slice."""
+
+    __slots__ = ("first", "shares", "tested")
+
+    def __init__(self, first, shares):
+        self.first, self.shares, self.tested = first, shares, None
+
+
 def _free_chunks(grid, axes, rows):
-    """Candidate values for the free agents, in grid order, in blocks of at
-    most rows points; a block is a list of one C-contiguous (points, atoms)
-    array per free agent.  A family slices its scalar axis.  A ranges grid
-    fixes one value of each leading axis per block and slices the product of
-    the trailing axes.  That product is written once, straight from the
-    axes, into one array per agent that holds the agent's trailing columns,
-    so a grid that fits one block is built with no intermediate mesh."""
+    """The grid's blocks, in grid order, each of at most rows points.  A
+    block is a list of _Slice, and its points are the product of their rows
+    in list order, the first most significant.  A family is one slice per
+    block, a part of its scalar axis.  A ranges grid fixes one value of each
+    leading axis per block, and its block is one slice per free agent: a
+    fully leading agent's one fixed row; the head values of the agent that
+    straddles the lead cut beside the product of its trailing axes; and a
+    fully trailing agent's whole factor, the product of its axes, which is
+    the same slice object in every block.  Each trailing factor is written
+    once, straight from the axes, and by the lead cut the factors together
+    fit in one block; only when one trailing axis alone exceeds a block is
+    that axis, the last agent's, cut into parts."""
     if grid.family is not None:
         base = np.array(grid.family.base)
         direction = np.array(grid.family.direction)
         for part in _slices(axes[0].size, rows):
             scalar = axes[0][part, None]
-            yield [b + scalar * d for b, d in zip(base, direction)]
+            yield [_Slice(0, [b + scalar * d for b, d in zip(base, direction)])]
         return
-    m = grid.n_atoms
+    m, last = grid.n_atoms, grid.n_free_agents - 1
     lead = len(axes) - 1
     while lead > 0 and math.prod(len(ax) for ax in axes[lead - 1:]) <= rows:
         lead -= 1
-    sizes = [len(ax) for ax in axes[lead:]]
-    total = math.prod(sizes)
     # agent i's first fixed[i] atoms are leading axes
-    fixed = [min(max(lead - i * m, 0), m) for i in range(grid.n_free_agents)]
-    tail = [np.empty((total, m - c)) for c in fixed]
-    for t, axis in enumerate(axes[lead:]):
-        i, a = divmod(lead + t, m)
-        cols = tail[i]
-        stride = math.prod(sizes[t + 1:])
-        cols.reshape(-1, axis.size, stride, cols.shape[1])[:, :, :, a - fixed[i]] = axis[:, None]
-    for cols in tail:
+    fixed = [min(max(lead - i * m, 0), m) for i in range(last + 1)]
+    factors = []
+    for i, c in enumerate(fixed):
+        own = axes[i * m + c:(i + 1) * m]
+        sizes = [ax.size for ax in own]
+        cols = np.empty((math.prod(sizes), m - c))
+        for a, axis in enumerate(own):
+            stride = math.prod(sizes[a + 1:])
+            cols.reshape(-1, axis.size, stride, m - c)[:, :, :, a] = axis[:, None]
         cols.setflags(write=False)
-    parts = _slices(total, rows)
+        factors.append(cols)
+    parts = _slices(math.prod(len(ax) for ax in axes[lead:]), rows)
+    whole = {i: _Slice(i, [factors[i]]) for i, c in enumerate(fixed)
+             if not c and len(parts) == 1}
     for head in itertools.product(*axes[:lead]):
         for part in parts:
             block = []
-            for i, (c, cols) in enumerate(zip(fixed, tail)):
-                if c:
-                    free = np.empty((part.stop - part.start, m))
-                    free[:, :c] = head[i * m:i * m + c]
-                    free[:, c:] = cols[part]
-                    block.append(free)
-                else:
-                    block.append(cols[part])
+            for i, (c, cols) in enumerate(zip(fixed, factors)):
+                if i in whole:
+                    block.append(whole[i])
+                    continue
+                if i == last:
+                    cols = cols[part]
+                share = np.empty((cols.shape[0], m))
+                share[:, :c] = head[i * m:i * m + c]
+                share[:, c:] = cols
+                block.append(_Slice(i, [share]))
             yield block
+
+
+def _passing(tensors, bands, s_values, probs, tol, comonotone):
+    """The rows, in order, of the tensors (one rows x atoms array per agent)
+    that pass the bands, whose agents are positions in tensors, and, if
+    comonotone, comonotone_mask over every tensor; None when every row
+    passes."""
+    idx = _band_rows(bands, tensors, s_values, probs, tol)
+    if comonotone and idx is None:
+        mask = comonotone_mask(tensors, s_values, probs)
+        idx = None if mask.all() else np.flatnonzero(mask)
+    elif comonotone and idx.size:
+        idx = idx[comonotone_mask([V.take(idx, axis=0) for V in tensors], s_values, probs)]
+    return idx
+
+
+def _test_slice(piece, bands, s_values, probs, tol, comonotone):
+    """piece.tested, filled the first time: [the shares of the slice's rows
+    that pass its agents' bands (and, if comonotone, comonotone_mask), None
+    until _enumerate scores them]."""
+    if piece.tested is None:
+        shares, first = piece.shares, piece.first
+        own = [(ci, kind, i - first) for ci, kind, i in bands
+               if first <= i < first + len(shares)]
+        idx = _passing(shares, own, s_values, probs, tol, comonotone)
+        if idx is not None:
+            shares = [V.take(idx, axis=0) for V in shares]
+        piece.tested = [shares, None]
+    return piece.tested
 
 
 def _enumerate(space, S, objectives, constraints, grid, comonotone):
     """(allocation, value) at the first grid point, in grid order, within
     TIE_EPS * (1 + |min|) of the minimum over the feasible (and, if
-    comonotone, comonotonic) points.  A block's tensors are _free_chunks'
-    arrays, one per free agent, and the implied agent's S - sum of the free
-    shares: probspace.agent_sum adds the free shares agent by agent from 0.0
-    (np.sum's bits without its row-by-row loop over the agents axis) into
-    the one buffer that becomes that share, and S is subtracted from it atom
-    by atom, a column at a time rather than a broadcast over a short row."""
+    comonotone, comonotonic) points.
+
+    A free agent's share, its bands and its objective read only its own
+    axes, so a block of _free_chunks is the product of its slices, and each
+    slice keeps only the rows that pass its agents' bands (and, beside
+    other slices, comonotone_mask); a fully trailing agent's factor, the
+    same slice in every block, is tested and scored once per call.  Only
+    the implied agent is written over the product of the kept rows: atom by
+    atom, s - (0.0 + x_0 + x_1 + ...) with each free share broadcast over
+    its slice's axis, in agent order (probspace.agent_sum's bits), into the
+    columns of one C-contiguous array.  Only it is tested and scored on the
+    product; the slices' values add by broadcast, in agent order from 0.0,
+    so each point's value has the bits of a sum over its agents.  A block
+    of one slice (one free agent's, or a family's) is one allocation per
+    point with the implied agent: its comonotonicity is checked, and its
+    objectives scored, only on the points that pass the implied agent."""
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     _require_space(constraints, space)
@@ -249,11 +310,15 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
             raise ValidationError("objectives must be RiskMeasureSpec instances")
     axes = _grid_axes(grid)
     points = math.prod(len(ax) for ax in axes)
-    probs = space.probs
-    block_rows = _chunk_rows(n, space.size)
+    s_values, probs, m = S.values, space.probs, space.size
+    tol = VALUE_TOL * value_scale(s_values)
+    block_rows = _chunk_rows(n, m)
     # a grid that fits one block is built once whether pruned or not
     if grid.ranges is not None and points > block_rows:
-        axes = _prune_axes(axes, n, S.values, probs, constraints)
+        axes = _prune_axes(axes, n, s_values, probs, constraints)
+    bands = _bands(constraints, n, s_values)
+    lone = grid.family is not None or n == 2  # every block is one slice
+    implied_bands = [(ci, kind, n - 1 if lone else 0) for ci, kind, i in bands if i == n - 1]
     chunks = (_free_chunks(grid, axes, block_rows)
               if all(ax.size for ax in axes) else ())
     # streaming argmin: the pick is the first grid point within the window
@@ -262,26 +327,51 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     # window whose value is below that of every point kept before them; the
     # pick is one of them, and once every block is seen it is the first.
     vmin, kept = np.inf, []
-    for tensors in chunks:
-        total = tensors[0].shape[0]
-        implied = agent_sum(tensors)
-        for a, s in enumerate(S.values):
-            np.subtract(s, implied[:, a], out=implied[:, a])
-        tensors.append(implied)
-        # the block's rows that pass, in grid order
-        idx = np.flatnonzero(feasible_mask(tensors, S.values, probs, constraints))
-        if comonotone and idx.size == total:
-            idx = np.flatnonzero(comonotone_mask(tensors, S.values, probs))
-        elif comonotone and idx.size:
-            idx = idx[comonotone_mask([V.take(idx, axis=0) for V in tensors],
-                                      S.values, probs)]
-        if not idx.size:
+    for block in chunks:
+        tested = [_test_slice(piece, bands, s_values, probs, tol, comonotone and not lone)
+                  for piece in block]
+        shape = [shares[0].shape[0] for shares, _ in tested]
+        total = math.prod(shape)
+        if not total:
             continue
-        whole = idx.size == total
-        values = np.zeros(idx.size)
-        for i, spec in enumerate(objectives):
-            values += measure_values(
-                spec, tensors[i] if whole else tensors[i].take(idx, axis=0), probs)
+        owners = [(j, V) for j, (shares, _) in enumerate(tested) for V in shares]
+        implied = np.empty((total, m))
+        if lone:
+            # the free shares' sum, agent by agent from 0.0, whole rows at once
+            np.add(0.0, owners[0][1], out=implied)
+            for _, V in owners[1:]:
+                np.add(implied, V, out=implied)
+        else:
+            # a ranges slice is one agent's, along its own axis of the product
+            along = [[-1 if k == j else 1 for k in range(len(shape))] for j in range(len(shape))]
+            # atom by atom, each free share broadcast over its slice's axis
+            over = implied.reshape(shape + [m])
+            spread = [V.reshape(along[j] + [m]) for j, V in owners]
+            for a in range(m):
+                col = over[..., a]
+                np.add(np.add(0.0, spread[0][..., a]), spread[1][..., a], out=col)
+                for E in spread[2:]:
+                    np.add(col, E[..., a], out=col)
+        for a, s in enumerate(s_values.tolist()):
+            np.subtract(s, implied[:, a], out=implied[:, a])
+        # the product's points that pass, in grid order (None: all of them)
+        checked = tested[0][0] + [implied] if lone else [implied]
+        idx = _passing(checked, implied_bands, s_values, probs, tol, comonotone)
+        if idx is not None and not idx.size:
+            continue
+        rows_of = (lambda V: V) if idx is None else (lambda V: V.take(idx, axis=0))
+        if lone:
+            values = np.zeros(total if idx is None else idx.size)
+            for spec, V in zip(objectives, tested[0][0]):
+                values += measure_values(spec, rows_of(V), probs)
+        else:
+            values = 0.0  # grows to the product's shape by broadcasting
+            for j, entry in enumerate(tested):
+                if entry[1] is None:
+                    entry[1] = measure_values(objectives[j], entry[0][0], probs)
+                values = values + entry[1].reshape(along[j])
+            values = rows_of(values.reshape(-1))
+        values += measure_values(objectives[-1], rows_of(implied), probs)
         vmin = min(vmin, float(values.min()))
         window = vmin + TIE_EPS * (1.0 + abs(vmin))
         kept = [k for k in kept if k[0] <= window]
@@ -289,8 +379,9 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
         near_values = values[near]
         bound = kept[-1][0] if kept else np.inf
         new = near_values < np.minimum.accumulate(np.append(bound, near_values))[:-1]
-        picked = idx[near[new]]
-        rows = np.stack([V[picked] for V in tensors], axis=1)
+        picked = near[new] if idx is None else idx[near[new]]
+        coords = (picked,) if lone else np.unravel_index(picked, shape)
+        rows = np.stack([V[coords[j]] for j, V in owners] + [implied[picked]], axis=1)
         kept.extend(zip(near_values[new].tolist(), rows))
     if not kept:
         raise InfeasibleError(

@@ -9,10 +9,12 @@ from coshare import (
     AggregateEnvelope,
     Constraint,
     DomainError,
+    ExpectationConstraint,
     FiniteSpace,
     GridSpec,
     IdiosyncraticRetention,
     InfeasibleError,
+    OrliczBound,
     PathwiseBounds,
     RandomVariable,
     RiskCeiling,
@@ -20,10 +22,12 @@ from coshare import (
     ScalarFamily,
     ValidationError,
     comonotone_minimize,
+    convex_ladder,
     grid_minimize,
     is_comonotonic,
 )
 from coshare import oracle
+from coshare.allocation import comonotone_mask
 from coshare.cli import _example_43_space
 from coshare.constraints import feasible_mask
 from coshare.probspace import VALUE_TOL, value_scale
@@ -430,6 +434,33 @@ class TestChunking:
         assert value == pytest.approx(2.0, abs=1e-9)
         assert peak < 32 * 2 ** 20
 
+    def test_memory_bounded_by_chunk_with_two_free_agents(self, monkeypatch):
+        # n = 3 on two atoms: 960,000 points, whose trailing factor, the
+        # second agent's 400 x 400 = 160,000 rows, is just under one block
+        # of 174,762; it traces under the same bound in six blocks, and
+        # its pick, in the second block, matches one block of the whole
+        # grid bit for bit
+        space = FiniteSpace.uniform(2)
+        S = RandomVariable(space, (2.0, 4.0))
+        objectives = (RiskMeasureSpec.es(0.25), RiskMeasureSpec.es(0.5),
+                      RiskMeasureSpec.es(0.75))
+        grid = GridSpec(ranges=(((0.0, 1.0, 0.5), (0.0, 0.5, 0.5)),
+                                ((0.0, 3.99, 0.01), (0.0, 3.99, 0.01))))
+        assert 160_000 < oracle._chunk_rows(3, 2) < 6 * 160_000
+        tracemalloc.start()
+        try:
+            best, value = grid_minimize(space, S, objectives, (), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: 10 ** 6)
+        whole, whole_value = grid_minimize(space, S, objectives, (), grid)
+        assert best.shares[0].values.tolist() == [0.0, 0.5]
+        assert [X.values.tobytes() for X in best.shares] == [
+            X.values.tobytes() for X in whole.shares]
+        assert np.float64(value).tobytes() == np.float64(whole_value).tobytes()
+
 
 def _mesh_points(grid):
     """Every point of the grid in grid order, (points, free, atoms), from
@@ -447,6 +478,9 @@ def _mesh_points(grid):
 # points), so a block's leading axes can end inside either agent
 UNEVEN = GridSpec(ranges=(((0.0, 1.0, 0.5), (0.0, 1.0, 0.25), (-1.0, 0.0, 1.0)),
                           ((0.0, 0.5, 0.5), (1.0, 2.0, 0.5), (0.0, 3.0, 1.0))))
+# two free agents on one atom: in blocks of 2 points, the second agent's
+# axis alone is cut into parts
+ONE_ATOM = GridSpec(ranges=(((0.0, 1.0, 0.5),), ((0.0, 2.0, 0.5),)))
 FAMILY = GridSpec.from_family(((0.0, 0.5, 1.0), (1.0, 0.0, -0.25)),
                               ((1.0, 0.0, 0.5), (-0.5, 0.25, 1.0)), -1.0, 1.5, 0.25)
 
@@ -454,13 +488,16 @@ FAMILY = GridSpec.from_family(((0.0, 0.5, 1.0), (1.0, 0.0, -0.25)),
 class TestFreeChunks:
     @pytest.mark.parametrize("grid, rows", (
         (UNEVEN, None), (UNEVEN, 1), (UNEVEN, 7), (UNEVEN, 64), (UNEVEN, 500),
-        (FAMILY, None), (FAMILY, 4)),
+        (FAMILY, None), (FAMILY, 4), (ONE_ATOM, 2)),
         ids=("one-block", "rows-1", "rows-7", "rows-64", "rows-500", "family-one-block",
-             "family-rows-4"))
+             "family-rows-4", "one-atom-rows-2"))
     def test_blocks_match_meshgrid(self, monkeypatch, grid, rows):
         # the blocks _enumerate gets hold every grid point once, bit for bit
-        # and in grid order, as one C-contiguous (points, atoms) array per
-        # free agent; a grid that fits one block (rows None) is one block
+        # and in grid order: a block is the product of its slices' rows, the
+        # first slice most significant, and a slice is one C-contiguous
+        # (rows, atoms) array per free agent of it, the agents in order; a
+        # family block is one slice, and a grid that fits one block (rows
+        # None) is one block
         blocks = []
         chunks = oracle._free_chunks
 
@@ -479,11 +516,157 @@ class TestFreeChunks:
                       (), grid)
         want = _mesh_points(grid)
         assert len(blocks) == 1 if rows is None else len(blocks) > 1
+        got = []
         for block in blocks:
-            assert len(block) == grid.n_free_agents
-            assert rows is None or block[0].shape[0] <= rows
-            for V in block:
-                assert V.dtype == np.float64 and V.flags.c_contiguous
-                assert V.shape == (block[0].shape[0], m)
-        got = np.concatenate([np.stack(block, axis=1) for block in blocks])
-        assert got.tobytes() == want.tobytes()
+            assert len(block) == (1 if grid.family is not None else grid.n_free_agents)
+            agents = [piece.first + k for piece in block for k in range(len(piece.shares))]
+            assert agents == list(range(grid.n_free_agents))
+            sizes = [piece.shares[0].shape[0] for piece in block]
+            assert rows is None or np.prod(sizes) <= rows
+            for piece, size in zip(block, sizes):
+                for V in piece.shares:
+                    assert V.dtype == np.float64 and V.flags.c_contiguous
+                    assert V.shape == (size, m)
+            coords = np.unravel_index(np.arange(np.prod(sizes)), sizes)
+            got.append(np.stack([V[coords[j]] for j, piece in enumerate(block)
+                                 for V in piece.shares], axis=1))
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+    def test_trailing_factor_is_one_slice(self, monkeypatch):
+        # in blocks of 64 points, UNEVEN's second agent trails entirely: the
+        # blocks hold its whole factor (2 * 3 * 4 rows) as one slice object,
+        # while the first agent straddles the lead cut, one slice per block
+        blocks = list(oracle._free_chunks(UNEVEN, oracle._grid_axes(UNEVEN), 64))
+        assert len(blocks) == 3 * 5
+        assert len({id(block[1]) for block in blocks}) == 1
+        assert blocks[0][1].shares[0].shape == (24, 3)
+        assert len({id(block[0]) for block in blocks}) == len(blocks)
+        assert {block[0].shares[0].shape for block in blocks} == {(2, 3)}
+
+
+def _whole_grid_minimum(space, S, objectives, constraints, grid, comonotone):
+    """(share rows, value) at the first point, in grid order, within TIE_EPS
+    * (1 + |min|) of the minimum, or None if no point passes: every point of
+    np.meshgrid at once, with feasible_mask, comonotone_mask and
+    measure_values on the whole grid."""
+    points = _mesh_points(grid)
+    free = [np.ascontiguousarray(points[:, i]) for i in range(grid.n_free_agents)]
+    total = 0.0
+    for V in free:
+        total = total + V
+    tensors = free + [S.values - total]
+    probs = space.probs
+    ok = feasible_mask(tensors, S.values, probs, constraints)
+    if comonotone:
+        ok &= comonotone_mask(tensors, S.values, probs)
+    values = np.zeros(len(points))
+    for spec, V in zip(objectives, tensors):
+        values += measure_values(spec, V, probs)
+    if not ok.any():
+        return None
+    vmin = values[ok].min()
+    first = np.flatnonzero(ok & (values <= vmin + oracle.TIE_EPS * (1.0 + abs(vmin))))[0]
+    return [V[first] for V in tensors], values[first]
+
+
+def _matmul_problem(rng, n, m, steps):
+    """Mean-variance objectives on n agents and m atoms, as the benchmark's
+    solver-vs-oracle operations, a ranges grid of steps values per axis,
+    and bands that take V @ probs: an expectation bound, an Orlicz bound
+    and a mean-variance or ES ceiling, each scoped to a free agent, the
+    implied agent or all, with bounds at quantiles of the band's values
+    over the grid, so that some points pass and some fail."""
+    space = FiniteSpace((f"w{k}", p) for k, p in enumerate(rng.dirichlet(np.ones(m))))
+    S = RandomVariable(space, np.sort(rng.uniform(0.0, 3.0, size=m)))
+    objectives = tuple(RiskMeasureSpec.mean_variance(float(d))
+                       for d in rng.uniform(0.3, 3.0, size=n))
+    centre = S.values / n
+    grid = GridSpec(ranges=tuple(tuple((c - 0.5, c + 0.5, 1.0 / (steps - 1)) for c in centre)
+                                 for _ in range(n - 1)))
+    points = _mesh_points(grid)
+    shares = {i: points[:, i] for i in range(n - 1)}
+    shares[n - 1] = S.values - points.sum(axis=1)
+    ceiling = (RiskMeasureSpec.mean_variance(float(rng.uniform(0.5, 2.0))) if rng.random() < 0.5
+               else RiskMeasureSpec.es(float(rng.choice([0.25, 0.5]))))
+    kinds = (lambda b: ExpectationConstraint("<=", b),
+             lambda b: OrliczBound((0.5, 2.0, 0.0, 0.5), b),
+             lambda b: RiskCeiling(ceiling, b))
+    probs = space.probs
+    measures = (lambda V: V @ probs,
+                lambda V: convex_ladder(V, (0.5, 2.0, 0.0, 0.5)) @ probs,
+                lambda V: measure_values(ceiling, V, probs))
+    constraints = []
+    for make, measure, scope in zip(kinds, measures, rng.permutation([0, n - 1, None])):
+        scope = None if scope is None else int(scope)
+        agents = range(n) if scope is None else (scope,)
+        values = np.concatenate([measure(shares[i]) for i in agents])
+        constraints.append(Constraint(make(float(np.quantile(values, rng.uniform(0.5, 0.95)))),
+                                      scope=scope))
+    return space, S, objectives, tuple(constraints), grid
+
+
+class TestProductEnumeration:
+    @pytest.mark.parametrize("rows", (None, 64, 7, 1))
+    @pytest.mark.parametrize("minimize", (grid_minimize, comonotone_minimize))
+    def test_matches_whole_grid(self, rng, monkeypatch, rows, minimize):
+        # n = 3 and 4 on two and three atoms, against the whole grid scored
+        # at once: the same point, or the same InfeasibleError.  The values'
+        # bits match unless the oracle scored an objective on one row: BLAS
+        # rounds a one-row V @ probs differently from a many-row one, so
+        # there they agree within 4 ulps
+        comonotone = minimize is comonotone_minimize
+        one_row = []
+        score = oracle.measure_values
+
+        def spying(spec, V, probs):
+            one_row.append(len(V) == 1)
+            return score(spec, V, probs)
+
+        monkeypatch.setattr(oracle, "measure_values", spying)
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_chunk_rows", lambda n_agents, n_atoms: rows)
+        outcomes = set()
+        for n, m, steps in ((3, 2, 4), (3, 3, 3), (4, 2, 3), (4, 3, 2)):
+            for _ in range(2):
+                args = _matmul_problem(rng, n, m, steps)
+                want = _whole_grid_minimum(*args, comonotone)
+                one_row.clear()
+                if want is None:
+                    with pytest.raises(InfeasibleError):
+                        minimize(*args)
+                    outcomes.add("infeasible")
+                    continue
+                best, value = minimize(*args)
+                assert [V.tobytes() for V in want[0]] == [
+                    share.values.tobytes() for share in best.shares]
+                if any(one_row):
+                    assert abs(value - want[1]) <= 4 * np.spacing(abs(want[1]))
+                    outcomes.add("one-row")
+                else:
+                    assert np.float64(value).tobytes() == want[1].tobytes()
+                    outcomes.add("bits")
+        # one block scores many rows; in smaller ones a leading agent is one row
+        assert ("bits" if rows is None else "one-row") in outcomes
+
+    def test_free_agents_scored_once(self, monkeypatch):
+        # n = 3, m = 3 on 5^6 points: each free agent's objective sees at
+        # most its factor's 125 rows in one call; only the implied agent's
+        # sees the product
+        seen = {}
+        score = oracle.measure_values
+
+        def spying(spec, V, probs):
+            seen.setdefault(spec.delta, []).append(len(V))
+            return score(spec, V, probs)
+
+        monkeypatch.setattr(oracle, "measure_values", spying)
+        space = FiniteSpace((f"w{k}", p) for k, p in enumerate((0.2, 0.3, 0.5)))
+        S = RandomVariable(space, (0.5, 1.5, 2.5))
+        objectives = tuple(RiskMeasureSpec.mean_variance(d) for d in (1.0, 2.0, 3.0))
+        grid = GridSpec.uniform(2, 3, 0.0, 1.0, 0.25)
+        caps = (Constraint(PathwiseBounds(upper=1.5), scope=2),)
+        for constraints in ((), caps):
+            seen.clear()
+            grid_minimize(space, S, objectives, constraints, grid)
+            assert seen[1.0] == [125] and seen[2.0] == [125]
+            assert len(seen[3.0]) == 1 and 125 < seen[3.0][0] <= 5 ** 6

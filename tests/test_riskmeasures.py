@@ -141,6 +141,26 @@ class TestMeanVariance:
         assert mean_variance(skewed + 5.0, 1.5) == pytest.approx(
             mean_variance(skewed, 1.5) + 5.0, abs=1e-12)
 
+    def test_column_subtraction_bits_match_broadcast(self, rng):
+        # tall blocks of few atoms subtract the mean column by column; on
+        # every shape, with signed zeros, inf and 1e308 entries, the bits
+        # are those of the broadcast over the rows
+        delta = 1.5
+        spec = RiskMeasureSpec.mean_variance(delta)
+        for atoms in range(1, 13):
+            probs = rng.dirichlet(np.ones(atoms))
+            for rows in (1, atoms, atoms + 1, 20, riskmeasures._COLUMN_ROWS - 1,
+                         riskmeasures._COLUMN_ROWS, 4000, 20000):
+                V = rng.normal(size=(rows, atoms))
+                special = rng.random(V.shape) < 0.05
+                V[special] = rng.choice([-0.0, 0.0, np.inf, -np.inf, 1e308, -1e308],
+                                        size=int(special.sum()))
+                with np.errstate(all="ignore"):
+                    got = measure_values(spec, V, probs)
+                    mean = V @ probs
+                    want = mean + delta * (((V - mean[:, None]) ** 2) @ probs)
+                assert got.tobytes() == want.tobytes(), (rows, atoms)
+
 
 class TestConvexLadder:
     LADDER = (0.5, 2.0, 0.5, 1.0)
