@@ -20,15 +20,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from .allocation import (Allocation, _require_clearing, check_clearing,
                          comonotonic_improvement, condition_on_aggregate)
 from .errors import ValidationError
-from .probspace import (VALUE_TOL, RandomVariable, agent_sum, rows_all, rows_any,
-                        value_scale)
+from .probspace import (VALUE_TOL, RandomVariable, _count, _real, agent_sum, rows_all,
+                        rows_any, value_scale)
 from .riskmeasures import (
     VAR,
     Consistency,
@@ -61,7 +60,6 @@ _MEET_RANK = {Solidity.NOT_SOLID: 0, Solidity.UNKNOWN: 1, Solidity.SOLID: 2}
 class SolidityVerdict:
     status: Solidity
     reason: str
-    witness: object = None
 
 
 def _format_slope(slope):
@@ -101,7 +99,7 @@ class _Kind:
 
 def _require_finite(kind, field, message):
     """Store kind.field as a float; raise ValidationError(message) unless finite."""
-    value = float(getattr(kind, field))
+    value = _real(getattr(kind, field), field)
     object.__setattr__(kind, field, value)
     if not math.isfinite(value):
         raise ValidationError(message)
@@ -116,8 +114,8 @@ class PathwiseBounds(_Kind):
     statewise = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "lower", _real(self.lower, "lower"))
+        object.__setattr__(self, "upper", _real(self.upper, "upper"))
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValidationError("pathwise bounds must not be NaN")
         if self.lower > self.upper:
@@ -295,8 +293,9 @@ class IdiosyncraticRetention(_Kind):
 
 def _normalize_breakpoints(points, label):
     try:
-        pts = tuple((float(s), float(v)) for s, v in points)
-    except (TypeError, ValueError):
+        pts = tuple((_real(s, f"every {label} envelope breakpoint"),
+                     _real(v, f"every {label} envelope breakpoint")) for s, v in points)
+    except (TypeError, ValueError, ValidationError):  # not pairs of reals
         raise ValidationError(f"{label} envelope needs (s, value) breakpoint pairs")
     if not pts:
         raise ValidationError(f"{label} envelope needs at least one breakpoint")
@@ -386,11 +385,9 @@ class Constraint:
     def __post_init__(self):
         if not isinstance(self.kind, _Kind):
             raise ValidationError(f"unsupported constraint kind {type(self.kind).__name__}")
-        scope = self.scope
-        if scope is not None:
-            if isinstance(scope, bool) or not isinstance(scope, Integral) or scope < 0:
-                raise ValidationError("scope must be a nonnegative agent index or None")
-            object.__setattr__(self, "scope", int(scope))
+        if self.scope is not None:
+            object.__setattr__(self, "scope", _count(
+                self.scope, "scope must be a nonnegative agent index or None"))
 
     def agents(self, n_agents):
         if self.scope is None:
@@ -700,11 +697,10 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     chain-major draw order is returned.  Returns a verified SolidityWitness
     or None; None is absence of evidence, not a proof.  Without a start,
     only a set with a scoped retention is searched, from _feasible_seed.
-    budget and seed are nonnegative integers (a bool is not one).
+    budget and seed are counts, read by probspace._count.
     """
-    for name, value in (("budget", budget), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer")
+    budget, seed = (_count(value, f"{name} must be a nonnegative integer")
+                    for name, value in (("budget", budget), ("seed", seed)))
     _require_space(constraints, space)
     if start is not None:
         if start.space != space:

@@ -53,6 +53,7 @@ from .probspace import (
     FiniteSpace,
     GammaAggregate,
     RandomVariable,
+    _real,
     gamma_quantile,
     value_scale,
 )
@@ -75,12 +76,14 @@ RUN_RTOL = 64 * sys.float_info.epsilon
 
 
 def _floats(values, what):
-    """values as a float tuple; DomainError for one past the float range,
-    such as an int or Fraction that float() cannot convert."""
-    try:
-        return tuple(float(v) for v in values)
-    except OverflowError:
-        raise DomainError(f"{what} must lie within the float range") from None
+    """values as a float tuple, each read by probspace._real."""
+    return tuple(_real(v, what) for v in values)
+
+
+def _exact(x):
+    """Whether x is an int or a Fraction (not a bool), which the exact
+    paths keep exact."""
+    return isinstance(x, (Integral, Fraction)) and not isinstance(x, bool)
 
 
 def _positive_deltas(delta):
@@ -132,9 +135,8 @@ def unconstrained_shares(delta):
     """
     if not delta:
         raise ValidationError("need at least one agent")
-    exact = all(isinstance(d, (Integral, Fraction)) and not isinstance(d, bool)
-                for d in delta)
-    deltas = [Fraction(d) for d in delta] if exact else _positive_deltas(delta)
+    deltas = ([Fraction(d) for d in delta] if all(map(_exact, delta))
+              else _positive_deltas(delta))
     if not all(d > 0 for d in deltas):  # an exact weight has an exact reciprocal
         raise DomainError("every variance weight must be positive")
     weights = [1 / d for d in deltas]
@@ -155,7 +157,7 @@ def statewise_projection(c, delta, lower, upper, s):
     c = _floats(c, "every intercept")
     if len(c) != len(deltas):
         raise ValidationError("one intercept per agent")
-    s, = _floats((s,), "the state")
+    s = _real(s, "the state")
     if not all(map(math.isfinite, c + (s,))):
         raise ValidationError("intercepts and the state must be finite")
     # no lower cap is +inf and no upper cap -inf (see _caps)
@@ -662,7 +664,7 @@ def two_agent_fixed_point(a, C, S):
     [beta - min X*_1, beta + C - max X*_1].  Both ends solve the fixed point
     to the solver's stop, FIXED_POINT_TOL relative to max |S|.
     """
-    a, C = _floats((a, C), "slope a and cap C")
+    a, C = _real(a, "slope a"), _real(C, "cap C")
     if not 0.0 < a < 1.0:
         raise DomainError("slope a must lie strictly between 0 and 1")
     if not 0.0 < C < math.inf:
@@ -678,8 +680,10 @@ def two_agent_fixed_point(a, C, S):
 
 
 def _as_fraction(x, name):
-    if isinstance(x, bool) or not isinstance(x, (Integral, Fraction, float)):
-        raise ValidationError(f"{name} must be a real number")
+    """x as a Fraction: an int or Fraction exactly, another real number as
+    probspace._real reads it."""
+    if not _exact(x):
+        x = _real(x, name)
     # the kinks meet infinite caps in float arithmetic, so every value must
     # convert to a finite float
     if not abs(x) <= sys.float_info.max:

@@ -19,7 +19,7 @@ from .allocation import Allocation, comonotone_mask
 from .constraints import (_BLOCK_CELLS, _band_rows, _bands, _require_space,
                           _statewise_limits)
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, value_scale
+from .probspace import VALUE_TOL, RandomVariable, _count, _real, value_scale
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
@@ -27,8 +27,8 @@ TIE_EPS = 1e-12
 
 
 def _axis_points(lo, hi, step):
-    """Points on the axis lo, lo + step, ..., hi, counted without building it."""
-    lo, hi, step = float(lo), float(hi), float(step)
+    """Points on the axis lo, lo + step, ..., hi (floats), counted without
+    building it."""
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValidationError("grid ranges must be finite")
     if step <= 0.0:
@@ -57,10 +57,11 @@ class ScalarFamily:
 
     def __post_init__(self):
         try:
-            base = tuple(tuple(float(v) for v in row) for row in self.base)
-            direction = tuple(tuple(float(v) for v in row) for row in self.direction)
-            lo, hi, step = float(self.lo), float(self.hi), float(self.step)
-        except (TypeError, ValueError):
+            base = tuple(tuple(_real(v, "every family value") for v in row) for row in self.base)
+            direction = tuple(tuple(_real(v, "every family value") for v in row)
+                              for row in self.direction)
+            lo, hi, step = (_real(v, "lo, hi and step") for v in (self.lo, self.hi, self.step))
+        except (TypeError, ValidationError):  # not rows, or not reals
             raise ValidationError("family base and direction need rows of reals, "
                                   "and lo, hi and step reals")
         if not base or len(base) != len(direction):
@@ -90,10 +91,11 @@ class GridSpec:
         if self.ranges is not None:
             try:
                 ranges = tuple(
-                    tuple((float(l), float(h), float(s)) for (l, h, s) in agent)
+                    tuple(tuple(_real(v, "every range bound and step") for v in (l, h, s))
+                          for (l, h, s) in agent)
                     for agent in self.ranges
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ValidationError):  # not triples of reals
                 raise ValidationError("ranges need one (lo, hi, step) triple of "
                                       "reals per free agent and atom")
             if not ranges or any(not agent for agent in ranges):
@@ -110,9 +112,10 @@ class GridSpec:
 
     @classmethod
     def uniform(cls, n_free_agents, n_atoms, lo, hi, step):
-        triple = (float(lo), float(hi), float(step))
-        return cls(ranges=tuple(tuple(triple for _ in range(n_atoms))
-                                for _ in range(n_free_agents)))
+        triple = (_real(lo, "lo"), _real(hi, "hi"), _real(step, "step"))
+        n_free_agents = _count(n_free_agents, "the free agent count must be a nonnegative integer")
+        n_atoms = _count(n_atoms, "the atom count must be a nonnegative integer")
+        return cls(ranges=((triple,) * n_atoms,) * n_free_agents)
 
     @classmethod
     def from_family(cls, base, direction, lo, hi, step):

@@ -16,13 +16,15 @@ Conventions fixed here and used throughout:
   extracted distributions, conditioning, comonotonicity and the improvement;
 * checks of values in the aggregate's units (clearing, comonotonicity,
   convex order, feasibility) pass within ``VALUE_TOL`` (or a caller's base
-  tolerance) times :func:`value_scale`: absolute up to scale 1, relative above.
+  tolerance) times :func:`value_scale`: absolute up to scale 1, relative above;
+* every number a caller passes is read by :func:`_real` or :func:`_count`.
 """
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +38,30 @@ VALUE_TOL = 1e-9
 # rows_any ORs the columns of a block of more rows than atoms, each row of at
 # most this many atoms
 _SHORT_ROW = 8
+
+
+def _real(value, what):
+    """value as a float: a real number that is not a bool, else
+    ValidationError; DomainError for one past the float range, such as an
+    int or Fraction that float() cannot convert."""
+    if isinstance(value, float):  # float and numpy's float64 need no check
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must lie within the float range") from None
+
+
+def _count(value, message, least=0):
+    """value as an int: an integer of at least least that is not a bool,
+    else ValidationError(message); DomainError past the float range."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(message)
+    if value > sys.float_info.max:
+        raise DomainError("a count must lie within the float range")
+    return int(value)
 
 
 class FiniteSpace:
@@ -55,7 +81,7 @@ class FiniteSpace:
         labels = tuple(str(label) for label, _ in atoms)
         if len(set(labels)) != len(labels):
             raise ValidationError("atom labels must be unique")
-        probs = np.array([float(p) for _, p in atoms], dtype=float)
+        probs = np.array([_real(p, "every atom probability") for _, p in atoms], dtype=float)
         if not np.isfinite(probs).all() or (probs <= 0.0).any():
             raise ValidationError("atom probabilities must be finite and strictly positive")
         with np.errstate(over="ignore"):  # a sum past the float range reads inf
@@ -68,12 +94,9 @@ class FiniteSpace:
 
     @classmethod
     def uniform(cls, n):
-        """n equally likely atoms labelled w0, w1, ... (n an integer, not a
-        bool)."""
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ValidationError("the atom count must be an integer")
-        if n < 1:
-            raise ValidationError("need at least one atom")
+        """n equally likely atoms labelled w0, w1, ... (n a count, read by
+        _count)."""
+        n = _count(n, "the atom count must be an integer of at least 1", 1)
         return cls((f"w{k}", 1.0 / n) for k in range(n))
 
     @property
@@ -111,11 +134,16 @@ class RandomVariable:
     def __init__(self, space, values):
         if not isinstance(space, FiniteSpace):
             raise ValidationError("space must be a FiniteSpace")
-        values = np.array(values, dtype=float)
+        # an integer or float array is read by its dtype, other values one by one
+        numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+        if not numeric:
+            values = np.array(values, dtype=object)
         if values.shape != (space.size,):
             raise ValidationError(
                 f"need one value per atom ({space.size} atoms, {values.size} values)"
             )
+        values = (values.astype(float) if numeric else
+                  np.array([_real(v, "every value") for v in values.tolist()], dtype=float))
         if not np.isfinite(values).all():
             raise ValidationError("values must all be finite")
         values.setflags(write=False)
@@ -124,14 +152,15 @@ class RandomVariable:
 
     @classmethod
     def constant(cls, space, c):
-        return cls(space, np.full(space.size, float(c)))
+        return cls(space, np.full(space.size, _real(c, "the constant")))
 
+    @np.errstate(all="ignore")  # the new variable reports a value that is not finite
     def _binary(self, other, op):
         if isinstance(other, RandomVariable):
             if other.space != self.space:
                 raise ValidationError("operands live on different spaces")
             return RandomVariable(self.space, op(self.values, other.values))
-        return RandomVariable(self.space, op(self.values, float(other)))
+        return RandomVariable(self.space, op(self.values, _real(other, "a scalar operand")))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -303,6 +332,7 @@ def _brentq(f, a, b, xtol, maxiter=100):
 
 def gamma_quantile(g, u):
     """Root of cdf(q) = u by bracketed root finding, absolute tolerance 1e-10."""
+    u = _real(u, "quantile level")
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {u!r}")
     hi = 1.0

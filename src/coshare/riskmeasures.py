@@ -14,12 +14,11 @@ functions are its one-row calls.
 import enum
 import itertools
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .probspace import CUM_PROB_TOL
+from .probspace import CUM_PROB_TOL, _real
 
 # ES and VaR on a block of at most _NARROW_ATOMS atoms and at least
 # _NARROW_ROWS rows per atom take _narrow_tail (numpy sums a longer row out
@@ -51,17 +50,10 @@ EXPECTED_CONVEX_LOSS = "expected_convex_loss"
 _KINDS = (VAR, ES, MEAN_VARIANCE, EXPECTED_CONVEX_LOSS)
 
 
-def _real(name, value):
-    """value, unless it is a bool or not a real number (ValidationError)."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise ValidationError(f"{name} must be a real number")
-    return value
-
-
 def _validate_ladder(ladder):
     try:
-        alpha, beta, retention, width = (float(x) for x in ladder)
-    except (TypeError, ValueError):
+        alpha, beta, retention, width = (_real(x, "every ladder parameter") for x in ladder)
+    except (TypeError, ValueError, ValidationError):  # not four reals
         raise ValidationError("ladder parameters must be four reals (alpha, beta, R, B)")
     if not np.isfinite((alpha, beta, retention, width)).all():
         raise ValidationError("ladder parameters must be finite")
@@ -91,7 +83,7 @@ class RiskMeasureSpec:
             raise ValidationError(f"unknown measure kind {self.kind!r}")
         for name, value in (("level", self.level), ("delta", self.delta)):
             if value is not None:
-                _real(name, value)
+                _real(value, name)  # checked; the field keeps the caller's number
         if self.kind in (VAR, ES):
             if self.level is None or not 0.0 < self.level < 1.0:
                 raise ValidationError("var/es need a level in (0,1)")
@@ -105,15 +97,15 @@ class RiskMeasureSpec:
 
     @classmethod
     def var(cls, level):
-        return cls(VAR, level=float(_real("level", level)))
+        return cls(VAR, level=_real(level, "level"))
 
     @classmethod
     def es(cls, level):
-        return cls(ES, level=float(_real("level", level)))
+        return cls(ES, level=_real(level, "level"))
 
     @classmethod
     def mean_variance(cls, delta):
-        return cls(MEAN_VARIANCE, delta=float(_real("delta", delta)))
+        return cls(MEAN_VARIANCE, delta=_real(delta, "delta"))
 
     @classmethod
     def expected_convex_loss(cls, alpha, beta, retention, width):
@@ -232,6 +224,7 @@ def var(X, alpha):
     within VALUE_MERGE_TOL of each other are not merged, so on near ties the
     result may be the larger value of the pair, off by at most VALUE_MERGE_TOL.
     """
+    alpha = _real(alpha, "quantile level")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {alpha!r}")
     return _one_row(RiskMeasureSpec.var(alpha), X)
@@ -239,6 +232,7 @@ def var(X, alpha):
 
 def es(X, alpha):
     """Average of the worst (1 - alpha) tail mass, boundary atom split exactly."""
+    alpha = _real(alpha, "es level")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"es level must lie in (0,1), got {alpha!r}")
     return _one_row(RiskMeasureSpec.es(alpha), X)
@@ -246,6 +240,7 @@ def es(X, alpha):
 
 def mean_variance(X, delta):
     """E[X] + delta * Var(X)."""
+    delta = _real(delta, "delta")
     if not 0.0 < delta < np.inf:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     return _one_row(RiskMeasureSpec.mean_variance(delta), X)
@@ -254,9 +249,12 @@ def mean_variance(X, delta):
 def convex_ladder(x, ladder):
     """Pointwise ladder phi(x) = alpha(x-R)^+ + (beta-alpha)(x-R-B)^+.
 
-    Accepts scalars or arrays.
+    Accepts a real number or an array x, and a ladder as RiskMeasureSpec
+    takes one.
     """
-    alpha, beta, retention, width = ladder
+    if not isinstance(x, np.ndarray):
+        x = _real(x, "x")
+    alpha, beta, retention, width = _validate_ladder(ladder)
     first = np.maximum(x - retention, 0.0)
     second = np.maximum(x - retention - width, 0.0)
     return alpha * first + (beta - alpha) * second

@@ -19,8 +19,8 @@ no aggregate to take a scale from.
 
 import numpy as np
 
-from .errors import ContractError
-from .probspace import VALUE_TOL, RandomVariable, rows_all
+from .errors import ContractError, ValidationError
+from .probspace import VALUE_TOL, RandomVariable, _count, _real, rows_all
 
 WEIGHT_IDENTITY_TOL = 1e-12
 
@@ -39,7 +39,7 @@ def _stop_loss_rows(V, w):
 
 def stop_loss(X, t):
     """E[(X - t)^+]: the kernel's value at t, added as an atom of weight zero."""
-    t = min(float(t), X.values.max())  # 0 from the top atom on; inf * 0 is nan
+    t = min(_real(t, "t"), X.values.max())  # 0 from the top atom on; inf * 0 is nan
     order, _, sl = _stop_loss_rows(np.append(X.values, t)[None, :],
                                    np.append(X.space.probs, 0.0))
     return sl[0, order[0] == X.space.size].item()
@@ -81,6 +81,10 @@ def pigou_dalton_transfer(X, atom_down, atom_up, a, b):
     values never strictly reverse their order.  The result is a convex-order
     reduction of X.
     """
+    where = "atom_down and atom_up must be atom indices of X's space"
+    if max(_count(atom_down, where), _count(atom_up, where)) >= X.space.size:
+        raise ValidationError(where)
+    a, b = _real(a, "a"), _real(b, "b")
     if a < 0 or b < 0:
         raise ContractError("transfer amounts must be nonnegative")
     p = X.space.probs
