@@ -86,10 +86,15 @@ class Allocation:
     __slots__ = ("space", "shares", "aggregate")
 
     def __init__(self, space, shares, aggregate=None):
-        shares = tuple(shares)
+        try:
+            shares = tuple(shares)
+        except TypeError:  # not an iterable
+            raise ValidationError("an allocation's shares must be random variables")
         if not shares:
             raise ValidationError("an allocation needs at least one agent")
         for share in shares:
+            if not isinstance(share, RandomVariable):
+                raise ValidationError("an allocation's shares must be random variables")
             if share.space != space:
                 raise ValidationError("all shares must live on the allocation's space")
         if aggregate is None:

@@ -623,11 +623,6 @@ def _expect(checks, name, expected, computed, tol):
                    "tol": tol, "ok": ok})
 
 
-def _expect_true(checks, name, flag):
-    checks.append({"name": name, "expected": True, "computed": bool(flag),
-                   "tol": None, "ok": bool(flag)})
-
-
 def _example_42():
     space = FiniteSpace((f"s{k}", Fraction(1, 3)) for k in (1, 2, 3))
     S = RandomVariable(space, (1.0, 2.0, 3.0))
@@ -668,10 +663,10 @@ def _reproduce_ex31():
     autarky = Allocation(space, (zeta1, zeta2), S)
     checks = []
     verdict = cons.classify_solidity(constraints)
-    _expect_true(checks, "classify is NotSolid",
-                 verdict.status is cons.Solidity.NOT_SOLID)
+    _expect(checks, "classify is NotSolid", True,
+            bool(verdict.status is cons.Solidity.NOT_SOLID), None)
     witness = cons.falsify_solidity(constraints, space, S, start=autarky)
-    _expect_true(checks, "witness found", witness is not None)
+    _expect(checks, "witness found", True, bool(witness is not None), None)
     tables = {"autarky": _allocation_table(autarky)}
     if witness is not None:
         half = 0.5 * S.values
@@ -734,8 +729,8 @@ def _reproduce_ex43():
     for atom, expected in zip(range(4), (0.0, 1.0, 2.0, 4.0)):
         _expect(checks, f"constrained X_1 atom {atom}", expected,
                 float(best.shares[0].values[atom]), 1e-9)
-    _expect_true(checks, "constrained optimum splits {S=2}",
-                 not is_comonotonic(best))
+    _expect(checks, "constrained optimum splits {S=2}", True,
+            bool(not is_comonotonic(best)), None)
     return {
         "case": "ex-4.3",
         "unconstrained_value": free_value,
@@ -753,10 +748,10 @@ def _reproduce_fig63():
     report = mvsolver.saturation_curve((2, 3, 5, 6), (5, 8, 3, math.inf))
     checks = []
     bps = report.breakpoints
-    _expect_true(checks, "three breakpoints", len(bps) == 3)
+    _expect(checks, "three breakpoints", True, bool(len(bps) == 3), None)
     expected_bps = (Fraction(12), Fraction(31, 2), Fraction(20))
     for k, (got, want) in enumerate(zip(bps, expected_bps)):
-        _expect_true(checks, f"breakpoint {k+1} = {want}", got == want)
+        _expect(checks, f"breakpoint {k+1} = {want}", True, bool(got == want), None)
     curve_checks = (
         ("agent 1 at s=12", 0, Fraction(12), Fraction(5)),
         ("agent 2 at s=15.5", 1, Fraction(31, 2), Fraction(5)),
@@ -764,7 +759,7 @@ def _reproduce_fig63():
         ("agent 4 at s=25.5", 3, Fraction(51, 2), Fraction(19, 2)),
     )
     for name, agent, s, want in curve_checks:
-        _expect_true(checks, name, report.share_at(agent, s) == want)
+        _expect(checks, name, True, bool(report.share_at(agent, s) == want), None)
     samples = sorted({Fraction(k, 2) for k in range(0, 52)} | set(bps))
     rows = [[float(s)] + [float(report.share_at(i, s)) for i in range(4)] for s in samples]
     return {
@@ -793,9 +788,9 @@ def _reproduce_sec64():
     _expect(checks, "breakpoint r", 3.6700, report.r, 5e-5)
     _expect(checks, "comonotone-restricted 2.0972", 2.0972,
             report.comonotone_restricted, 5e-5)
-    _expect_true(checks, "ordering strict",
-                 report.unconstrained < report.constrained
-                 < report.comonotone_restricted < report.autarky)
+    _expect(checks, "ordering strict", True,
+            bool(report.unconstrained < report.constrained
+                 < report.comonotone_restricted < report.autarky), None)
     s_grid = np.arange(0.0, 7.431, 0.01)
     x1, x2 = report.constrained_shares(s_grid)
     g1, g2 = report.comonotone_shares(s_grid)

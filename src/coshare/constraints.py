@@ -26,8 +26,7 @@ import numpy as np
 from .allocation import (Allocation, _require_clearing, check_clearing,
                          comonotonic_improvement, condition_on_aggregate)
 from .errors import ValidationError
-from .probspace import (VALUE_TOL, RandomVariable, _count, _real, agent_sum, rows_all,
-                        rows_any, value_scale)
+from .probspace import VALUE_TOL, RandomVariable, _count, _real, value_scale
 from .riskmeasures import (
     VAR,
     Consistency,
@@ -479,15 +478,12 @@ def _band_rows(bands, tensors, s_values, probs, tol):
     Each band runs, in the order given, only on the rows that passed every
     band before it, and none runs once no row is left.  Row-wise bands give
     the same verdicts as on every row; a band that takes V @ probs can round
-    a row differently with fewer rows.  A breach on any atom is found with
-    probspace.rows_any (the OR of a short row's columns on a block of more
-    rows than atoms, numpy's any on any other), not a reduction over a short
-    row one row at a time."""
+    a row differently with fewer rows."""
     rows = None  # every row has passed: the bands see the tensors themselves
     for _, kind, i in bands:
         V = tensors[i] if rows is None else tensors[i].take(rows, axis=0)
         value, lower, upper = kind.band(V, s_values, probs, tol)
-        ok = ~rows_any((value < lower - tol) | (value > upper + tol))
+        ok = ~((value < lower - tol) | (value > upper + tol)).any(axis=1)
         if ok.all():
             continue
         rows = np.flatnonzero(ok) if rows is None else rows[ok]
@@ -576,15 +572,11 @@ def _witness_mask(Y, X, s_values, probs, constraints):
     VALUE_TOL * value_scale(s_values), is infeasible, and each of its shares
     precedes X's in convex order.  Each check runs only on the rows that
     passed the ones before it, and a check that every row reaches reads Y
-    itself, not a copy.  The shares are summed with probspace.agent_sum
-    (agent by agent, from 0.0, in one buffer), and "every atom clears" and
-    "every share is a reduction" are probspace.rows_all (column by column
-    on a short row, numpy's all on a long one), so no reduction loops over
-    a short axis row by row."""
+    itself, not a copy."""
     n, m = X.shape
-    residual = agent_sum(Y[:, i] for i in range(n))
+    residual = Y.sum(axis=1)
     np.subtract(residual, s_values, out=residual)
-    hit = rows_all(np.abs(residual, out=residual) <= VALUE_TOL * value_scale(s_values))
+    hit = (np.abs(residual, out=residual) <= VALUE_TOL * value_scale(s_values)).all(axis=1)
     rows = np.flatnonzero(hit)
     if rows.size:
         Z = Y if rows.size == hit.size else Y[rows]
@@ -593,9 +585,8 @@ def _witness_mask(Y, X, s_values, probs, constraints):
         rows = rows[hit[rows]]
     if rows.size:
         Z = Y if rows.size == hit.size else Y[rows]
-        hit[rows] = rows_all(convex_order_mask(Z.reshape(-1, m), probs,
-                                               np.tile(X, (rows.size, 1)),
-                                               probs).reshape(-1, n))
+        hit[rows] = convex_order_mask(Z.reshape(-1, m), probs, np.tile(X, (rows.size, 1)),
+                                      probs).reshape(-1, n).all(axis=1)
     return hit
 
 

@@ -86,6 +86,12 @@ def _exact(x):
     return isinstance(x, (Integral, Fraction)) and not isinstance(x, bool)
 
 
+def _fraction(x):
+    """x, for which _exact holds, as a Fraction of Python ints: a numpy
+    integer's own arithmetic wraps at 64 bits."""
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 def _positive_deltas(delta):
     """delta as floats, each positive and finite with a reciprocal that is a
     finite normal float: a weight past 1 / sys.float_info.min (about
@@ -133,9 +139,9 @@ def unconstrained_shares(delta):
 
     Integer or Fraction inputs give exact Fractions; floats give floats.
     """
-    if not delta:
+    if delta is None or not len(delta):  # len: an ndarray has no truth value
         raise ValidationError("need at least one agent")
-    deltas = ([Fraction(d) for d in delta] if all(map(_exact, delta))
+    deltas = ([_fraction(d) for d in delta] if all(map(_exact, delta))
               else _positive_deltas(delta))
     if not all(d > 0 for d in deltas):  # an exact weight has an exact reciprocal
         raise DomainError("every variance weight must be positive")
@@ -682,8 +688,7 @@ def two_agent_fixed_point(a, C, S):
 def _as_fraction(x, name):
     """x as a Fraction: an int or Fraction exactly, another real number as
     probspace._real reads it."""
-    if not _exact(x):
-        x = _real(x, name)
+    x = _fraction(x) if _exact(x) else _real(x, name)
     # the kinks meet infinite caps in float arithmetic, so every value must
     # convert to a finite float
     if not abs(x) <= sys.float_info.max:

@@ -292,10 +292,10 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     same slice in every block, is tested and scored once per call.  Only
     the implied agent is written over the product of the kept rows: atom by
     atom, s - (0.0 + x_0 + x_1 + ...) with each free share broadcast over
-    its slice's axis, in agent order (probspace.agent_sum's bits), into the
-    columns of one C-contiguous array.  Only it is tested and scored on the
-    product; the slices' values add by broadcast, in agent order from 0.0,
-    so each point's value has the bits of a sum over its agents.  A block
+    its slice's axis, in agent order, into the columns of one C-contiguous
+    array.  Only it is tested and scored on the product; the slices' values
+    add by broadcast, in agent order from 0.0, so each point's value has
+    the bits of a sum over its agents.  A block
     of one slice (one free agent's, or a family's) is one allocation per
     point with the implied agent: its comonotonicity is checked, and its
     objectives scored, only on the points that pass the implied agent."""

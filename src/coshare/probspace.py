@@ -35,9 +35,6 @@ VALUE_MERGE_TOL = 1e-12
 CUM_PROB_TOL = 1e-12
 GAMMA_ROOT_TOL = 1e-10
 VALUE_TOL = 1e-9
-# rows_any ORs the columns of a block of more rows than atoms, each row of at
-# most this many atoms
-_SHORT_ROW = 8
 
 
 def _real(value, what):
@@ -75,10 +72,13 @@ class FiniteSpace:
     __slots__ = ("labels", "probs")
 
     def __init__(self, atoms):
-        atoms = list(atoms)
+        try:
+            atoms = [(str(label), p) for label, p in atoms]
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise ValidationError("a space's atoms must be (label, prob) pairs")
         if not atoms:
             raise ValidationError("a space needs at least one atom")
-        labels = tuple(str(label) for label, _ in atoms)
+        labels = tuple(label for label, _ in atoms)
         if len(set(labels)) != len(labels):
             raise ValidationError("atom labels must be unique")
         probs = np.array([_real(p, "every atom probability") for _, p in atoms], dtype=float)
@@ -227,40 +227,6 @@ def level_partition(values, probs):
 def value_scale(values):
     """max(1, max |values|), the factor value tolerances are multiplied by."""
     return max(1.0, float(np.abs(values).max()))
-
-
-def agent_sum(parts):
-    """Sum of equal-shape arrays, one per agent, in one new buffer: 0.0 plus
-    the first, then each next one added in place.  That is numpy's own order
-    for np.sum over the agents axis of a stacked block with two or more
-    atoms, so the bits are the same, without numpy's loop over the short
-    agents axis one row at a time.  (A one-atom stack of eight or more
-    agents numpy sums pairwise; this sums it in agent order.)"""
-    parts = iter(parts)
-    total = np.add(0.0, next(parts))
-    for part in parts:
-        np.add(total, part, out=total)
-    return total
-
-
-def rows_any(B):
-    """B.any(axis=1) for a boolean rows x k block.  numpy's any reduces a
-    short axis one row at a time (3 to 4x slower at k = 3 to 4), so a block
-    of more rows than atoms, each of at most _SHORT_ROW atoms, is the OR of
-    its columns, one vector operation per column.  Any other block, of few
-    rows or long ones, is B.any(axis=1) itself."""
-    rows, k = B.shape
-    if k > _SHORT_ROW or rows <= k:
-        return B.any(axis=1)
-    hit = np.zeros(rows, dtype=bool)
-    for column in B.T:
-        np.logical_or(hit, column, out=hit)
-    return hit
-
-
-def rows_all(B):
-    """B.all(axis=1) for a boolean block, as not rows_any(not B)."""
-    return ~rows_any(~B)
 
 
 def distribution_of(X):

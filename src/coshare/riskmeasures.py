@@ -27,12 +27,6 @@ from .probspace import CUM_PROB_TOL, _real
 _NARROW_ATOMS = 7
 _NARROW_ROWS = 256
 _NARROW_SPAN = 8192
-# mean-variance subtracts the mean column by column on a block of 2 to
-# _COLUMN_ATOMS atoms and at least _COLUMN_ROWS rows, where numpy's broadcast
-# over the short rows runs one row at a time (measured crossovers: about 400
-# rows at 2 and 3 atoms, 1,500 at 4; none up to 4,096 rows at 1 or 5 atoms)
-_COLUMN_ATOMS = 4
-_COLUMN_ROWS = 2048
 
 
 class Consistency(enum.Enum):
@@ -124,9 +118,7 @@ class RiskMeasureSpec:
 def measure_values(spec, V, probs):
     """spec evaluated on every row of V (rows x atoms) under the atom
     probabilities probs.  Mean-variance uses the centred variance, which
-    reads inf where it passes the float range; on a block of 2 to
-    _COLUMN_ATOMS atoms and at least _COLUMN_ROWS rows the mean is
-    subtracted column by column, the same subtraction as the broadcast.
+    reads inf where it passes the float range.
 
     VaR and ES sort each row with its probabilities, stably, then take the
     cumulative masses and either the first value whose mass reaches the
@@ -136,14 +128,8 @@ def measure_values(spec, V, probs):
     argsort; both give the same bits."""
     if spec.kind == MEAN_VARIANCE:
         mean = V @ probs
-        rows, atoms = V.shape
         with np.errstate(over="ignore"):
-            if 2 <= atoms <= _COLUMN_ATOMS and rows >= _COLUMN_ROWS:
-                dev = np.empty((rows, atoms))
-                for a in range(atoms):
-                    np.subtract(V[:, a], mean, out=dev[:, a])
-            else:
-                dev = V - mean[:, None]
+            dev = V - mean[:, None]
             np.square(dev, out=dev)
             return mean + spec.delta * (dev @ probs)
     if spec.kind == EXPECTED_CONVEX_LOSS:

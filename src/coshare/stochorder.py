@@ -20,7 +20,7 @@ no aggregate to take a scale from.
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, _count, _real, rows_all
+from .probspace import VALUE_TOL, RandomVariable, _count, _real
 
 WEIGHT_IDENTITY_TOL = 1e-12
 
@@ -51,18 +51,15 @@ def convex_order_mask(Y, py, X, px):
     Y is rows x atoms with atom probabilities py, X is rows x atoms with its
     own atom count and probabilities px.  Checks |E[Y] - E[X]| <= tol and
     SL_Y <= SL_X + tol at every merged atom of the row pair, with tol =
-    VALUE_TOL * max(1, max |value|) over the row pair.  No reduction loops
-    over a row's atoms one row at a time: max |value| is read from the ends
-    of the kernel's sorted row (nan, sorted last, still gives nan), and
-    "every atom within tol" is probspace.rows_all (column by column on a
-    short row, numpy's all on a long one).
+    VALUE_TOL * max(1, max |value|) over the row pair, read from the ends
+    of the kernel's sorted row (nan, sorted last, still gives nan).
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))
     _, h, gaps = _stop_loss_rows(V, w)
     span = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
     tol = VALUE_TOL * np.maximum(span, 1.0)
-    return (np.abs(V @ w) <= tol) & rows_all(gaps <= tol[:, None])
+    return (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
 
 
 def convex_order_leq(Y, X):

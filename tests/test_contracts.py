@@ -275,3 +275,30 @@ def test_exact_paths_stay_exact():
 def test_index_past_the_space():
     with pytest.raises(ValidationError, match="atom indices"):
         pigou_dalton_transfer(S, 5, 1, 0.0, 0.0)
+
+
+def test_weight_arrays_read_like_tuples():
+    # an ndarray of weights is read element by element, as a tuple is: a
+    # float array gives floats, an int array exact Fractions of Python ints
+    # (int64 arithmetic would wrap on these weights)
+    assert unconstrained_shares(np.array([1.0, 2.0])) == unconstrained_shares((1.0, 2.0))
+    assert type(unconstrained_shares(np.array([1.0, 2.0]))[0]) is float
+    big = (3 * 10 ** 9, 7 * 10 ** 9 + 1, 5 * 10 ** 9 + 3)
+    for weights in ((1, 2), big):
+        shares = unconstrained_shares(np.array(weights))
+        assert shares == unconstrained_shares(weights)
+        assert all(type(x.numerator) is int for x in shares)
+    caps = (5 * 10 ** 9 + 3, 2 * 10 ** 9 + 1, 10 ** 9)
+    assert (saturation_curve(np.array(big), np.array(caps)).breakpoints
+            == saturation_curve(big, caps).breakpoints)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FiniteSpace(None),
+    lambda: FiniteSpace(np.array([0.5, 0.5])),
+    lambda: Allocation(SPACE, None),
+    lambda: Allocation(SPACE, [np.array([0.0, 2.0])]),
+], ids=["space-None", "space-ndarray", "allocation-None", "allocation-ndarray"])
+def test_constructors_refuse_what_is_not_their_sequence(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -142,15 +142,13 @@ class TestMeanVariance:
             mean_variance(skewed, 1.5) + 5.0, abs=1e-12)
 
     def test_column_subtraction_bits_match_broadcast(self, rng):
-        # tall blocks of few atoms subtract the mean column by column; on
-        # every shape, with signed zeros, inf and 1e308 entries, the bits
-        # are those of the broadcast over the rows
+        # on every shape, short and tall, with signed zeros, inf and 1e308
+        # entries, the bits are those of the broadcast over the rows
         delta = 1.5
         spec = RiskMeasureSpec.mean_variance(delta)
         for atoms in range(1, 13):
             probs = rng.dirichlet(np.ones(atoms))
-            for rows in (1, atoms, atoms + 1, 20, riskmeasures._COLUMN_ROWS - 1,
-                         riskmeasures._COLUMN_ROWS, 4000, 20000):
+            for rows in (1, atoms, atoms + 1, 20, 2047, 2048, 4000, 20000):
                 V = rng.normal(size=(rows, atoms))
                 special = rng.random(V.shape) < 0.05
                 V[special] = rng.choice([-0.0, 0.0, np.inf, -np.inf, 1e308, -1e308],
