@@ -142,6 +142,8 @@ def check_clearing(A):
     """(clears, worst atom residual) for sum_i X_i = S; clears means a
     residual within VALUE_TOL * value_scale(S).  A sum of shares past the
     float range reads +-inf, and does not clear."""
+    if not isinstance(A, Allocation):
+        raise ValidationError(f"need an Allocation, not {type(A).__name__}")
     S_values = A.aggregate.values
     with np.errstate(over="ignore"):
         residual = float(np.abs(A.share_matrix().sum(axis=0) - S_values).max())

@@ -416,12 +416,23 @@ def _kind_of(constraint):
     return constraint.kind
 
 
+def _constraint_tuple(constraints):
+    """constraints, any iterable, as a tuple, so that it is read once."""
+    try:
+        return tuple(constraints)
+    except TypeError:  # not an iterable
+        raise ValidationError("constraints must be Constraint instances") from None
+
+
 def _require_space(constraints, space):
-    """Every constraint is a Constraint with any retention endowment on space."""
+    """constraints as a tuple of Constraint instances, with any retention
+    endowment on space."""
+    constraints = _constraint_tuple(constraints)
     for constraint in constraints:
         kind = _kind_of(constraint)
         if isinstance(kind, IdiosyncraticRetention) and kind.endowment.space != space:
             raise ValidationError("retention endowment lives on a different space")
+    return constraints
 
 
 def _bands(constraints, n_agents, s_values):
@@ -499,7 +510,7 @@ def check_feasible(A, constraints):
     then agent, then atom.  The allocation must clear its aggregate.
     """
     _require_clearing(A)
-    _require_space(constraints, A.space)
+    constraints = _require_space(constraints, A.space)
     labels = A.space.labels
     s_values = A.aggregate.values
     tol = VALUE_TOL * value_scale(s_values)
@@ -541,7 +552,7 @@ def classify_solidity(constraints):
     NotSolid as soon as one member is certified breakable.  A VaR ceiling
     that a pathwise upper bound implies leaves the set unchanged, so it
     takes no part in the meet."""
-    constraints = tuple(constraints)
+    constraints = _constraint_tuple(constraints)
     verdicts = [classify_constraint(c) for c in constraints]
     if not verdicts:
         return SolidityVerdict(Solidity.SOLID, "empty constraint set restricts nothing")
@@ -613,19 +624,41 @@ def _feasible_seed(constraints, space, S):
     return None
 
 
+def _moves(codes, n, m):
+    """(i, j, a, b) of move codes in range(n (n-1) m (m-1)): the code
+    ((i (n-1) + dj) m + a) (m-1) + db moves agent i against agent j, the
+    dj-th of the agents other than i, on atoms a and b, the db-th of the
+    atoms other than a.  So the codes map one to one onto the moves with
+    i != j and a != b."""
+    rest = codes // (m - 1)
+    db = codes - rest * (m - 1)
+    pair = rest // m
+    a = rest - pair * m
+    i = pair // (n - 1)
+    dj = pair - i * (n - 1)
+    return i, dj + (dj >= i), a, db + (db >= a)
+
+
 def _transfer_witness(base, s_values, probs, constraints, budget, seed):
     """Stage 3 of falsify_solidity from the start share matrix base (agents
     x atoms): the first verified candidate's share matrix, or None.
 
     Each block of chains runs in lockstep, one lane per chain.  A block
-    draws all of its steps at once, with one integers and one uniform call
-    whose leading axes are (FALSIFY_CHAIN_LIMIT, lanes); step t of lane c
-    reads entry [t, c].  A step moves a lane's four cells (i, a), (i, b),
-    (j, a) and (j, b) by flat index into the block's state, lane c's cells
-    starting at c * n * m; they are distinct since i != j and a != b, so no
-    in-place update hits a cell twice.  A block's candidates
-    are verified together, so the search stops at the first block that
-    holds a witness."""
+    draws all of its steps at once, with one integers call of scalar bound
+    n (n-1) m (m-1), decoded by _moves, and one uniform call, both of shape
+    (FALSIFY_CHAIN_LIMIT, lanes); step t of lane c reads entry [t, c].  Before
+    the first step the block computes, for every step and lane, the flat
+    indices of the move's cells (i, a), (j, b), (j, a) and (i, b) in its
+    state, lane c's cells starting at c * n * m, and the move's
+    probabilities; the cells are distinct since i != j and a != b.  A step
+    gathers every lane's four cells, moves the lanes whose gaps are both
+    positive, writes all four back (unchanged where the lane did not move)
+    and appends the moved lanes' states to the block's candidates, so each
+    candidate is copied once.  A lane past the search's last draw (only the
+    last chain can be short) never moves.  A block's candidates are
+    verified together, in step-major order, and the first hit in
+    chain-major order is returned, so the search stops at the first block
+    that holds a witness."""
     n, m = base.shape
     if n < 2 or m < 2:
         return None
@@ -634,44 +667,57 @@ def _transfer_witness(base, s_values, probs, constraints, budget, seed):
     length = FALSIFY_CHAIN_LIMIT
     lanes = max(1, _BLOCK_CELLS // (length * n * m))
     for first in range(0, -(-budget // length), lanes):
-        # lane c runs chain first + c; only the search's last chain can be
-        # short, so the lanes still drawing at a step are a prefix
+        # lane c runs chain first + c
         block_draws = min(lanes * length, budget - first * length)
         width = -(-block_draws // length)
-        draws = rng.integers(0, (n, n - 1, m, m - 1), size=(length, width, 4))
+        i, j, a, b = _moves(rng.integers(0, n * (n - 1) * m * (m - 1), size=(length, width)),
+                            n, m)
         uniforms = rng.uniform(0.25, 1.0, size=(length, width))
-        i, a = draws[..., 0], draws[..., 2]
-        j = (i + 1 + draws[..., 1]) % n
-        b = (a + 1 + draws[..., 3]) % m
+        lane = np.arange(0, width * n * m, n * m)
+        row_i, row_j = lane + i * m, lane + j * m
+        # in this order, the first two cells less the last two, reversed,
+        # are the gaps of agents i and j
+        cells = np.stack((row_i + a, row_j + b, row_j + a, row_i + b), axis=1)
+        p_a, p_b = probs[a], probs[b]
+        p_ab = p_a + p_b
+        # a lane moves only where both gaps exceed its step's bar
+        bar = np.full((length, width), min_gap)
+        bar[block_draws - (width - 1) * length:, -1] = np.inf
         state = np.repeat(base[None], width, axis=0)
         flat = state.reshape(-1)
-        candidates = np.empty((width, length, n, m))
-        moved = np.zeros((width, length), dtype=bool)
-        offset = np.arange(width) * (n * m)
+        candidates = np.empty((width * length, n, m))
+        moved = np.zeros((length, width), dtype=bool)
+        count = 0
+        # per cell, the change if its lane moves: -down, -up, down, up
+        delta = np.empty((4, width))
+        down, up = delta[2], delta[3]
         for step in range(min(length, block_draws)):
-            live = -(-(block_draws - step) // length)
-            row_i = offset[:live] + i[step, :live] * m
-            row_j = offset[:live] + j[step, :live] * m
-            a_s, b_s = a[step, :live], b[step, :live]
-            ia, ib, ja, jb = row_i + a_s, row_i + b_s, row_j + a_s, row_j + b_s
-            gap_i = flat[ia] - flat[ib]
-            gap_j = flat[jb] - flat[ja]
-            lane = np.flatnonzero((gap_i > min_gap) & (gap_j > min_gap))
-            p_a, p_b = probs[a_s[lane]], probs[b_s[lane]]
+            at = cells[step]
+            v = flat[at]
+            gap = v[:2] - v[:1:-1]
+            low = np.minimum(gap[0], gap[1])
+            ok = np.greater(low, bar[step], out=moved[step])
+            # a lane that does not move keeps its cells; at zero, its gap
+            # cannot overflow the discarded update
+            np.maximum(low, 0.0, out=low)
             # no-crossing cap keeps the step a contraction for both agents
-            down = (np.minimum(gap_i, gap_j)[lane] * p_b / (p_a + p_b)
-                    * uniforms[step, lane])
-            up = down * p_a / p_b
-            flat[ia[lane]] -= down
-            flat[ib[lane]] += up
-            flat[ja[lane]] += down
-            flat[jb[lane]] -= up
-            candidates[lane, step] = state[lane]
-            moved[lane, step] = True
-        rows = candidates[moved]
-        hit = np.flatnonzero(_witness_mask(rows, base, s_values, probs, constraints))
+            np.multiply(low, p_b[step], out=down)
+            down /= p_ab[step]
+            down *= uniforms[step]
+            np.multiply(down, p_a[step], out=up)
+            up /= p_b[step]
+            np.negative(delta[2:], out=delta[:2])
+            flat[at] = np.where(ok, v + delta, v)
+            k = np.count_nonzero(ok)
+            np.compress(ok, state, axis=0, out=candidates[count:count + k])
+            count += k
+        # the candidates are in step-major order; the witness is the first
+        # hit in chain-major order
+        hit = np.flatnonzero(_witness_mask(candidates[:count], base, s_values, probs,
+                                           constraints))
         if hit.size:
-            return rows[hit[0]]
+            steps, chain = np.nonzero(moved)
+            return candidates[hit[np.argmin(chain[hit] * length + steps[hit])]]
     return None
 
 
@@ -683,17 +729,27 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     paired no-crossing transfers.  The draws form chains of
     FALSIFY_CHAIN_LIMIT draws, and every chain restarts from the start:
     draw t is step t % FALSIFY_CHAIN_LIMIT of chain t // FALSIFY_CHAIN_LIMIT.
-    A draw moves its chain only when both of its gaps are positive, and
-    every moved state is a candidate; the first verified candidate in this
-    chain-major draw order is returned.  Returns a verified SolidityWitness
+    A draw is one integer code, uniform over the n (n-1) m (m-1) moves of
+    agent i against agent j != i on atoms a != b, and one uniform size; a
+    seed's codes, and so its paired-transfer witness, are not those of
+    the per-axis draws of earlier versions.  A draw moves its chain only
+    when both of its gaps are positive, and every moved state is a
+    candidate; the first verified candidate in this chain-major draw order
+    is returned.  Returns a verified SolidityWitness
     or None; None is absence of evidence, not a proof.  Without a start,
     only a set with a scoped retention is searched, from _feasible_seed.
-    budget and seed are counts, read by probspace._count.
+    budget and seed are counts, read by probspace._count; constraints that
+    are not Constraint instances, an S that is not a RandomVariable on
+    space and a start that is not an Allocation raise ValidationError.
     """
     budget, seed = (_count(value, f"{name} must be a nonnegative integer")
                     for name, value in (("budget", budget), ("seed", seed)))
-    _require_space(constraints, space)
+    constraints = _require_space(constraints, space)
+    if not isinstance(S, RandomVariable) or S.space != space:
+        raise ValidationError("aggregate S must be a RandomVariable on the given space")
     if start is not None:
+        if not isinstance(start, Allocation):
+            raise ValidationError("start must be an Allocation")
         if start.space != space:
             raise ValidationError("start allocation must live on the problem's space")
         if not np.array_equal(start.aggregate.values, S.values):

@@ -301,7 +301,7 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     objectives scored, only on the points that pass the implied agent."""
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
-    _require_space(constraints, space)
+    constraints = _require_space(constraints, space)
     if grid.n_atoms != space.size:
         raise ValidationError("grid atom count must match the space")
     n = grid.n_free_agents + 1

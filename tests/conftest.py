@@ -315,9 +315,10 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
 def reference_transfers(X, constraints, budget, seed):
     """Stage 3 of falsify_solidity from the start X, one lane at a time: the
     share matrix of the first verified candidate, or None.  It makes the
-    library's two rng calls per block, one row per step and lane, moves each
-    chain in Python floats, and checks each candidate on its own with
-    check_clearing, check_feasible and convex_order_leq."""
+    library's two rng calls per block, one row per step and lane, decodes
+    each move code with Python divmod, moves each chain in Python floats,
+    and checks each candidate on its own with check_clearing, check_feasible
+    and convex_order_leq."""
     space, S = X.space, X.aggregate
     n, m = X.n_agents, space.size
     if n < 2 or m < 2:
@@ -333,13 +334,16 @@ def reference_transfers(X, constraints, budget, seed):
         block = range(first, min(first + lanes, chains))
         states = [X.share_matrix().tolist() for _ in block]
         moved = [[] for _ in block]
-        draws = rng.integers(0, (n, n - 1, m, m - 1), size=(length, len(block), 4)).tolist()
+        codes = rng.integers(0, n * (n - 1) * m * (m - 1), size=(length, len(block))).tolist()
         uniforms = rng.uniform(0.25, 1.0, size=(length, len(block))).tolist()
         for step in range(length):
             live = [c for c, chain in enumerate(block) if chain * length + step < budget]
             for c in live:
-                (i, dj, a, db), uc = draws[step][c], uniforms[step][c]
-                j, b = (i + 1 + dj) % n, (a + 1 + db) % m
+                rest, db = divmod(codes[step][c], m - 1)
+                rest, a = divmod(rest, m)
+                i, dj = divmod(rest, n - 1)
+                j, b = dj + (dj >= i), db + (db >= a)
+                uc = uniforms[step][c]
                 x = states[c]
                 gap_i = x[i][a] - x[i][b]
                 gap_j = x[j][b] - x[j][a]

@@ -38,7 +38,7 @@ from coshare import (
 )
 import coshare.constraints as constraints_module
 from coshare.probspace import VALUE_TOL, value_scale
-from coshare.constraints import (FALSIFY_CHAIN_LIMIT, _check_envelope_coverage,
+from coshare.constraints import (FALSIFY_CHAIN_LIMIT, _check_envelope_coverage, _moves,
                                  _pl_eval, _transfer_witness, feasible_mask)
 
 
@@ -634,6 +634,18 @@ class TestFalsify:
         assert ("agent 0 share 0.5 must equal endowment 0 below deductible 1"
                 in messages)
 
+    def test_constraints_may_be_an_iterator(self):
+        # each entry point reads its constraints once, so an iterator gives
+        # the verdicts of the tuple it yields
+        space, zeta1, zeta2, constraints = self.coin_pair()
+        S = zeta1 + zeta2
+        autarky = Allocation(space, (zeta1, zeta2), S)
+        halves = Allocation(space, (S * 0.5, S * 0.5), S)
+        assert not check_feasible(halves, constraints)[0]
+        assert check_feasible(halves, iter(constraints)) == check_feasible(halves, constraints)
+        witness = falsify_solidity(iter(constraints), space, S, start=autarky)
+        assert witness is not None and witness.method == "comonotonic improvement"
+
     def test_default_seed_finds_same_witness(self):
         # without a start, a scoped retention seeds the search with its
         # endowments: on ex-3.1 that is autarky
@@ -870,6 +882,14 @@ class TestTransferStage:
         # each both finds and misses a witness
         assert {(b, f) for b in (L - 1, L + 1, 3 * L + 5) for f in (True, False)} <= outcomes
 
+    @pytest.mark.parametrize("n, m", ((2, 2), (2, 5), (3, 2), (4, 7), (8, 3)))
+    def test_move_codes_decode_one_to_one(self, n, m):
+        i, j, a, b = _moves(np.arange(n * (n - 1) * m * (m - 1)), n, m)
+        moves = set(zip(i.tolist(), j.tolist(), a.tolist(), b.tolist()))
+        assert moves == {(p, q, x, y) for p in range(n) for q in range(n) if q != p
+                         for x in range(m) for y in range(m) if y != x}
+        assert len(moves) == i.size
+
     def test_two_rng_calls_per_block(self, monkeypatch):
         monkeypatch.setattr(constraints_module, "_BLOCK_CELLS", self.SMALL_BLOCKS)
         calls = {"integers": 0, "uniform": 0}
@@ -879,9 +899,11 @@ class TestTransferStage:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def integers(self, *args, **kwargs):
+            def integers(self, low, high, **kwargs):
+                # one scalar bound, not an array of per-axis bounds
+                assert np.ndim(low) == 0 and np.ndim(high) == 0
                 calls["integers"] += 1
-                return self.rng.integers(*args, **kwargs)
+                return self.rng.integers(low, high, **kwargs)
 
             def uniform(self, *args, **kwargs):
                 calls["uniform"] += 1

@@ -39,11 +39,17 @@ from coshare import (
     RiskMeasureSpec,
     ScalarFamily,
     ValidationError,
+    check_clearing,
+    check_feasible,
+    classify_solidity,
+    comonotonic_improvement,
+    condition_on_aggregate,
     convex_ladder,
     es,
     expected_convex_loss,
     falsify_solidity,
     gamma_quantile,
+    is_comonotonic,
     mean_variance,
     mv_objective,
     pigou_dalton_transfer,
@@ -300,5 +306,30 @@ def test_weight_arrays_read_like_tuples():
     lambda: Allocation(SPACE, [np.array([0.0, 2.0])]),
 ], ids=["space-None", "space-ndarray", "allocation-None", "allocation-ndarray"])
 def test_constructors_refuse_what_is_not_their_sequence(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+BOX = (Constraint(PathwiseBounds(0.0, 2.0)),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: falsify_solidity(None, SPACE, S, start=_start()),
+    lambda: falsify_solidity(BOX, SPACE, S.values, start=_start()),
+    lambda: falsify_solidity(BOX, SPACE, None, start=_start()),
+    lambda: falsify_solidity(BOX, SPACE, S, start=_start().share_matrix()),
+    lambda: classify_solidity(None),
+    lambda: check_feasible(HALVES, None),
+    lambda: check_feasible(None, BOX),
+    lambda: check_feasible(HALVES.share_matrix(), BOX),
+    lambda: check_clearing(None),
+    lambda: is_comonotonic(HALVES.share_matrix()),
+    lambda: condition_on_aggregate(None),
+    lambda: comonotonic_improvement(HALVES.share_matrix()),
+], ids=["falsify-constraints-None", "falsify-S-ndarray", "falsify-S-None",
+        "falsify-start-ndarray", "classify-None", "feasible-constraints-None",
+        "feasible-None", "feasible-ndarray", "clearing-None", "comonotonic-ndarray",
+        "conditioning-None", "improvement-ndarray"])
+def test_allocation_and_constraint_arguments_are_checked(call):
     with pytest.raises(ValidationError):
         call()
