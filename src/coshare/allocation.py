@@ -12,13 +12,13 @@ absorbs the move, so clearing is preserved level by level.
 Transfer sizing.  Write g_i = x_i(s) - x_i(s') > 0 for the violating gap and
 g_j = x_j(s') - x_j(s) > 0 for the partner's gap.
 
-* Equal level masses: both agents move by t = min(g_i, g_j / 2) on each
-  level.  The violator's pair contracts or swaps outright (never widening,
-  since t <= g_i), the partner's pair contracts without flipping its order
-  (t <= g_j / 2), and the variance potential strictly decreases.  Capping at
-  g_i rather than g_i / 2 lets the violator's two values trade places
-  exactly, which is what removes the violation in one step instead of
-  stalling at the midpoint.
+* Equal level masses (within CUM_PROB_TOL): both agents move by
+  t = min(g_i, g_j / 2) on each level.  The violator's pair contracts or
+  swaps outright (never widening, since t <= g_i), the partner's pair
+  contracts without flipping its order (t <= g_j / 2), and the variance
+  potential strictly decreases.  Capping at g_i rather than g_i / 2 lets
+  the violator's two values trade places exactly, which is what removes
+  the violation in one step instead of stalling at the midpoint.
 * Unequal level masses: a mass-weighted no-crossing transfer with
   t = min(g_i, g_j), amounts a = t p' / (p + p') down at s and
   b = t p / (p + p') up at s' (so p a = p' b).  One of the two gaps closes
@@ -29,7 +29,8 @@ witness; the run aborts with a diagnostic if the transfer cap is exceeded.
 
 Schedule.  Sweeps visit the level pairs (k, l), k < l, in order; on each
 pair, transfers repeat with the first violating agent and the first agent
-of largest rise until no agent falls by more than LEVEL_GAP_EPS from k to l.
+of largest rise until no agent falls by more than gap_tol = LEVEL_GAP_EPS *
+value_scale(S) from k to l.
 Sweeps repeat until one makes no transfer; a pair whose violator has no
 partner moves nothing and does not count, or the sweeps would never end.
 The loop runs on one Python float list per level, with the float operations
@@ -39,18 +40,18 @@ taken without building a list; only a pair with a violator builds its gap
 list, and after a transfer only the gaps of the two agents that moved are
 recomputed, by the same subtraction, so the list equals a fresh one.
 Before row k of a sweep, one numpy test on a level-matrix mirror asks
-whether any agent lies more than LEVEL_GAP_EPS above its minimum over the
+whether any agent lies more than gap_tol above its minimum over the
 levels after k; if none does, the row is skipped.  The skip is exact:
 x_i(k) - min_l x_i(l) is the largest of the row's gaps (rounding is
 monotone), and a row's transfers touch only level k and levels after it, so
 a skipped row would have made no transfer.  The mirror is rewritten for
 every level a pair changed.  Within a row, after CLEAN_RUN clean pairs in a
 row, the loop jumps to the next level l at which some agent lies more than
-LEVEL_GAP_EPS below its value at k, by numpy tests on windows of the mirror
+gap_tol below its value at k, by numpy tests on windows of the mirror
 that double from SKIP_WINDOW levels to the row's end.  The jump is exact
 too: level k's values cannot change before the next pair that moves; the
 mirror holds every later level's current values, as the row has not yet
-reached them; and each test x_i(k) - x_i(l) > LEVEL_GAP_EPS is the visit's
+reached them; and each test x_i(k) - x_i(l) > gap_tol is the visit's
 own subtraction and comparison.  So the levels jumped over are exactly the
 ones whose pairs the loop would have found clean, and the jump costs in
 proportion to them, not to the row.  A row with fewer than CLEAN_RUN levels
@@ -63,10 +64,14 @@ from operator import sub
 import numpy as np
 
 from .errors import ContractError, DomainError, NonterminationError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, level_partition, value_scale
+from .probspace import (CUM_PROB_TOL, VALUE_TOL, RandomVariable, _instance, level_partition,
+                        value_scale)
 from .riskmeasures import RiskMeasureSpec, evaluate
 from .stochorder import convex_order_mask
 
+# the transfer loop's stop, relative to max |S| and far below VALUE_TOL: an
+# output then falls along S by at most 1e-9 in absolute terms up to |S| = 1e3,
+# which a caller's fixed absolute comonotonicity check may demand
 LEVEL_GAP_EPS = 1e-12
 MAX_TRANSFERS = 10 ** 6
 # a row jumps past its clean levels after CLEAN_RUN clean pairs in a row, by
@@ -138,16 +143,23 @@ class ImprovementCertificate:
         return self.comonotonic_ok and all(self.convex_order_ok)
 
 
+def clearing_tol(s_values):
+    """VALUE_TOL * max(1, max |s_values|), the one value tolerance with a
+    floor: a clearing residual is rounding in a sum of shares, which need
+    not be small where S is (shares 1 and -1 clear S = 0 up to their
+    rounding), not a distance in S's units."""
+    return VALUE_TOL * max(1.0, float(np.abs(s_values).max()))
+
+
 def check_clearing(A):
     """(clears, worst atom residual) for sum_i X_i = S; clears means a
-    residual within VALUE_TOL * value_scale(S).  A sum of shares past the
-    float range reads +-inf, and does not clear."""
-    if not isinstance(A, Allocation):
-        raise ValidationError(f"need an Allocation, not {type(A).__name__}")
+    residual within clearing_tol(S).  A sum of shares past the float range
+    reads +-inf, and does not clear."""
+    A = _instance(A, Allocation, "the allocation")
     S_values = A.aggregate.values
     with np.errstate(over="ignore"):
         residual = float(np.abs(A.share_matrix().sum(axis=0) - S_values).max())
-    return residual <= VALUE_TOL * value_scale(S_values), residual
+    return residual <= clearing_tol(S_values), residual
 
 
 def _require_clearing(A):
@@ -227,14 +239,14 @@ def condition_on_aggregate(A):
 
 
 @np.errstate(over="ignore")  # a gap past the float range reads +-inf, as in Python
-def _next_violated(here, x, l):
-    """The first level l' >= l at which some agent lies more than
-    LEVEL_GAP_EPS below its value here, or x.shape[1] if none does: windows
-    of x from l, doubling from SKIP_WINDOW, each one numpy test."""
+def _next_violated(here, x, l, gap_tol):
+    """The first level l' >= l at which some agent lies more than gap_tol
+    below its value here, or x.shape[1] if none does: windows of x from l,
+    doubling from SKIP_WINDOW, each one numpy test."""
     m = x.shape[1]
     width = SKIP_WINDOW
     while l < m:
-        hits = ((here - x[:, l:l + width]) > LEVEL_GAP_EPS).any(axis=0)
+        hits = ((here - x[:, l:l + width]) > gap_tol).any(axis=0)
         if hits.any():
             return l + int(hits.argmax())
         l += width
@@ -271,7 +283,9 @@ def comonotonic_improvement(A, measures=None):
     x = _level_means(values, part, probs)[:, part.order[part.starts]]
     cols = x.T.tolist()
 
-    partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
+    scale = value_scale(A.aggregate.values)
+    partner_tol = VALUE_TOL * scale
+    gap_tol = LEVEL_GAP_EPS * scale
     max_transfers = MAX_TRANSFERS  # read once per call; locals in the loop
     clean_run = CLEAN_RUN
     last_run = m - clean_run  # a run ending here or later leaves too few levels to skip
@@ -280,7 +294,7 @@ def comonotonic_improvement(A, measures=None):
     while changed:
         changed = False
         for k in range(m - 1):
-            if not ((x[:, k] - x[:, k + 1:].min(axis=1)) > LEVEL_GAP_EPS).any():
+            if not ((x[:, k] - x[:, k + 1:].min(axis=1)) > gap_tol).any():
                 continue  # no pair (k, l) has a violator
             ck = cols[k]
             p_k = masses[k]
@@ -290,18 +304,18 @@ def comonotonic_improvement(A, measures=None):
             while l < m:
                 run = l + clean_run - 1  # where a clean run from l ends
                 for l, cl in enumerate(cols[l:], l):
-                    if max(map(sub, ck, cl)) <= LEVEL_GAP_EPS:
+                    if max(map(sub, ck, cl)) <= gap_tol:
                         if l < run or l >= last_run:
                             continue  # no violator on this pair
                         break
                     run = l + clean_run
                     p_l = masses[l]
-                    equal = abs(p_k - p_l) <= LEVEL_GAP_EPS
+                    equal = abs(p_k - p_l) <= CUM_PROB_TOL
                     gaps = list(map(sub, ck, cl))
                     pair_moved = False
                     while True:
                         for i, gap_i in enumerate(gaps):
-                            if gap_i > LEVEL_GAP_EPS:
+                            if gap_i > gap_tol:
                                 break
                         else:
                             break  # no violator left
@@ -358,7 +372,7 @@ def comonotonic_improvement(A, measures=None):
                 # violates, by numpy tests on the mirror
                 if here is None:
                     here = np.array(ck)[:, None]
-                l = _next_violated(here, x, l + 1)
+                l = _next_violated(here, x, l + 1, gap_tol)
             if row_moved:
                 x[:, k] = ck
                 changed = True

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .allocation import (Allocation, _require_clearing, check_clearing,
+from .allocation import (Allocation, _require_clearing, check_clearing, clearing_tol,
                          comonotonic_improvement, condition_on_aggregate)
 from .errors import ValidationError
-from .probspace import VALUE_TOL, RandomVariable, _count, _real, value_scale
+from .probspace import VALUE_TOL, RandomVariable, _count, _instance, _real, value_scale
 from .riskmeasures import (
     VAR,
     Consistency,
@@ -258,8 +258,7 @@ class IdiosyncraticRetention(_Kind):
     statewise = True
 
     def __post_init__(self):
-        if not isinstance(self.endowment, RandomVariable):
-            raise ValidationError("retention endowment must be a RandomVariable")
+        _instance(self.endowment, RandomVariable, "the retention endowment")
         _require_finite(self, "deductible", "deductible must be finite")
 
     def band(self, V, s_values, probs, tol):
@@ -580,14 +579,14 @@ class SolidityWitness:
 def _witness_mask(Y, X, s_values, probs, constraints):
     """Rows of Y (candidates x agents x atoms) that witness against the
     allocation X (agents x atoms): the row clears s_values within
-    VALUE_TOL * value_scale(s_values), is infeasible, and each of its shares
+    clearing_tol(s_values), is infeasible, and each of its shares
     precedes X's in convex order.  Each check runs only on the rows that
     passed the ones before it, and a check that every row reaches reads Y
     itself, not a copy."""
     n, m = X.shape
     residual = Y.sum(axis=1)
     np.subtract(residual, s_values, out=residual)
-    hit = (np.abs(residual, out=residual) <= VALUE_TOL * value_scale(s_values)).all(axis=1)
+    hit = (np.abs(residual, out=residual) <= clearing_tol(s_values)).all(axis=1)
     rows = np.flatnonzero(hit)
     if rows.size:
         Z = Y if rows.size == hit.size else Y[rows]
@@ -748,8 +747,7 @@ def falsify_solidity(constraints, space, S, budget=10 ** 4, seed=0, start=None):
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     if start is not None:
-        if not isinstance(start, Allocation):
-            raise ValidationError("start must be an Allocation")
+        _instance(start, Allocation, "start")
         if start.space != space:
             raise ValidationError("start allocation must live on the problem's space")
         if not np.array_equal(start.aggregate.values, S.values):

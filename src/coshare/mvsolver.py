@@ -40,7 +40,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .allocation import Allocation
+from .allocation import Allocation, clearing_tol
 from .errors import (
     ContractError,
     ConvergenceError,
@@ -53,6 +53,7 @@ from .probspace import (
     FiniteSpace,
     GammaAggregate,
     RandomVariable,
+    _instance,
     _real,
     gamma_quantile,
     value_scale,
@@ -416,23 +417,27 @@ def _shares(c, at, agg):
     """Shadow prices eta and shares x[k] = clip(c + eta[k]/delta, L, U) with
     sum x[k] = s[k] for every state of agg, read from the _Pieces at of c
     on each state's group (see _eta).  Returns eta with shape (m,) and x
-    with shape (m, n)."""
+    with shape (m, n).  Shares whose sum passes the float range (S at the
+    float maximum, split unevenly) leave a residual that is not finite, and
+    raise DomainError."""
     eta = _eta(agg.s, at, at.code)
     x = np.clip(c + eta[:, None] * agg.inv, agg.lower, agg.upper)
     residual = agg.s - x.sum(axis=1)
     rows = np.flatnonzero(residual)
     if rows.size:
-        # exact clearing: hand the float dust to the first agent strictly
-        # inside its box
+        # exact clearing: hand the float dust to the first agent inside its
+        # box by twice the dust (a dust that is not finite finds none)
         dust = residual[rows]
-        margin = np.maximum(2.0 * np.abs(dust), 1e-12)[:, None]
+        margin = 2.0 * np.abs(dust)[:, None]
         inside = (x[rows] - margin > agg.lower) & (x[rows] + margin < agg.upper)
         agent = inside.argmax(axis=1)
         fixed = inside[np.arange(rows.size), agent]
         x[rows[fixed], agent[fixed]] += dust[fixed]
         if not fixed.all():
             lost = dust[~fixed]
-            lost = lost[np.abs(lost) > VALUE_TOL * value_scale(agg.values)]
+            if not np.isfinite(lost).all():
+                raise DomainError("the shares' sum passes the float range")
+            lost = lost[np.abs(lost) > clearing_tol(agg.values)]
             if lost.size:
                 raise ContractError(
                     f"projection residual {lost[0]:g} with every agent at a cap")
@@ -500,15 +505,17 @@ def _psi(du, f, deltas, unit):
     return float(du @ (deltas * (f / unit)))
 
 
-def _line_search(c, d, at0, at1, psi1, agg, sqrt_w, unit):
+def _line_search(c, d, at0, at1, psi1, agg, w_unit, unit):
     """(c + t d, its _Pieces) at the root t in (0, 1) of
     psi(t) = d^T D_delta F(c + t d) (see _psi: every psi and curvature here
     is over unit^2), from the _Pieces at t = 0 and t = 1 and psi1 = psi(1),
     where psi(0) > 0 > psi(1).
 
     psi is minus half G's slope along d: piecewise linear and nonincreasing,
-    with slope -d^T D_delta J d = -e^T M e, e = d/sqrt_w (w^(1/2)), while a
-    regime holds (M its _regime_matrix).  A regime is convex in c, so
+    with slope -d^T D_delta J d = -e^T M e, e = d/w^(1/2), while a regime
+    holds (M its _regime_matrix).  M is read from w / w_unit, a power of
+    two (see solve_capped_mv), and so e^T M e as e'^T M e' / w_unit,
+    e' = d / (w / w_unit)^(1/2).  A regime is convex in c, so
     between two points of one regime psi is one line.  The search keeps a
     bracket lo < root < hi and tries the root of psi's line through the end
     whose line puts it nearer; landing in that end's regime, it is psi's
@@ -516,11 +523,13 @@ def _line_search(c, d, at0, at1, psi1, agg, sqrt_w, unit):
     the bracket gives way to the bracket's midpoint.  The search also ends
     at psi = 0, and where the bracket, or the step from the nearer end, no
     longer splits in floats (then at the end with the smaller |psi|)."""
+    inv = agg.inv / w_unit
+    root = np.sqrt(inv)
     du = d / unit
-    e = du / sqrt_w
+    e = du / root
 
     def end(t, point, at, psi):
-        q = float(e @ _regime_matrix(at, agg.inv, sqrt_w) @ e)
+        q = float(e @ _regime_matrix(at, inv, root) @ e) / w_unit
         return _End(t, point, at, psi, t + psi / q if q > 0.0 else math.copysign(math.inf, psi))
 
     # d is the Newton step of the regime at t = 0, so that line's root is 1
@@ -597,12 +606,18 @@ def solve_capped_mv(problem):
     solve's slack above, and after a shift it reads one _locate at the
     shifted intercepts.  ConvergenceError after FIXED_POINT_MAX_ITERS steps.
     """
-    if not isinstance(problem, MVProblem):
-        raise ValidationError("solve_capped_mv needs an MVProblem")
+    problem = _instance(problem, MVProblem, "problem")
     space, S = problem.aggregate
     deltas, lower, upper = map(np.array, (problem.delta, problem.lower, problem.upper))
     agg = _aggregate(deltas, lower, upper, S.values, space.probs)
-    root = np.sqrt(agg.inv)
+    # M, the Newton step and the curvature do not change when w = 1/delta
+    # is scaled, so they read w over a power of two that tracks its scale
+    # (the middle of its binades): then delta / 2^k gives the same bits,
+    # where sqrt(2^k w) is not 2^(k/2) sqrt(w) for odd k
+    w_unit = math.ldexp(1.0, -((math.frexp(min(problem.delta))[1]
+                                + math.frexp(max(problem.delta))[1]) // 2))
+    inv = agg.inv / w_unit
+    root = np.sqrt(inv)
     mean_s = float(S.values @ space.probs)
     top = float(np.abs(S.values).max())
     fixed_point_tol = FIXED_POINT_TOL * top
@@ -617,14 +632,14 @@ def solve_capped_mv(problem):
         residual = float(np.max(np.abs(f)))
         if residual <= fixed_point_tol:
             break
-        d = _newton_step(at, f, agg.inv, root)
+        d = _newton_step(at, f, inv, root)
         step = c + d
         at_step = _pieces(step, agg)
         f_step = at_step.target - step
         psi = _psi(d / unit, f_step, deltas, unit)
         if (psi < 0.0 and np.max(np.abs(f_step)) > fixed_point_tol
                 and _potential(step, at_step, agg, unit) >= _potential(c, at, agg, unit)):
-            step, at_step = _line_search(c, d, at, at_step, psi, agg, root, unit)
+            step, at_step = _line_search(c, d, at, at_step, psi, agg, w_unit, unit)
             searches += 1
         c, at = step, at_step
     else:
@@ -653,6 +668,7 @@ def solve_capped_mv(problem):
 def mv_objective(delta, allocation):
     """sum_i E[X_i] + delta_i Var(X_i)."""
     deltas = _positive_deltas(delta)
+    allocation = _instance(allocation, Allocation, "the allocation")
     if len(deltas) != allocation.n_agents:
         raise ValidationError("one variance weight per agent")
     return sum(mean_variance(share, d) for d, share in zip(deltas, allocation.shares))
@@ -675,8 +691,7 @@ def two_agent_fixed_point(a, C, S):
         raise DomainError("slope a must lie strictly between 0 and 1")
     if not 0.0 < C < math.inf:
         raise DomainError("cap C must be positive and finite")
-    if not isinstance(S, RandomVariable):
-        raise ValidationError("S must be a RandomVariable")
+    S = _instance(S, RandomVariable, "S")
     allocation, report = solve_capped_mv(
         MVProblem((1.0 / (1.0 - a), 1.0 / a), (-math.inf, 0.0), (math.inf, C), (S.space, S)))
     c0, c1 = report.intercepts

@@ -19,11 +19,10 @@ from .allocation import Allocation, comonotone_mask
 from .constraints import (_BLOCK_CELLS, _band_rows, _bands, _require_space,
                           _statewise_limits)
 from .errors import DomainError, InfeasibleError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, _count, _real, value_scale
+from .probspace import VALUE_TOL, RandomVariable, _count, _instance, _real, value_scale
 from .riskmeasures import RiskMeasureSpec, measure_values
 
 GRID_POINT_LIMIT = 2 * 10 ** 7
-TIE_EPS = 1e-12
 
 
 def _axis_points(lo, hi, step):
@@ -282,8 +281,8 @@ def _test_slice(piece, bands, s_values, probs, tol, comonotone):
 
 def _enumerate(space, S, objectives, constraints, grid, comonotone):
     """(allocation, value) at the first grid point, in grid order, within
-    TIE_EPS * (1 + |min|) of the minimum over the feasible (and, if
-    comonotone, comonotonic) points.
+    VALUE_TOL * value_scale(S) of the minimum over the feasible (and, if
+    comonotone, comonotonic) points: every objective is in S's units.
 
     A free agent's share, its bands and its objective read only its own
     axes, so a block of _free_chunks is the product of its slices, and each
@@ -302,6 +301,7 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     if not isinstance(S, RandomVariable) or S.space != space:
         raise ValidationError("aggregate S must be a RandomVariable on the given space")
     constraints = _require_space(constraints, space)
+    grid = _instance(grid, GridSpec, "grid")
     if grid.n_atoms != space.size:
         raise ValidationError("grid atom count must match the space")
     n = grid.n_free_agents + 1
@@ -325,7 +325,7 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
     chunks = (_free_chunks(grid, axes, block_rows)
               if all(ax.size for ax in axes) else ())
     # streaming argmin: the pick is the first grid point within the window
-    # vmin + TIE_EPS * (1 + |vmin|), which only shrinks as vmin falls.  kept
+    # vmin + tol, which only shrinks as vmin falls.  kept
     # holds, in grid order, (value, shares) of the points inside the current
     # window whose value is below that of every point kept before them; the
     # pick is one of them, and once every block is seen it is the first.
@@ -376,7 +376,7 @@ def _enumerate(space, S, objectives, constraints, grid, comonotone):
             values = rows_of(values.reshape(-1))
         values += measure_values(objectives[-1], rows_of(implied), probs)
         vmin = min(vmin, float(values.min()))
-        window = vmin + TIE_EPS * (1.0 + abs(vmin))
+        window = vmin + tol
         kept = [k for k in kept if k[0] <= window]
         near = np.flatnonzero(values <= window)
         near_values = values[near]

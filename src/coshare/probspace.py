@@ -10,14 +10,20 @@ Conventions fixed here and used throughout:
 * quantiles are *lower* quantiles, ``inf{x : P(X <= x) >= u}``;
 * cumulative-probability comparisons tolerate ``1e-12`` of float drift, so
   atom probabilities like ``0.9925 + 0.0025`` still reach a ``0.995`` level;
-* values within ``1e-12`` of a level's first value belong to that level,
-  and a level's mass is the numpy sum of its atoms' probabilities in sorted
-  order; :func:`level_partition` is the one definition of both, read by
-  extracted distributions, conditioning, comonotonicity and the improvement;
-* checks of values in the aggregate's units (clearing, comonotonicity,
-  convex order, feasibility) pass within ``VALUE_TOL`` (or a caller's base
-  tolerance) times :func:`value_scale`: absolute up to scale 1, relative above;
-* every number a caller passes is read by :func:`_real` or :func:`_count`.
+* every comparison of values passes within ``VALUE_TOL`` (or a caller's
+  base tolerance) times :func:`value_scale`, the largest magnitude of the
+  values compared, so a problem rescaled by a power of two gets the same
+  verdicts and its answers times that power, bit for bit; only clearing,
+  whose residual is rounding in a sum of shares, floors that scale at 1
+  (``allocation.clearing_tol``);
+* values within ``VALUE_TOL * value_scale(values)`` of a level's first
+  value belong to that level, and a level's mass is the numpy sum of its
+  atoms' probabilities in sorted order; :func:`level_partition` is the one
+  definition of both, read by extracted distributions, conditioning,
+  comonotonicity and the improvement;
+* every number a caller passes is read by :func:`_real` or :func:`_count`,
+  and an object argument (a variable, a spec, an allocation) by
+  :func:`_instance`.
 """
 
 import math
@@ -31,7 +37,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ValidationError
 
 PROB_SUM_TOL = 1e-12
-VALUE_MERGE_TOL = 1e-12
 CUM_PROB_TOL = 1e-12
 GAMMA_ROOT_TOL = 1e-10
 VALUE_TOL = 1e-9
@@ -59,6 +64,16 @@ def _count(value, message, least=0):
     if value > sys.float_info.max:
         raise DomainError("a count must lie within the float range")
     return int(value)
+
+
+def _instance(value, kind, what):
+    """value, if it is an instance of the class kind, else ValidationError:
+    the _real of the library's objects, so that None or a bare ndarray
+    where a RandomVariable belongs is refused by name."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be of type {kind.__name__}, "
+                              f"not {type(value).__name__}")
+    return value
 
 
 class FiniteSpace:
@@ -205,12 +220,14 @@ def level_partition(values, probs):
     """LevelPartition(order, starts, level_of, masses) of values: order holds
     the atoms in stable sorted order, and level k, the atoms
     order[starts[k]:starts[k + 1]] (the last level runs to the end), holds
-    those within VALUE_MERGE_TOL of its first value; level_of[a] is the level
-    of atom a, and masses[k] the numpy sum of level k's probs in that order."""
+    those within VALUE_TOL * value_scale(values) of its first value;
+    level_of[a] is the level of atom a, and masses[k] the numpy sum of level
+    k's probs in that order."""
     order = np.argsort(values, kind="stable")
+    merge = VALUE_TOL * value_scale(values)
     bounds, first = [], None
     for pos, v in enumerate(values[order].tolist()):
-        if bounds and v - first <= VALUE_MERGE_TOL:
+        if bounds and v - first <= merge:
             continue
         bounds.append(pos)
         first = v
@@ -225,14 +242,16 @@ def level_partition(values, probs):
 
 
 def value_scale(values):
-    """max(1, max |values|), the factor value tolerances are multiplied by."""
-    return max(1.0, float(np.abs(values).max()))
+    """max |values|, the factor value tolerances are multiplied by: 0 for
+    values that are all zero, whose comparisons are then exact."""
+    return float(np.abs(values).max())
 
 
 def distribution_of(X):
     """Law of X as an ordered list of (value, prob) pairs: one pair per level
     of level_partition, so values are strictly increasing and probabilities
     sum to one up to 1e-12."""
+    X = _instance(X, RandomVariable, "X")
     part = level_partition(X.values, X.space.probs)
     return list(zip(X.values[part.order[part.starts]].tolist(), part.masses.tolist()))
 
@@ -240,6 +259,7 @@ def distribution_of(X):
 def moments(X):
     """Probability-weighted (mean, variance) of X; variance is never
     negative, and reads inf where it passes the float range."""
+    X = _instance(X, RandomVariable, "X")
     p = X.space.probs
     mean = float(p @ X.values)
     with np.errstate(over="ignore"):
@@ -298,6 +318,7 @@ def _brentq(f, a, b, xtol, maxiter=100):
 
 def gamma_quantile(g, u):
     """Root of cdf(q) = u by bracketed root finding, absolute tolerance 1e-10."""
+    g = _instance(g, GammaAggregate, "g")
     u = _real(u, "quantile level")
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie in (0,1), got {u!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .probspace import CUM_PROB_TOL, _real
+from .probspace import CUM_PROB_TOL, RandomVariable, _instance, _real
 
 # ES and VaR on a block of at most _NARROW_ATOMS atoms and at least
 # _NARROW_ROWS rows per atom take _narrow_tail (numpy sums a longer row out
@@ -200,6 +200,8 @@ def _ladder_mean(V, probs, ladder):
 
 
 def _one_row(spec, X):
+    spec = _instance(spec, RiskMeasureSpec, "spec")
+    X = _instance(X, RandomVariable, "X")
     return float(measure_values(spec, X.values[None, :], X.space.probs)[0])
 
 
@@ -207,8 +209,9 @@ def var(X, alpha):
     """Lower alpha-quantile of the loss X: inf{x : P(X <= x) >= alpha}.
 
     Cumulative probabilities reaching alpha within CUM_PROB_TOL count.  Atoms
-    within VALUE_MERGE_TOL of each other are not merged, so on near ties the
-    result may be the larger value of the pair, off by at most VALUE_MERGE_TOL.
+    are not merged into levels as distribution_of merges them, so on near
+    ties the result may be a later atom of one of its levels, off by at most
+    its merge width, VALUE_TOL * value_scale(X).
     """
     alpha = _real(alpha, "quantile level")
     if not 0.0 < alpha < 1.0:
@@ -258,6 +261,7 @@ def evaluate(spec, X):
 
 def cx_consistency_flag(spec):
     """ES, MeanVariance, ExpectedConvexLoss are convex-order consistent; VaR is not."""
+    spec = _instance(spec, RiskMeasureSpec, "spec")
     if spec.kind == VAR:
         return Consistency.NOT_CONSISTENT
     return Consistency.CONSISTENT

@@ -11,16 +11,16 @@ One row-batched kernel computes every stop-loss value.  It sorts each row's
 merged atoms once, largest first (h_0 >= h_1 >= ...), and with signed weights
 (Y's probabilities, minus X's) takes two running sums from the top:
 SL_Y(h_j) - SL_X(h_j) = sum_{l<j} (h_l - h_{l+1}) (P(Y > h_{l+1}) - P(X > h_{l+1})).
-Near ties are not merged: atoms within VALUE_MERGE_TOL stay separate grid
-points, which moves a stop-loss value by at most that distance.  Values are
-compared within VALUE_TOL times each row pair's own value_scale, as there is
-no aggregate to take a scale from.
+Near ties are not merged: every atom is a grid point of its own.  Values
+are compared within VALUE_TOL times each row pair's own value_scale, its
+largest |value|, as there is no aggregate to take a scale from: a pair of
+zero rows compares exactly.
 """
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .probspace import VALUE_TOL, RandomVariable, _count, _real
+from .probspace import VALUE_TOL, RandomVariable, _count, _instance, _real
 
 WEIGHT_IDENTITY_TOL = 1e-12
 
@@ -39,6 +39,7 @@ def _stop_loss_rows(V, w):
 
 def stop_loss(X, t):
     """E[(X - t)^+]: the kernel's value at t, added as an atom of weight zero."""
+    X = _instance(X, RandomVariable, "X")
     t = min(_real(t, "t"), X.values.max())  # 0 from the top atom on; inf * 0 is nan
     order, _, sl = _stop_loss_rows(np.append(X.values, t)[None, :],
                                    np.append(X.space.probs, 0.0))
@@ -51,19 +52,19 @@ def convex_order_mask(Y, py, X, px):
     Y is rows x atoms with atom probabilities py, X is rows x atoms with its
     own atom count and probabilities px.  Checks |E[Y] - E[X]| <= tol and
     SL_Y <= SL_X + tol at every merged atom of the row pair, with tol =
-    VALUE_TOL * max(1, max |value|) over the row pair, read from the ends
-    of the kernel's sorted row (nan, sorted last, still gives nan).
+    VALUE_TOL * max |value| over the row pair (its value_scale), read from
+    the ends of the kernel's sorted row (nan, sorted last, still gives nan).
     """
     V = np.hstack((Y, X))
     w = np.concatenate((py, -px))
     _, h, gaps = _stop_loss_rows(V, w)
-    span = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
-    tol = VALUE_TOL * np.maximum(span, 1.0)
+    tol = VALUE_TOL * np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
     return (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
 
 
 def convex_order_leq(Y, X):
     """True iff Y precedes X in convex order: the one-row convex_order_mask."""
+    Y, X = _instance(Y, RandomVariable, "Y"), _instance(X, RandomVariable, "X")
     return bool(convex_order_mask(Y.values[None, :], Y.space.probs,
                                   X.values[None, :], X.space.probs)[0])
 
@@ -78,6 +79,7 @@ def pigou_dalton_transfer(X, atom_down, atom_up, a, b):
     values never strictly reverse their order.  The result is a convex-order
     reduction of X.
     """
+    X = _instance(X, RandomVariable, "X")
     where = "atom_down and atom_up must be atom indices of X's space"
     if max(_count(atom_down, where), _count(atom_up, where)) >= X.space.size:
         raise ValidationError(where)

@@ -26,7 +26,6 @@ from coshare import (
     RiskCeiling,
     RiskMeasureSpec,
     comonotone_minimize,
-    distribution_of,
     grid_minimize,
     check_clearing,
     check_feasible,
@@ -36,7 +35,7 @@ from coshare import (
 from coshare.allocation import LEVEL_GAP_EPS, MAX_TRANSFERS
 from coshare.constraints import FALSIFY_CHAIN_LIMIT
 from coshare.errors import ContractError, NonterminationError
-from coshare.probspace import CUM_PROB_TOL, VALUE_MERGE_TOL, VALUE_TOL, value_scale
+from coshare.probspace import CUM_PROB_TOL, VALUE_TOL
 
 CRITERION_TITLES = {
     1: "three-state ES pair: 19/8 vs 29/12, gap 1/24",
@@ -168,14 +167,17 @@ def rng():
 # improvement's scalar repair replaced, and the falsifier's transfer stage one
 # lane at a time.  The library is checked against these
 # on seeded inputs.  They group atoms into levels with their own loop, so a
-# fault in the library's partition cannot pass on both sides.
+# fault in the library's partition cannot pass on both sides.  They scale
+# their value tolerances by the largest |value| themselves, so a fault in
+# the library's scale rule cannot pass on both sides either.
 
 def reference_levels(values):
     """Atom indices by level: stable sorted order, each level holding the
-    atoms within VALUE_MERGE_TOL of its first value."""
+    atoms within VALUE_TOL times the largest |value| of its first value."""
+    merge = VALUE_TOL * float(np.max(np.abs(values)))
     levels = []
     for idx in np.argsort(values, kind="stable").tolist():
-        if levels and values[idx] - values[levels[-1][0]] <= VALUE_MERGE_TOL:
+        if levels and values[idx] - values[levels[-1][0]] <= merge:
             levels[-1].append(idx)
         else:
             levels.append([idx])
@@ -218,12 +220,14 @@ def reference_measure(spec, X):
 
 
 def reference_convex_order(Y, X):
-    """Convex order on the merged laws: the means, then one stop-loss sum per
-    merged support point, within 1e-9 times the pair's largest |value| when
-    that exceeds 1."""
-    dy = distribution_of(Y)
-    dx = distribution_of(X)
-    tol = 1e-9 * max(1.0, *np.abs(Y.values), *np.abs(X.values))
+    """Convex order on the atoms: the means, then one stop-loss sum per
+    support point, within 1e-9 times the pair's largest |value|.  The laws
+    are not merged as distribution_of merges them: its merge width is as
+    wide as this tolerance, so a merged law's stop-loss sums could move by
+    as much as the tolerance allows."""
+    dy = list(zip(Y.values.tolist(), Y.space.probs.tolist()))
+    dx = list(zip(X.values.tolist(), X.space.probs.tolist()))
+    tol = 1e-9 * max(*np.abs(Y.values), *np.abs(X.values))
 
     def mean(dist):
         return sum(p * v for v, p in dist)
@@ -254,35 +258,54 @@ def reference_condition(A):
 def reference_repair(A, max_transfers=MAX_TRANSFERS):
     """(x, transfers): the improvement's level matrix x[i, k] (share i on
     level k of the aggregate) after the numpy (k, l) pair loop, run on the
-    conditioned allocation with the same transfer rule, checks and cap."""
+    conditioned allocation with the same transfer rule, checks and cap.
+    Each row k goes straight to its next pair with a violator, found by one
+    numpy test of the pair visit's own subtraction and comparison on all of
+    the row's later levels, unless the next pair has one: the pairs passed
+    over would move nothing, and level k does not move until a pair does.
+    A pair's transfers run on its two levels as Python float lists, whose
+    operations are numpy's on float64, element by element."""
     groups = reference_levels(A.aggregate.values)
     conditioned = reference_condition(A)
     m = len(groups)
     masses = np.array([A.space.probs[g].sum() for g in groups])
     x = np.array([[row[g[0]] for g in groups] for row in conditioned])
-    partner_tol = VALUE_TOL * value_scale(A.aggregate.values)
+    scale = float(np.max(np.abs(A.aggregate.values)))
+    partner_tol = VALUE_TOL * scale
+    gap_tol = LEVEL_GAP_EPS * scale
 
     transfers = 0
     while True:
         changed = False
         for k in range(m):
-            for l in range(k + 1, m):
-                while True:
-                    gaps = x[:, k] - x[:, l]
-                    violators = np.nonzero(gaps > LEVEL_GAP_EPS)[0]
-                    if violators.size == 0:
+            ck = x[:, k].tolist()
+            l = k + 1
+            while l < m:
+                cl = x[:, l].tolist()
+                if max(a - b for a, b in zip(ck, cl)) <= gap_tol:
+                    falls = ((x[:, k, None] - x[:, l + 1:]) > gap_tol).any(axis=0)
+                    if not falls.any():
                         break
-                    i = int(violators[0])
-                    rising = -gaps
-                    j = int(np.argmax(rising))
-                    if rising[j] <= 0.0:
+                    l += 1 + int(falls.argmax())
+                    cl = x[:, l].tolist()
+                p_k, p_l = float(masses[k]), float(masses[l])
+                while True:
+                    gaps = [a - b for a, b in zip(ck, cl)]
+                    for i, gap in enumerate(gaps):
+                        if gap > gap_tol:
+                            break
+                    else:
+                        break  # no violator left
+                    # the first agent of largest rise -gap
+                    low = min(gaps)
+                    j = gaps.index(low)
+                    if -low <= 0.0:
                         if gaps[i] > partner_tol:
                             raise ContractError("no transfer partner found")
                         break
-                    gap_i = float(gaps[i])
-                    gap_j = float(rising[j])
-                    p_k, p_l = float(masses[k]), float(masses[l])
-                    if abs(p_k - p_l) <= LEVEL_GAP_EPS:
+                    gap_i = gaps[i]
+                    gap_j = -low
+                    if abs(p_k - p_l) <= CUM_PROB_TOL:
                         amount = min(gap_i, gap_j / 2.0)
                         down, up = amount, amount
                         drop = 2.0 * p_k * amount * (gap_i + gap_j - 2.0 * amount)
@@ -297,17 +320,20 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
                             "variance potential failed to decrease",
                             state={"levels": (k, l), "agents": (i, j), "transfers": transfers},
                         )
-                    x[i, k] -= down
-                    x[i, l] += up
-                    x[j, k] += down
-                    x[j, l] -= up
+                    ck[i] -= down
+                    cl[i] += up
+                    ck[j] += down
+                    cl[j] -= up
                     transfers += 1
                     changed = True
                     if transfers > max_transfers:
+                        x[:, k], x[:, l] = ck, cl
                         raise NonterminationError(
                             f"transfer cap {max_transfers} exceeded",
                             state={"level_values": x.copy(), "transfers": transfers},
                         )
+                x[:, k], x[:, l] = ck, cl
+                l += 1
         if not changed:
             return x, transfers
 
@@ -325,7 +351,7 @@ def reference_transfers(X, constraints, budget, seed):
         return None
     p = space.probs.tolist()
     rng = np.random.default_rng(seed)
-    min_gap = VALUE_TOL * value_scale(S.values)
+    min_gap = VALUE_TOL * float(np.max(np.abs(S.values)))
     length = FALSIFY_CHAIN_LIMIT
     # read at call time, so a test that shrinks the blocks shrinks both sides
     lanes = max(1, constraints_module._BLOCK_CELLS // (length * n * m))

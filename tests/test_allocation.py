@@ -148,12 +148,12 @@ class TestComonotonicity:
         # the per-level loop is_comonotonic had before it became a one-row
         # call of the oracle's comonotone mask
         def reference_is_comonotonic(A):
-            tol = 1e-9 * max(1.0, *np.abs(A.aggregate.values))
+            tol = 1e-9 * max(np.abs(A.aggregate.values))
             order = np.argsort(A.aggregate.values, kind="stable")
             groups, first = [], None
             for idx in order:
                 v = A.aggregate.values[idx]
-                if groups and v - first <= 1e-12:
+                if groups and v - first <= tol:
                     groups[-1].append(int(idx))
                 else:
                     groups.append([int(idx)])
@@ -379,8 +379,8 @@ class TestImprovement:
             probs = np.random.default_rng(3).dirichlet(np.ones(m))
         find, jumps = allocation_module._next_violated, []
 
-        def spy(here, mirror, l):
-            jumps.append((l, find(here, mirror, l)))
+        def spy(here, mirror, l, gap_tol):
+            jumps.append((l, find(here, mirror, l, gap_tol)))
             return jumps[-1][1]
 
         monkeypatch.setattr(allocation_module, "_next_violated", spy)
@@ -392,15 +392,20 @@ class TestImprovement:
         assert jumps[:len(want)] == want
 
     def test_violator_without_partner_ends(self):
-        # agent 0 falls by 5e-10 from S = 0 to S = 1e-10 and agent 1 is flat:
-        # the violation is within the comonotonicity tolerance and nobody can
+        # agent 0 falls by 5e-20 from S = 0 to S = 1e-10 and agent 1 is flat
+        # (clearing's floor lets shares miss S by 1e-10): the violation is
+        # within the comonotonicity tolerance, 1e-9 * 1e-10, and nobody can
         # absorb it, so the pair makes no transfer and the sweeps must stop
-        A = alloc((0.5, 0.5), (5e-10, 0.0), (0.0, 0.0), aggregate=(0.0, 1e-10))
+        A = alloc((0.5, 0.5), (5e-20, 0.0), (0.0, 0.0), aggregate=(0.0, 1e-10))
         with deadline(5.0):
             improved, cert = comonotonic_improvement(A)
         assert cert.transfers == 0
         assert np.array_equal(improved.share_matrix(), A.share_matrix())
         assert cert.all_verified
+        # a fall of 5e-10 is past that tolerance: no partner is a breach
+        A = alloc((0.5, 0.5), (5e-10, 0.0), (0.0, 0.0), aggregate=(0.0, 1e-10))
+        with pytest.raises(ContractError, match="no transfer partner"):
+            comonotonic_improvement(A)
 
     def test_random_instances(self, rng):
         # the heavier 200+ instance loop lives in the acceptance suite

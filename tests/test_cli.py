@@ -511,6 +511,19 @@ class TestMain:
         assert report["objective"] == "inf"
         assert report["intercepts"] == [-2.5e307, 7.5e307]
 
+    def test_aggregate_at_the_float_maximum_exits_one(self, tmp_path, capsys):
+        # S = (0, float max) and delta = (3, 1): the shares' sum passes the
+        # float range at the top atom, one error line naming it
+        doc = solve_doc()
+        doc["aggregate"] = [0, 1.7976931348623157e308]
+        doc["agents"] = [{"delta": 3}, {"delta": 1}]
+        doc["task"]["upper"] = ["inf", "inf"]
+        assert main(["run", write(tmp_path, "p.json", doc), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "float range" in line
+
     def test_bare_path_implies_run(self, tmp_path, capsys):
         assert main([str(write(tmp_path, "p.json", improve_doc()))]) == 0
         assert json.loads(capsys.readouterr().out)["transfers"] == 1

@@ -45,12 +45,18 @@ from coshare import (
     comonotonic_improvement,
     condition_on_aggregate,
     convex_ladder,
+    convex_order_leq,
+    cx_consistency_flag,
+    distribution_of,
     es,
+    evaluate,
     expected_convex_loss,
+    grid_minimize,
     falsify_solidity,
     gamma_quantile,
     is_comonotonic,
     mean_variance,
+    moments,
     mv_objective,
     pigou_dalton_transfer,
     saturation_curve,
@@ -333,3 +339,35 @@ BOX = (Constraint(PathwiseBounds(0.0, 2.0)),)
 def test_allocation_and_constraint_arguments_are_checked(call):
     with pytest.raises(ValidationError):
         call()
+
+
+ES_HALF = RiskMeasureSpec.es(0.5)
+
+
+# (id, the call with the value in the object parameter)
+OBJECT_SLOTS = [
+    ("distribution_of", distribution_of),
+    ("moments", moments),
+    ("gamma_quantile-g", lambda v: gamma_quantile(v, 0.5)),
+    ("convex_order_leq-Y", lambda v: convex_order_leq(v, S)),
+    ("convex_order_leq-X", lambda v: convex_order_leq(S, v)),
+    ("stop_loss", lambda v: stop_loss(v, 1.0)),
+    ("var", lambda v: var(v, 0.5)),
+    ("es", lambda v: es(v, 0.5)),
+    ("mean_variance", lambda v: mean_variance(v, 2.0)),
+    ("expected_convex_loss", lambda v: expected_convex_loss(v, LADDER)),
+    ("evaluate-spec", lambda v: evaluate(v, S)),
+    ("evaluate-X", lambda v: evaluate(ES_HALF, v)),
+    ("cx_consistency_flag", cx_consistency_flag),
+    ("pigou_dalton_transfer", lambda v: pigou_dalton_transfer(v, 1, 0, 0.5, 0.5)),
+    ("mv_objective", lambda v: mv_objective((1.0, 1.0), v)),
+    ("grid_minimize-grid", lambda v: grid_minimize(SPACE, S, (ES_HALF, ES_HALF), (), v)),
+]
+
+
+@pytest.mark.parametrize("call", [s[1] for s in OBJECT_SLOTS], ids=[s[0] for s in OBJECT_SLOTS])
+def test_object_arguments_are_checked(call):
+    # None, or the values a variable or an allocation holds, in place of the object
+    for value in (None, S.values, HALVES.share_matrix()):
+        with pytest.raises(ValidationError, match="must be of type"):
+            call(value)

@@ -400,12 +400,12 @@ class TestChunking:
     @pytest.mark.parametrize("rows", (1, 2, 3, 7, 64))
     def test_streaming_tie_break(self, monkeypatch, rows):
         # one free agent on one atom, its objective read from a table: near
-        # ties within TIE_EPS fall in different blocks, and the pick is the
-        # first grid point within TIE_EPS * (1 + |min|) of the minimum
+        # ties within tol = VALUE_TOL * max |S| fall in different blocks, and
+        # the pick is the first grid point within tol of the minimum
         table = np.array([3.0, 1.0 + 9e-13, 2.0, 1.0 + 4e-13, 1.0 + 3e-12, 1.0,
                           1.0 + 2e-13, 1.0, 5.0, 1.0 + 1e-13])
         space = FiniteSpace.uniform(1)
-        S = RandomVariable(space, (0.0,))
+        S = RandomVariable(space, (2.0 ** -10,))  # tol is about 1e-12
         grid = GridSpec.uniform(1, 1, 0.0, 9.0, 1.0)
 
         def lookup(spec, V, probs):
@@ -416,7 +416,7 @@ class TestChunking:
         objectives = (RiskMeasureSpec.es(0.5), RiskMeasureSpec.es(0.25))
         best, value = grid_minimize(space, S, objectives, (), grid)
         vmin = table.min()
-        first = int(np.argmax(table <= vmin + oracle.TIE_EPS * (1.0 + abs(vmin))))
+        first = int(np.argmax(table <= vmin + VALUE_TOL * float(np.abs(S.values).max())))
         assert first == 1
         assert best.shares[0].values[0] == first and value == table[first]
 
@@ -545,8 +545,8 @@ class TestFreeChunks:
 
 
 def _whole_grid_minimum(space, S, objectives, constraints, grid, comonotone):
-    """(share rows, value) at the first point, in grid order, within TIE_EPS
-    * (1 + |min|) of the minimum, or None if no point passes: every point of
+    """(share rows, value) at the first point, in grid order, within VALUE_TOL
+    * max |S| of the minimum, or None if no point passes: every point of
     np.meshgrid at once, with feasible_mask, comonotone_mask and
     measure_values on the whole grid."""
     points = _mesh_points(grid)
@@ -565,7 +565,8 @@ def _whole_grid_minimum(space, S, objectives, constraints, grid, comonotone):
     if not ok.any():
         return None
     vmin = values[ok].min()
-    first = np.flatnonzero(ok & (values <= vmin + oracle.TIE_EPS * (1.0 + abs(vmin))))[0]
+    tol = VALUE_TOL * float(np.abs(S.values).max())
+    first = np.flatnonzero(ok & (values <= vmin + tol))[0]
     return [V[first] for V in tensors], values[first]
 
 

@@ -136,9 +136,11 @@ class TestDistribution:
             assert vals == sorted(vals)
 
     def test_level_sets_measure_from_first_value(self):
-        # 0.6e-12 joins the level of 0; 1.2e-12 is too far from 0 and starts
-        # a new level even though it is within 1e-12 of its neighbour
-        values = np.array([1.2e-12, 0.0, 5.0, 0.6e-12, 0.0])
+        # the merge width is w = VALUE_TOL * max |value|: 0.6 w joins the
+        # level of 0; 1.2 w is too far from 0 and starts a new level even
+        # though it is within w of its neighbour
+        w = VALUE_TOL * 5.0
+        values = np.array([1.2 * w, 0.0, 5.0, 0.6 * w, 0.0])
         probs = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
         part = level_partition(values, probs)
         assert part.order.tolist() == [1, 4, 3, 0, 2]
@@ -279,6 +281,6 @@ class TestShortAxisReductions:
             p = np.full(m, 1.0 / m)
             V, w = np.hstack((F[:, 0], F[:, -1])), np.concatenate((p, -p))
             _, _, gaps = _stop_loss_rows(V, w)
-            tol = VALUE_TOL * np.maximum(np.abs(V).max(axis=1), 1.0)
+            tol = VALUE_TOL * np.abs(V).max(axis=1)
             want = (np.abs(V @ w) <= tol) & (gaps <= tol[:, None]).all(axis=1)
             assert np.array_equal(convex_order_mask(F[:, 0], p, F[:, -1], p), want)

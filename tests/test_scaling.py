@@ -1,10 +1,12 @@
-"""Value tolerances scale with the aggregate: rescaling a problem by c
+"""Value tolerances scale with the values: rescaling a problem by c
 rescales its answers by c and leaves every verdict unchanged.
 
-Each case draws the same seeded problems at every scale.  At scales up to 1
-the tolerances stay absolute (VALUE_TOL = 1e-9); above 1 they grow with
-value_scale, max(1, max |value|).  The capped solver's fixed-point stop is
-relative at every scale, so its intercepts scale below 1 as well.
+Each case draws the same seeded problems at every scale.  Every value
+tolerance is VALUE_TOL = 1e-9 times value_scale, the largest |value|
+compared, with no floor, so the rule holds below scale 1 as well as above;
+only clearing floors its scale at 1.  The capped solver's fixed-point stop
+is relative at every scale too.  test_equivariance.py checks the powers of
+two bit for bit; these cases take decimal scales and the float extremes.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from coshare import (
     Allocation,
     Constraint,
+    DomainError,
     ExpectationConstraint,
     FiniteSpace,
     MVProblem,
@@ -23,6 +26,7 @@ from coshare import (
     ValidationError,
     check_feasible,
     comonotonic_improvement,
+    distribution_of,
     falsify_solidity,
     solve_capped_mv,
     two_agent_fixed_point,
@@ -58,6 +62,20 @@ def test_improvement_certificates_verify(c):
         probs = rng.dirichlet(np.ones(m))
         _, cert = comonotonic_improvement(alloc(probs, rng.normal(size=(n, m)) * c))
         assert cert.all_verified, cert
+
+
+@pytest.mark.parametrize("c", (1.0, 1e-10, 1e-13))
+def test_improvement_keeps_every_level_at_small_scales(c):
+    # 60 atoms, 4 agents of normal shares (seed 0) times c: an absolute
+    # merge width of 1e-12 once split S into 2 levels at 1e-13, with no
+    # transfer, and an absolute stop let the output fall along S at 1e-10
+    X = np.random.default_rng(0).normal(size=(4, 60)) * c
+    A = alloc(np.full(60, 1.0 / 60.0), X)
+    improved, cert = comonotonic_improvement(A)
+    assert len(distribution_of(A.aggregate)) == 60
+    assert cert.transfers == 1539 and cert.all_verified
+    Y = improved.share_matrix()[:, np.argsort(A.aggregate.values)]
+    assert (np.diff(Y, axis=1) >= 0.0).all()
 
 
 @pytest.mark.parametrize("c", (1e-6, 1.0, 1e4, 1e6, 1e8))
@@ -204,6 +222,23 @@ def test_capped_mv_solves_at_the_top_binade(top):
         got = two_agent_fixed_point(0.3, C * top, RandomVariable(sp, (top, 1.0, 1.0)))
         unit = two_agent_fixed_point(0.3, C, RandomVariable(sp, (1.0, 1.0 / top, 1.0 / top)))
         assert np.max(np.abs(np.divide(got, top) - unit)) <= 1e-10
+
+
+def test_capped_mv_past_the_float_range_names_it():
+    # S = (0, float max) and delta = (3, 1): the shares 4.49e307 and
+    # 1.35e308 sum past the float range at the top atom, which read as a
+    # projection residual of -inf "with every agent at a cap"; S = (0,
+    # 1.797e308) solves
+    sp = FiniteSpace.uniform(2)
+
+    def problem(top):
+        return MVProblem((3.0, 1.0), (-INF,) * 2, (INF,) * 2,
+                         (sp, RandomVariable(sp, (0.0, top))))
+
+    with pytest.raises(DomainError, match="float range"):
+        solve_capped_mv(problem(1.7976931348623157e308))
+    allocation, _ = solve_capped_mv(problem(1.797e308))
+    assert allocation.share_matrix().sum(axis=0).tolist() == [0.0, 1.797e308]
 
 
 def two_agent_residual(a, C, S, beta):
