@@ -257,10 +257,12 @@ def _next_violated(here, x, l, gap_tol):
 def comonotonic_improvement(A, measures=None):
     """Comonotonic allocation dominating A componentwise in convex order.
 
-    Returns (improved allocation, certificate).  The output clears S, passes
-    is_comonotonic at tolerance VALUE_TOL * value_scale(S), and every output
-    share precedes its input share in convex order; the certificate records
-    the verdicts.  Shares so large that the transfers round the aggregate
+    Returns (improved allocation, certificate).  The output clears S, every
+    output share precedes its input share in convex order, and the output
+    passes is_comonotonic at tolerance VALUE_TOL * value_scale(S) unless the
+    input's clearing residual leaves a share falling where S rises with no
+    agent to absorb it: that fall stays.  The certificate records the
+    verdicts.  Shares so large that the transfers round the aggregate
     away (S of 1 against shares of 1e308) raise DomainError: the input
     clears and the output would not.
     ``measures`` optionally supplies one RiskMeasureSpec per agent whose
@@ -283,9 +285,11 @@ def comonotonic_improvement(A, measures=None):
     x = _level_means(values, part, probs)[:, part.order[part.starts]]
     cols = x.T.tolist()
 
-    scale = value_scale(A.aggregate.values)
-    partner_tol = VALUE_TOL * scale
-    gap_tol = LEVEL_GAP_EPS * scale
+    # with no partner every gap is >= 0, so a violator's gap is at most the
+    # fall of the shares' sum from level k to a higher level l: r_k - r_l for
+    # level residuals r within clearing_tol(S), on any input that clears
+    partner_tol = 2.0 * clearing_tol(A.aggregate.values)
+    gap_tol = LEVEL_GAP_EPS * value_scale(A.aggregate.values)
     max_transfers = MAX_TRANSFERS  # read once per call; locals in the loop
     clean_run = CLEAN_RUN
     last_run = m - clean_run  # a run ending here or later leaves too few levels to skip
@@ -323,8 +327,8 @@ def comonotonic_improvement(A, measures=None):
                         j = gaps.index(low)  # first agent with the largest rise
                         gap_j = -low
                         if gap_j <= 0.0:
-                            # no partner left: a real breach unless the residual
-                            # violation is below the comonotonicity tolerance
+                            # no partner left: the input's clearing residual,
+                            # left for the certificate, or a breach
                             if gap_i > partner_tol:
                                 raise ContractError(
                                     "no transfer partner found; clearing must have been violated"

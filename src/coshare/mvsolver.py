@@ -418,8 +418,8 @@ def _shares(c, at, agg):
     sum x[k] = s[k] for every state of agg, read from the _Pieces at of c
     on each state's group (see _eta).  Returns eta with shape (m,) and x
     with shape (m, n).  Shares whose sum passes the float range (S at the
-    float maximum, split unevenly) leave a residual that is not finite, and
-    raise DomainError."""
+    float maximum, split unevenly), before or after the dust is handed on,
+    raise DomainError: check_clearing reads that sum as +-inf."""
     eta = _eta(agg.s, at, at.code)
     x = np.clip(c + eta[:, None] * agg.inv, agg.lower, agg.upper)
     residual = agg.s - x.sum(axis=1)
@@ -433,10 +433,12 @@ def _shares(c, at, agg):
         agent = inside.argmax(axis=1)
         fixed = inside[np.arange(rows.size), agent]
         x[rows[fixed], agent[fixed]] += dust[fixed]
+        # summed over agents in order, as check_clearing sums them (a dust
+        # that is not finite leaves its row's sum so)
+        if not np.isfinite(x[rows].T.sum(axis=0)).all():
+            raise DomainError("the shares' sum passes the float range")
         if not fixed.all():
             lost = dust[~fixed]
-            if not np.isfinite(lost).all():
-                raise DomainError("the shares' sum passes the float range")
             lost = lost[np.abs(lost) > clearing_tol(agg.values)]
             if lost.size:
                 raise ContractError(
@@ -505,7 +507,7 @@ def _psi(du, f, deltas, unit):
     return float(du @ (deltas * (f / unit)))
 
 
-def _line_search(c, d, at0, at1, psi1, agg, w_unit, unit):
+def _line_search(c, d, at0, at1, psi1, agg, inv, root, w_unit, unit):
     """(c + t d, its _Pieces) at the root t in (0, 1) of
     psi(t) = d^T D_delta F(c + t d) (see _psi: every psi and curvature here
     is over unit^2), from the _Pieces at t = 0 and t = 1 and psi1 = psi(1),
@@ -513,9 +515,9 @@ def _line_search(c, d, at0, at1, psi1, agg, w_unit, unit):
 
     psi is minus half G's slope along d: piecewise linear and nonincreasing,
     with slope -d^T D_delta J d = -e^T M e, e = d/w^(1/2), while a regime
-    holds (M its _regime_matrix).  M is read from w / w_unit, a power of
-    two (see solve_capped_mv), and so e^T M e as e'^T M e' / w_unit,
-    e' = d / (w / w_unit)^(1/2).  A regime is convex in c, so
+    holds (M its _regime_matrix).  M is read from the solve's inv = w / w_unit,
+    w_unit a power of two, and root = inv^(1/2) (see solve_capped_mv), and
+    so e^T M e as e'^T M e' / w_unit, e' = d / root.  A regime is convex in c, so
     between two points of one regime psi is one line.  The search keeps a
     bracket lo < root < hi and tries the root of psi's line through the end
     whose line puts it nearer; landing in that end's regime, it is psi's
@@ -523,8 +525,6 @@ def _line_search(c, d, at0, at1, psi1, agg, w_unit, unit):
     the bracket gives way to the bracket's midpoint.  The search also ends
     at psi = 0, and where the bracket, or the step from the nearer end, no
     longer splits in floats (then at the end with the smaller |psi|)."""
-    inv = agg.inv / w_unit
-    root = np.sqrt(inv)
     du = d / unit
     e = du / root
 
@@ -639,7 +639,7 @@ def solve_capped_mv(problem):
         psi = _psi(d / unit, f_step, deltas, unit)
         if (psi < 0.0 and np.max(np.abs(f_step)) > fixed_point_tol
                 and _potential(step, at_step, agg, unit) >= _potential(c, at, agg, unit)):
-            step, at_step = _line_search(c, d, at, at_step, psi, agg, w_unit, unit)
+            step, at_step = _line_search(c, d, at, at_step, psi, agg, inv, root, w_unit, unit)
             searches += 1
         c, at = step, at_step
     else:

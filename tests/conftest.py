@@ -271,7 +271,9 @@ def reference_repair(A, max_transfers=MAX_TRANSFERS):
     masses = np.array([A.space.probs[g].sum() for g in groups])
     x = np.array([[row[g[0]] for g in groups] for row in conditioned])
     scale = float(np.max(np.abs(A.aggregate.values)))
-    partner_tol = VALUE_TOL * scale
+    # a fall no agent can absorb is the difference of two levels' clearing
+    # residuals, each within VALUE_TOL * max(1, scale)
+    partner_tol = 2.0 * VALUE_TOL * max(1.0, scale)
     gap_tol = LEVEL_GAP_EPS * scale
 
     transfers = 0

@@ -1283,9 +1283,8 @@ class TestTwoAgentFixedPoint:
             C = float(rng.choice((0.5, 2.0, 10.0))) * float(rng.uniform(0.5, 1.5))
             got = two_agent_fixed_point(a, C, S)
             want = reference_two_agent_fixed_point(a, C, S)
-            # the ends lie in S's units, and in C's where S is 0 (every
-            # beta in [0, C] is then a fixed point)
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * (value_scale(values) or C)
+            # the ends lie in S's units; where S is 0 they are 0 and C
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * (value_scale(values) or 1.0)
             assert (got[0] < got[1]) == (want[0] < want[1])
             intervals += got[0] < got[1]
             points += got[0] == got[1]

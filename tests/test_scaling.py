@@ -24,6 +24,7 @@ from coshare import (
     PathwiseBounds,
     RandomVariable,
     ValidationError,
+    check_clearing,
     check_feasible,
     comonotonic_improvement,
     distribution_of,
@@ -239,6 +240,19 @@ def test_capped_mv_past_the_float_range_names_it():
         solve_capped_mv(problem(1.7976931348623157e308))
     allocation, _ = solve_capped_mv(problem(1.797e308))
     assert allocation.share_matrix().sum(axis=0).tolist() == [0.0, 1.797e308]
+    # with caps, S = (float max, 1, 1) and delta = (1, 2, 3): the dust handed
+    # to agent 0 makes the shares' exact sum the float maximum, which their
+    # float sum rounds past; S = (1.797e308, 1, 1) solves and clears
+    sp3 = FiniteSpace.uniform(3)
+
+    def capped(top):
+        return MVProblem((1.0, 2.0, 3.0), (-INF,) * 3, (INF, 0.25 * top, 0.5 * top),
+                         (sp3, RandomVariable(sp3, (top, 1.0, 1.0))))
+
+    with pytest.raises(DomainError, match="float range"):
+        solve_capped_mv(capped(1.7976931348623157e308))
+    allocation, _ = solve_capped_mv(capped(1.797e308))
+    assert check_clearing(allocation)[0]
 
 
 def two_agent_residual(a, C, S, beta):
